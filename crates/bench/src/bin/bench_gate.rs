@@ -63,7 +63,12 @@ fn measure() -> Trajectory {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    // `cargo bench-gate -- update` hands over a bare `--` (the alias
+    // already ends in one): accept it as the end of cargo's options
+    if args.first().is_some_and(|a| a == "--") {
+        args.remove(0);
+    }
     let mode = match args.as_slice() {
         [] => "check",
         [m] if m == "check" || m == "update" => m.as_str(),

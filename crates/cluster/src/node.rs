@@ -95,9 +95,16 @@ impl Node {
 
     /// Collect finished CPU tasks at `now`, keeping power consistent.
     pub fn take_finished_cpu(&mut self, now: SimTime) -> Vec<TaskId> {
-        let done = self.cpu.take_finished(now);
-        self.sync_power(now);
+        let mut done = Vec::new();
+        self.take_finished_cpu_into(now, &mut done);
         done
+    }
+
+    /// [`take_finished_cpu`](Self::take_finished_cpu) into a caller-owned
+    /// buffer: finished ids are appended in ascending order.
+    pub fn take_finished_cpu_into(&mut self, now: SimTime, out: &mut Vec<TaskId>) {
+        self.cpu.take_finished_into(now, out);
+        self.sync_power(now);
     }
 
     /// CPU epoch for the completion-event invalidation protocol.

@@ -60,7 +60,7 @@ pub fn iperf(pair: Pair, proto: Proto, bytes: u64, edison: &ServerSpec, dell: &S
     let (path, latency) = rooms.topo.path(src, dst);
     let t0 = SimTime::ZERO;
     let net = rooms.topo.network_mut();
-    net.start_flow(t0, 1, bytes as f64, path, f64::INFINITY);
+    net.start_flow(t0, 1, bytes as f64, path.to_vec(), f64::INFINITY);
     let done = match net.next_completion(t0) {
         Some((_, done)) => done,
         // A just-started flow always schedules a completion; the only way

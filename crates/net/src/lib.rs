@@ -22,4 +22,4 @@ pub mod topology;
 
 pub use gauge::LinkGauge;
 pub use network::{FlowId, LinkId, Network};
-pub use topology::{GroupId, HostId, Topology};
+pub use topology::{GroupId, HostId, Path, Topology};

@@ -12,7 +12,7 @@
 
 use crate::network::{LinkId, Network};
 use edison_simcore::time::SimDuration;
-use std::collections::HashMap;
+use std::ops::Deref;
 
 /// Index of a switch group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,18 +29,47 @@ struct Host {
     down: LinkId,
 }
 
+/// The links a transfer crosses, in order: empty for loopback, `[up,
+/// down]` within a group, `[up, uplink, down]` across groups. Stored
+/// inline and `Copy`, so asking for a path allocates nothing; it derefs
+/// to `&[LinkId]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Path {
+    links: [LinkId; 3],
+    len: u8,
+}
+
+impl Path {
+    const LOOPBACK: Path = Path { links: [LinkId(0); 3], len: 0 };
+
+    fn two(a: LinkId, b: LinkId) -> Path {
+        Path { links: [a, b, LinkId(0)], len: 2 }
+    }
+
+    fn three(a: LinkId, b: LinkId, c: LinkId) -> Path {
+        Path { links: [a, b, c], len: 3 }
+    }
+}
+
+impl Deref for Path {
+    type Target = [LinkId];
+
+    fn deref(&self) -> &[LinkId] {
+        &self.links[..usize::from(self.len)]
+    }
+}
+
 /// A grouped-star topology with per-pair latencies. See module docs.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
     net: Network,
     hosts: Vec<Host>,
-    /// One-way latency within a group.
-    // simlint: allow(R1) keyed lookup only; never iterated
-    intra_latency: HashMap<GroupId, SimDuration>,
-    /// Uplink (directed, one per direction) and one-way latency per pair.
-    // simlint: allow(R1) keyed lookup only; never iterated
-    interconnect: HashMap<(GroupId, GroupId), (LinkId, SimDuration)>,
-    groups: usize,
+    /// One-way latency within a group, indexed by [`GroupId`].
+    intra_latency: Vec<SimDuration>,
+    /// Uplink (directed, one per direction) and one-way latency per
+    /// ordered pair, a square table indexed `[from][to]`; `None` when not
+    /// connected.
+    interconnect: Vec<Vec<Option<(LinkId, SimDuration)>>>,
 }
 
 impl Topology {
@@ -51,16 +80,19 @@ impl Topology {
 
     /// Add a switch group whose hosts see `one_way_latency` to each other.
     pub fn add_group(&mut self, one_way_latency: SimDuration) -> GroupId {
-        let g = GroupId(self.groups);
-        self.groups += 1;
-        self.intra_latency.insert(g, one_way_latency);
-        g
+        self.intra_latency.push(one_way_latency);
+        let groups = self.intra_latency.len();
+        for row in &mut self.interconnect {
+            row.push(None);
+        }
+        self.interconnect.push(vec![None; groups]);
+        GroupId(groups - 1)
     }
 
     /// Add a host to `group` with the given NIC line rate (bits/s) and
     /// goodput efficiency.
     pub fn add_host(&mut self, group: GroupId, nic_bps: f64, efficiency: f64) -> HostId {
-        assert!(group.0 < self.groups, "unknown group");
+        assert!(group.0 < self.intra_latency.len(), "unknown group");
         let up = self.net.add_link_bps(nic_bps, efficiency);
         let down = self.net.add_link_bps(nic_bps, efficiency);
         self.hosts.push(Host { group, up, down });
@@ -79,8 +111,16 @@ impl Topology {
     ) {
         let ab = self.net.add_link_bps(capacity_bps, efficiency);
         let ba = self.net.add_link_bps(capacity_bps, efficiency);
-        self.interconnect.insert((a, b), (ab, one_way_latency));
-        self.interconnect.insert((b, a), (ba, one_way_latency));
+        self.interconnect[a.0][b.0] = Some((ab, one_way_latency));
+        self.interconnect[b.0][a.0] = Some((ba, one_way_latency));
+    }
+
+    /// The directed uplink and one-way latency from group `from` to `to`.
+    ///
+    /// Panics if the groups are not connected.
+    fn interconnect(&self, from: GroupId, to: GroupId) -> (LinkId, SimDuration) {
+        self.interconnect[from.0][to.0]
+            .unwrap_or_else(|| panic!("groups {from:?} and {to:?} not connected"))
     }
 
     /// The link path and one-way latency from `src` to `dst`.
@@ -90,20 +130,17 @@ impl Topology {
     /// path, zero latency (the kernel's loopback never hits the NIC).
     ///
     /// Panics if the groups are not connected.
-    pub fn path(&self, src: HostId, dst: HostId) -> (Vec<LinkId>, SimDuration) {
+    pub fn path(&self, src: HostId, dst: HostId) -> (Path, SimDuration) {
         if src == dst {
-            return (vec![], SimDuration::ZERO);
+            return (Path::LOOPBACK, SimDuration::ZERO);
         }
         let s = &self.hosts[src.0];
         let d = &self.hosts[dst.0];
         if s.group == d.group {
-            (vec![s.up, d.down], self.intra_latency[&s.group])
+            (Path::two(s.up, d.down), self.intra_latency[s.group.0])
         } else {
-            let (uplink, lat) = *self
-                .interconnect
-                .get(&(s.group, d.group))
-                .unwrap_or_else(|| panic!("groups {:?} and {:?} not connected", s.group, d.group));
-            (vec![s.up, uplink, d.down], lat)
+            let (uplink, lat) = self.interconnect(s.group, d.group);
+            (Path::three(s.up, uplink, d.down), lat)
         }
     }
 
@@ -232,7 +269,7 @@ mod tests {
         let b = rooms.topo.add_host(rooms.edison_room, 100e6, 0.939);
         let (path, _) = rooms.topo.path(a, b);
         let t0 = SimTime::ZERO;
-        rooms.topo.network_mut().start_flow(t0, 1, 1e9, path, f64::INFINITY);
+        rooms.topo.network_mut().start_flow(t0, 1, 1e9, path.to_vec(), f64::INFINITY);
         let (_, at) = rooms.topo.network_mut().next_completion(t0).unwrap();
         // 1 GB at 93.9 Mbit/s ≈ 85 s — matches the iperf result shape
         assert!((at.as_secs_f64() - 85.2).abs() < 0.2);
@@ -251,11 +288,61 @@ mod tests {
         }
         let t0 = SimTime::ZERO;
         for (id, path) in flows {
-            rooms.topo.network_mut().start_flow(t0, id, 1e9, path, f64::INFINITY);
+            rooms.topo.network_mut().start_flow(t0, id, 1e9, path.to_vec(), f64::INFINITY);
         }
         let rate = rooms.topo.network().flow_rate(0);
         let uplink_share = 1e9 * 0.942 / 8.0 / 24.0;
         assert!((rate - uplink_share).abs() / uplink_share < 1e-6, "rate {rate}");
+    }
+
+    /// A populated two-room fabric: three Edison and four Dell-room hosts.
+    fn populated() -> (TwoRooms, Vec<HostId>) {
+        let mut rooms = TwoRooms::new();
+        let mut hosts = Vec::new();
+        for _ in 0..3 {
+            hosts.push(rooms.topo.add_host(rooms.edison_room, 100e6, 0.939));
+        }
+        for _ in 0..4 {
+            hosts.push(rooms.topo.add_host(rooms.dell_room, 1e9, 0.942));
+        }
+        (rooms, hosts)
+    }
+
+    #[test]
+    fn every_pair_sees_its_room_latency_and_rtt_is_twice_it() {
+        let (rooms, hosts) = populated();
+        let topo = &rooms.topo;
+        for &a in &hosts {
+            for &b in &hosts {
+                let (ga, gb) = (topo.group_of(a), topo.group_of(b));
+                let want = match (a == b, ga == gb, ga == rooms.edison_room) {
+                    (true, _, _) => 0,
+                    (false, true, true) => 650,
+                    (false, true, false) => 120,
+                    (false, false, _) => 400,
+                };
+                let lat = topo.latency(a, b);
+                assert_eq!(lat, SimDuration::from_micros(want), "{a:?} -> {b:?}");
+                assert_eq!(topo.rtt(a, b), lat + lat, "{a:?} -> {b:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn path_derefs_to_the_link_sequence() {
+        let (rooms, hosts) = populated();
+        let topo = &rooms.topo;
+        let (e0, e1, d0) = (hosts[0], hosts[1], hosts[3]);
+        let (same, _) = topo.path(e0, e1);
+        assert_eq!(&*same, &[topo.uplink(e0), topo.downlink(e1)]);
+        let (cross, _) = topo.path(e0, d0);
+        // the Edison → Dell uplink is the first link connect_groups added
+        let uplink = topo.interconnect(rooms.edison_room, rooms.dell_room).0;
+        assert_eq!(&*cross, &[topo.uplink(e0), uplink, topo.downlink(d0)]);
+        let (back, _) = topo.path(d0, e0);
+        assert_ne!(back[1], uplink, "each direction has its own uplink");
+        assert_eq!(&*topo.path(d0, d0).0, &[] as &[LinkId]);
+        assert_eq!(same.to_vec(), vec![topo.uplink(e0), topo.downlink(e1)]);
     }
 
     #[test]

@@ -172,6 +172,10 @@ pub struct Simulation<M: Model> {
     stopped: bool,
     max_events: Option<u64>,
     watchdog_tripped: bool,
+    /// The follow-up buffer lent to each handle as `Ctx.pending` and
+    /// drained back into the heap, so delivering an event allocates
+    /// nothing once it has grown to the largest fan-out seen.
+    spare: Vec<Scheduled<M::Event>>,
 }
 
 impl<M: Model> Simulation<M> {
@@ -187,6 +191,7 @@ impl<M: Model> Simulation<M> {
             stopped: false,
             max_events: None,
             watchdog_tripped: false,
+            spare: Vec::new(),
         }
     }
 
@@ -329,15 +334,16 @@ impl<M: Model> Simulation<M> {
         let mut ctx = Ctx {
             now: self.now,
             seq: self.seq,
-            pending: Vec::new(),
+            pending: std::mem::take(&mut self.spare),
             stop: false,
         };
         self.world.handle(self.now, next.event, &mut ctx);
         self.seq = ctx.seq;
         let newly_scheduled = ctx.pending.len();
-        for s in ctx.pending {
+        for s in ctx.pending.drain(..) {
             self.heap.push(Reverse(s));
         }
+        self.spare = ctx.pending;
         if ctx.stop {
             self.stopped = true;
         }

@@ -199,21 +199,28 @@ impl FluidResource {
     /// it advances to `now`, removes finished tasks, and bumps the epoch if
     /// anything was removed. Returned ids are sorted for determinism.
     pub fn take_finished(&mut self, now: SimTime) -> Vec<TaskId> {
+        let mut done = Vec::new();
+        self.take_finished_into(now, &mut done);
+        done
+    }
+
+    /// [`take_finished`](Self::take_finished) into a caller-owned buffer:
+    /// appends the finished ids, in ascending order, after whatever `out`
+    /// already holds. One in-place pass over the id-ordered task map; no
+    /// allocation once `out` has capacity.
+    pub fn take_finished_into(&mut self, now: SimTime, out: &mut Vec<TaskId>) {
         self.advance(now);
-        let mut done: Vec<TaskId> = self
-            .tasks
-            .iter()
-            .filter(|&(_, &rem)| rem <= WORK_EPS)
-            .map(|(&id, _)| id)
-            .collect();
-        done.sort_unstable();
-        for id in &done {
-            self.tasks.remove(id);
-        }
-        if !done.is_empty() {
+        let before = out.len();
+        self.tasks.retain(|&id, &mut rem| {
+            let finished = rem <= WORK_EPS;
+            if finished {
+                out.push(id);
+            }
+            !finished
+        });
+        if out.len() > before {
             self.epoch += 1;
         }
-        done
     }
 
     /// Remaining work of a task, if in flight (advances nothing).
@@ -338,6 +345,57 @@ mod tests {
         r.add(t(0.0), 3, 5.0);
         let (id, _) = r.next_completion(t(0.0)).unwrap();
         assert_eq!(id, 3);
+    }
+
+    #[test]
+    fn take_finished_into_appends_sorted_ids_after_existing() {
+        let mut r = FluidResource::new(10.0, f64::INFINITY);
+        for id in [9, 4, 7, 1] {
+            r.add(t(0.0), id, 1.0);
+        }
+        r.add(t(0.0), 5, 100.0);
+        let mut out = vec![42, 3];
+        // five tasks at 2/s: the four unit tasks finish at 0.5 s
+        r.take_finished_into(t(0.5), &mut out);
+        assert_eq!(out, vec![42, 3, 1, 4, 7, 9]);
+        assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn take_finished_into_matches_take_finished() {
+        let build = || {
+            let mut r = FluidResource::new(7.0, 3.0);
+            for i in 0..40u64 {
+                r.add(t(0.01 * i as f64), (i * 37) % 101, 0.5 + (i % 5) as f64);
+            }
+            r
+        };
+        let (mut a, mut b) = (build(), build());
+        let mut now = t(0.4);
+        let mut buf = Vec::new();
+        while let Some((_, at)) = a.next_completion(now) {
+            now = at;
+            buf.clear();
+            b.take_finished_into(now, &mut buf);
+            assert_eq!(a.take_finished(now), buf);
+            assert_eq!(a.epoch(), b.epoch());
+        }
+        assert!(a.is_empty() && b.is_empty());
+        assert_eq!(a.work_done().to_bits(), b.work_done().to_bits());
+    }
+
+    #[test]
+    fn take_finished_into_bumps_epoch_only_when_something_finished() {
+        let mut r = FluidResource::new(1.0, 1.0);
+        r.add(t(0.0), 1, 1.0);
+        let mut out = Vec::new();
+        let e0 = r.epoch();
+        r.take_finished_into(t(0.5), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(r.epoch(), e0, "nothing finished: epoch unchanged");
+        r.take_finished_into(t(1.0), &mut out);
+        assert_eq!(out, vec![1]);
+        assert_eq!(r.epoch(), e0 + 1);
     }
 
     #[test]

@@ -1,0 +1,81 @@
+//! A deterministic multiplicative hasher for the world's integer-keyed
+//! maps (`reqs`, `conns`, the memcached key index).
+//!
+//! `std`'s default hasher is SipHash with a per-process random key: strong
+//! against adversarial keys, but several lookups per event on the request
+//! path made it a measurable share of host time. The keys here are ids the
+//! simulator hands out itself, so a single multiply suffices.
+//!
+//! Determinism: these maps serve keyed lookup only. Nothing iterates them
+//! except `WebWorld::apply_crash`, which sorts what it collects, so neither
+//! the hash function nor the map's internal order reaches any output.
+
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// ⌊2^64 / φ⌋, odd: multiplying by it is a bijection on `u64` whose low
+/// bits (the bucket index) stay distinct for sequential ids and whose high
+/// bits (the probe tag) are well spread.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Multiplicative hasher. A single written word `n` hashes to
+/// `n * GOLDEN`, whose low `k` bits depend only on the low `k` bits of
+/// `n`; keys should therefore be dense ids (memcached's `Key` hashes as
+/// its table-major row index), not packed fields.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(26) ^ n).wrapping_mul(GOLDEN);
+    }
+}
+
+// simlint: allow(R1) keyed lookup only; see the module docs
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::hash::{BuildHasher, Hash};
+
+    fn hash<T: Hash>(v: T) -> u64 {
+        BuildHasherDefault::<IdHasher>::default().hash_one(v)
+    }
+
+    #[test]
+    fn sequential_ids_fill_distinct_buckets() {
+        // the low bits pick the bucket: 1024 sequential ids over 1024
+        // buckets collide nowhere
+        let mut seen = vec![false; 1024];
+        for id in 0..1024u64 {
+            let b = usize::try_from(hash(id) & 1023).unwrap_or(0);
+            assert!(!seen[b], "id {id} collides");
+            seen[b] = true;
+        }
+    }
+
+    #[test]
+    fn map_round_trips() {
+        let mut m: IdMap<u64, u32> = IdMap::default();
+        for i in 0..10_000u64 {
+            m.insert(i * 3, u32::try_from(i).unwrap_or(u32::MAX));
+        }
+        for i in 0..10_000u64 {
+            assert_eq!(m.get(&(i * 3)).copied(), u32::try_from(i).ok());
+        }
+        assert!(!m.contains_key(&1));
+    }
+}

@@ -22,6 +22,7 @@
 
 pub mod db;
 pub mod httperf;
+mod idmap;
 pub mod lifecycle;
 pub mod memcached;
 pub mod model;

@@ -6,18 +6,37 @@
 //! what was inserted during warm-up*, exactly as on the paper's testbed
 //! ("we control the cache hit ratio by adjusting the warm-up time").
 //!
-//! Implementation: slab of entries with prev/next indices + `HashMap` from
+//! Implementation: slab of entries with prev/next indices + a hash map from
 //! key to slot — O(1) get/insert/evict, no per-operation allocation once
 //! the slab is warm.
 
-use std::collections::HashMap;
+use crate::idmap::IdMap;
+use crate::scenario::ROWS_PER_TABLE;
+use std::hash::{Hash, Hasher};
 
 /// A cache key: (table, row) — the paper's PHP picks a random table and row
 /// per request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Key {
     pub table: u8,
     pub row: u32,
+}
+
+impl Key {
+    /// The key's position in the table-major row space,
+    /// `table * ROWS_PER_TABLE + row`: dense and distinct for every
+    /// in-range key.
+    pub fn dense_id(self) -> u64 {
+        u64::from(self.table) * u64::from(ROWS_PER_TABLE) + u64::from(self.row)
+    }
+}
+
+impl Hash for Key {
+    /// One word, the [`dense_id`](Key::dense_id): sequential ids land in
+    /// distinct buckets of the multiplicative id hasher.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.dense_id());
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -33,8 +52,8 @@ const NIL: u32 = u32::MAX;
 /// Byte-capacity-bounded LRU store. See module docs.
 #[derive(Debug, Clone)]
 pub struct LruStore {
-    // simlint: allow(R1) keyed lookup only; LRU order lives in the slab links
-    map: HashMap<Key, u32>,
+    /// Keyed lookup only; LRU order lives in the slab links.
+    map: IdMap<Key, u32>,
     slab: Vec<Entry>,
     free: Vec<u32>,
     head: u32, // most recent
@@ -51,8 +70,7 @@ impl LruStore {
     pub fn new(capacity_bytes: u64) -> Self {
         assert!(capacity_bytes > 0);
         LruStore {
-            // simlint: allow(R1) keyed lookup only (see field note)
-            map: HashMap::new(),
+            map: IdMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             head: NIL,
@@ -218,6 +236,25 @@ mod tests {
 
     fn k(table: u8, row: u32) -> Key {
         Key { table, row }
+    }
+
+    #[test]
+    fn real_key_set_fills_distinct_buckets() {
+        use crate::db::TOTAL_TABLES;
+        use crate::idmap::IdHasher;
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        // every (table, row) the workload can draw, over a power-of-two
+        // bucket index at least as large as the key set: no two share one
+        let keys = TOTAL_TABLES as u64 * u64::from(ROWS_PER_TABLE);
+        let mask = keys.next_power_of_two() - 1;
+        let build = BuildHasherDefault::<IdHasher>::default();
+        let mut buckets = std::collections::BTreeSet::new();
+        for table in 0..TOTAL_TABLES as u8 {
+            for row in 0..ROWS_PER_TABLE {
+                buckets.insert(build.hash_one(k(table, row)) & mask);
+            }
+        }
+        assert_eq!(buckets.len() as u64, keys);
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! drivers is pinned by `tests/async_equivalence.rs`.
 
 use crate::db::{self, RowQuery};
+use crate::idmap::IdMap;
 use crate::memcached::{Key, LruStore};
 use crate::scenario::{Platform, WebScenario, WorkloadMix, ROWS_PER_TABLE};
 use edison_cluster::node::AdmitError;
@@ -40,7 +41,7 @@ use edison_simguard::{
 };
 use edison_simrun::derive_seed;
 use edison_simtel::{labels, OpenSpan, Telemetry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Histogram bounds for request-delay telemetry, seconds (log-ish spacing
 /// over the paper's 0–8 s Figure 10/11 range).
@@ -570,10 +571,10 @@ pub struct WebWorld {
     pub(crate) workers: Vec<WorkerPool>,
     pub(crate) syn_gates: Vec<SynGate>,
     pub(crate) rng: SimRng,
-    // simlint: allow(R1) keyed lookup only; event order comes from the kernel heap
-    pub(crate) conns: HashMap<u64, Conn>,
-    // simlint: allow(R1) keyed lookup only; event order comes from the kernel heap
-    pub(crate) reqs: HashMap<u64, Req>,
+    /// Keyed lookup only; event order comes from the kernel heap.
+    pub(crate) conns: IdMap<u64, Conn>,
+    /// Keyed lookup only; the one scan (`WebWorld::apply_crash`) sorts.
+    pub(crate) reqs: IdMap<u64, Req>,
     pub(crate) next_conn: u64,
     pub(crate) next_req: u64,
     pub(crate) rr_web: usize,
@@ -650,6 +651,13 @@ pub struct WebWorld {
     pub(crate) brownout: Brownout,
     /// Span track for guard-layer intervals (brownout windows).
     pub(crate) guard_track: Option<usize>,
+    // ---- reused per-event buffers -------------------------------------
+    /// The schedule buffer the state-machine driver lends each handle
+    /// (re-anchored with [`SchedBuf::reset`]), so dispatch allocates
+    /// nothing once it has grown to the largest fan-out.
+    pub(crate) sched: SchedBuf<Ev>,
+    /// Finished CPU task ids of the `NodeCpu`/`DbCpu` arm being handled.
+    cpu_done: Vec<u64>,
 }
 
 /// Fraction of the per-request web CPU spent before the cache RPC (parse +
@@ -876,10 +884,8 @@ impl WebWorld {
             workers,
             syn_gates,
             rng,
-            // simlint: allow(R1) keyed lookup only (see field notes)
-            conns: HashMap::new(),
-            // simlint: allow(R1) keyed lookup only (see field notes)
-            reqs: HashMap::new(),
+            conns: IdMap::default(),
+            reqs: IdMap::default(),
             next_conn: 0,
             next_req: 0,
             rr_web: 0,
@@ -913,6 +919,8 @@ impl WebWorld {
             admit_gate,
             brownout,
             guard_track: None,
+            sched: SchedBuf::new(SimTime::ZERO),
+            cpu_done: Vec::new(),
         }
     }
 
@@ -967,7 +975,7 @@ impl WebWorld {
     /// The deterministic key → cache-server mapping (memcached client
     /// hashing).
     fn cache_for(key: Key, n_cache: usize) -> usize {
-        (key.table as usize * ROWS_PER_TABLE as usize + key.row as usize) % n_cache
+        (key.dense_id() % n_cache as u64) as usize
     }
 
     pub(crate) fn n_web(&self) -> usize {
@@ -981,7 +989,9 @@ impl WebWorld {
     /// Telemetry: count one request leaving the system, by outcome
     /// (`ok`, `server_error`, `client_error`).
     fn tel_outcome(&mut self, outcome: &'static str) {
-        self.tel.counter_inc("web_requests_total", labels(&[("outcome", outcome)]));
+        if self.tel.is_on() {
+            self.tel.counter_inc("web_requests_total", labels(&[("outcome", outcome)]));
+        }
     }
 
     /// Span track id for web node `web` — cached by
@@ -1163,11 +1173,11 @@ impl WebWorld {
             BreakerState::HalfOpen => ("half_open", 0.5),
             BreakerState::Open => ("open", 1.0),
         };
-        self.tel.counter_inc(
-            guard_metrics::BREAKER_TRANSITIONS_TOTAL,
-            labels(&[("tier", "web"), ("to", to)]),
-        );
         if self.tel.is_on() {
+            self.tel.counter_inc(
+                guard_metrics::BREAKER_TRANSITIONS_TOTAL,
+                labels(&[("tier", "web"), ("to", to)]),
+            );
             let backend = format!("web-{web}");
             self.tel.gauge_set(
                 guard_metrics::BREAKER_STATE,
@@ -1237,10 +1247,12 @@ impl WebWorld {
     /// (token bucket / queue gate / breaker block).
     fn guard_shed_lb(&mut self, reason: &'static str) {
         self.metrics.guard.lb_rejected += 1;
-        self.tel.counter_inc(
-            guard_metrics::SHED_TOTAL,
-            labels(&[("tier", "web"), ("reason", reason)]),
-        );
+        if self.tel.is_on() {
+            self.tel.counter_inc(
+                guard_metrics::SHED_TOTAL,
+                labels(&[("tier", "web"), ("reason", reason)]),
+            );
+        }
         self.tel_outcome("shed");
     }
 
@@ -1248,10 +1260,12 @@ impl WebWorld {
     /// conservation identity's `failed` bucket).
     fn guard_req_failed(&mut self, reason: &'static str) {
         self.metrics.guard.failed += 1;
-        self.tel.counter_inc(
-            guard_metrics::FAILED_TOTAL,
-            labels(&[("tier", "web"), ("reason", reason)]),
-        );
+        if self.tel.is_on() {
+            self.tel.counter_inc(
+                guard_metrics::FAILED_TOTAL,
+                labels(&[("tier", "web"), ("reason", reason)]),
+            );
+        }
     }
 
     /// Feed one observed PHP-backlog sojourn into the queue gate and the
@@ -1261,27 +1275,34 @@ impl WebWorld {
     /// a span on exit.
     fn guard_observe_queue(&mut self, sojourn: SimDuration, now: SimTime) {
         self.admit_gate.observe(sojourn, now);
-        self.tel.observe(
-            guard_metrics::QUEUE_DELAY_SECONDS,
-            labels(&[("tier", "web")]),
-            guard_metrics::QUEUE_DELAY_BOUNDS_S,
-            sojourn.as_secs_f64(),
-        );
+        let tel_on = self.tel.is_on();
+        if tel_on {
+            self.tel.observe(
+                guard_metrics::QUEUE_DELAY_SECONDS,
+                labels(&[("tier", "web")]),
+                guard_metrics::QUEUE_DELAY_BOUNDS_S,
+                sojourn.as_secs_f64(),
+            );
+        }
         match self.brownout.observe(self.admit_gate.smoothed_sojourn_s(), now) {
             BrownoutStep::Entered => {
                 self.metrics.guard.brownout_entries += 1;
-                self.tel.gauge_set(
-                    guard_metrics::BROWNOUT_ACTIVE,
-                    labels(&[("tier", "web")]),
-                    1.0,
-                );
+                if tel_on {
+                    self.tel.gauge_set(
+                        guard_metrics::BROWNOUT_ACTIVE,
+                        labels(&[("tier", "web")]),
+                        1.0,
+                    );
+                }
             }
             BrownoutStep::Exited { since } => {
-                self.tel.gauge_set(
-                    guard_metrics::BROWNOUT_ACTIVE,
-                    labels(&[("tier", "web")]),
-                    0.0,
-                );
+                if tel_on {
+                    self.tel.gauge_set(
+                        guard_metrics::BROWNOUT_ACTIVE,
+                        labels(&[("tier", "web")]),
+                        0.0,
+                    );
+                }
                 if let Some(track) = self.guard_track {
                     self.tel.span_on(track, "guard", "brownout", since, now, vec![]);
                 }
@@ -1402,7 +1423,9 @@ impl WebWorld {
             RetryCause::Dead => self.metrics.retry_dead_total += 1,
             RetryCause::Overflow => self.metrics.retry_overflow_total += 1,
         }
-        self.tel.counter_inc(guard_metrics::RETRY_CAUSE, labels(&[("cause", cause.name())]));
+        if self.tel.is_on() {
+            self.tel.counter_inc(guard_metrics::RETRY_CAUSE, labels(&[("cause", cause.name())]));
+        }
         // connection ids count up from 0 and never reach 2^56, so packing
         // the attempt into the top byte keeps the stream index unique
         let stream_idx = conn_id | (u64::from(attempt) << 56);
@@ -1480,7 +1503,9 @@ impl WebWorld {
             }
             Err(AdmitError::AcceptOverrun) => {
                 self.metrics.syn_drops += 1;
-                self.tel.counter_inc("web_syn_drops_total", labels(&[]));
+                if self.tel.is_on() {
+                    self.tel.counter_inc("web_syn_drops_total", labels(&[]));
+                }
                 if attempt < 3 {
                     // kernel SYN retransmit backoff: +1 s, +2 s, +4 s
                     let backoff = SimDuration::from_secs(1 << attempt);
@@ -1555,7 +1580,9 @@ impl WebWorld {
         );
         if self.guard_on {
             self.metrics.guard.admitted += 1;
-            self.tel.counter_inc(guard_metrics::ADMITTED_TOTAL, labels(&[("tier", "web")]));
+            if self.tel.is_on() {
+                self.tel.counter_inc(guard_metrics::ADMITTED_TOTAL, labels(&[("tier", "web")]));
+            }
         }
         let lat = scaled(self.topo.latency(client_host, self.node_hosts[web]), self.nic_lat[web]);
         sched.schedule_at(send_at + lat, Ev::ReqAtWeb { req: id });
@@ -1598,10 +1625,12 @@ impl WebWorld {
         r.shed = true;
         r.state = ReqState::Reply;
         let (web, client) = (r.web, r.client);
-        self.tel.counter_inc(
-            guard_metrics::SHED_TOTAL,
-            labels(&[("tier", "web"), ("reason", "deadline")]),
-        );
+        if self.tel.is_on() {
+            self.tel.counter_inc(
+                guard_metrics::SHED_TOTAL,
+                labels(&[("tier", "web"), ("reason", "deadline")]),
+            );
+        }
         let lat = scaled(
             self.topo.latency(self.node_hosts[web], self.client_hosts[client]),
             self.nic_lat[web],
@@ -1751,10 +1780,12 @@ impl WebWorld {
         now: SimTime,
         sched: &mut SchedBuf<Ev>,
     ) {
-        self.tel.counter_inc(
-            guard_metrics::DEGRADED_TOTAL,
-            labels(&[("tier", "web"), ("reason", reason)]),
-        );
+        if self.tel.is_on() {
+            self.tel.counter_inc(
+                guard_metrics::DEGRADED_TOTAL,
+                labels(&[("tier", "web"), ("reason", reason)]),
+            );
+        }
         let Some(r) = self.reqs.get_mut(&req_id) else { return };
         r.degraded = true;
         r.query.reply_bytes = DEGRADED_REPLY_BYTES;
@@ -1825,10 +1856,12 @@ impl WebWorld {
             None => return None,
         };
         let hit = self.caches[cache].get(key).is_some();
-        self.tel.counter_inc(
-            "web_cache_lookups_total",
-            labels(&[("result", if hit { "hit" } else { "miss" })]),
-        );
+        if self.tel.is_on() {
+            self.tel.counter_inc(
+                "web_cache_lookups_total",
+                labels(&[("result", if hit { "hit" } else { "miss" })]),
+            );
+        }
         let web_host = self.node_hosts[web];
         let cache_node = self.n_web() + cache;
         let cache_host = self.node_hosts[cache_node];
@@ -2049,10 +2082,12 @@ impl WebWorld {
             self.guard_brk_success(web, now);
             if r.deadline.is_some_and(|d| d.passed(now)) {
                 self.metrics.guard.deadline_miss += 1;
-                self.tel.counter_inc(
-                    guard_metrics::DEADLINE_MISS_TOTAL,
-                    labels(&[("tier", "web")]),
-                );
+                if self.tel.is_on() {
+                    self.tel.counter_inc(
+                        guard_metrics::DEADLINE_MISS_TOTAL,
+                        labels(&[("tier", "web")]),
+                    );
+                }
             }
             if r.degraded {
                 self.metrics.guard.degraded += 1;
@@ -2254,7 +2289,9 @@ impl WebWorld {
         } else {
             fault_metrics::FAULT_SKIPPED_TOTAL
         };
-        self.tel.counter_inc(name, labels(&[("kind", kind.name()), ("tier", "web")]));
+        if self.tel.is_on() {
+            self.tel.counter_inc(name, labels(&[("kind", kind.name()), ("tier", "web")]));
+        }
         self.ensure_health_checks(now, sched);
     }
 
@@ -2342,7 +2379,9 @@ impl WebWorld {
                 if !self.lb_dead[i] && self.hc_fail[i] >= HC_FALL {
                     self.lb_dead[i] = true;
                     self.metrics.failovers += 1;
-                    self.tel.counter_inc(fault_metrics::FAILOVER_TOTAL, labels(&[("tier", "web")]));
+                    if self.tel.is_on() {
+                        self.tel.counter_inc(fault_metrics::FAILOVER_TOTAL, labels(&[("tier", "web")]));
+                    }
                 }
             } else {
                 self.hc_fail[i] = 0;
@@ -2354,12 +2393,14 @@ impl WebWorld {
                         if let Some(t0) = self.crash_time[i].take() {
                             let rec = now.since(t0).as_secs_f64();
                             self.metrics.recovery_s.push(rec);
-                            self.tel.observe(
-                                fault_metrics::RECOVERY_SECONDS,
-                                labels(&[("tier", "web")]),
-                                fault_metrics::RECOVERY_BOUNDS_S,
-                                rec,
-                            );
+                            if self.tel.is_on() {
+                                self.tel.observe(
+                                    fault_metrics::RECOVERY_SECONDS,
+                                    labels(&[("tier", "web")]),
+                                    fault_metrics::RECOVERY_BOUNDS_S,
+                                    rec,
+                                );
+                            }
                         }
                         if let Some(up) = self.restart_time[i].take() {
                             // restarted-but-not-in-rotation: the window
@@ -2433,20 +2474,25 @@ impl WebWorld {
             // flight when the run ends lands in the `failed` bucket so
             // admitted = completed + degraded + shed + failed holds
             let inflight = u64::try_from(self.reqs.len()).unwrap_or(u64::MAX);
+            let tel_on = self.tel.is_on();
             if inflight > 0 {
                 self.metrics.guard.failed += inflight;
-                self.tel.counter_add(
-                    guard_metrics::FAILED_TOTAL,
-                    labels(&[("tier", "web"), ("reason", "inflight_at_stop")]),
-                    inflight,
-                );
+                if tel_on {
+                    self.tel.counter_add(
+                        guard_metrics::FAILED_TOTAL,
+                        labels(&[("tier", "web"), ("reason", "inflight_at_stop")]),
+                        inflight,
+                    );
+                }
             }
             if let Some(since) = self.brownout.active_since() {
-                self.tel.gauge_set(
-                    guard_metrics::BROWNOUT_ACTIVE,
-                    labels(&[("tier", "web")]),
-                    0.0,
-                );
+                if tel_on {
+                    self.tel.gauge_set(
+                        guard_metrics::BROWNOUT_ACTIVE,
+                        labels(&[("tier", "web")]),
+                        0.0,
+                    );
+                }
                 if let Some(track) = self.guard_track {
                     self.tel.span_on(track, "guard", "brownout", since, now, vec![]);
                 }
@@ -2510,24 +2556,30 @@ impl WebWorld {
                 if self.nodes.node(NodeId(node)).cpu_epoch() != epoch {
                     return;
                 }
-                let done = self.nodes.node_mut(NodeId(node)).take_finished_cpu(now);
-                for tid in done {
+                let mut done = std::mem::take(&mut self.cpu_done);
+                self.nodes.node_mut(NodeId(node)).take_finished_cpu_into(now, &mut done);
+                for &tid in &done {
                     if node < self.n_web() {
                         self.web_cpu_done(tid, now, sched);
                     } else {
                         let _ = self.cache_cpu_done(tid, now, sched);
                     }
                 }
+                done.clear();
+                self.cpu_done = done;
                 self.schedule_node_cpu(node, now, sched);
             }
             Ev::DbCpu { node, epoch } => {
                 if self.dbc.node(NodeId(node)).cpu_epoch() != epoch {
                     return;
                 }
-                let done = self.dbc.node_mut(NodeId(node)).take_finished_cpu(now);
-                for tid in done {
+                let mut done = std::mem::take(&mut self.cpu_done);
+                self.dbc.node_mut(NodeId(node)).take_finished_cpu_into(now, &mut done);
+                for &tid in &done {
                     let _ = self.db_cpu_done(tid, now, sched);
                 }
+                done.clear();
+                self.cpu_done = done;
                 self.schedule_db_cpu(node, now, sched);
             }
             Ev::ReqAtWeb { req } => {

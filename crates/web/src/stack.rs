@@ -44,10 +44,14 @@ impl Model for WebWorld {
     fn handle(&mut self, now: SimTime, event: Ev, ctx: &mut Ctx<Ev>) {
         // route the shared lifecycle helpers through a SchedBuf so the
         // same bodies serve the async driver; the buffered ops replay
-        // into the engine context in call order, byte-identically
-        let mut sched = SchedBuf::new(now);
+        // into the engine context in call order, byte-identically. The
+        // buffer is the world's own, lent out for the handle and re-
+        // anchored at `now`, so no event allocates one.
+        let mut sched = std::mem::replace(&mut self.sched, SchedBuf::new(now));
+        sched.reset(now);
         self.dispatch(now, event, &mut sched);
         sched.flush(ctx);
+        self.sched = sched;
     }
 }
 

@@ -1,5 +1,6 @@
-//! Tier-1 benchmark-trajectory gate: the committed `BENCH_0009.json`
-//! must parse, be byte-canonical, and agree (within the ±10% ratchet
+//! Tier-1 benchmark-trajectory gate: the committed trajectory file
+//! (`BENCH_0010.json`, named by `edison_bench::TRAJECTORY_FILE`) must
+//! parse, be byte-canonical, and agree (within the ±10% ratchet
 //! tolerance) with a fresh run of every tracked workload.
 //!
 //! This is the same comparison `cargo bench-gate` makes, wired into
@@ -15,7 +16,7 @@ use std::path::Path;
 fn committed_text() -> String {
     let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
     std::fs::read_to_string(root.join(TRAJECTORY_FILE))
-        .expect("committed BENCH_0009.json at the workspace root")
+        .unwrap_or_else(|e| panic!("committed {TRAJECTORY_FILE} at the workspace root: {e}"))
 }
 
 /// The committed file is canonical `edison-bench/1`: parse → re-serialize
@@ -25,7 +26,7 @@ fn committed_trajectory_is_canonical_bytes() {
     let text = committed_text();
     assert!(text.contains(&format!("\"schema\": \"{SCHEMA}\"")));
     let parsed = Trajectory::parse(&text).expect("committed trajectory parses");
-    assert_eq!(parsed.to_json(), text, "BENCH_0009.json must round-trip byte-identically");
+    assert_eq!(parsed.to_json(), text, "{TRAJECTORY_FILE} must round-trip byte-identically");
 }
 
 /// Every tracked workload appears in the committed trajectory, and no
