@@ -88,9 +88,26 @@ impl Node {
         r
     }
 
-    /// Earliest CPU completion, if any (for event scheduling).
+    /// Earliest CPU completion, if any.
     pub fn next_cpu_completion(&self, now: SimTime) -> Option<(TaskId, SimTime)> {
         self.cpu.next_completion(now)
+    }
+
+    /// Arm this node's CPU completion event: `Some((at, epoch))` to
+    /// schedule — keyed by node, so it replaces a pending stale one — or
+    /// `None` when no task is in flight or the pending event already
+    /// carries the current epoch. Every world arms through this one rule;
+    /// see [`FluidResource::arm_completion`].
+    pub fn arm_cpu_completion(&mut self, now: SimTime) -> Option<(SimTime, u64)> {
+        self.cpu.arm_completion(now)
+    }
+
+    /// The CPU completion event stamped `epoch` arrived: nothing is
+    /// pending any more. Returns whether it is current, i.e. whether to
+    /// collect finished tasks (a crash that cancelled tasks without
+    /// re-arming leaves a stale one behind).
+    pub fn deliver_cpu_completion(&mut self, epoch: u64) -> bool {
+        self.cpu.deliver_completion(epoch)
     }
 
     /// Collect finished CPU tasks at `now`, keeping power consistent.
@@ -105,11 +122,6 @@ impl Node {
     pub fn take_finished_cpu_into(&mut self, now: SimTime, out: &mut Vec<TaskId>) {
         self.cpu.take_finished_into(now, out);
         self.sync_power(now);
-    }
-
-    /// CPU epoch for the completion-event invalidation protocol.
-    pub fn cpu_epoch(&self) -> u64 {
-        self.cpu.epoch()
     }
 
     /// Instantaneous CPU utilisation [0, 1].

@@ -425,6 +425,9 @@ struct MrWorld {
     /// filled once at trace setup — per-event span recording is then
     /// id-indexed, no string formatting on the hot path.
     slave_tracks: Vec<usize>,
+    /// Finished CPU job ids of the `NodeCpu` arm being handled, reused
+    /// across events.
+    cpu_finished: Vec<u64>,
 }
 
 impl MrWorld {
@@ -556,6 +559,7 @@ impl MrWorld {
             last_progress: SimTime::ZERO,
             tel: Telemetry::off(),
             slave_tracks: Vec::new(),
+            cpu_finished: Vec::new(),
         }
     }
 
@@ -637,10 +641,11 @@ impl MrWorld {
         self.net_factor[a].max(self.net_factor[b])
     }
 
+    /// Arm worker `node`'s CPU completion, keyed by node so a newer
+    /// completion replaces a stale pending one.
     fn schedule_node_cpu(&mut self, node: usize, now: SimTime, ctx: &mut Ctx<Ev>) {
-        if let Some((_, at)) = self.nodes.node(NodeId(node)).next_cpu_completion(now) {
-            let epoch = self.nodes.node(NodeId(node)).cpu_epoch();
-            ctx.schedule_at(at, Ev::NodeCpu { node, epoch });
+        if let Some((at, epoch)) = self.nodes.node_mut(NodeId(node)).arm_cpu_completion(now) {
+            ctx.schedule_keyed(node, at, Ev::NodeCpu { node, epoch });
         }
     }
 
@@ -1578,11 +1583,12 @@ impl Model for MrWorld {
                 }
             }
             Ev::NodeCpu { node, epoch } => {
-                if self.nodes.node(NodeId(node)).cpu_epoch() != epoch {
+                if !self.nodes.node_mut(NodeId(node)).deliver_cpu_completion(epoch) {
                     return;
                 }
-                let done = self.nodes.node_mut(NodeId(node)).take_finished_cpu(now);
-                for id in done {
+                let mut done = std::mem::take(&mut self.cpu_finished);
+                self.nodes.node_mut(NodeId(node)).take_finished_cpu_into(now, &mut done);
+                for &id in &done {
                     debug_assert_ne!(id, AM_ID, "AM work has no completion event");
                     let (attempt, task) = decode_job(id);
                     if self.node_down[node] || self.tasks[task].attempt != attempt {
@@ -1590,6 +1596,8 @@ impl Model for MrWorld {
                     }
                     self.cpu_done(node, task, now, ctx);
                 }
+                done.clear();
+                self.cpu_finished = done;
                 self.schedule_node_cpu(node, now, ctx);
             }
             Ev::DiskDone { node, job } => {

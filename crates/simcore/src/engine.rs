@@ -10,13 +10,21 @@
 //! 1. **Determinism** — events at equal timestamps are delivered in the order
 //!    they were scheduled (a monotone sequence number breaks ties), so a run
 //!    is a pure function of the world's initial state and seed.
-//! 2. **Cancellation without tombstone leaks** — models that need to retract
-//!    a tentative event (e.g. a fluid-resource completion that became stale
-//!    when a new flow arrived) do so by carrying an epoch counter inside the
-//!    event payload and ignoring stale epochs on delivery. The kernel itself
-//!    never removes events from the heap; this keeps the hot path a plain
-//!    binary-heap push/pop.
+//! 2. **Replaceable tentative events** — a model that keeps one tentative
+//!    event per resource (a fluid-resource completion that a new arrival
+//!    may make stale) schedules it with [`Ctx::schedule_keyed`]. The
+//!    engine holds at most one pending event per key, in a small indexed
+//!    min-heap beside the main [`BinaryHeap`]; a new keyed schedule
+//!    *supersedes* (drops) the key's pending event, and the loop pops
+//!    whichever head is earlier by `(time, sequence number)`. The model
+//!    supersedes only events it would have discarded on delivery, so the
+//!    delivered stream is the one plain scheduling produces, minus those
+//!    dead events, in the same order. Events the model leaves pending
+//!    after invalidating them (a crash cancelling tasks without re-arming)
+//!    still arrive, and the model's own epoch check drops them. Plain
+//!    events are never removed, so their path stays a binary-heap push/pop.
 
+use crate::keyed::KeyedQueue;
 use crate::profile::{NoopProfiler, Profiler};
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
@@ -69,6 +77,8 @@ pub struct Ctx<E> {
     now: SimTime,
     seq: u64,
     pending: Vec<Scheduled<E>>,
+    /// Keyed schedules of this handle, `(key, event)` in call order.
+    keyed: Vec<(usize, Scheduled<E>)>,
     stop: bool,
 }
 
@@ -92,6 +102,25 @@ impl<E> Ctx<E> {
     /// Schedule `event` after a delay of `d`.
     pub fn schedule_in(&mut self, d: SimDuration, event: E) {
         self.schedule_at(self.now + d, event);
+    }
+
+    /// Schedule `event` at `at` as the one pending event of `key`.
+    ///
+    /// Consumes one sequence number, exactly like
+    /// [`schedule_at`](Self::schedule_at), so it sorts against plain events
+    /// by `(at, seq)` as usual. If an event of the same `key` is still
+    /// pending — queued by an earlier handle or earlier in this one — it is
+    /// *superseded*: dropped undelivered and counted by
+    /// [`Simulation::superseded_total`]. Supersede only events the model
+    /// would discard on delivery (a completion stamped with an outdated
+    /// epoch); the delivered stream then equals the plain-scheduled one
+    /// minus those dead events. Keys index a dense table: use small
+    /// integers such as node indices.
+    pub fn schedule_keyed(&mut self, key: usize, at: SimTime, event: E) {
+        debug_assert!(at >= self.now, "scheduling into the past: {at} < {}", self.now);
+        let seq = self.seq;
+        self.seq += 1;
+        self.keyed.push((key, Scheduled { at, seq, event, idle: false }));
     }
 
     /// Schedule an **idle-advance** event at absolute time `at`.
@@ -138,13 +167,13 @@ impl<E> Ctx<E> {
 pub trait Observer<E> {
     /// Called after the clock advanced to `now` but before the event is
     /// handed to the world. `heap_depth` is the number of events still
-    /// queued (excluding the one being delivered).
+    /// queued (excluding the one being delivered), keyed ones included.
     #[inline]
     fn pre_event(&mut self, _now: SimTime, _event: &E, _heap_depth: usize) {}
 
     /// Called after the world handled the event. `newly_scheduled` is the
-    /// number of follow-up events the handler enqueued; `processed` is the
-    /// total delivered so far.
+    /// number of follow-up events the handler enqueued (keyed ones
+    /// included); `processed` is the total delivered so far.
     #[inline]
     fn post_event(&mut self, _now: SimTime, _newly_scheduled: usize, _processed: u64) {}
 
@@ -165,6 +194,10 @@ impl<E> Observer<E> for NoopObserver {}
 pub struct Simulation<M: Model> {
     world: M,
     heap: BinaryHeap<Reverse<Scheduled<M::Event>>>,
+    /// Pending keyed events, at most one per key (see [`Ctx::schedule_keyed`]).
+    keyed: KeyedQueue<Scheduled<M::Event>>,
+    /// Keyed events dropped undelivered because their key was re-scheduled.
+    superseded: u64,
     now: SimTime,
     seq: u64,
     processed: u64,
@@ -176,6 +209,8 @@ pub struct Simulation<M: Model> {
     /// drained back into the heap, so delivering an event allocates
     /// nothing once it has grown to the largest fan-out seen.
     spare: Vec<Scheduled<M::Event>>,
+    /// The keyed counterpart of `spare`, lent as `Ctx.keyed`.
+    spare_keyed: Vec<(usize, Scheduled<M::Event>)>,
 }
 
 impl<M: Model> Simulation<M> {
@@ -184,6 +219,8 @@ impl<M: Model> Simulation<M> {
         Simulation {
             world,
             heap: BinaryHeap::new(),
+            keyed: KeyedQueue::new(),
+            superseded: 0,
             now: SimTime::ZERO,
             seq: 0,
             processed: 0,
@@ -192,6 +229,7 @@ impl<M: Model> Simulation<M> {
             max_events: None,
             watchdog_tripped: false,
             spare: Vec::new(),
+            spare_keyed: Vec::new(),
         }
     }
 
@@ -232,12 +270,47 @@ impl<M: Model> Simulation<M> {
         self.budgeted
     }
 
-    /// Total events ever scheduled (heap pushes), external and follow-up
-    /// alike. Every schedule consumes one sequence number, so this is the
-    /// push half of the heap push/pop balance a profiler reports;
-    /// [`processed`](Self::processed) is the pop half.
+    /// Total events ever scheduled (heap pushes), external and follow-up,
+    /// plain and keyed alike. Every schedule consumes one sequence number,
+    /// so this is the push side of the balance a profiler reports:
+    /// `scheduled_total = processed + superseded_total + pending`.
     pub fn scheduled_total(&self) -> u64 {
         self.seq
+    }
+
+    /// Keyed events dropped undelivered because a later
+    /// [`Ctx::schedule_keyed`] on the same key replaced them.
+    pub fn superseded_total(&self) -> u64 {
+        self.superseded
+    }
+
+    /// Events still queued, plain and keyed.
+    pub(crate) fn pending(&self) -> usize {
+        self.heap.len() + self.keyed.len()
+    }
+
+    /// Time of the earliest queued event, plain or keyed.
+    fn peek_at(&self) -> Option<SimTime> {
+        match (self.heap.peek(), self.keyed.peek()) {
+            (Some(Reverse(a)), Some(b)) => Some(a.at.min(b.at)),
+            (Some(Reverse(a)), None) => Some(a.at),
+            (None, b) => b.map(|b| b.at),
+        }
+    }
+
+    /// Pop the earliest queued event by `(at, seq)` from whichever queue
+    /// holds it.
+    fn pop_next(&mut self) -> Option<Scheduled<M::Event>> {
+        let keyed_first = match (self.heap.peek(), self.keyed.peek()) {
+            (Some(Reverse(a)), Some(b)) => b < a,
+            (None, Some(_)) => true,
+            (_, None) => false,
+        };
+        if keyed_first {
+            self.keyed.pop()
+        } else {
+            self.heap.pop().map(|Reverse(s)| s)
+        }
     }
 
     /// Shared access to the world.
@@ -318,7 +391,7 @@ impl<M: Model> Simulation<M> {
                 return false;
             }
         }
-        let Some(Reverse(next)) = self.heap.pop() else {
+        let Some(next) = self.pop_next() else {
             self.stopped = true;
             return false;
         };
@@ -329,26 +402,33 @@ impl<M: Model> Simulation<M> {
         if !next.idle {
             self.budgeted += 1;
         }
-        obs.pre_event(self.now, &next.event, self.heap.len());
+        obs.pre_event(self.now, &next.event, self.pending());
         prof.on_dispatch(self.now, &next.event, advanced);
         let mut ctx = Ctx {
             now: self.now,
             seq: self.seq,
             pending: std::mem::take(&mut self.spare),
+            keyed: std::mem::take(&mut self.spare_keyed),
             stop: false,
         };
         self.world.handle(self.now, next.event, &mut ctx);
         self.seq = ctx.seq;
-        let newly_scheduled = ctx.pending.len();
+        let newly_scheduled = ctx.pending.len() + ctx.keyed.len();
         for s in ctx.pending.drain(..) {
             self.heap.push(Reverse(s));
         }
+        for (key, s) in ctx.keyed.drain(..) {
+            if self.keyed.insert(key, s) {
+                self.superseded += 1;
+            }
+        }
         self.spare = ctx.pending;
+        self.spare_keyed = ctx.keyed;
         if ctx.stop {
             self.stopped = true;
         }
         obs.post_event(self.now, newly_scheduled, self.processed);
-        prof.on_handled(self.now, newly_scheduled, self.heap.len());
+        prof.on_handled(self.now, newly_scheduled, self.pending());
         true
     }
 
@@ -395,8 +475,8 @@ impl<M: Model> Simulation<M> {
     ) -> u64 {
         let before = self.processed;
         loop {
-            match self.heap.peek() {
-                Some(Reverse(s)) if s.at <= deadline => {
+            match self.peek_at() {
+                Some(at) if at <= deadline => {
                     if !self.step_observed(obs) {
                         break;
                     }
@@ -518,8 +598,8 @@ mod tests {
         watchdog: Option<(SimTime, u64)>,
     }
 
-    impl Observer<Ev> for Counting {
-        fn pre_event(&mut self, _now: SimTime, _event: &Ev, heap_depth: usize) {
+    impl<E> Observer<E> for Counting {
+        fn pre_event(&mut self, _now: SimTime, _event: &E, heap_depth: usize) {
             self.pre += 1;
             self.max_heap_depth = self.max_heap_depth.max(heap_depth);
         }
@@ -712,6 +792,152 @@ mod tests {
         sim.run();
         let ids: Vec<u32> = sim.world().log.iter().map(|&(_, i)| i).collect();
         assert_eq!(ids, vec![10, 2000, 11]);
+    }
+
+    /// A world whose events run a fixed script: delivering id `k` logs it
+    /// and performs `script[k]`, scheduling plain or keyed events.
+    struct Script {
+        script: Vec<Vec<Op>>,
+        log: Vec<(u64, u32)>,
+    }
+
+    #[derive(Clone, Copy)]
+    enum Op {
+        Plain { ms: u64, id: u32 },
+        Keyed { key: usize, ms: u64, id: u32 },
+    }
+
+    impl Model for Script {
+        type Event = u32;
+        fn handle(&mut self, now: SimTime, id: u32, ctx: &mut Ctx<u32>) {
+            self.log.push((now.0, id));
+            for op in self.script.get(id as usize).cloned().unwrap_or_default() {
+                match op {
+                    Op::Plain { ms, id } => ctx.schedule_at(SimTime::from_millis(ms), id),
+                    Op::Keyed { key, ms, id } => {
+                        ctx.schedule_keyed(key, SimTime::from_millis(ms), id)
+                    }
+                }
+            }
+        }
+    }
+
+    fn run_script(script: Vec<Vec<Op>>) -> Simulation<Script> {
+        let mut sim = Simulation::new(Script { script, log: vec![] });
+        sim.schedule_at(SimTime::ZERO, 0);
+        sim.run();
+        sim
+    }
+
+    #[test]
+    fn keyed_replacement_keeps_at_seq_order_against_plain_events() {
+        use Op::{Keyed, Plain};
+        let sim = run_script(vec![
+            // id 0 at t = 0: everything at 5 ms, key 0 scheduled twice
+            vec![
+                Plain { ms: 5, id: 1 },
+                Keyed { key: 0, ms: 5, id: 2 },
+                Plain { ms: 5, id: 3 },
+                Keyed { key: 0, ms: 5, id: 4 },
+                Plain { ms: 5, id: 5 },
+                Keyed { key: 1, ms: 5, id: 6 },
+                Keyed { key: 2, ms: 9, id: 7 },
+                Plain { ms: 2, id: 8 },
+            ],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+            vec![],
+            // id 8 at 2 ms: replaces key 2's 9 ms event from an earlier handle
+            vec![Keyed { key: 2, ms: 5, id: 9 }, Plain { ms: 5, id: 10 }],
+        ]);
+        let ids: Vec<u32> = sim.world().log.iter().map(|&(_, i)| i).collect();
+        // the replacement sorts by its own (later) sequence number: after
+        // the plain events scheduled before it at the same instant
+        assert_eq!(ids, vec![0, 8, 1, 3, 4, 5, 6, 9, 10]);
+        assert_eq!(sim.superseded_total(), 2);
+        assert_eq!(sim.scheduled_total(), 1 + 8 + 2);
+        assert_eq!(sim.scheduled_total(), sim.processed() + sim.superseded_total());
+    }
+
+    /// A one-CPU world driven by the fluid arming rule: `Start` adds a
+    /// task and arms, schedules a plain `Mark` at the completion instant,
+    /// then arms again with no mutation in between.
+    struct OneCpu {
+        cpu: crate::fluid::FluidResource,
+        log: Vec<&'static str>,
+    }
+
+    enum CpuEv {
+        Start,
+        Mark,
+        Done { epoch: u64 },
+    }
+
+    impl OneCpu {
+        fn arm(&mut self, now: SimTime, ctx: &mut Ctx<CpuEv>) {
+            if let Some((at, epoch)) = self.cpu.arm_completion(now) {
+                ctx.schedule_keyed(0, at, CpuEv::Done { epoch });
+            }
+        }
+    }
+
+    impl Model for OneCpu {
+        type Event = CpuEv;
+        fn handle(&mut self, now: SimTime, ev: CpuEv, ctx: &mut Ctx<CpuEv>) {
+            match ev {
+                CpuEv::Start => {
+                    self.cpu.add(now, 1, 1.0);
+                    self.arm(now, ctx);
+                    let (_, at) = self.cpu.next_completion(now).expect("task in flight");
+                    ctx.schedule_at(at, CpuEv::Mark);
+                    self.arm(now, ctx);
+                }
+                CpuEv::Mark => self.log.push("mark"),
+                CpuEv::Done { epoch } => {
+                    if self.cpu.deliver_completion(epoch) {
+                        self.cpu.take_finished(now);
+                        self.log.push("done");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn same_epoch_rearm_keeps_the_earlier_seq() {
+        let cpu = crate::fluid::FluidResource::new(1.0, 1.0);
+        let mut sim = Simulation::new(OneCpu { cpu, log: vec![] });
+        sim.schedule_at(SimTime::ZERO, CpuEv::Start);
+        sim.run();
+        // the completion was scheduled before the plain mark at the same
+        // instant; skipping the re-arm keeps it first
+        assert_eq!(sim.world().log, vec!["done", "mark"]);
+        assert_eq!(sim.scheduled_total(), 3, "start, done, mark: the skip used no seq");
+        assert_eq!(sim.superseded_total(), 0);
+    }
+
+    #[test]
+    fn keyed_events_count_in_heap_depth_and_run_until() {
+        use Op::{Keyed, Plain};
+        let mut sim = Simulation::new(Script {
+            script: vec![vec![Keyed { key: 3, ms: 4, id: 1 }, Plain { ms: 6, id: 2 }]],
+            log: vec![],
+        });
+        sim.schedule_at(SimTime::ZERO, 0);
+        let mut obs = Counting::default();
+        sim.run_until_observed(SimTime::from_millis(1), &mut obs);
+        assert_eq!(sim.pending(), 2);
+        assert_eq!(obs.scheduled, 2, "keyed schedules count as newly scheduled");
+        // the keyed event at 4 ms is the earliest: run_until must see it
+        sim.run_until_observed(SimTime::from_millis(5), &mut obs);
+        assert_eq!(sim.world().log.len(), 2);
+        assert_eq!(obs.max_heap_depth, 1, "keyed event queued while id 2 waits");
+        sim.run();
+        assert_eq!(sim.pending(), 0);
     }
 
     #[test]

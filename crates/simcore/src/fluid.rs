@@ -19,14 +19,38 @@
 //!
 //! ### Event invalidation protocol
 //!
-//! The owning model schedules a tentative completion event carrying the
-//! resource's [`epoch`](FluidResource::epoch). Every mutation (task added or
-//! removed) bumps the epoch; stale events are ignored on delivery and the
-//! model re-schedules from [`next_completion`](FluidResource::next_completion).
-//! The kernel's heap never needs random deletion.
+//! Every mutation (task added or removed) bumps the resource's
+//! [`epoch`](FluidResource::epoch), which makes any completion instant
+//! computed before it stale. The owning model keeps **one** tentative
+//! completion event per resource, stamped with the epoch it was computed
+//! at and scheduled with [`Ctx::schedule_keyed`](crate::Ctx::schedule_keyed)
+//! under the resource's key, so a newer schedule replaces an older pending
+//! one in the engine instead of leaving it to be popped and discarded.
+//!
+//! [`arm_completion`](FluidResource::arm_completion) decides when to
+//! schedule, using the epoch of the event it last armed:
+//!
+//! * **nothing pending, or the pending event carries an older epoch** —
+//!   return the next completion to schedule. A keyed schedule then
+//!   replaces the stale event, which would have done nothing on delivery.
+//! * **the pending event already carries the current epoch** — return
+//!   `None`. This happens when one handler re-arms the same resource
+//!   twice with no mutation in between (a completion handler that starts
+//!   the next task on the same CPU before its own closing re-arm). Both
+//!   schedules compute the same instant; the earlier one keeps its lower
+//!   sequence number, and the later one would have arrived stale after it.
+//!
+//! The completion handler calls
+//! [`deliver_completion`](FluidResource::deliver_completion) first, which
+//! empties the armed slot and says whether the event is current. A stale
+//! event can still arrive: a model that cancels tasks without re-arming
+//! (a crash) leaves its old event pending, and this check drops it.
+//!
+//! Tasks are kept in two id-sorted parallel vectors (`ids`, `rem`):
+//! every scan is contiguous, and progress and `work_done` accumulate over
+//! tasks in ascending id order on every run.
 
 use crate::time::{SimDuration, SimTime};
-use std::collections::BTreeMap;
 
 /// Absolute tolerance under which remaining work counts as finished.
 ///
@@ -46,12 +70,16 @@ pub type TaskId = u64;
 pub struct FluidResource {
     capacity: f64,
     per_task_cap: f64,
-    /// Remaining work units per task, ordered by id: progress and
-    /// `work_done` float-accumulation visit tasks in the same order on
-    /// every run (a `HashMap` here was hasher-order nondeterministic).
-    tasks: BTreeMap<TaskId, f64>,
+    /// In-flight task ids, ascending: progress and `work_done`
+    /// float-accumulation visit tasks in the same order on every run.
+    ids: Vec<TaskId>,
+    /// Remaining work units of `ids[i]`, at index `i`.
+    rem: Vec<f64>,
     last_update: SimTime,
     epoch: u64,
+    /// Epoch and instant of the completion event last armed and not yet
+    /// delivered (see the module docs).
+    armed: Option<(u64, SimTime)>,
     /// Total work completed over the lifetime of the resource.
     work_done: f64,
     /// ∫ utilisation dt (seconds of full-capacity-equivalent use).
@@ -69,9 +97,11 @@ impl FluidResource {
         FluidResource {
             capacity,
             per_task_cap,
-            tasks: BTreeMap::new(),
+            ids: Vec::new(),
+            rem: Vec::new(),
             last_update: SimTime::ZERO,
             epoch: 0,
+            armed: None,
             work_done: 0.0,
             busy_integral: 0.0,
         }
@@ -84,12 +114,12 @@ impl FluidResource {
 
     /// Number of in-flight tasks.
     pub fn len(&self) -> usize {
-        self.tasks.len()
+        self.ids.len()
     }
 
     /// True when no task is in flight.
     pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+        self.ids.is_empty()
     }
 
     /// Mutation epoch, for the completion-event invalidation protocol.
@@ -99,7 +129,7 @@ impl FluidResource {
 
     /// Current per-task service rate (work-units/second); zero when idle.
     pub fn rate_per_task(&self) -> f64 {
-        let n = self.tasks.len();
+        let n = self.ids.len();
         if n == 0 {
             0.0
         } else {
@@ -109,7 +139,7 @@ impl FluidResource {
 
     /// Instantaneous utilisation in [0, 1].
     pub fn utilization(&self) -> f64 {
-        (self.rate_per_task() * self.tasks.len() as f64 / self.capacity).min(1.0)
+        (self.rate_per_task() * self.ids.len() as f64 / self.capacity).min(1.0)
     }
 
     /// Total work completed so far (work-units).
@@ -133,7 +163,7 @@ impl FluidResource {
             let rate = self.rate_per_task();
             if rate > 0.0 {
                 let mut done = 0.0;
-                for rem in self.tasks.values_mut() {
+                for rem in &mut self.rem {
                     let step = rate * dt;
                     let used = step.min(*rem);
                     *rem -= used;
@@ -153,8 +183,11 @@ impl FluidResource {
     pub fn add(&mut self, now: SimTime, id: TaskId, work: f64) {
         assert!(work.is_finite() && work > 0.0, "invalid work amount {work}");
         self.advance(now);
-        let prev = self.tasks.insert(id, work);
-        assert!(prev.is_none(), "duplicate fluid task id {id}");
+        let slot = self.ids.binary_search(&id);
+        assert!(slot.is_err(), "duplicate fluid task id {id}");
+        let i = slot.unwrap_or_else(|i| i);
+        self.ids.insert(i, id);
+        self.rem.insert(i, work);
         self.epoch += 1;
     }
 
@@ -162,11 +195,10 @@ impl FluidResource {
     /// Returns its remaining work, or `None` if unknown.
     pub fn cancel(&mut self, now: SimTime, id: TaskId) -> Option<f64> {
         self.advance(now);
-        let rem = self.tasks.remove(&id);
-        if rem.is_some() {
-            self.epoch += 1;
-        }
-        rem
+        let i = self.ids.binary_search(&id).ok()?;
+        self.ids.remove(i);
+        self.epoch += 1;
+        Some(self.rem.remove(i))
     }
 
     /// The next task to finish and its completion time, if any.
@@ -179,10 +211,15 @@ impl FluidResource {
         if rate <= 0.0 {
             return None;
         }
-        let (&id, &rem) = self
-            .tasks
-            .iter()
-            .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(b.0)))?;
+        // least remaining work; ids ascend, so keeping the first of equal
+        // minima breaks ties by lowest id
+        let mut best = 0;
+        for (i, r) in self.rem.iter().enumerate().skip(1) {
+            if r.total_cmp(&self.rem[best]).is_lt() {
+                best = i;
+            }
+        }
+        let (&id, &rem) = (self.ids.get(best)?, self.rem.get(best)?);
         let dt = (rem / rate).max(0.0);
         // Round the completion instant *up* (plus 1 ns of slack) so that
         // advancing to it always clears the task's remaining work; rounding
@@ -195,9 +232,11 @@ impl FluidResource {
 
     /// Pop every task whose remaining work is (numerically) zero at `now`.
     ///
-    /// Call this from the completion-event handler after verifying the epoch;
-    /// it advances to `now`, removes finished tasks, and bumps the epoch if
-    /// anything was removed. Returned ids are sorted for determinism.
+    /// Call this from the completion-event handler once
+    /// [`deliver_completion`](Self::deliver_completion) said the event is
+    /// current; it advances to `now`, removes finished tasks, and bumps
+    /// the epoch if anything was removed. Returned ids are sorted for
+    /// determinism.
     pub fn take_finished(&mut self, now: SimTime) -> Vec<TaskId> {
         let mut done = Vec::new();
         self.take_finished_into(now, &mut done);
@@ -206,26 +245,61 @@ impl FluidResource {
 
     /// [`take_finished`](Self::take_finished) into a caller-owned buffer:
     /// appends the finished ids, in ascending order, after whatever `out`
-    /// already holds. One in-place pass over the id-ordered task map; no
-    /// allocation once `out` has capacity.
+    /// already holds. One in-place compacting pass over the id-sorted
+    /// vectors; no allocation once `out` has capacity.
     pub fn take_finished_into(&mut self, now: SimTime, out: &mut Vec<TaskId>) {
         self.advance(now);
-        let before = out.len();
-        self.tasks.retain(|&id, &mut rem| {
-            let finished = rem <= WORK_EPS;
-            if finished {
+        let mut kept = 0;
+        for i in 0..self.ids.len() {
+            let (id, rem) = (self.ids[i], self.rem[i]);
+            if rem <= WORK_EPS {
                 out.push(id);
+            } else {
+                self.ids[kept] = id;
+                self.rem[kept] = rem;
+                kept += 1;
             }
-            !finished
-        });
-        if out.len() > before {
+        }
+        if kept < self.ids.len() {
+            self.ids.truncate(kept);
+            self.rem.truncate(kept);
             self.epoch += 1;
         }
     }
 
     /// Remaining work of a task, if in flight (advances nothing).
     pub fn remaining(&self, id: TaskId) -> Option<f64> {
-        self.tasks.get(&id).copied()
+        let i = self.ids.binary_search(&id).ok()?;
+        Some(self.rem[i])
+    }
+
+    /// Arm the completion event: the next completion instant and the epoch
+    /// to stamp on it, or `None` when nothing is in flight or the pending
+    /// event already carries the current epoch (see the module docs). A
+    /// `Some` is the caller's promise to schedule it, keyed, replacing any
+    /// pending completion of this resource.
+    pub fn arm_completion(&mut self, now: SimTime) -> Option<(SimTime, u64)> {
+        if let Some((epoch, at)) = self.armed {
+            if epoch == self.epoch {
+                debug_assert_eq!(
+                    self.next_completion(now).map(|(_, t)| t),
+                    Some(at),
+                    "a same-epoch re-arm must compute the pending instant"
+                );
+                return None;
+            }
+        }
+        let (_, at) = self.next_completion(now)?;
+        self.armed = Some((self.epoch, at));
+        Some((at, self.epoch))
+    }
+
+    /// Record the delivery of the completion event stamped `epoch`: nothing
+    /// is pending any more. Returns whether the event is current, i.e.
+    /// whether the handler should collect finished tasks.
+    pub fn deliver_completion(&mut self, epoch: u64) -> bool {
+        self.armed = None;
+        epoch == self.epoch
     }
 }
 
@@ -396,6 +470,38 @@ mod tests {
         r.take_finished_into(t(1.0), &mut out);
         assert_eq!(out, vec![1]);
         assert_eq!(r.epoch(), e0 + 1);
+    }
+
+    #[test]
+    fn arm_skips_a_current_pending_event_and_rearms_a_stale_one() {
+        let mut r = FluidResource::new(10.0, f64::INFINITY);
+        assert_eq!(r.arm_completion(t(0.0)), None, "nothing in flight");
+        r.add(t(0.0), 1, 10.0);
+        let (at, epoch) = r.arm_completion(t(0.0)).unwrap();
+        assert_eq!(epoch, r.epoch());
+        assert_eq!(r.arm_completion(t(0.0)), None, "pending event is current");
+        r.add(t(0.5), 2, 10.0);
+        let (at2, epoch2) = r.arm_completion(t(0.5)).unwrap();
+        assert!(epoch2 > epoch && at2 > at, "stale pending event: re-armed later");
+        // the stale event is dropped, the current one acts and disarms
+        assert!(!r.deliver_completion(epoch));
+        assert!(r.deliver_completion(epoch2));
+        assert_eq!(r.take_finished(at2), vec![1]);
+        assert!(r.arm_completion(at2).is_some(), "disarmed by delivery");
+    }
+
+    #[test]
+    fn remaining_and_cancel_find_ids_anywhere_in_the_set() {
+        let mut r = FluidResource::new(10.0, f64::INFINITY);
+        for id in [50, 10, 30, 20, 40] {
+            r.add(t(0.0), id, id as f64);
+        }
+        assert_eq!(r.remaining(30), Some(30.0));
+        assert_eq!(r.remaining(35), None);
+        assert_eq!(r.cancel(t(0.0), 10), Some(10.0));
+        assert_eq!(r.cancel(t(0.0), 10), None);
+        assert_eq!(r.next_completion(t(0.0)).map(|c| c.0), Some(20));
+        assert_eq!(r.len(), 4);
     }
 
     #[test]

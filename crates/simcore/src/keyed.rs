@@ -1,0 +1,155 @@
+//! The engine's side queue of keyed events.
+//!
+//! [`Ctx::schedule_keyed`](crate::Ctx::schedule_keyed) keeps at most one
+//! pending event per small integer key. Those events live here, outside
+//! the main heap, in an indexed binary min-heap: `pos[key]` locates a key's
+//! entry, so replacing it is a sift from its slot rather than a tombstone
+//! left for the main heap to pop and discard.
+
+/// `pos` value of a key with nothing pending.
+const ABSENT: usize = usize::MAX;
+
+/// An indexed min-heap holding at most one entry per key.
+#[derive(Debug)]
+pub(crate) struct KeyedQueue<T> {
+    /// Heap-ordered `(entry, key)` pairs; the minimum is at index 0.
+    heap: Vec<(T, usize)>,
+    /// Per key: its index in `heap`, or [`ABSENT`].
+    pos: Vec<usize>,
+}
+
+impl<T: Ord> KeyedQueue<T> {
+    pub(crate) fn new() -> Self {
+        KeyedQueue { heap: Vec::new(), pos: Vec::new() }
+    }
+
+    /// Number of pending entries.
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// The smallest pending entry.
+    pub(crate) fn peek(&self) -> Option<&T> {
+        self.heap.first().map(|(t, _)| t)
+    }
+
+    /// Make `entry` the pending entry of `key`. Returns `true` when it
+    /// replaced (dropped) an entry already pending for that key.
+    pub(crate) fn insert(&mut self, key: usize, entry: T) -> bool {
+        if key >= self.pos.len() {
+            self.pos.resize(key + 1, ABSENT);
+        }
+        let i = self.pos[key];
+        if i == ABSENT {
+            self.heap.push((entry, key));
+            let last = self.heap.len() - 1;
+            self.pos[key] = last;
+            self.sift_up(last);
+            false
+        } else {
+            self.heap[i].0 = entry;
+            let i = self.sift_up(i);
+            self.sift_down(i);
+            true
+        }
+    }
+
+    /// Remove and return the smallest pending entry.
+    pub(crate) fn pop(&mut self) -> Option<T> {
+        if self.heap.is_empty() {
+            return None;
+        }
+        let (entry, key) = self.heap.swap_remove(0);
+        self.pos[key] = ABSENT;
+        if let Some(&(_, moved)) = self.heap.first() {
+            self.pos[moved] = 0;
+            self.sift_down(0);
+        }
+        Some(entry)
+    }
+
+    /// Swap heap slots `a` and `b`, keeping `pos` in step.
+    fn swap(&mut self, a: usize, b: usize) {
+        self.heap.swap(a, b);
+        self.pos[self.heap[a].1] = a;
+        self.pos[self.heap[b].1] = b;
+    }
+
+    /// Move the entry at `i` towards the root while it is smaller than its
+    /// parent; returns its final index.
+    fn sift_up(&mut self, mut i: usize) -> usize {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[i].0 >= self.heap[parent].0 {
+                break;
+            }
+            self.swap(i, parent);
+            i = parent;
+        }
+        i
+    }
+
+    /// Move the entry at `i` towards the leaves while a child is smaller.
+    fn sift_down(&mut self, mut i: usize) {
+        loop {
+            let left = 2 * i + 1;
+            if left >= self.heap.len() {
+                return;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len() && self.heap[right].0 < self.heap[left].0 {
+                right
+            } else {
+                left
+            };
+            if self.heap[child].0 >= self.heap[i].0 {
+                return;
+            }
+            self.swap(i, child);
+            i = child;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn drain(q: &mut KeyedQueue<u32>) -> Vec<u32> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
+
+    #[test]
+    fn pops_in_ascending_order() {
+        let mut q = KeyedQueue::new();
+        for (key, v) in [(3, 30), (0, 5), (7, 12), (1, 40), (2, 1)] {
+            assert!(!q.insert(key, v));
+        }
+        assert_eq!(q.len(), 5);
+        assert_eq!(q.peek(), Some(&1));
+        assert_eq!(drain(&mut q), vec![1, 5, 12, 30, 40]);
+        assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn insert_replaces_the_key_entry_in_either_direction() {
+        let mut q = KeyedQueue::new();
+        for key in 0..6 {
+            q.insert(key, 10 * key as u32 + 10);
+        }
+        assert!(q.insert(5, 1), "key 5 was pending: replaced");
+        assert!(q.insert(0, 100), "key 0 was pending: replaced");
+        assert_eq!(q.len(), 6);
+        assert_eq!(drain(&mut q), vec![1, 20, 30, 40, 50, 100]);
+    }
+
+    #[test]
+    fn a_popped_key_can_be_inserted_again() {
+        let mut q = KeyedQueue::new();
+        q.insert(4, 9);
+        assert_eq!(q.pop(), Some(9));
+        assert!(!q.insert(4, 2), "nothing pending after the pop");
+        assert_eq!(q.pop(), Some(2));
+        assert_eq!(q.pop(), None);
+    }
+}

@@ -10,6 +10,8 @@
 //! * [`Simulation`] / [`Model`] — a single-threaded event loop over a
 //!   user-supplied world type. Events are an arbitrary user enum; ties in
 //!   time are broken by insertion order so runs are exactly reproducible.
+//!   Keyed events ([`Ctx::schedule_keyed`]) hold one replaceable pending
+//!   event per key, for tentative completions.
 //! * [`fluid::FluidResource`] — a processor-sharing "fluid" resource used to
 //!   model CPUs (cores shared among threads) and network links (bandwidth
 //!   shared among flows) without time-stepping.
@@ -28,6 +30,7 @@
 pub mod energy;
 pub mod engine;
 pub mod fluid;
+mod keyed;
 pub mod profile;
 pub mod queue;
 pub mod rng;

@@ -50,7 +50,7 @@ pub trait Profiler<E> {
     /// Called after the world handled the event and its follow-ups were
     /// pushed. `newly_scheduled` is the number of follow-up events the
     /// handler enqueued; `heap_depth` is the number of events queued
-    /// after those pushes.
+    /// after those pushes, keyed ones included.
     #[inline]
     fn on_handled(&mut self, _now: SimTime, _newly_scheduled: usize, _heap_depth: usize) {}
 
@@ -88,17 +88,24 @@ pub struct KindStats {
 pub struct EngineProfile {
     /// Per-kind breakdowns, keyed by the classifier's static kind name.
     pub kinds: BTreeMap<&'static str, KindStats>,
-    /// Total events ever pushed onto the heap (initial + follow-ups).
+    /// Total events ever scheduled (initial + follow-ups, plain + keyed):
+    /// one per sequence number consumed.
     pub heap_pushes: u64,
     /// Total events popped (== delivered).
     pub heap_pops: u64,
-    /// Heap-depth high-water mark (events queued after a handler ran).
+    /// Heap-depth high-water mark (events queued after a handler ran,
+    /// keyed ones included).
     pub heap_depth_hwm: u64,
     /// Each `(time, depth)` step where the high-water mark rose — a
     /// monotone, bounded series exportable as a Perfetto counter track.
     pub hwm_track: Vec<(SimTime, u64)>,
     /// Sim time of the last delivered event.
     pub end: SimTime,
+    /// Keyed events dropped undelivered because a later keyed schedule on
+    /// the same key replaced them (see
+    /// [`Ctx::schedule_keyed`](crate::Ctx::schedule_keyed)). Over a run,
+    /// `heap_pushes = heap_pops + superseded + events pending at stop`.
+    pub superseded: u64,
 }
 
 impl EngineProfile {
@@ -128,6 +135,7 @@ impl EngineProfile {
         }
         self.heap_pushes += other.heap_pushes;
         self.heap_pops += other.heap_pops;
+        self.superseded += other.superseded;
         self.heap_depth_hwm = self.heap_depth_hwm.max(other.heap_depth_hwm);
         self.hwm_track.extend(other.hwm_track.iter().copied());
         self.hwm_track.sort_by_key(|&(t, _)| t); // stable: fold order kept on ties
@@ -159,10 +167,12 @@ impl<F> KindProfiler<F> {
 
     /// Finish profiling `sim`'s run: fills in the engine-level heap
     /// totals (pushes = every event ever scheduled, pops = every event
-    /// delivered) and returns the completed profile.
+    /// delivered, superseded = every keyed event replaced undelivered) and
+    /// returns the completed profile.
     pub fn finish<M: Model>(mut self, sim: &Simulation<M>) -> EngineProfile {
         self.profile.heap_pushes = sim.scheduled_total();
         self.profile.heap_pops = sim.processed();
+        self.profile.superseded = sim.superseded_total();
         self.profile
     }
 }
@@ -259,6 +269,47 @@ mod tests {
         let p = profiled_run(9);
         assert_eq!(p.heap_pushes, 10, "1 external + 9 follow-ups");
         assert_eq!(p.heap_pops, 10, "heap fully drained");
+    }
+
+    /// Re-arms key 0 from every handler, so each delivery supersedes the
+    /// key's previous event until `left` runs out.
+    struct Rearm {
+        left: u32,
+    }
+    impl Model for Rearm {
+        type Event = Ev;
+        fn handle(&mut self, now: SimTime, _ev: Ev, ctx: &mut Ctx<Ev>) {
+            if self.left == 0 {
+                return;
+            }
+            self.left -= 1;
+            ctx.schedule_keyed(0, now + SimDuration::from_millis(5), Ev::Tock);
+            ctx.schedule_keyed(0, now + SimDuration::from_millis(3), Ev::Tock);
+            ctx.schedule_in(SimDuration::from_millis(1), Ev::Tick);
+        }
+    }
+
+    #[test]
+    fn seq_numbers_balance_pops_superseded_and_pending() {
+        let mut sim = Simulation::new(Rearm { left: 40 });
+        sim.schedule_at(SimTime::ZERO, Ev::Tick);
+        let mut prof = KindProfiler::new(Ev::kind);
+        // stop part-way, with events still queued
+        while sim.processed() < 25 && sim.step_profiled(&mut NoopObserver, &mut prof) {}
+        let pending = sim.pending() as u64;
+        let p = prof.finish(&sim);
+        assert!(pending > 0 && p.superseded > 0);
+        assert_eq!(p.heap_pushes, p.heap_pops + p.superseded + pending);
+        // and at the end of the run, with nothing left
+        let mut sim = Simulation::new(Rearm { left: 40 });
+        sim.schedule_at(SimTime::ZERO, Ev::Tick);
+        let mut prof = KindProfiler::new(Ev::kind);
+        sim.run_profiled(&mut NoopObserver, &mut prof);
+        let p = prof.finish(&sim);
+        assert_eq!(sim.pending(), 0);
+        assert_eq!(p.heap_pushes, 1 + 40 * 3);
+        assert_eq!(p.heap_pushes, p.heap_pops + p.superseded);
+        assert_eq!(p.kinds["tock"].dispatched, 1, "only the last keyed event survives");
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::time::{SimDuration, SimTime};
 enum Op<E> {
     At(SimTime, E),
     IdleAt(SimTime, E),
+    Keyed(usize, SimTime, E),
 }
 
 /// An ordered buffer of schedule requests, flushed into a [`Ctx`] at the
@@ -57,6 +58,13 @@ impl<E> SchedBuf<E> {
         self.ops.push(Op::At(at, event));
     }
 
+    /// Buffer a keyed event at absolute time `at`: at flush it becomes the
+    /// one pending event of `key`, superseding any earlier one (see
+    /// [`Ctx::schedule_keyed`]).
+    pub fn schedule_keyed(&mut self, key: usize, at: SimTime, event: E) {
+        self.ops.push(Op::Keyed(key, at, event));
+    }
+
     /// Buffer a watchdog-exempt event at absolute time `at` (measurement
     /// ticks and other non-model work; see [`Ctx::schedule_idle_at`]).
     pub fn schedule_idle_at(&mut self, at: SimTime, event: E) {
@@ -86,6 +94,7 @@ impl<E> SchedBuf<E> {
             match op {
                 Op::At(at, e) => ctx.schedule_at(at, e),
                 Op::IdleAt(at, e) => ctx.schedule_idle_at(at, e),
+                Op::Keyed(key, at, e) => ctx.schedule_keyed(key, at, e),
             }
         }
         if self.stop {
@@ -125,16 +134,21 @@ mod tests {
                 ctx.stop();
                 return;
             }
+            let at = now + SimDuration::from_millis(10);
             if self.buffered {
                 let mut sb = SchedBuf::new(now);
-                // two same-time events: sequence order must match the
-                // direct path's call order exactly
+                // same-time events, one keyed: sequence order must match
+                // the direct path's call order exactly
                 sb.schedule_in(SimDuration::from_millis(10), event + 1);
+                sb.schedule_keyed(0, at, event + 100);
                 sb.schedule_in(SimDuration::from_millis(10), event + 2);
+                sb.schedule_keyed(0, at, event + 3);
                 sb.flush(ctx);
             } else {
                 ctx.schedule_in(SimDuration::from_millis(10), event + 1);
+                ctx.schedule_keyed(0, at, event + 100);
                 ctx.schedule_in(SimDuration::from_millis(10), event + 2);
+                ctx.schedule_keyed(0, at, event + 3);
             }
         }
     }
@@ -148,7 +162,9 @@ mod tests {
 
     #[test]
     fn buffered_matches_direct_scheduling() {
-        assert_eq!(run(true), run(false));
+        let seen = run(true);
+        assert_eq!(seen, run(false));
+        assert!(seen.iter().all(|&(_, e)| e < 100), "superseded keyed events never arrive");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! | `profile_phase_advance_seconds` | gauge | `world`, `phase` |
 //! | `profile_heap_pushes_total` | counter | `world` |
 //! | `profile_heap_pops_total` | counter | `world` |
+//! | `profile_superseded_total` | counter | `world` |
 //! | `profile_heap_depth_max` | gauge | `world` |
 //! | `profile_heap_depth` | series | `world` |
 //! | `profile_end_seconds` | gauge | `world` |
@@ -41,6 +42,10 @@ pub fn profile_help(tel: &mut Telemetry) {
     tel.help("profile_phase_advance_seconds", "sim-time advance attributed per phase (simprof)");
     tel.help("profile_heap_pushes_total", "events pushed onto the heap (simprof)");
     tel.help("profile_heap_pops_total", "events popped off the heap (simprof)");
+    tel.help(
+        "profile_superseded_total",
+        "keyed events replaced before delivery (simprof)",
+    );
     tel.help("profile_heap_depth_max", "heap depth high-water mark (simprof)");
     tel.help("profile_heap_depth", "heap depth high-water steps over sim time (simprof)");
     tel.help("profile_end_seconds", "sim time of the last profiled event (simprof)");
@@ -98,6 +103,11 @@ pub fn record_engine_profile(
     }
     tel.counter_add("profile_heap_pushes_total", labels(&[("world", world)]), profile.heap_pushes);
     tel.counter_add("profile_heap_pops_total", labels(&[("world", world)]), profile.heap_pops);
+    tel.counter_add(
+        "profile_superseded_total",
+        labels(&[("world", world)]),
+        profile.superseded,
+    );
     tel.gauge_set(
         "profile_heap_depth_max",
         labels(&[("world", world)]),
@@ -132,6 +142,7 @@ mod tests {
         );
         p.heap_pushes = 41;
         p.heap_pops = 40;
+        p.superseded = 1;
         p.heap_depth_hwm = 7;
         p.hwm_track = vec![(SimTime::from_millis(1), 3), (SimTime::from_millis(9), 7)];
         p.end = SimTime::from_millis(25);
@@ -154,6 +165,7 @@ mod tests {
         assert!(prom.contains("profile_events_total{kind=\"node_cpu\",world=\"web\"} 30"));
         assert!(prom.contains("profile_phase_events_total{phase=\"load-gen\",world=\"web\"} 10"));
         assert!(prom.contains("profile_heap_pushes_total{world=\"web\"} 41"));
+        assert!(prom.contains("profile_superseded_total{world=\"web\"} 1"));
         assert!(prom.contains("profile_heap_depth_max{world=\"web\"} 7"));
         assert!(prom.contains("# HELP profile_events_total"));
     }

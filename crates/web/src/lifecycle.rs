@@ -403,7 +403,7 @@ impl Model for AsyncWebWorld {
             // the task tracks the attempt count itself
             Ev::SynRetry { conn, attempt: _ } => self.fire(Key::Syn(conn)),
             Ev::NodeCpu { node, epoch } => {
-                if self.st.borrow().nodes.node(NodeId(node)).cpu_epoch() != epoch {
+                if !self.with(|st, _| st.nodes.node_mut(NodeId(node)).deliver_cpu_completion(epoch)) {
                     return;
                 }
                 let (done, is_web) = self.with(|st, _| {
@@ -418,7 +418,7 @@ impl Model for AsyncWebWorld {
                 self.with(|st, s| st.schedule_node_cpu(node, now, s));
             }
             Ev::DbCpu { node, epoch } => {
-                if self.st.borrow().dbc.node(NodeId(node)).cpu_epoch() != epoch {
+                if !self.with(|st, _| st.dbc.node_mut(NodeId(node)).deliver_cpu_completion(epoch)) {
                     return;
                 }
                 let done = self.with(|st, _| st.dbc.node_mut(NodeId(node)).take_finished_cpu(now));

@@ -1030,17 +1030,19 @@ impl WebWorld {
 
     // ---- node CPU plumbing ------------------------------------------------
 
+    /// Arm web/cache node `node`'s CPU completion, keyed by the node's
+    /// index so a newer completion replaces a stale pending one.
     pub(crate) fn schedule_node_cpu(&mut self, node: usize, now: SimTime, sched: &mut SchedBuf<Ev>) {
-        if let Some((_, at)) = self.nodes.node(NodeId(node)).next_cpu_completion(now) {
-            let epoch = self.nodes.node(NodeId(node)).cpu_epoch();
-            sched.schedule_at(at, Ev::NodeCpu { node, epoch });
+        if let Some((at, epoch)) = self.nodes.node_mut(NodeId(node)).arm_cpu_completion(now) {
+            sched.schedule_keyed(node, at, Ev::NodeCpu { node, epoch });
         }
     }
 
+    /// Arm MySQL node `node`'s CPU completion, keyed after every web and
+    /// cache node.
     pub(crate) fn schedule_db_cpu(&mut self, node: usize, now: SimTime, sched: &mut SchedBuf<Ev>) {
-        if let Some((_, at)) = self.dbc.node(NodeId(node)).next_cpu_completion(now) {
-            let epoch = self.dbc.node(NodeId(node)).cpu_epoch();
-            sched.schedule_at(at, Ev::DbCpu { node, epoch });
+        if let Some((at, epoch)) = self.dbc.node_mut(NodeId(node)).arm_cpu_completion(now) {
+            sched.schedule_keyed(self.nodes.len() + node, at, Ev::DbCpu { node, epoch });
         }
     }
 
@@ -2553,7 +2555,7 @@ impl WebWorld {
                 let _ = self.syn_attempt(conn, attempt, now, sched);
             }
             Ev::NodeCpu { node, epoch } => {
-                if self.nodes.node(NodeId(node)).cpu_epoch() != epoch {
+                if !self.nodes.node_mut(NodeId(node)).deliver_cpu_completion(epoch) {
                     return;
                 }
                 let mut done = std::mem::take(&mut self.cpu_done);
@@ -2570,7 +2572,7 @@ impl WebWorld {
                 self.schedule_node_cpu(node, now, sched);
             }
             Ev::DbCpu { node, epoch } => {
-                if self.dbc.node(NodeId(node)).cpu_epoch() != epoch {
+                if !self.dbc.node_mut(NodeId(node)).deliver_cpu_completion(epoch) {
                     return;
                 }
                 let mut done = std::mem::take(&mut self.cpu_done);
