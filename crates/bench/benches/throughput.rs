@@ -3,7 +3,7 @@
 //!
 //! Prints events/sec and sim-seconds per wall-second for each tracked
 //! workload (the numbers `cargo bench-gate -- update` commits as the
-//! advisory section of `BENCH_0013.json`), then benches a web point with
+//! advisory section of `BENCH_0014.json`), then benches a web point with
 //! the profiler disabled vs enabled — the two must be indistinguishable,
 //! since the unprofiled loop monomorphizes with `NoopProfiler`.
 

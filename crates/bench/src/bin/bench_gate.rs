@@ -1,5 +1,5 @@
 //! `bench_gate` — measure the tracked workloads and check or refresh the
-//! committed benchmark trajectory (`BENCH_0013.json`, schema
+//! committed benchmark trajectory (`BENCH_0014.json`, schema
 //! `edison-bench/1`).
 //!
 //! ```text

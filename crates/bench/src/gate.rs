@@ -1,7 +1,7 @@
 //! The benchmark regression gate.
 //!
 //! Compares a freshly measured [`Trajectory`] against the committed
-//! `BENCH_0013.json`, looking only at the `deterministic` sections. The
+//! `BENCH_0014.json`, looking only at the `deterministic` sections. The
 //! philosophy matches `simlint-baseline.json`: the committed file is a
 //! ratchet. Engine-cost growth beyond [`TOLERANCE`] fails tier-1, and an
 //! *improvement* beyond the same tolerance also fails until the
@@ -15,7 +15,7 @@ use crate::schema::Trajectory;
 use std::path::{Path, PathBuf};
 
 /// Committed trajectory file at the workspace root.
-pub const TRAJECTORY_FILE: &str = "BENCH_0013.json";
+pub const TRAJECTORY_FILE: &str = "BENCH_0014.json";
 
 /// Relative drift allowed on gated metrics before the gate fails.
 pub const TOLERANCE: f64 = 0.10;

@@ -9,7 +9,7 @@
 //!   whose [`edison_simcore::EngineProfile`]s are the deterministic half
 //!   of the trajectory.
 //! * [`schema`] — the canonical `edison-bench/1` form of
-//!   `BENCH_0013.json` (deterministic vs advisory sections, sorted keys,
+//!   `BENCH_0014.json` (deterministic vs advisory sections, sorted keys,
 //!   byte-stable round-trip).
 //! * [`gate`] — the ±10% regression ratchet tier-1 runs against the
 //!   committed trajectory (`cargo bench-gate`, `tests/bench_gate.rs`).

@@ -1,6 +1,6 @@
 //! The `edison-bench/1` trajectory file format.
 //!
-//! `BENCH_0013.json` at the workspace root is the committed benchmark
+//! `BENCH_0014.json` at the workspace root is the committed benchmark
 //! trajectory: one record per tracked workload, split into two sections.
 //!
 //! * `deterministic` — pure functions of the workload constants (engine

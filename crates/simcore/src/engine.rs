@@ -9,7 +9,11 @@
 //!
 //! 1. **Determinism** — events at equal timestamps are delivered in the order
 //!    they were scheduled (a monotone sequence number breaks ties), so a run
-//!    is a pure function of the world's initial state and seed.
+//!    is a pure function of the world's initial state and seed. [`Ctx`]
+//!    borrows the engine's queues for one handle and every `schedule_*`
+//!    call pushes straight into them; since delivery order is `(time,
+//!    sequence number)` alone and nothing pops during a handle, when a
+//!    push happens is invisible.
 //! 2. **Replaceable tentative events** — a model that keeps one tentative
 //!    event per resource (a fluid-resource completion that a new arrival
 //!    may make stale) schedules it with [`Ctx::schedule_keyed`]. The
@@ -39,7 +43,7 @@ pub trait Model {
     type Event;
 
     /// Handle one event at simulated time `now`, scheduling follow-ups on `ctx`.
-    fn handle(&mut self, now: SimTime, event: Self::Event, ctx: &mut Ctx<Self::Event>);
+    fn handle(&mut self, now: SimTime, event: Self::Event, ctx: &mut Ctx<'_, Self::Event>);
 }
 
 struct Scheduled<E> {
@@ -72,17 +76,20 @@ impl<E> Ord for Scheduled<E> {
 /// Scheduling handle passed to [`Model::handle`].
 ///
 /// `Ctx` exposes the current time and lets the model enqueue future events.
-/// It is also the only way to stop a run early from inside the model.
-pub struct Ctx<E> {
+/// It is also the only way to stop a run early from inside the model. It
+/// borrows the engine's queues for the length of one handle, so every
+/// `schedule_*` call pushes straight into them.
+pub struct Ctx<'a, E> {
     now: SimTime,
+    /// The next sequence number; written back when the handle returns.
     seq: u64,
-    pending: Vec<Scheduled<E>>,
-    /// Keyed schedules of this handle, `(key, event)` in call order.
-    keyed: Vec<(usize, Scheduled<E>)>,
+    heap: &'a mut BinaryHeap<Reverse<Scheduled<E>>>,
+    keyed: &'a mut KeyedQueue<Scheduled<E>>,
+    superseded: &'a mut u64,
     stop: bool,
 }
 
-impl<E> Ctx<E> {
+impl<E> Ctx<'_, E> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -96,7 +103,7 @@ impl<E> Ctx<E> {
         debug_assert!(at >= self.now, "scheduling into the past: {at} < {}", self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.pending.push(Scheduled { at, seq, event, idle: false });
+        self.heap.push(Reverse(Scheduled { at, seq, event, idle: false }));
     }
 
     /// Schedule `event` after a delay of `d`.
@@ -120,7 +127,9 @@ impl<E> Ctx<E> {
         debug_assert!(at >= self.now, "scheduling into the past: {at} < {}", self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.keyed.push((key, Scheduled { at, seq, event, idle: false }));
+        if self.keyed.insert(key, Scheduled { at, seq, event, idle: false }) {
+            *self.superseded += 1;
+        }
     }
 
     /// Schedule an **idle-advance** event at absolute time `at`.
@@ -134,7 +143,7 @@ impl<E> Ctx<E> {
         debug_assert!(at >= self.now, "scheduling into the past: {at} < {}", self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.pending.push(Scheduled { at, seq, event, idle: true });
+        self.heap.push(Reverse(Scheduled { at, seq, event, idle: true }));
     }
 
     /// Schedule an idle-advance event after a delay of `d` (see
@@ -205,12 +214,6 @@ pub struct Simulation<M: Model> {
     stopped: bool,
     max_events: Option<u64>,
     watchdog_tripped: bool,
-    /// The follow-up buffer lent to each handle as `Ctx.pending` and
-    /// drained back into the heap, so delivering an event allocates
-    /// nothing once it has grown to the largest fan-out seen.
-    spare: Vec<Scheduled<M::Event>>,
-    /// The keyed counterpart of `spare`, lent as `Ctx.keyed`.
-    spare_keyed: Vec<(usize, Scheduled<M::Event>)>,
 }
 
 impl<M: Model> Simulation<M> {
@@ -228,8 +231,6 @@ impl<M: Model> Simulation<M> {
             stopped: false,
             max_events: None,
             watchdog_tripped: false,
-            spare: Vec::new(),
-            spare_keyed: Vec::new(),
         }
     }
 
@@ -407,24 +408,17 @@ impl<M: Model> Simulation<M> {
         let mut ctx = Ctx {
             now: self.now,
             seq: self.seq,
-            pending: std::mem::take(&mut self.spare),
-            keyed: std::mem::take(&mut self.spare_keyed),
+            heap: &mut self.heap,
+            keyed: &mut self.keyed,
+            superseded: &mut self.superseded,
             stop: false,
         };
         self.world.handle(self.now, next.event, &mut ctx);
-        self.seq = ctx.seq;
-        let newly_scheduled = ctx.pending.len() + ctx.keyed.len();
-        for s in ctx.pending.drain(..) {
-            self.heap.push(Reverse(s));
-        }
-        for (key, s) in ctx.keyed.drain(..) {
-            if self.keyed.insert(key, s) {
-                self.superseded += 1;
-            }
-        }
-        self.spare = ctx.pending;
-        self.spare_keyed = ctx.keyed;
-        if ctx.stop {
+        let (seq, stop) = (ctx.seq, ctx.stop);
+        // every schedule consumed one sequence number
+        let newly_scheduled = usize::try_from(seq - self.seq).unwrap_or(usize::MAX);
+        self.seq = seq;
+        if stop {
             self.stopped = true;
         }
         obs.post_event(self.now, newly_scheduled, self.processed);
@@ -795,7 +789,8 @@ mod tests {
     }
 
     /// A world whose events run a fixed script: delivering id `k` logs it
-    /// and performs `script[k]`, scheduling plain or keyed events.
+    /// and performs `script[k]`, scheduling plain, idle or keyed events
+    /// or stopping the run.
     struct Script {
         script: Vec<Vec<Op>>,
         log: Vec<(u64, u32)>,
@@ -804,7 +799,9 @@ mod tests {
     #[derive(Clone, Copy)]
     enum Op {
         Plain { ms: u64, id: u32 },
+        Idle { ms: u64, id: u32 },
         Keyed { key: usize, ms: u64, id: u32 },
+        Stop,
     }
 
     impl Model for Script {
@@ -814,9 +811,11 @@ mod tests {
             for op in self.script.get(id as usize).cloned().unwrap_or_default() {
                 match op {
                     Op::Plain { ms, id } => ctx.schedule_at(SimTime::from_millis(ms), id),
+                    Op::Idle { ms, id } => ctx.schedule_idle_at(SimTime::from_millis(ms), id),
                     Op::Keyed { key, ms, id } => {
                         ctx.schedule_keyed(key, SimTime::from_millis(ms), id)
                     }
+                    Op::Stop => ctx.stop(),
                 }
             }
         }
@@ -861,6 +860,66 @@ mod tests {
         assert_eq!(sim.superseded_total(), 2);
         assert_eq!(sim.scheduled_total(), 1 + 8 + 2);
         assert_eq!(sim.scheduled_total(), sim.processed() + sim.superseded_total());
+    }
+
+    /// Per-event hook readings: `newly_scheduled` from the observer,
+    /// `heap_depth` from the profiler.
+    #[derive(Default)]
+    struct Hooks {
+        newly: Vec<usize>,
+        depth: Vec<usize>,
+    }
+
+    impl Observer<u32> for Hooks {
+        fn post_event(&mut self, _now: SimTime, newly_scheduled: usize, _processed: u64) {
+            self.newly.push(newly_scheduled);
+        }
+    }
+
+    impl Profiler<u32> for Hooks {
+        fn on_handled(&mut self, _now: SimTime, _newly_scheduled: usize, heap_depth: usize) {
+            self.depth.push(heap_depth);
+        }
+    }
+
+    /// Schedules go straight into the queues during the handle. Order,
+    /// hook readings and the sequence-number balance are the ones the
+    /// engine gave when it staged a handle's schedules and pushed them
+    /// after it returned.
+    #[test]
+    fn direct_push_keeps_order_hooks_and_balance() {
+        use Op::{Idle, Keyed, Plain, Stop};
+        let mut script = vec![vec![]; 12];
+        script[0] = vec![
+            Plain { ms: 3, id: 1 },
+            Idle { ms: 3, id: 2 },
+            Keyed { key: 0, ms: 3, id: 3 },
+            // same key in the same handle: replaces id 3, sorts earlier
+            Keyed { key: 0, ms: 2, id: 4 },
+            Plain { ms: 2, id: 5 },
+            Keyed { key: 1, ms: 8, id: 6 },
+        ];
+        // replaces id 6, queued by an earlier handle
+        script[1] = vec![Keyed { key: 1, ms: 4, id: 7 }, Idle { ms: 4, id: 8 }];
+        script[2] = vec![Plain { ms: 9, id: 9 }, Keyed { key: 0, ms: 6, id: 10 }];
+        script[4] = vec![Plain { ms: 3, id: 11 }];
+        script[7] = vec![Stop, Plain { ms: 5, id: 12 }, Keyed { key: 2, ms: 5, id: 13 }];
+        let mut sim = Simulation::new(Script { script, log: vec![] });
+        sim.schedule_at(SimTime::ZERO, 0);
+        let mut obs = Hooks::default();
+        let mut prof = Hooks::default();
+        sim.run_profiled(&mut obs, &mut prof);
+        let log: Vec<(u64, u32)> = sim.world().log.iter().map(|&(t, i)| (t / 1_000_000, i)).collect();
+        assert_eq!(log, vec![(0, 0), (2, 4), (2, 5), (3, 1), (3, 2), (3, 11), (4, 7)]);
+        assert_eq!(obs.newly, vec![6, 1, 0, 2, 2, 0, 2]);
+        assert_eq!(prof.depth, vec![5, 5, 4, 4, 5, 4, 5]);
+        assert!(sim.is_stopped());
+        assert_eq!(sim.superseded_total(), 2);
+        assert_eq!(sim.pending(), 5, "ids 8, 9, 10, 12 and 13 never ran");
+        assert_eq!(
+            sim.scheduled_total(),
+            sim.processed() + sim.superseded_total() + sim.pending() as u64
+        );
     }
 
     /// A one-CPU world driven by the fluid arming rule: `Start` adds a

@@ -8,12 +8,16 @@
 //! schedule requests in call order and [`SchedBuf::flush`]es them into the
 //! real context before the handle returns.
 //!
-//! Determinism note: the engine assigns sequence numbers per `schedule_*`
-//! call, in call order, and defers heap pushes until the handle returns. A
-//! buffered schedule flushed at end-of-handle therefore receives *exactly*
-//! the sequence number a direct `Ctx` call at the same position would have —
-//! routing a code path through `SchedBuf` is byte-invisible to the event
-//! heap, the profiler and every downstream export.
+//! Determinism note: the engine assigns one sequence number per
+//! `schedule_*` call, in call order, and delivers by `(time, sequence
+//! number)` alone; nothing is popped while a handle runs. A flush replays
+//! the buffer in call order, so as long as the handle makes no direct
+//! `Ctx` call between a buffered request and its flush, each request gets
+//! *exactly* the sequence number a direct call at the same position would
+//! have, and the queues end the handle holding the same events. Routing a
+//! code path through `SchedBuf` is therefore byte-invisible to delivery
+//! order, the profiler and every downstream export; only the moment of the
+//! push differs, and nothing can observe it.
 
 use crate::engine::Ctx;
 use crate::time::{SimDuration, SimTime};

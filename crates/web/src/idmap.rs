@@ -1,5 +1,6 @@
 //! A deterministic multiplicative hasher for the world's integer-keyed
-//! maps (`reqs`, `conns`, the memcached key index).
+//! maps (`reqs`, `conns`). The memcached store needs no map: it indexes
+//! its entries by key position (see [`crate::memcached`]).
 //!
 //! `std`'s default hasher is SipHash with a per-process random key: strong
 //! against adversarial keys, but several lookups per event on the request
@@ -20,8 +21,7 @@ const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Multiplicative hasher. A single written word `n` hashes to
 /// `n * GOLDEN`, whose low `k` bits depend only on the low `k` bits of
-/// `n`; keys should therefore be dense ids (memcached's `Key` hashes as
-/// its table-major row index), not packed fields.
+/// `n`; keys should therefore be dense ids, not packed fields.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IdHasher(u64);
 

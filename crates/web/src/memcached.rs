@@ -1,16 +1,26 @@
 //! A real memcached-style keyed store with LRU eviction.
 //!
 //! Unlike the rest of the web model — which is a timing simulation — the
-//! cache is an actual data structure: `get` walks a hash map, promotes the
-//! entry in an intrusive LRU list, and the *measured hit ratio emerges from
+//! cache is an actual data structure: `get` finds the key's entry, promotes
+//! it in an intrusive LRU list, and the *measured hit ratio emerges from
 //! what was inserted during warm-up*, exactly as on the paper's testbed
 //! ("we control the cache hit ratio by adjusting the warm-up time").
 //!
-//! Implementation: slab of entries with prev/next indices + a hash map from
-//! key to slot — O(1) get/insert/evict, no per-operation allocation once
-//! the slab is warm.
+//! Implementation: the workload's key space is small and dense
+//! (`TOTAL_TABLES × ROWS_PER_TABLE` rows, see [`Key::dense_id`]), and the
+//! web tier shards it over the cache servers by [`Key::shard`]. Each store
+//! therefore owns one 12-byte entry per key of its shard, at slot
+//! `dense_id / shards`: the value size (or an absence mark) and the
+//! prev/next links of the LRU list. A lookup is one division and one
+//! index — no hashing, no probing — and nothing allocates after
+//! construction: a key's slot never moves, so an evicted key's entry is
+//! marked absent and reused when the key returns.
+//!
+//! A dense index would silently alias a key outside the row space, or one
+//! of another shard, onto some other key's slot, so every keyed operation
+//! panics on such a key instead.
 
-use crate::idmap::IdMap;
+use crate::db::TOTAL_TABLES;
 use crate::scenario::ROWS_PER_TABLE;
 use std::hash::{Hash, Hasher};
 
@@ -29,33 +39,55 @@ impl Key {
     pub fn dense_id(self) -> u64 {
         u64::from(self.table) * u64::from(ROWS_PER_TABLE) + u64::from(self.row)
     }
+
+    /// The cache server holding this key among `shards` (memcached client
+    /// hashing): `dense_id % shards`.
+    pub fn shard(self, shards: usize) -> usize {
+        (self.dense_id() % shards as u64) as usize
+    }
 }
 
 impl Hash for Key {
-    /// One word, the [`dense_id`](Key::dense_id): sequential ids land in
-    /// distinct buckets of the multiplicative id hasher.
+    /// One word, the [`dense_id`](Key::dense_id).
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.dense_id());
     }
 }
 
-#[derive(Debug, Clone)]
+/// Every key the workload can draw.
+const KEY_SPACE: u64 = TOTAL_TABLES as u64 * ROWS_PER_TABLE as u64;
+
+/// One key's slot: its value size and its LRU links.
+#[derive(Debug, Clone, Copy)]
 struct Entry {
-    key: Key,
+    /// Value size, or [`ABSENT`] when the key is not stored.
     bytes: u32,
     prev: u32,
     next: u32,
 }
 
+/// Link to no slot.
 const NIL: u32 = u32::MAX;
+/// `Entry::bytes` of a key that is not stored.
+const ABSENT: u32 = u32::MAX;
+const VACANT: Entry = Entry { bytes: ABSENT, prev: NIL, next: NIL };
 
-/// Byte-capacity-bounded LRU store. See module docs.
+/// Slab index of a link.
+fn ix(slot: u32) -> usize {
+    slot as usize
+}
+
+/// Byte-capacity-bounded LRU store for one shard of the key space. See
+/// module docs.
 #[derive(Debug, Clone)]
 pub struct LruStore {
-    /// Keyed lookup only; LRU order lives in the slab links.
-    map: IdMap<Key, u32>,
+    /// One entry per key of the shard, at slot `dense_id / shards`; LRU
+    /// order lives in the links.
     slab: Vec<Entry>,
-    free: Vec<u32>,
+    shards: u64,
+    /// `dense_id % shards` of every key this store holds.
+    residue: u64,
+    len: usize,
     head: u32, // most recent
     tail: u32, // least recent
     capacity_bytes: u64,
@@ -66,13 +98,19 @@ pub struct LruStore {
 }
 
 impl LruStore {
-    /// Create a store bounded to `capacity_bytes` of values.
-    pub fn new(capacity_bytes: u64) -> Self {
+    /// Create the store of shard `residue` of `shards` — the keys whose
+    /// [`Key::shard`] is `residue` — bounded to `capacity_bytes` of values.
+    pub fn new(capacity_bytes: u64, shards: usize, residue: usize) -> Self {
         assert!(capacity_bytes > 0);
+        assert!(residue < shards, "shard {residue} of {shards}");
+        let (shards, residue) = (shards as u64, residue as u64);
+        // dense ids residue, residue + shards, … below KEY_SPACE
+        let keys = KEY_SPACE.saturating_sub(residue).div_ceil(shards);
         LruStore {
-            map: IdMap::default(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            slab: vec![VACANT; usize::try_from(keys).unwrap_or(0)],
+            shards,
+            residue,
+            len: 0,
             head: NIL,
             tail: NIL,
             capacity_bytes,
@@ -83,6 +121,24 @@ impl LruStore {
         }
     }
 
+    /// The slot of `key`. Panics on a key outside the row space or outside
+    /// this store's shard, which would alias another key's slot.
+    fn slot(&self, key: Key) -> u32 {
+        assert!(
+            usize::from(key.table) < TOTAL_TABLES && key.row < ROWS_PER_TABLE,
+            "memcached key {key:?} is outside the {TOTAL_TABLES}-table × {ROWS_PER_TABLE}-row key space"
+        );
+        let id = key.dense_id();
+        let (slot, residue) = (id / self.shards, id % self.shards);
+        assert!(
+            residue == self.residue,
+            "memcached key {key:?} belongs to shard {residue} of {}, not to this store's shard {}",
+            self.shards,
+            self.residue
+        );
+        slot as u32
+    }
+
     /// Bytes of values stored.
     pub fn used_bytes(&self) -> u64 {
         self.used_bytes
@@ -90,12 +146,12 @@ impl LruStore {
 
     /// Entries stored.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     /// Hits observed so far.
@@ -132,45 +188,43 @@ impl LruStore {
     /// Look up `key`, promoting it to most-recently-used on hit. Returns
     /// the stored value size.
     pub fn get(&mut self, key: Key) -> Option<u32> {
-        match self.map.get(&key).copied() {
-            Some(slot) => {
-                self.hits += 1;
-                self.unlink(slot);
-                self.push_front(slot);
-                Some(self.slab[slot as usize].bytes)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let slot = self.slot(key);
+        let bytes = self.slab[ix(slot)].bytes;
+        if bytes == ABSENT {
+            self.misses += 1;
+            return None;
         }
+        self.hits += 1;
+        self.unlink(slot);
+        self.push_front(slot);
+        Some(bytes)
     }
 
     /// Peek without touching LRU order or stats.
     pub fn contains(&self, key: Key) -> bool {
-        self.map.contains_key(&key)
+        self.slab[ix(self.slot(key))].bytes != ABSENT
     }
 
     /// Insert (or refresh) `key` with a value of `bytes`, evicting LRU
     /// entries as needed. Values larger than the whole store are rejected
-    /// (memcached's behaviour for oversize items).
+    /// (memcached's behaviour for oversize items), as is a value of
+    /// `u32::MAX` bytes, the absence mark.
     pub fn set(&mut self, key: Key, bytes: u32) -> bool {
-        if bytes as u64 > self.capacity_bytes {
+        let slot = self.slot(key);
+        if bytes == ABSENT || u64::from(bytes) > self.capacity_bytes {
             return false;
         }
-        if let Some(&slot) = self.map.get(&key) {
-            // refresh: adjust accounting and promote
-            let old = self.slab[slot as usize].bytes;
-            self.used_bytes = self.used_bytes - old as u64 + bytes as u64;
-            self.slab[slot as usize].bytes = bytes;
-            self.unlink(slot);
-            self.push_front(slot);
+        let old = self.slab[ix(slot)].bytes;
+        if old == ABSENT {
+            self.len += 1;
         } else {
-            let slot = self.alloc(Entry { key, bytes, prev: NIL, next: NIL });
-            self.map.insert(key, slot);
-            self.push_front(slot);
-            self.used_bytes += bytes as u64;
+            // refresh: adjust accounting and promote
+            self.used_bytes -= u64::from(old);
+            self.unlink(slot);
         }
+        self.slab[ix(slot)].bytes = bytes;
+        self.push_front(slot);
+        self.used_bytes += u64::from(bytes);
         while self.used_bytes > self.capacity_bytes {
             self.evict_lru();
         }
@@ -180,48 +234,35 @@ impl LruStore {
     fn evict_lru(&mut self) {
         let tail = self.tail;
         debug_assert!(tail != NIL, "evicting from an empty store");
-        let e = self.slab[tail as usize].clone();
+        let bytes = self.slab[ix(tail)].bytes;
         self.unlink(tail);
-        self.map.remove(&e.key);
-        self.free.push(tail);
-        self.used_bytes -= e.bytes as u64;
+        self.slab[ix(tail)].bytes = ABSENT;
+        self.len -= 1;
+        self.used_bytes -= u64::from(bytes);
         self.evictions += 1;
     }
 
-    fn alloc(&mut self, e: Entry) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            self.slab[slot as usize] = e;
-            slot
-        } else {
-            self.slab.push(e);
-            (self.slab.len() - 1) as u32
-        }
-    }
-
     fn unlink(&mut self, slot: u32) {
-        let (prev, next) = {
-            let e = &self.slab[slot as usize];
-            (e.prev, e.next)
-        };
+        let Entry { prev, next, .. } = self.slab[ix(slot)];
         if prev != NIL {
-            self.slab[prev as usize].next = next;
+            self.slab[ix(prev)].next = next;
         } else if self.head == slot {
             self.head = next;
         }
         if next != NIL {
-            self.slab[next as usize].prev = prev;
+            self.slab[ix(next)].prev = prev;
         } else if self.tail == slot {
             self.tail = prev;
         }
-        self.slab[slot as usize].prev = NIL;
-        self.slab[slot as usize].next = NIL;
+        self.slab[ix(slot)].prev = NIL;
+        self.slab[ix(slot)].next = NIL;
     }
 
     fn push_front(&mut self, slot: u32) {
-        self.slab[slot as usize].prev = NIL;
-        self.slab[slot as usize].next = self.head;
+        self.slab[ix(slot)].prev = NIL;
+        self.slab[ix(slot)].next = self.head;
         if self.head != NIL {
-            self.slab[self.head as usize].prev = slot;
+            self.slab[ix(self.head)].prev = slot;
         }
         self.head = slot;
         if self.tail == NIL {
@@ -238,28 +279,56 @@ mod tests {
         Key { table, row }
     }
 
+    /// A one-shard store: every in-range key is its own.
+    fn store(capacity_bytes: u64) -> LruStore {
+        LruStore::new(capacity_bytes, 1, 0)
+    }
+
     #[test]
-    fn real_key_set_fills_distinct_buckets() {
-        use crate::db::TOTAL_TABLES;
-        use crate::idmap::IdHasher;
-        use std::hash::{BuildHasher, BuildHasherDefault};
-        // every (table, row) the workload can draw, over a power-of-two
-        // bucket index at least as large as the key set: no two share one
-        let keys = TOTAL_TABLES as u64 * u64::from(ROWS_PER_TABLE);
-        let mask = keys.next_power_of_two() - 1;
-        let build = BuildHasherDefault::<IdHasher>::default();
-        let mut buckets = std::collections::BTreeSet::new();
-        for table in 0..TOTAL_TABLES as u8 {
-            for row in 0..ROWS_PER_TABLE {
-                buckets.insert(build.hash_one(k(table, row)) & mask);
+    fn every_shard_key_gets_a_distinct_slot_inside_the_slab() {
+        let all = TOTAL_TABLES as u64 * u64::from(ROWS_PER_TABLE);
+        for shards in [1usize, 2, 11] {
+            let bound = all.div_ceil(shards as u64) as usize;
+            for residue in 0..shards {
+                let s = LruStore::new(1, shards, residue);
+                assert!(s.slab.len() <= bound, "{} slots > {bound}", s.slab.len());
+                let mut seen = vec![false; s.slab.len()];
+                let mut keys = 0;
+                for table in 0..TOTAL_TABLES as u8 {
+                    for row in (0..ROWS_PER_TABLE).filter(|&r| k(table, r).shard(shards) == residue) {
+                        let slot = ix(s.slot(k(table, row)));
+                        assert!(!seen[slot], "slot {slot} of shard {residue}/{shards} taken twice");
+                        seen[slot] = true;
+                        keys += 1;
+                    }
+                }
+                assert_eq!(keys, s.slab.len(), "shard {residue}/{shards}: every slot has its key");
             }
         }
-        assert_eq!(buckets.len() as u64, keys);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the")]
+    fn table_out_of_range_panics() {
+        store(10_000).get(k(TOTAL_TABLES as u8, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the")]
+    fn row_out_of_range_panics() {
+        store(10_000).set(k(0, ROWS_PER_TABLE), 100);
+    }
+
+    #[test]
+    #[should_panic(expected = "belongs to shard 1 of 3")]
+    fn key_of_another_shard_panics() {
+        // dense id 1 is shard 1 of 3, not shard 0
+        LruStore::new(10_000, 3, 0).contains(k(0, 1));
     }
 
     #[test]
     fn get_set_roundtrip() {
-        let mut s = LruStore::new(10_000);
+        let mut s = store(10_000);
         assert!(s.set(k(0, 1), 1500));
         assert_eq!(s.get(k(0, 1)), Some(1500));
         assert_eq!(s.get(k(0, 2)), None);
@@ -270,7 +339,7 @@ mod tests {
 
     #[test]
     fn eviction_is_lru_order() {
-        let mut s = LruStore::new(3_000);
+        let mut s = store(3_000);
         s.set(k(0, 1), 1000);
         s.set(k(0, 2), 1000);
         s.set(k(0, 3), 1000);
@@ -286,7 +355,7 @@ mod tests {
 
     #[test]
     fn refresh_updates_size_without_duplicate() {
-        let mut s = LruStore::new(10_000);
+        let mut s = store(10_000);
         s.set(k(1, 1), 1000);
         s.set(k(1, 1), 4000);
         assert_eq!(s.len(), 1);
@@ -296,14 +365,17 @@ mod tests {
 
     #[test]
     fn oversize_value_rejected() {
-        let mut s = LruStore::new(1_000);
+        let mut s = store(1_000);
         assert!(!s.set(k(0, 0), 2_000));
         assert!(s.is_empty());
+        let mut big = store(u64::MAX);
+        assert!(!big.set(k(0, 0), ABSENT), "the absence mark is never a size");
+        assert!(big.is_empty());
     }
 
     #[test]
     fn capacity_is_respected_under_churn() {
-        let mut s = LruStore::new(50_000);
+        let mut s = store(50_000);
         for i in 0..1_000 {
             s.set(k((i % 4) as u8, i), 1500);
             assert!(s.used_bytes() <= 50_000);
@@ -316,7 +388,7 @@ mod tests {
     fn warmup_fraction_produces_target_hit_ratio() {
         // Fill 93 % of a 1000-row table, then read uniformly: measured hit
         // ratio ≈ 93 % — the mechanism the §5.1.1 warm-up relies on.
-        let mut s = LruStore::new(10_000_000);
+        let mut s = store(10_000_000);
         for row in 0..930 {
             s.set(k(0, row), 1500);
         }
@@ -334,12 +406,24 @@ mod tests {
     }
 
     #[test]
-    fn slab_reuse_after_eviction() {
-        let mut s = LruStore::new(2_000);
-        for i in 0..100 {
-            s.set(k(0, i), 1000);
+    fn evicted_key_returns_to_its_own_slot() {
+        let shards = 3;
+        let mut s = LruStore::new(2_000, shards, 2);
+        let keys = s.slab.len();
+        let shard_keys: Vec<Key> =
+            (0..300).map(|r| k(1, r)).filter(|key| key.shard(shards) == 2).collect();
+        for &key in &shard_keys {
+            s.set(key, 1000);
+            assert!(s.len() <= 2);
+            assert_eq!(s.slab.len(), keys, "churn never grows the slab past the shard's keys");
         }
-        // slab should not grow unboundedly: at most capacity/size + 1 slots
-        assert!(s.slab.len() <= 3, "slab {}", s.slab.len());
+        assert!(s.evictions() > 90);
+        let first = shard_keys[0];
+        assert!(!s.contains(first), "the first key was evicted long ago");
+        let slot = s.slot(first);
+        s.set(first, 700);
+        assert_eq!(s.head, slot, "the returning key is back in its own slot, at the front");
+        assert_eq!(s.slab[ix(slot)].bytes, 700);
+        assert_eq!(s.slab.len(), keys);
     }
 }

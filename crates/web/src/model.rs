@@ -819,18 +819,17 @@ impl WebWorld {
         // caches: real LRU stores pre-warmed to the target hit ratio
         let mut caches = Vec::new();
         let mut cache_cap_of = Vec::new();
-        for _ in 0..n_cache {
+        for i in 0..n_cache {
             let free = nodes.node(NodeId(n_web)).mem_free();
             let cap = (free as f64 * 0.85) as u64;
             cache_cap_of.push(cap);
-            caches.push(LruStore::new(cap));
+            caches.push(LruStore::new(cap, n_cache, i));
         }
         let warm_rows = (cfg.mix.cache_hit_ratio * ROWS_PER_TABLE as f64) as u32;
         for table in 0..db::TOTAL_TABLES as u8 {
             for row in 0..warm_rows {
                 let key = Key { table, row };
-                let c = Self::cache_for(key, n_cache);
-                caches[c].set(key, db::reply_bytes_for(key) as u32);
+                caches[key.shard(n_cache)].set(key, db::reply_bytes_for(key) as u32);
             }
         }
         for (i, c) in caches.iter_mut().enumerate() {
@@ -970,12 +969,6 @@ impl WebWorld {
             tracks.push(self.tel.track_id("web", &format!("web-{i}")));
         }
         self.web_tracks = tracks;
-    }
-
-    /// The deterministic key → cache-server mapping (memcached client
-    /// hashing).
-    fn cache_for(key: Key, n_cache: usize) -> usize {
-        (key.dense_id() % n_cache as u64) as usize
     }
 
     pub(crate) fn n_web(&self) -> usize {
@@ -1552,7 +1545,7 @@ impl WebWorld {
         let id = self.next_req;
         self.next_req += 1;
         let query = db::draw_query(&self.cfg.mix, &mut self.rng);
-        let cache = Self::cache_for(query.key, self.caches.len());
+        let cache = query.key.shard(self.caches.len());
         let db_node = self.rng.below(2) as usize;
         // the deadline budget starts when the request leaves the client;
         // Budget::ZERO (deadlines off) derives no deadline at all
@@ -2365,7 +2358,7 @@ impl WebWorld {
         let node = self.n_web() + cache;
         let used = self.caches[cache].used_bytes();
         self.nodes.node_mut(NodeId(node)).free_mem(used);
-        self.caches[cache] = LruStore::new(self.cache_cap_of[cache]);
+        self.caches[cache] = LruStore::new(self.cache_cap_of[cache], self.caches.len(), cache);
         self.cache_writeback = true;
         true
     }

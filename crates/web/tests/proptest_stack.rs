@@ -1,12 +1,59 @@
 //! Property tests over the web stack: conservation and sanity across
 //! random load points, plus LRU-store laws under arbitrary operation
-//! sequences.
+//! sequences and exact agreement with a reference LRU.
 
 use edison_web::memcached::{Key, LruStore};
 use edison_web::stack::{run, GenMode, StackConfig};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 use edison_simcore::time::SimDuration;
 use proptest::prelude::*;
+
+/// The obvious LRU: `(key, bytes)` in recency order, most recent first.
+#[derive(Default)]
+struct RefLru {
+    entries: Vec<(Key, u32)>,
+    used: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+impl RefLru {
+    fn take(&mut self, key: Key) -> Option<u32> {
+        let i = self.entries.iter().position(|e| e.0 == key)?;
+        let (_, bytes) = self.entries.remove(i);
+        self.used -= u64::from(bytes);
+        Some(bytes)
+    }
+
+    fn get(&mut self, key: Key) -> Option<u32> {
+        let got = self.take(key);
+        match got {
+            Some(bytes) => {
+                self.hits += 1;
+                self.entries.insert(0, (key, bytes));
+                self.used += u64::from(bytes);
+            }
+            None => self.misses += 1,
+        }
+        got
+    }
+
+    fn set(&mut self, key: Key, bytes: u32, cap: u64) -> bool {
+        if u64::from(bytes) > cap {
+            return false;
+        }
+        self.take(key);
+        self.entries.insert(0, (key, bytes));
+        self.used += u64::from(bytes);
+        while self.used > cap {
+            let (_, evicted) = self.entries.pop().expect("over capacity means non-empty");
+            self.used -= u64::from(evicted);
+            self.evictions += 1;
+        }
+        true
+    }
+}
 
 fn cfg(conc: f64, seed: u64, hit: f64, img: f64) -> StackConfig {
     let scenario = WebScenario::table6(Platform::Edison, ClusterScale::Eighth).unwrap();
@@ -62,7 +109,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..3, 0u32..64, 1u32..4_000), 1..300),
     ) {
         let cap = cap_kb * 1024;
-        let mut store = LruStore::new(cap);
+        let mut store = LruStore::new(cap, 1, 0);
         let mut shadow: std::collections::HashMap<Key, u32> = Default::default();
         for &(op, row, bytes) in &ops {
             let key = Key { table: (row % 5) as u8, row };
@@ -86,5 +133,51 @@ proptest! {
         }
         prop_assert_eq!(store.hits() + store.misses(),
             ops.iter().filter(|o| o.0 == 1).count() as u64);
+    }
+}
+
+proptest! {
+    // cheap cases: enough of them to reach deep eviction chains
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The dense store is an exact LRU: after every step of a random
+    /// script its answers and counters equal the reference list's, for
+    /// every shard of 1, 3 and 11 (in-shard keys only).
+    #[test]
+    fn lru_store_matches_reference_lru(
+        shards_at in 0usize..3,
+        residue_seed in 0usize..11,
+        cap_kb in 1u64..8,
+        ops in proptest::collection::vec((0u8..4, 0u32..40, 1u32..3_000), 1..200),
+    ) {
+        let shards = [1usize, 3, 11][shards_at];
+        let residue = residue_seed % shards;
+        let cap = cap_kb * 1024;
+        let mut store = LruStore::new(cap, shards, residue);
+        let mut reference = RefLru::default();
+        for &(op, pick, bytes) in &ops {
+            // 40 in-shard keys spread over every table
+            let id = u64::from(pick) * 197 * shards as u64 + residue as u64;
+            let key = Key { table: (id / 6_000) as u8, row: (id % 6_000) as u32 };
+            prop_assert_eq!(key.shard(shards), residue);
+            match op {
+                0 => prop_assert_eq!(store.set(key, bytes), reference.set(key, bytes, cap)),
+                1 => prop_assert_eq!(store.get(key), reference.get(key)),
+                2 => prop_assert_eq!(
+                    store.contains(key),
+                    reference.entries.iter().any(|e| e.0 == key)
+                ),
+                _ => {
+                    store.reset_stats();
+                    reference.hits = 0;
+                    reference.misses = 0;
+                }
+            }
+            prop_assert_eq!(store.len(), reference.entries.len());
+            prop_assert_eq!(store.used_bytes(), reference.used);
+            prop_assert_eq!(store.hits(), reference.hits);
+            prop_assert_eq!(store.misses(), reference.misses);
+            prop_assert_eq!(store.evictions(), reference.evictions);
+        }
     }
 }

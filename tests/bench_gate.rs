@@ -1,5 +1,5 @@
 //! Tier-1 benchmark-trajectory gate: the committed trajectory file
-//! (`BENCH_0013.json`, named by `edison_bench::TRAJECTORY_FILE`) must
+//! (`BENCH_0014.json`, named by `edison_bench::TRAJECTORY_FILE`) must
 //! parse, be byte-canonical, and agree (within the ±10% ratchet
 //! tolerance) with a fresh run of every tracked workload.
 //!
