@@ -3,9 +3,9 @@
 //! The benchmark harness: criterion benches under `benches/`, plus the
 //! simprof-backed throughput trajectory.
 //!
-//! * [`workloads`] — the six tracked, fixed-seed workloads ([`TRACKED`]:
-//!   web sweep, the same sweep through the async driver, MapReduce
-//!   wordcount, fault sweep, explore neighbourhood, guarded overload)
+//! * [`workloads`] — the five tracked, fixed-seed workloads ([`TRACKED`]:
+//!   web sweep, MapReduce wordcount, fault sweep, explore neighbourhood,
+//!   guarded overload)
 //!   whose [`edison_simcore::EngineProfile`]s are the deterministic half
 //!   of the trajectory.
 //! * [`schema`] — the canonical `edison-bench/1` form of

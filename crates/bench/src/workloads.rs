@@ -1,9 +1,8 @@
 //! The tracked benchmark workloads.
 //!
-//! Six fixed-seed, fixed-scale simulations whose engine profiles are
+//! Five fixed-seed, fixed-scale simulations whose engine profiles are
 //! the benchmark trajectory's deterministic inputs: a three-point web
-//! concurrency sweep, the same sweep through the `simasync` lifecycle
-//! port, a scaled-down MapReduce wordcount (the Figure 12–17 family),
+//! concurrency sweep, a scaled-down MapReduce wordcount (the Figure 12–17 family),
 //! the web point again under a crash/restart fault plan, a small
 //! simexplore candidate neighbourhood run end to end (the explore
 //! experiment's hot path), and the guarded overload point (the simguard
@@ -24,14 +23,12 @@ use edison_simrun::error::SimError;
 use edison_simrun::{derive_seed, merge_profiles, ROOT_SEED};
 use edison_simtel::Telemetry;
 use edison_web::httperf::CALLS_PER_CONN;
-use edison_web::lifecycle;
 use edison_web::stack::{self, GenMode, StackConfig};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 
 /// The tracked workload names, in the (sorted) order they appear in the
 /// trajectory file.
-pub const TRACKED: [&str; 6] = [
-    "async_web",
+pub const TRACKED: [&str; 5] = [
     "explore_worst",
     "fault_sweep",
     "mapreduce_wordcount",
@@ -68,22 +65,6 @@ pub fn web_sweep() -> Result<EngineProfile, SimError> {
     for (i, &conc) in (0u64..).zip(WEB_POINTS.iter()) {
         let cfg = web_cfg("bench:web", i, conc, FaultPlan::new())?;
         let (_, p) = stack::run_profiled(cfg, Telemetry::profiled());
-        profiles.push(p);
-    }
-    Ok(merge_profiles(profiles))
-}
-
-/// The same three web points driven through the `simasync` lifecycle
-/// port instead of the legacy state machine. Its deterministic profile
-/// is *identical* to [`web_sweep`]'s by the equivalence invariant (same
-/// seed ⇒ same event stream), so the trajectory pins the ported path to
-/// the legacy one; the advisory wall rates are where the two drivers'
-/// relative cost shows up.
-pub fn async_web() -> Result<EngineProfile, SimError> {
-    let mut profiles = Vec::with_capacity(WEB_POINTS.len());
-    for (i, &conc) in (0u64..).zip(WEB_POINTS.iter()) {
-        let cfg = web_cfg("bench:web", i, conc, FaultPlan::new())?;
-        let (_, p) = lifecycle::run_async_profiled(cfg, Telemetry::profiled());
         profiles.push(p);
     }
     Ok(merge_profiles(profiles))
@@ -166,7 +147,6 @@ pub fn overload_web() -> Result<EngineProfile, SimError> {
 /// Run one tracked workload by trajectory name.
 pub fn run_tracked(name: &str) -> Result<EngineProfile, SimError> {
     match name {
-        "async_web" => async_web(),
         "explore_worst" => explore_worst(),
         "fault_sweep" => fault_sweep(),
         "mapreduce_wordcount" => mapreduce_wordcount(),
@@ -195,13 +175,6 @@ mod tests {
     fn workloads_are_deterministic() {
         // the trajectory's whole premise: same constants, same profile
         assert_eq!(fault_sweep(), fault_sweep());
-    }
-
-    #[test]
-    fn async_web_profile_equals_legacy_web_sweep() {
-        // same seeds, same event stream: the ported driver must not add,
-        // drop or reorder a single engine event relative to the legacy one
-        assert_eq!(async_web(), web_sweep());
     }
 
     #[test]

@@ -110,15 +110,8 @@ impl Node {
         self.cpu.deliver_completion(epoch)
     }
 
-    /// Collect finished CPU tasks at `now`, keeping power consistent.
-    pub fn take_finished_cpu(&mut self, now: SimTime) -> Vec<TaskId> {
-        let mut done = Vec::new();
-        self.take_finished_cpu_into(now, &mut done);
-        done
-    }
-
-    /// [`take_finished_cpu`](Self::take_finished_cpu) into a caller-owned
-    /// buffer: finished ids are appended in ascending order.
+    /// Collect finished CPU tasks at `now` into a caller-owned buffer
+    /// (ids appended in ascending order), keeping power consistent.
     pub fn take_finished_cpu_into(&mut self, now: SimTime, out: &mut Vec<TaskId>) {
         self.cpu.take_finished_into(now, out);
         self.sync_power(now);
@@ -300,7 +293,8 @@ mod tests {
         }
         let (_, done_at) = n.next_cpu_completion(t(0.0)).unwrap();
         assert!((done_at.as_secs_f64() - 1.0).abs() < 1e-6);
-        let finished = n.take_finished_cpu(done_at);
+        let mut finished = Vec::new();
+        n.take_finished_cpu_into(done_at, &mut finished);
         assert_eq!(finished.len(), 12);
         // 1 s at 109 W busy + 1 s at 52 W idle = 161 J after 2 s
         let e = n.energy_joules(t(2.0));

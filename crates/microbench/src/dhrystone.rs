@@ -38,7 +38,8 @@ pub fn run(spec: &ServerSpec, runs: u64) -> DhrystoneResult {
     let t0 = SimTime::ZERO;
     node.add_cpu_task(t0, 1, work_mi);
     let (_, done) = node.next_cpu_completion(t0).expect("task scheduled");
-    let finished = node.take_finished_cpu(done);
+    let mut finished = Vec::new();
+    node.take_finished_cpu_into(done, &mut finished);
     debug_assert_eq!(finished, vec![1]);
     let seconds = done.as_secs_f64();
     let score = runs as f64 / seconds;

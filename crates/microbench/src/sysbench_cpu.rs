@@ -59,6 +59,7 @@ pub fn run(spec: &ServerSpec, threads: u32) -> SysbenchCpuResult {
     let mut now = t0;
     let mut resp_weighted = 0.0;
     let mut last_rate_events = 0.0;
+    let mut finished = Vec::new();
     while let Some((_, at)) = node.next_cpu_completion(now) {
         // response time while the current task mix runs
         let per_thread_rate = spec.cpu.per_thread_cap().min(
@@ -69,7 +70,8 @@ pub fn run(spec: &ServerSpec, threads: u32) -> SysbenchCpuResult {
         resp_weighted += events_in_window * (EVENT_MI / per_thread_rate);
         last_rate_events += events_in_window;
         now = at;
-        node.take_finished_cpu(now);
+        node.take_finished_cpu_into(now, &mut finished);
+        finished.clear();
     }
     let avg_response_s = if last_rate_events > 0.0 { resp_weighted / last_rate_events } else { 0.0 };
     SysbenchCpuResult {

@@ -34,11 +34,9 @@ mod keyed;
 pub mod profile;
 pub mod queue;
 pub mod rng;
-pub mod sched;
 pub mod stats;
 pub mod time;
 
 pub use engine::{Ctx, Model, NoopObserver, Observer, Simulation};
-pub use sched::SchedBuf;
 pub use profile::{EngineProfile, KindProfiler, KindStats, NoopProfiler, Profiler};
 pub use time::{SimDuration, SimTime};

@@ -61,7 +61,7 @@ pub fn rule_summary(rule: &str) -> &'static str {
         "R4" => "panic-macro: panic!/unreachable!/todo!/unimplemented! in library code; budget may never grow",
         "R5" => "unit-mix: fn takes 2+ raw f64s mixing time/power/energy names; use SimTime-style newtypes",
         "R6" => "unwrap: .unwrap()/.expect() in library code; return RunError/SimError instead (shrink-only baseline)",
-        "R7" => "determinism-taint: HashMap/HashSet iteration order, wall clock, ambient RNG, thread ids or simasync scheduler state (spawn TaskIds, select2 winners, try_recv) flowing into Telemetry, Report/CSV writers or Experiment::run returns",
+        "R7" => "determinism-taint: HashMap/HashSet iteration order, wall clock, ambient RNG, thread ids or scheduler state (spawn handles, try_recv) flowing into Telemetry, Report/CSV writers or Experiment::run returns",
         "R8" => "units: dimensionally-incompatible +/-/comparison, or a */÷ result assigned into a name implying a different unit",
         _ => "unknown rule",
     }
@@ -108,10 +108,9 @@ pub fn rule_explain(rule: &str) -> Option<&'static str> {
         "R7" => "R7 — determinism-taint (AST rule, ratcheted)\n\n\
             Cross-file, per-crate taint analysis. Sources: HashMap/HashSet iteration\n\
             (.iter/.keys/.values/.drain, or `for _ in map`), Instant::now,\n\
-            SystemTime::now, thread_rng/rand::random, thread ids, and simasync\n\
-            scheduler state — the TaskId from .spawn()/.spawn_and_drain() (spawn\n\
-            order), select2 winners (wake order) and .try_recv() (poll-time arrival\n\
-            state): stable per seed, silently shifted by spawn/wake reordering.\n\
+            SystemTime::now, thread_rng/rand::random, thread ids, and scheduler\n\
+            state — the handle from .spawn() (spawn order) and .try_recv()\n\
+            (poll-time arrival state): silently shifted by spawn/wake reordering.\n\
             Channels do not launder: on `let (tx, rx) = mpsc()` a tainted send\n\
             re-emerges tainted from the matching recv. Sinks: Telemetry\n\
             methods (counter_add, counter_inc, gauge_set, observe, series_push,\n\

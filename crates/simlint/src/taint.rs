@@ -35,25 +35,23 @@
 //! addition is non-associative, so summing a hash iteration is exactly
 //! the bug class R7 exists for.
 //!
-//! ### simasync sources
+//! ### Scheduler-state sources
 //!
-//! The deterministic async layer introduces values that encode *scheduler
-//! state* rather than model state: a [`TaskId`] from `spawn` counts how
-//! many tasks were spawned before this one, a `select2` winner records
-//! which future won a race, and `try_recv` reports whether a message had
-//! arrived *at poll time*. All three are stable for a fixed seed but
-//! shift under any refactor that reorders spawns or wakes — exactly the
-//! silent-export-drift R7 exists to catch — so they are sources here.
-//! Channels must not launder taint either: on `let (tx, rx) = mpsc()`
-//! (or `oneshot`/`channel`) the pair is remembered, and a tainted
-//! `tx.send(v)` re-emerges tainted from the matching `rx.recv()`.
+//! Task and thread plumbing (simrun's worker threads over
+//! `std::sync::mpsc`, or any executor) yields values that encode
+//! *scheduler state* rather than model state: the handle `spawn` returns
+//! records spawn order, and `try_recv` reports whether a message had
+//! arrived *at poll time*. Both shift under any refactor that reorders
+//! spawns or wakes — exactly the silent-export-drift R7 exists to catch —
+//! so they are sources here. Channels must not launder taint either: on
+//! `let (tx, rx) = mpsc()` (or `oneshot`/`channel`) the pair is
+//! remembered, and a tainted `tx.send(v)` re-emerges tainted from the
+//! matching `rx.recv()`.
 //!
 //! Known blind spots (documented, not bugs): taint through struct-field
 //! writes, through `if`/`match` *values* (their bodies are still
 //! scanned), and through macro invocations (`write!`-family formatting is
 //! invisible; raw sources inside macros are still caught by R1).
-//!
-//! [`TaskId`]: ../../edison_simasync/struct.TaskId.html
 
 use crate::index::{blocks, children, FileUnit, Index};
 use crate::parse::{self, Block, ExprId, ExprKind, FnDef, Stmt};
@@ -76,13 +74,12 @@ const SANITIZERS: [&str; 9] =
 const SINK_METHODS: [&str; 8] =
     ["counter_add", "counter_inc", "gauge_set", "observe", "series_push", "record", "record_into", "write_record"];
 
-/// simasync method results whose value encodes scheduler state (stable
-/// per seed, but silently shifted by any spawn/wake reordering): the
-/// `TaskId` from a spawn counts prior spawns; `try_recv` snapshots
-/// whether a message had arrived at poll time.
-const ASYNC_SOURCE_METHODS: [(&str, &str); 3] = [
-    ("spawn", "task spawn order (TaskId)"),
-    ("spawn_and_drain", "task spawn order (TaskId)"),
+/// Method results whose value encodes scheduler state (silently shifted
+/// by any spawn/wake reordering): the handle from a spawn records spawn
+/// order; `try_recv` snapshots whether a message had arrived at poll
+/// time.
+const SCHED_SOURCE_METHODS: [(&str, &str); 2] = [
+    ("spawn", "task spawn order (spawn handle)"),
     ("try_recv", "try_recv poll-time arrival state"),
 ];
 
@@ -443,7 +440,7 @@ impl<'a> Cx<'a> {
                     t = t.or(Taint { source: Some("HashMap/HashSet iteration order"), param: false });
                 }
                 if let Some((_, src)) =
-                    ASYNC_SOURCE_METHODS.iter().find(|(m, _)| *m == name.as_str())
+                    SCHED_SOURCE_METHODS.iter().find(|(m, _)| *m == name.as_str())
                 {
                     t = t.or(Taint { source: Some(src), param: false });
                 }
@@ -489,8 +486,6 @@ impl<'a> Cx<'a> {
                     [.., "thread", "current"] | [.., "current"] if segs.len() >= 2 && segs[segs.len() - 2] == "thread" => {
                         Some("a thread id")
                     }
-                    // the winner of a select race encodes wake order
-                    [.., "select2"] => Some("a select2 winner (wake order)"),
                     _ => None,
                 };
                 if let Some(src) = source {
@@ -739,17 +734,6 @@ mod tests {
         let f = findings(src);
         assert_eq!(f.len(), 1, "{f:?}");
         assert!(f[0].msg.contains("spawn order"), "{}", f[0].msg);
-    }
-
-    #[test]
-    fn select2_winner_into_telemetry_is_flagged() {
-        let src = "fn f(tel: &mut Telemetry, a: Sleep, b: Sleep) {\n\
-                   \x20   let won = select2(a, b);\n\
-                   \x20   tel.gauge_set(\"won\", Labels::none(), won);\n\
-                   }";
-        let f = findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].msg.contains("select2 winner"), "{}", f[0].msg);
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub mod span;
 pub use metrics::{labels, Histogram, Labels, Registry};
 pub use observe::EventCounter;
 pub use profile::record_engine_profile;
-pub use span::{OpenSpan, Span, Tracer};
+pub use span::{Span, Tracer};
 
 use edison_simcore::time::SimTime;
 

@@ -15,7 +15,6 @@
 //! thread name with `format!` and the tracer compared `String`s linearly,
 //! which was the profiler's largest self-induced distortion.
 
-use crate::Telemetry;
 use edison_simcore::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -136,69 +135,9 @@ impl Tracer {
     }
 }
 
-/// A span opened at a known start instant and finished later — the shape
-/// async workload code wants: open before the first `.await`, carry the
-/// value across suspension points, finish at the final resume. Recording
-/// through an `OpenSpan` is byte-identical to calling
-/// [`Telemetry::span_on`] with the same arguments at the finish point.
-///
-/// Deliberately plain data with no `Drop` impl: a task cancelled
-/// mid-request simply drops its `OpenSpan` and nothing is recorded,
-/// matching the state-machine worlds, which record no span for requests
-/// that never complete.
-#[derive(Debug, Clone)]
-pub struct OpenSpan {
-    track: usize,
-    cat: &'static str,
-    name: &'static str,
-    start: SimTime,
-}
-
-impl OpenSpan {
-    /// Open a span on a previously interned track id (see
-    /// [`Telemetry::track_id`]).
-    pub fn begin(track: usize, cat: &'static str, name: &'static str, start: SimTime) -> Self {
-        OpenSpan { track, cat, name, start }
-    }
-
-    /// The instant this span was opened at.
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
-
-    /// Close the span at `end` and record it into `tel`.
-    pub fn finish(self, tel: &mut Telemetry, end: SimTime, args: Vec<(&'static str, String)>) {
-        tel.span_on(self.track, self.cat, self.name, self.start, end, args);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn open_span_records_exactly_like_span_on() {
-        let mut a = Telemetry::on();
-        let mut b = Telemetry::on();
-        let (t0, t1) = (SimTime(100), SimTime(450));
-        let args = || vec![("k", "v".to_string())];
-        let track_a = a.track_id("web", "web-0");
-        let open = OpenSpan::begin(track_a, "request", "http_request", t0);
-        assert_eq!(open.start(), t0);
-        open.finish(&mut a, t1, args());
-        let track_b = b.track_id("web", "web-0");
-        b.span_on(track_b, "request", "http_request", t0, t1, args());
-        assert_eq!(a.chrome_trace_json(), b.chrome_trace_json());
-    }
-
-    #[test]
-    fn dropping_an_open_span_records_nothing() {
-        let mut tel = Telemetry::on();
-        let track = tel.track_id("web", "web-0");
-        let open = OpenSpan::begin(track, "request", "http_request", SimTime::ZERO);
-        drop(open);
-        assert!(tel.tracer.spans().is_empty());
-    }
 
     #[test]
     fn tracks_intern_in_first_use_order() {

@@ -23,7 +23,6 @@
 pub mod db;
 pub mod httperf;
 mod idmap;
-pub mod lifecycle;
 pub mod memcached;
 pub mod model;
 pub mod pyclient;

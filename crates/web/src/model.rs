@@ -1,23 +1,12 @@
-//! Shared simulation state and request-path helpers of the web world.
+//! Simulation state and request-path helpers of the web world.
 //!
 //! This module owns [`WebWorld`] — configuration, cluster, fabric, caches,
 //! fault layer and metrics — plus every side-effecting step of the request
-//! lifecycle, each expressed over an [`edison_simcore::SchedBuf`] instead
-//! of a live [`edison_simcore::Ctx`]. That one change lets the *same*
-//! helper run in two drivers:
-//!
-//! * the legacy state machine ([`crate::stack`]), whose event arms are now
-//!   thin delegations to these helpers; and
-//! * the async port ([`crate::lifecycle`]), whose tasks call the helpers
-//!   between `.await` points while the executor runs inside an event
-//!   handle.
-//!
-//! Helpers that the async tasks branch on return small *step enums*
-//! ([`SynStep`], [`AdmitStep`], [`PathStep`], …) instead of scheduling
-//! continuation state into a `Req::state` field — the legacy arms ignore
-//! the value, the tasks `match` on it. Side-effect order inside every
-//! helper is exactly the pre-refactor order; byte-identity between the two
-//! drivers is pinned by `tests/async_equivalence.rs`.
+//! lifecycle. Each helper schedules its follow-up events straight into the
+//! engine's [`Ctx`]; [`WebWorld::dispatch`] maps one engine event onto
+//! them, and [`crate::stack`] wires that into the [`edison_simcore::Model`]
+//! impl. The exports of nine fixtures are pinned byte for byte by
+//! `tests/golden_exports.rs`.
 
 use crate::db::{self, RowQuery};
 use crate::idmap::IdMap;
@@ -31,7 +20,7 @@ use edison_net::{HostId, LinkGauge, Topology};
 use edison_simcore::rng::SimRng;
 use edison_simcore::stats::{Histogram, SampleSet, TimeSeries};
 use edison_simcore::time::{SimDuration, SimTime};
-use edison_simcore::SchedBuf;
+use edison_simcore::Ctx;
 use edison_simfault::metrics as fault_metrics;
 use edison_simfault::{Fault, FaultKind, FaultPlan, RecoveryWindow};
 use edison_simguard::metrics as guard_metrics;
@@ -40,7 +29,7 @@ use edison_simguard::{
     CircuitBreaker, Deadline, GateVerdict, GuardConfig, Priority, QueueGate, TokenBucket,
 };
 use edison_simrun::derive_seed;
-use edison_simtel::{labels, OpenSpan, Telemetry};
+use edison_simtel::{labels, Telemetry};
 use std::collections::VecDeque;
 
 /// Histogram bounds for request-delay telemetry, seconds (log-ish spacing
@@ -402,112 +391,6 @@ impl Ev {
     }
 }
 
-// ---- step enums: what a lifecycle stage did ---------------------------
-//
-// The legacy arms ignore these; the async tasks in `crate::lifecycle`
-// match on them to pick the next `.await`. Every variant corresponds to
-// a continuation the state machine used to encode in `ReqState`.
-
-/// Outcome of one SYN attempt ([`WebWorld::syn_attempt`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SynStep {
-    /// Accepted: request `req` is on the wire to the web node.
-    Accepted { req: u64 },
-    /// SYN dropped; a kernel retransmit was scheduled ([`Ev::SynRetry`]).
-    Backoff,
-    /// Dead backend with retry budget: an LB re-dispatch was scheduled
-    /// ([`Ev::RetryConn`]).
-    AwaitRedispatch,
-    /// The connection is gone (accounted as a client/server error, or a
-    /// stale id).
-    Gone,
-}
-
-/// Outcome of worker-pool admission ([`WebWorld::admit_to_worker`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AdmitStep {
-    /// Running or backlogged; stage-1 CPU completion will follow.
-    Admitted,
-    /// Caught on a dead node and dropped (retry may be scheduled).
-    Dropped,
-    /// 5xx overflow (request and connection gone) or a stale id.
-    Gone,
-    /// Deadline already blown: a header-only rejection is on the wire
-    /// ([`Ev::ReplyAtClient`] scheduled); no worker was taken.
-    Shed,
-}
-
-/// Outcome of stage-1 CPU completion ([`WebWorld::stage1_to_cache`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Stage1Step {
-    /// The memcached get is on the wire ([`Ev::ReqAtCache`] scheduled).
-    ToCache,
-    /// Guard verdict (deadline blown, or brownout + bulk class): the
-    /// cache/db stage is skipped and stage-2 CPU was enqueued directly.
-    Degraded,
-    /// Stale request id.
-    Gone,
-}
-
-/// Outcome of a reply landing back on the web node
-/// ([`WebWorld::cache_reply_at_web`], [`WebWorld::db_reply_at_web`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum PathStep {
-    /// Stage-2 CPU was enqueued.
-    Continue,
-    /// Cache miss: the query went to MySQL ([`Ev::ReqAtDb`] scheduled).
-    ToDb,
-    /// Caught on a dead node and dropped (retry may be scheduled).
-    Dropped,
-    /// Stale request id.
-    Gone,
-    /// Guard verdict on the miss path: the remaining deadline budget
-    /// cannot afford the MySQL leg; stage-2 CPU was enqueued directly.
-    Degraded,
-}
-
-/// Outcome of MySQL CPU completion ([`WebWorld::db_cpu_done`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum DbStep {
-    /// Buffer-pool miss: a disk read was submitted ([`Ev::DbDiskDone`]).
-    Disk,
-    /// Reply is on the wire to the web node ([`Ev::DbReplyAtWeb`]).
-    Sent,
-    /// Stale request id.
-    Gone,
-}
-
-/// Outcome of stage-2 CPU completion ([`WebWorld::stage2_to_reply`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Stage2Step {
-    /// Reply is on the wire to the client ([`Ev::ReplyAtClient`]).
-    Sent,
-    /// Connection (or request) vanished; the request was retired.
-    Gone,
-}
-
-/// Outcome of delivering the reply ([`WebWorld::finish_reply`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ReplyStep {
-    /// Completed; the connection has calls left and request `req` was
-    /// started.
-    NextCall { req: u64 },
-    /// Completed; that was the connection's last call and it closed.
-    Closed,
-    /// Stale request or vanished connection: nothing was recorded, so the
-    /// async task must *not* finish its `http_request` span either.
-    Vanished,
-}
-
-/// Outcome of an LB re-dispatch ([`WebWorld::redispatch`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RedispatchStep {
-    /// A new backend was picked; retry the SYN handshake.
-    Go,
-    /// Nothing to fail over to (connection retired) or a stale id.
-    Gone,
-}
-
 /// What the (breaker-aware) load balancer picked for one connection.
 enum LbPick {
     /// Route to `web`; `probe` means a half-open probe slot was claimed.
@@ -540,24 +423,9 @@ impl RetryCause {
     }
 }
 
-/// One request torn down by [`WebWorld::apply_crash`] while it was on the
-/// crashed node's CPU (stage 1/2). The async driver uses these to cancel
-/// the matching in-flight tasks after the fault is applied.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CrashOutcome {
-    /// The torn-down request id.
-    pub(crate) req: u64,
-    /// Its connection id.
-    pub(crate) conn: u64,
-    /// True when the connection survived (a retry re-dispatch was
-    /// scheduled); false when it was retired as a hard error.
-    pub(crate) conn_survived: bool,
-}
-
 /// The web-service world. Construct with [`WebWorld::new`], then drive it
-/// through [`crate::stack::run`] (state machine) or
-/// [`crate::lifecycle::run_async`] (async port) — both dispatch into the
-/// helpers below, in the same order.
+/// through [`crate::stack::run`], which dispatches each engine event into
+/// the helpers below.
 pub struct WebWorld {
     pub(crate) cfg: StackConfig,
     pub(crate) nodes: Cluster,
@@ -652,10 +520,6 @@ pub struct WebWorld {
     /// Span track for guard-layer intervals (brownout windows).
     pub(crate) guard_track: Option<usize>,
     // ---- reused per-event buffers -------------------------------------
-    /// The schedule buffer the state-machine driver lends each handle
-    /// (re-anchored with [`SchedBuf::reset`]), so dispatch allocates
-    /// nothing once it has grown to the largest fan-out.
-    pub(crate) sched: SchedBuf<Ev>,
     /// Finished CPU task ids of the `NodeCpu`/`DbCpu` arm being handled.
     cpu_done: Vec<u64>,
 }
@@ -918,7 +782,6 @@ impl WebWorld {
             admit_gate,
             brownout,
             guard_track: None,
-            sched: SchedBuf::new(SimTime::ZERO),
             cpu_done: Vec::new(),
         }
     }
@@ -941,8 +804,7 @@ impl WebWorld {
 
     /// Enable power traces, register metric help text and intern the
     /// per-web-node span tracks. Called once, before the first event, by
-    /// every traced entry point (state-machine and async alike) so both
-    /// produce byte-identical exports.
+    /// every traced entry point.
     pub(crate) fn init_tracing(&mut self) {
         self.nodes.enable_power_trace();
         self.dbc.enable_power_trace();
@@ -971,7 +833,7 @@ impl WebWorld {
         self.web_tracks = tracks;
     }
 
-    pub(crate) fn n_web(&self) -> usize {
+    fn n_web(&self) -> usize {
         self.cfg.scenario.web_servers + self.cfg.hybrid_web
     }
 
@@ -997,51 +859,33 @@ impl WebWorld {
         }
     }
 
-    /// Open the end-to-end `http_request` span for `req` (to be finished
-    /// by the async task at reply delivery). `None` when telemetry is off
-    /// or the request/connection is already gone. Byte-equivalent to the
-    /// state machine's `span_on` at the reply arm: same track, category,
-    /// name and start instant.
     /// Current circuit-breaker state per web backend (empty when the
     /// breaker is disabled). Introspection for tests and experiments.
     pub fn breaker_states(&self) -> Vec<BreakerState> {
         self.brk.iter().map(|b| b.state()).collect()
     }
 
-    pub(crate) fn open_http_span(&mut self, req: u64) -> Option<OpenSpan> {
-        if !self.tel.is_on() {
-            return None;
-        }
-        let (web, first_call, conn, t_sent) = {
-            let r = self.reqs.get(&req)?;
-            (r.web, r.first_call, r.conn, r.t_sent)
-        };
-        let start = if first_call { self.conns.get(&conn)?.t_first_syn } else { t_sent };
-        let track = self.web_track(web);
-        Some(OpenSpan::begin(track, "request", "http_request", start))
-    }
-
     // ---- node CPU plumbing ------------------------------------------------
 
     /// Arm web/cache node `node`'s CPU completion, keyed by the node's
     /// index so a newer completion replaces a stale pending one.
-    pub(crate) fn schedule_node_cpu(&mut self, node: usize, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    fn schedule_node_cpu(&mut self, node: usize, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         if let Some((at, epoch)) = self.nodes.node_mut(NodeId(node)).arm_cpu_completion(now) {
-            sched.schedule_keyed(node, at, Ev::NodeCpu { node, epoch });
+            ctx.schedule_keyed(node, at, Ev::NodeCpu { node, epoch });
         }
     }
 
     /// Arm MySQL node `node`'s CPU completion, keyed after every web and
     /// cache node.
-    pub(crate) fn schedule_db_cpu(&mut self, node: usize, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    fn schedule_db_cpu(&mut self, node: usize, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         if let Some((at, epoch)) = self.dbc.node_mut(NodeId(node)).arm_cpu_completion(now) {
-            sched.schedule_keyed(self.nodes.len() + node, at, Ev::DbCpu { node, epoch });
+            ctx.schedule_keyed(self.nodes.len() + node, at, Ev::DbCpu { node, epoch });
         }
     }
 
     // ---- generator --------------------------------------------------------
 
-    pub(crate) fn gen_next_delay(&mut self) -> SimDuration {
+    fn gen_next_delay(&mut self) -> SimDuration {
         let rate = match self.cfg.gen {
             GenMode::Httperf { connections_per_sec, .. } => connections_per_sec,
             GenMode::Python { requests_per_sec } => requests_per_sec,
@@ -1310,10 +1154,8 @@ impl WebWorld {
     /// SYN attempt: pick a backend, a client and the call count, and
     /// register the connection. Returns the new connection id, or `None`
     /// when the whole web tier is out of rotation (accounted as a client
-    /// error). The first [`WebWorld::syn_attempt`] is the caller's move —
-    /// the state machine makes it inline, the async driver from inside the
-    /// freshly spawned connection task.
-    pub(crate) fn open_conn_prepare(&mut self, now: SimTime) -> Option<u64> {
+    /// error). The first [`WebWorld::syn_attempt`] is the caller's move.
+    fn open_conn_prepare(&mut self, now: SimTime) -> Option<u64> {
         let id = self.next_conn;
         self.next_conn += 1;
         if self.guard_on {
@@ -1401,7 +1243,7 @@ impl WebWorld {
         &mut self,
         conn_id: u64,
         now: SimTime,
-        sched: &mut SchedBuf<Ev>,
+        ctx: &mut Ctx<'_, Ev>,
         cause: RetryCause,
     ) -> bool {
         if self.cfg.retry_budget == 0 {
@@ -1427,13 +1269,13 @@ impl WebWorld {
         let mut rng = SimRng::new(derive_seed(self.cfg.seed, "web:retry-backoff", stream_idx));
         let exp = (attempt - 1).min(RETRY_BACKOFF_CAP);
         let delay = FAILOVER_TIMEOUT.mul_f64(f64::from(1u32 << exp) * rng.jitter(RETRY_JITTER));
-        sched.schedule_at(now + delay, Ev::RetryConn { conn: conn_id });
+        ctx.schedule_at(now + delay, Ev::RetryConn { conn: conn_id });
         true
     }
 
     /// A request was caught on a crashed node: retry the connection
     /// through the LB if the client has budget, else it is a hard 5xx.
-    fn drop_req_on_dead_node(&mut self, req_id: u64, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    fn drop_req_on_dead_node(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let Some(r) = self.reqs.remove(&req_id) else { return };
         let conn_id = r.conn;
         if self.guard_on {
@@ -1441,7 +1283,7 @@ impl WebWorld {
             self.guard_req_failed("dead_node");
             self.guard_brk_failure(r.web, now);
         }
-        if self.conn_retry(conn_id, now, sched, RetryCause::Dead) {
+        if self.conn_retry(conn_id, now, ctx, RetryCause::Dead) {
             return;
         }
         if let Some(c) = self.conns.remove(&conn_id) {
@@ -1452,15 +1294,11 @@ impl WebWorld {
     }
 
     /// One SYN handshake attempt for `conn_id` (attempt `attempt` of the
-    /// kernel retransmit ladder). See [`SynStep`] for the outcomes.
-    pub(crate) fn syn_attempt(
-        &mut self,
-        conn_id: u64,
-        attempt: u8,
-        now: SimTime,
-        sched: &mut SchedBuf<Ev>,
-    ) -> SynStep {
-        let Some(conn) = self.conns.get(&conn_id) else { return SynStep::Gone };
+    /// kernel retransmit ladder): accept and send the first request, back
+    /// off for a kernel retransmit, wait out a failover timeout, or give
+    /// the connection up.
+    fn syn_attempt(&mut self, conn_id: u64, attempt: u8, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let Some(conn) = self.conns.get(&conn_id) else { return };
         let web = conn.web;
         if self.dead[web] && self.cfg.retry_budget > 0 {
             // a crashed host sends no RST: the connect times out and the
@@ -1468,15 +1306,15 @@ impl WebWorld {
             if self.guard_on {
                 self.guard_brk_failure(web, now);
             }
-            if self.conn_retry(conn_id, now, sched, RetryCause::Dead) {
-                return SynStep::AwaitRedispatch;
+            if self.conn_retry(conn_id, now, ctx, RetryCause::Dead) {
+                return;
             }
             if let Some(c) = self.conns.remove(&conn_id) {
                 self.guard_conn_retired(&c);
             }
             self.metrics.client_errors += 1;
             self.tel_outcome("client_error");
-            return SynStep::Gone;
+            return;
         }
         // degraded NIC: the SYN itself may be lost on the wire
         let nic_lost = self.nic_loss[web] > 0.0 && self.fault_rng.chance(self.nic_loss[web]);
@@ -1493,8 +1331,7 @@ impl WebWorld {
                 // handshake: one RTT before the first request leaves
                 let client_host = self.client_hosts[self.conns[&conn_id].client];
                 let rtt = scaled(self.topo.rtt(client_host, self.node_hosts[web]), self.nic_lat[web]);
-                let req = self.start_request(conn_id, true, now + rtt, sched);
-                SynStep::Accepted { req }
+                self.start_request(conn_id, true, now + rtt, ctx);
             }
             Err(AdmitError::AcceptOverrun) => {
                 self.metrics.syn_drops += 1;
@@ -1504,15 +1341,13 @@ impl WebWorld {
                 if attempt < 3 {
                     // kernel SYN retransmit backoff: +1 s, +2 s, +4 s
                     let backoff = SimDuration::from_secs(1 << attempt);
-                    sched.schedule_at(now + backoff, Ev::SynRetry { conn: conn_id, attempt: attempt + 1 });
-                    SynStep::Backoff
+                    ctx.schedule_at(now + backoff, Ev::SynRetry { conn: conn_id, attempt: attempt + 1 });
                 } else {
                     self.metrics.client_errors += 1;
                     self.tel_outcome("client_error");
                     if let Some(c) = self.conns.remove(&conn_id) {
                         self.guard_conn_retired(&c);
                     }
-                    SynStep::Gone
                 }
             }
             Err(_) => {
@@ -1525,20 +1360,19 @@ impl WebWorld {
                 if let Some(c) = self.conns.remove(&conn_id) {
                     self.guard_conn_retired(&c);
                 }
-                SynStep::Gone
             }
         }
     }
 
     /// Create the next request of `conn_id` and put it on the wire to the
-    /// connection's web node. Returns the new request id.
-    pub(crate) fn start_request(
+    /// connection's web node.
+    fn start_request(
         &mut self,
         conn_id: u64,
         first_call: bool,
         send_at: SimTime,
-        sched: &mut SchedBuf<Ev>,
-    ) -> u64 {
+        ctx: &mut Ctx<'_, Ev>,
+    ) {
         let conn = &self.conns[&conn_id];
         let web = conn.web;
         let client_host = self.client_hosts[conn.client];
@@ -1580,11 +1414,10 @@ impl WebWorld {
             }
         }
         let lat = scaled(self.topo.latency(client_host, self.node_hosts[web]), self.nic_lat[web]);
-        sched.schedule_at(send_at + lat, Ev::ReqAtWeb { req: id });
-        id
+        ctx.schedule_at(send_at + lat, Ev::ReqAtWeb { req: id });
     }
 
-    fn begin_stage1(&mut self, req_id: u64, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    fn begin_stage1(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let Some(req) = self.reqs.get_mut(&req_id) else { return };
         let web = req.web;
         let queued_at = req.t_queued.take();
@@ -1608,15 +1441,15 @@ impl WebWorld {
             self.guard_observe_queue(sojourn, now);
         }
         self.nodes.node_mut(NodeId(web)).add_cpu_task(now, req_id, mi);
-        self.schedule_node_cpu(web, now, sched);
+        self.schedule_node_cpu(web, now, ctx);
     }
 
     /// The deadline is already blown at the worker pool: skip the worker
     /// entirely and send a header-only rejection to the client. The
     /// request parks in `Reply` state (so a concurrent crash will not
     /// tear it down twice) and is accounted when the rejection lands.
-    fn shed_request(&mut self, req_id: u64, now: SimTime, sched: &mut SchedBuf<Ev>) -> AdmitStep {
-        let Some(r) = self.reqs.get_mut(&req_id) else { return AdmitStep::Gone };
+    fn shed_request(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let Some(r) = self.reqs.get_mut(&req_id) else { return };
         r.shed = true;
         r.state = ReqState::Reply;
         let (web, client) = (r.web, r.client);
@@ -1630,69 +1463,65 @@ impl WebWorld {
             self.topo.latency(self.node_hosts[web], self.client_hosts[client]),
             self.nic_lat[web],
         );
-        sched.schedule_at(now + lat, Ev::ReplyAtClient { req: req_id });
-        AdmitStep::Shed
+        ctx.schedule_at(now + lat, Ev::ReplyAtClient { req: req_id });
     }
 
     /// The request arrived at the web node: take a PHP worker (or queue,
-    /// or 5xx on overflow). See [`AdmitStep`] for the outcomes.
-    pub(crate) fn admit_to_worker(&mut self, req_id: u64, now: SimTime, sched: &mut SchedBuf<Ev>) -> AdmitStep {
+    /// or 5xx on overflow; with guards on, shed a request whose deadline
+    /// has already passed).
+    fn admit_to_worker(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         // the target server may have died while this request was in flight
-        let Some(req) = self.reqs.get(&req_id) else { return AdmitStep::Gone };
+        let Some(req) = self.reqs.get(&req_id) else { return };
         let (web, deadline) = (req.web, req.deadline);
         if self.dead[web] {
             // connection reset by a dead server (retryable)
-            self.drop_req_on_dead_node(req_id, now, sched);
-            return AdmitStep::Dropped;
+            self.drop_req_on_dead_node(req_id, now, ctx);
+            return;
         }
         if self.guard_on && deadline.is_some_and(|d| d.passed(now)) {
             // already late at the front of the worker pool: shedding now
             // is strictly cheaper than timing out at full cost later
-            return self.shed_request(req_id, now, sched);
+            return self.shed_request(req_id, now, ctx);
         }
         let pool = &mut self.workers[web];
         if pool.busy < pool.max {
             pool.busy += 1;
-            self.begin_stage1(req_id, now, sched);
-            AdmitStep::Admitted
+            self.begin_stage1(req_id, now, ctx);
         } else if pool.backlog.len() < pool.backlog_max {
             pool.backlog.push_back(req_id);
             if let Some(r) = self.reqs.get_mut(&req_id) {
                 r.t_queued = Some(now);
             }
-            AdmitStep::Admitted
         } else if self.guard_on {
             // overflow with guards on: a backend-overload signal for the
             // breaker, and the client may re-dispatch through the LB
             // instead of eating the legacy hard 5xx
             self.guard_brk_failure(web, now);
             self.guard_req_failed("overflow");
-            let Some(req) = self.reqs.remove(&req_id) else { return AdmitStep::Gone };
+            let Some(req) = self.reqs.remove(&req_id) else { return };
             self.nodes.node_mut(NodeId(web)).close_connection();
-            if self.conn_retry(req.conn, now, sched, RetryCause::Overflow) {
-                return AdmitStep::Dropped;
+            if self.conn_retry(req.conn, now, ctx, RetryCause::Overflow) {
+                return;
             }
             self.metrics.server_errors += 1;
             self.tel_outcome("server_error");
             if let Some(c) = self.conns.remove(&req.conn) {
                 self.guard_conn_retired(&c);
             }
-            AdmitStep::Gone
         } else {
             // 5xx: backlog overflow
             self.metrics.server_errors += 1;
             self.tel_outcome("server_error");
             let req = self.reqs.remove(&req_id).expect("req exists");
             self.abort_conn(req.conn);
-            AdmitStep::Gone
         }
     }
 
-    fn release_worker(&mut self, web: usize, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    fn release_worker(&mut self, web: usize, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let pool = &mut self.workers[web];
         if let Some(next) = pool.backlog.pop_front() {
             // the freed worker immediately takes the oldest queued request
-            self.begin_stage1(next, now, sched);
+            self.begin_stage1(next, now, ctx);
         } else {
             pool.busy -= 1;
         }
@@ -1707,22 +1536,15 @@ impl WebWorld {
 
     // ---- CPU completion routing -------------------------------------------
 
-    /// Legacy router for web-node CPU completions: dispatch on the stored
-    /// request state. The async tasks skip this — each knows which stage
-    /// it just awaited and calls [`WebWorld::stage1_to_cache`] or
-    /// [`WebWorld::stage2_to_reply`] directly.
-    pub(crate) fn web_cpu_done(&mut self, req_id: u64, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    /// Route a web-node CPU completion on the stored request state.
+    fn web_cpu_done(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let state = match self.reqs.get(&req_id) {
             Some(r) => r.state,
             None => return,
         };
         match state {
-            ReqState::Stage1 => {
-                let _ = self.stage1_to_cache(req_id, now, sched);
-            }
-            ReqState::Stage2 => {
-                let _ = self.stage2_to_reply(req_id, now, sched);
-            }
+            ReqState::Stage1 => self.stage1_to_cache(req_id, now, ctx),
+            ReqState::Stage2 => self.stage2_to_reply(req_id, now, ctx),
             other => unreachable!("web cpu done in state {other:?}"),
         }
     }
@@ -1730,13 +1552,8 @@ impl WebWorld {
     /// Stage-1 CPU finished: issue the memcached get — or, with guards
     /// on, degrade (skip the cache/db stage) when the deadline is blown
     /// or the tier is in brownout and the connection is bulk-class.
-    pub(crate) fn stage1_to_cache(
-        &mut self,
-        req_id: u64,
-        now: SimTime,
-        sched: &mut SchedBuf<Ev>,
-    ) -> Stage1Step {
-        let Some(r) = self.reqs.get(&req_id) else { return Stage1Step::Gone };
+    fn stage1_to_cache(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let Some(r) = self.reqs.get(&req_id) else { return };
         let (conn_id, deadline) = (r.conn, r.deadline);
         if self.guard_on {
             let reason = if deadline.is_some_and(|d| d.passed(now)) {
@@ -1749,11 +1566,11 @@ impl WebWorld {
                 None
             };
             if let Some(reason) = reason {
-                self.degrade_request(req_id, reason, now, sched);
-                return Stage1Step::Degraded;
+                self.degrade_request(req_id, reason, now, ctx);
+                return;
             }
         }
-        let Some(r) = self.reqs.get_mut(&req_id) else { return Stage1Step::Gone };
+        let Some(r) = self.reqs.get_mut(&req_id) else { return };
         r.state = ReqState::CacheRpc;
         r.t_cache_sent = now;
         let (web, cache) = (r.web, r.cache);
@@ -1762,8 +1579,7 @@ impl WebWorld {
             self.topo.latency(self.node_hosts[web], self.node_hosts[cache_node]),
             self.nic_lat[web] * self.nic_lat[cache_node],
         );
-        sched.schedule_at(now + lat, Ev::ReqAtCache { req: req_id });
-        Stage1Step::ToCache
+        ctx.schedule_at(now + lat, Ev::ReqAtCache { req: req_id });
     }
 
     /// Serve `req_id` degraded: skip the memcached/MySQL stage and
@@ -1773,7 +1589,7 @@ impl WebWorld {
         req_id: u64,
         reason: &'static str,
         now: SimTime,
-        sched: &mut SchedBuf<Ev>,
+        ctx: &mut Ctx<'_, Ev>,
     ) {
         if self.tel.is_on() {
             self.tel.counter_inc(
@@ -1784,13 +1600,13 @@ impl WebWorld {
         let Some(r) = self.reqs.get_mut(&req_id) else { return };
         r.degraded = true;
         r.query.reply_bytes = DEGRADED_REPLY_BYTES;
-        self.begin_stage2(req_id, now, sched);
+        self.begin_stage2(req_id, now, ctx);
     }
 
-    /// Stage-2 CPU finished: put the reply on the wire to the client. See
-    /// [`Stage2Step`] for the outcomes.
-    pub(crate) fn stage2_to_reply(&mut self, req_id: u64, now: SimTime, sched: &mut SchedBuf<Ev>) -> Stage2Step {
-        let Some(r) = self.reqs.get_mut(&req_id) else { return Stage2Step::Gone };
+    /// Stage-2 CPU finished: put the reply on the wire to the client (or
+    /// retire the request if its connection vanished).
+    fn stage2_to_reply(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let Some(r) = self.reqs.get_mut(&req_id) else { return };
         r.state = ReqState::Reply;
         let (web, conn_id, bytes, t_cache_sent, went_to_db, db_delay, degraded) =
             (r.web, r.conn, r.query.reply_bytes, r.t_cache_sent, r.went_to_db, r.db_delay, r.degraded);
@@ -1812,24 +1628,23 @@ impl WebWorld {
                 self.metrics.cache_delays_ms.push(d);
             }
         }
-        self.release_worker(web, now, sched);
+        self.release_worker(web, now, ctx);
         let Some(conn) = self.conns.get(&conn_id) else {
             self.reqs.remove(&req_id);
             if self.guard_on {
                 self.guard_req_failed("conn_lost");
             }
-            return Stage2Step::Gone;
+            return;
         };
         let client_host = self.client_hosts[conn.client];
         let (path, lat) = self.topo.path(self.node_hosts[web], client_host);
         let dur = self.gauge.begin_transfer(&path, (bytes + HEADER_BYTES) as f64);
         let m = self.nic_lat[web];
-        sched.schedule_at(now + scaled(lat, m) + scaled(dur, m), Ev::ReplyAtClient { req: req_id });
-        Stage2Step::Sent
+        ctx.schedule_at(now + scaled(lat, m) + scaled(dur, m), Ev::ReplyAtClient { req: req_id });
     }
 
     /// The get arrived at the cache node: charge the lookup CPU.
-    pub(crate) fn req_at_cache(&mut self, req_id: u64, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    fn req_at_cache(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let cache = match self.reqs.get(&req_id) {
             Some(r) => r.cache,
             None => return,
@@ -1837,18 +1652,16 @@ impl WebWorld {
         let node = self.n_web() + cache;
         let mi = calib::CACHE_LOOKUP_MI * self.cpu_factor[node];
         self.nodes.node_mut(NodeId(node)).add_cpu_task(now, req_id, mi);
-        self.schedule_node_cpu(node, now, sched);
+        self.schedule_node_cpu(node, now, ctx);
     }
 
     /// Cache-node CPU finished: probe the LRU store and send the reply (or
-    /// the tiny miss notice) back to the web node. Returns the hit verdict
-    /// so the async task can carry it to [`WebWorld::cache_reply_at_web`]
-    /// (the state machine carries it in [`Ev::CacheReplyAtWeb`] instead);
-    /// `None` on a stale id.
-    pub(crate) fn cache_cpu_done(&mut self, req_id: u64, now: SimTime, sched: &mut SchedBuf<Ev>) -> Option<bool> {
+    /// the tiny miss notice) back to the web node; the hit verdict rides
+    /// in [`Ev::CacheReplyAtWeb`].
+    fn cache_cpu_done(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let (web, cache, key) = match self.reqs.get(&req_id) {
             Some(r) => (r.web, r.cache, r.query.key),
-            None => return None,
+            None => return,
         };
         let hit = self.caches[cache].get(key).is_some();
         if self.tel.is_on() {
@@ -1865,25 +1678,20 @@ impl WebWorld {
         if hit {
             let bytes = db::reply_bytes_for(key) + HEADER_BYTES;
             let dur = self.gauge.begin_transfer(&path, bytes as f64);
-            sched.schedule_at(now + scaled(lat, m) + scaled(dur, m), Ev::CacheReplyAtWeb { req: req_id, hit: true });
+            ctx.schedule_at(now + scaled(lat, m) + scaled(dur, m), Ev::CacheReplyAtWeb { req: req_id, hit: true });
         } else {
             // tiny miss notice: latency only, no gauge claim
-            sched.schedule_at(now + scaled(lat, m), Ev::CacheReplyAtWeb { req: req_id, hit: false });
+            ctx.schedule_at(now + scaled(lat, m), Ev::CacheReplyAtWeb { req: req_id, hit: false });
         }
-        Some(hit)
     }
 
-    /// The cache verdict landed back on the web node. See [`PathStep`].
-    pub(crate) fn cache_reply_at_web(
-        &mut self,
-        req_id: u64,
-        hit: bool,
-        now: SimTime,
-        sched: &mut SchedBuf<Ev>,
-    ) -> PathStep {
+    /// The cache verdict landed back on the web node: a hit goes on to
+    /// stage-2 CPU, a miss to MySQL (or, with guards on, degrades when the
+    /// deadline cannot afford the MySQL leg).
+    fn cache_reply_at_web(&mut self, req_id: u64, hit: bool, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let (web, cache) = match self.reqs.get(&req_id) {
             Some(r) => (r.web, r.cache),
-            None => return PathStep::Gone,
+            None => return,
         };
         if hit {
             let (path, _) = self
@@ -1891,11 +1699,10 @@ impl WebWorld {
                 .path(self.node_hosts[self.n_web() + cache], self.node_hosts[web]);
             self.gauge.end(&path);
             if self.dead[web] {
-                self.drop_req_on_dead_node(req_id, now, sched);
-                return PathStep::Dropped;
+                self.drop_req_on_dead_node(req_id, now, ctx);
+                return;
             }
-            self.begin_stage2(req_id, now, sched);
-            PathStep::Continue
+            self.begin_stage2(req_id, now, ctx);
         } else {
             if self.guard_on {
                 // a miss means a MySQL round trip: degrade when the
@@ -1904,8 +1711,8 @@ impl WebWorld {
                 if deadline.is_some_and(|d| {
                     d.passed(now) || d.cannot_afford(now, self.cfg.guard.db_reserve)
                 }) {
-                    self.degrade_request(req_id, "deadline", now, sched);
-                    return PathStep::Degraded;
+                    self.degrade_request(req_id, "deadline", now, ctx);
+                    return;
                 }
             }
             // go to the database
@@ -1917,27 +1724,26 @@ impl WebWorld {
                 r.db_node
             };
             let lat = self.topo.latency(self.node_hosts[web], self.db_hosts[db_node]);
-            sched.schedule_at(now + lat, Ev::ReqAtDb { req: req_id });
-            PathStep::ToDb
+            ctx.schedule_at(now + lat, Ev::ReqAtDb { req: req_id });
         }
     }
 
     /// The query arrived at its MySQL node: charge the query CPU.
-    pub(crate) fn req_at_db(&mut self, req_id: u64, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    fn req_at_db(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let (db_node, mi) = match self.reqs.get(&req_id) {
             Some(r) => (r.db_node, db::query_cpu_mi(&r.query)),
             None => return,
         };
         self.dbc.node_mut(NodeId(db_node)).add_cpu_task(now, req_id, mi);
-        self.schedule_db_cpu(db_node, now, sched);
+        self.schedule_db_cpu(db_node, now, ctx);
     }
 
     /// MySQL CPU finished: 2 % of queries miss the buffer pool and read
-    /// disk, the rest reply immediately. See [`DbStep`].
-    pub(crate) fn db_cpu_done(&mut self, req_id: u64, now: SimTime, sched: &mut SchedBuf<Ev>) -> DbStep {
+    /// disk, the rest reply immediately.
+    fn db_cpu_done(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let db_node = match self.reqs.get(&req_id) {
             Some(r) => r.db_node,
-            None => return DbStep::Gone,
+            None => return,
         };
         if db::query_hits_disk(&mut self.rng) {
             let r = self.reqs.get_mut(&req_id).expect("checked");
@@ -1948,26 +1754,24 @@ impl WebWorld {
                 self.db_disk_factor[db_node],
             );
             if let Some((job, at)) = self.dbc.node_mut(NodeId(db_node)).disk().submit(now, req_id, service) {
-                sched.schedule_at(at, Ev::DbDiskDone { node: db_node, job });
+                ctx.schedule_at(at, Ev::DbDiskDone { node: db_node, job });
             }
-            DbStep::Disk
         } else {
-            self.db_send_reply(req_id, now, sched);
-            DbStep::Sent
+            self.db_send_reply(req_id, now, ctx);
         }
     }
 
     /// Retire the completed disk job and start the next queued one (the
     /// per-node disk is FIFO). The reply send for the completed job is the
     /// caller's move, after this.
-    pub(crate) fn db_disk_pop(&mut self, node: usize, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    fn db_disk_pop(&mut self, node: usize, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         if let Some((next_job, at)) = self.dbc.node_mut(NodeId(node)).disk().complete(now) {
-            sched.schedule_at(at, Ev::DbDiskDone { node, job: next_job });
+            ctx.schedule_at(at, Ev::DbDiskDone { node, job: next_job });
         }
     }
 
     /// Put the MySQL reply on the wire to the web node.
-    pub(crate) fn db_send_reply(&mut self, req_id: u64, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    fn db_send_reply(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let (web, db_node, bytes) = match self.reqs.get(&req_id) {
             Some(r) => (r.web, r.db_node, r.query.reply_bytes),
             None => return,
@@ -1975,21 +1779,21 @@ impl WebWorld {
         let (path, lat) = self.topo.path(self.db_hosts[db_node], self.node_hosts[web]);
         let dur = self.gauge.begin_transfer(&path, (bytes + HEADER_BYTES) as f64);
         let m = self.nic_lat[web];
-        sched.schedule_at(now + scaled(lat, m) + scaled(dur, m), Ev::DbReplyAtWeb { req: req_id });
+        ctx.schedule_at(now + scaled(lat, m) + scaled(dur, m), Ev::DbReplyAtWeb { req: req_id });
     }
 
-    /// The MySQL reply landed back on the web node. See [`PathStep`]
-    /// (`ToDb` is impossible here).
-    pub(crate) fn db_reply_at_web(&mut self, req_id: u64, now: SimTime, sched: &mut SchedBuf<Ev>) -> PathStep {
+    /// The MySQL reply landed back on the web node: close the db leg and
+    /// go on to stage-2 CPU.
+    fn db_reply_at_web(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let (web, db_node, t_db_sent) = match self.reqs.get(&req_id) {
             Some(r) => (r.web, r.db_node, r.t_db_sent),
-            None => return PathStep::Gone,
+            None => return,
         };
         let (path, _) = self.topo.path(self.db_hosts[db_node], self.node_hosts[web]);
         self.gauge.end(&path);
         if self.dead[web] {
-            self.drop_req_on_dead_node(req_id, now, sched);
-            return PathStep::Dropped;
+            self.drop_req_on_dead_node(req_id, now, ctx);
+            return;
         }
         if self.cache_writeback {
             // re-warm a cold-restarted store: PHP writes the row
@@ -2017,11 +1821,10 @@ impl WebWorld {
         }
         self.reqs.get_mut(&req_id).expect("req exists").db_delay =
             Some(now.since(t_db_sent).as_millis_f64());
-        self.begin_stage2(req_id, now, sched);
-        PathStep::Continue
+        self.begin_stage2(req_id, now, ctx);
     }
 
-    fn begin_stage2(&mut self, req_id: u64, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    fn begin_stage2(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let (web, bytes) = {
             let r = self.reqs.get_mut(&req_id).expect("req exists");
             r.state = ReqState::Stage2;
@@ -2031,27 +1834,17 @@ impl WebWorld {
             + bytes as f64 / 1024.0 * calib::WEB_REQ_MI_PER_KIB)
             * self.cpu_factor[web];
         self.nodes.node_mut(NodeId(web)).add_cpu_task(now, req_id, mi);
-        self.schedule_node_cpu(web, now, sched);
+        self.schedule_node_cpu(web, now, ctx);
     }
 
     /// The reply reached the client: account the completion and either
-    /// start the connection's next call or close it. With
-    /// `record_span = false` the `http_request` span is *not* recorded
-    /// here — the async task finishes its [`OpenSpan`] immediately after,
-    /// with identical arguments, keeping the tracer byte-identical while
-    /// the span value itself lives across the task's `.await`s.
-    pub(crate) fn finish_reply(
-        &mut self,
-        req_id: u64,
-        now: SimTime,
-        record_span: bool,
-        sched: &mut SchedBuf<Ev>,
-    ) -> ReplyStep {
-        let Some(r) = self.reqs.remove(&req_id) else { return ReplyStep::Vanished };
+    /// start the connection's next call or close it.
+    fn finish_reply(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let Some(r) = self.reqs.remove(&req_id) else { return };
         if r.shed {
             // header-only rejection: no transfer was begun, no worker
             // taken — just retire the connection
-            return self.finish_shed_reply(&r, now, record_span);
+            return self.finish_shed_reply(&r, now);
         }
         let client_host = self.client_hosts[r.client];
         let (path, _) = self.topo.path(self.node_hosts[r.web], client_host);
@@ -2065,7 +1858,7 @@ impl WebWorld {
                 if self.guard_on {
                     self.guard_req_failed("conn_lost");
                 }
-                return ReplyStep::Vanished;
+                return;
             }
         };
         // delay: first call measured from the first SYN (includes
@@ -2091,11 +1884,9 @@ impl WebWorld {
             }
         }
         if self.tel.is_on() {
-            if record_span {
-                let track = self.web_track(web);
-                let args = vec![("path", span_path(&r).to_string())];
-                self.tel.span_on(track, "request", "http_request", start, now, args);
-            }
+            let track = self.web_track(web);
+            let args = vec![("path", span_path(&r).to_string())];
+            self.tel.span_on(track, "request", "http_request", start, now, args);
             self.tel_outcome(if r.degraded { "degraded" } else { "ok" });
             self.tel.observe(
                 "web_request_delay_seconds",
@@ -2115,23 +1906,21 @@ impl WebWorld {
             self.metrics.conn_delay_hist.record(now.since(t_first_syn).as_secs_f64());
         }
         if calls_left > 0 {
-            let next = self.start_request(r.conn, false, now, sched);
-            ReplyStep::NextCall { req: next }
+            self.start_request(r.conn, false, now, ctx);
         } else {
             if let Some(c) = self.conns.remove(&r.conn) {
                 self.guard_conn_retired(&c);
             }
             self.nodes.node_mut(NodeId(web)).close_connection();
-            ReplyStep::Closed
         }
     }
 
     /// A shed request's header-only rejection reached the client: retire
     /// the request (terminal `shed` bucket) and close its connection.
-    fn finish_shed_reply(&mut self, r: &Req, now: SimTime, record_span: bool) -> ReplyStep {
+    fn finish_shed_reply(&mut self, r: &Req, now: SimTime) {
         self.metrics.guard.shed += 1;
         let conn = self.conns.remove(&r.conn);
-        if self.tel.is_on() && record_span {
+        if self.tel.is_on() {
             if let Some(c) = &conn {
                 let start = if r.first_call { c.t_first_syn } else { r.t_sent };
                 let track = self.web_track(r.web);
@@ -2150,15 +1939,14 @@ impl WebWorld {
             self.guard_conn_retired(&c);
             self.nodes.node_mut(NodeId(c.web)).close_connection();
         }
-        ReplyStep::Closed
     }
 
     /// A failover timeout elapsed: pick a fresh backend for `conn` (the
     /// follow-up SYN attempt is the caller's move) or retire it when the
-    /// whole tier is out. See [`RedispatchStep`].
-    pub(crate) fn redispatch(&mut self, conn_id: u64, now: SimTime) -> RedispatchStep {
+    /// whole tier is out. True when a backend was picked.
+    fn redispatch(&mut self, conn_id: u64, now: SimTime) -> bool {
         if !self.conns.contains_key(&conn_id) {
-            return RedispatchStep::Gone;
+            return false;
         }
         // a retried probe is no longer probing the backend it left
         self.guard_probe_done(conn_id);
@@ -2168,7 +1956,7 @@ impl WebWorld {
                     c.web = web;
                     c.probe = probe;
                 }
-                RedispatchStep::Go
+                true
             }
             LbPick::Blocked => {
                 // backends alive but every breaker is open: shed rather
@@ -2177,7 +1965,7 @@ impl WebWorld {
                     self.guard_conn_retired(&c);
                 }
                 self.guard_shed_lb("breaker");
-                RedispatchStep::Gone
+                false
             }
             LbPick::AllDead => {
                 // nothing left to fail over to
@@ -2186,7 +1974,7 @@ impl WebWorld {
                 }
                 self.metrics.client_errors += 1;
                 self.tel_outcome("client_error");
-                RedispatchStep::Gone
+                false
             }
         }
     }
@@ -2201,26 +1989,18 @@ impl WebWorld {
     /// Lazily start the health-check loop. Deferred to the first injected
     /// fault so fault-free runs (including plans whose every fault lands
     /// after the run ends) stay byte-identical to the pre-fault code path.
-    fn ensure_health_checks(&mut self, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    fn ensure_health_checks(&mut self, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         if !self.hc_running {
             self.hc_running = true;
-            sched.schedule_idle_at(now + HC_PERIOD, Ev::HealthCheck);
+            ctx.schedule_idle_at(now + HC_PERIOD, Ev::HealthCheck);
         }
     }
 
-    /// Inject fault `idx` of the normalized plan. Requests torn down by a
-    /// crash are appended to `crashes` so the async driver can cancel the
-    /// matching tasks; the state machine passes a scratch vector.
-    pub(crate) fn apply_fault_collect(
-        &mut self,
-        idx: usize,
-        now: SimTime,
-        sched: &mut SchedBuf<Ev>,
-        crashes: &mut Vec<CrashOutcome>,
-    ) {
+    /// Inject fault `idx` of the normalized plan.
+    fn apply_fault(&mut self, idx: usize, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let Fault { node, kind, .. } = self.fplan.faults()[idx];
         let applied = match kind {
-            FaultKind::NodeCrash => self.apply_crash(node, now, sched, crashes),
+            FaultKind::NodeCrash => self.apply_crash(node, now, ctx),
             FaultKind::NodeRestart => self.apply_restart(node, now),
             FaultKind::NicDegrade { loss, latency_mult } => {
                 if node < self.n_tier() {
@@ -2287,18 +2067,12 @@ impl WebWorld {
         if self.tel.is_on() {
             self.tel.counter_inc(name, labels(&[("kind", kind.name()), ("tier", "web")]));
         }
-        self.ensure_health_checks(now, sched);
+        self.ensure_health_checks(now, ctx);
     }
 
     /// Kill web server `node`: in-flight work dies, the LB notices via
     /// health checks, clients burn retry budget (or eat hard errors).
-    fn apply_crash(
-        &mut self,
-        node: usize,
-        now: SimTime,
-        sched: &mut SchedBuf<Ev>,
-        crashes: &mut Vec<CrashOutcome>,
-    ) -> bool {
+    fn apply_crash(&mut self, node: usize, now: SimTime, ctx: &mut Ctx<'_, Ev>) -> bool {
         if node >= self.n_web() || self.dead[node] {
             return false;
         }
@@ -2318,13 +2092,7 @@ impl WebWorld {
             // requests with RPCs in flight are dropped when their
             // reply lands on the dead node (see the dead guards)
             if matches!(self.reqs[&id].state, ReqState::Stage1 | ReqState::Stage2) {
-                let conn = self.reqs[&id].conn;
-                self.drop_req_on_dead_node(id, now, sched);
-                crashes.push(CrashOutcome {
-                    req: id,
-                    conn,
-                    conn_survived: self.conns.contains_key(&conn),
-                });
+                self.drop_req_on_dead_node(id, now, ctx);
             }
         }
         self.workers[node].busy = 0;
@@ -2366,7 +2134,7 @@ impl WebWorld {
     /// One HAProxy health-check round: FALL consecutive failures take a
     /// backend out of rotation (a failover), RISE consecutive passes put
     /// a restarted one back (closing the recovery-time measurement).
-    pub(crate) fn health_check_tick(&mut self, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    fn health_check_tick(&mut self, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         for i in 0..self.n_web() {
             if self.dead[i] {
                 self.hc_ok[i] = 0;
@@ -2409,7 +2177,7 @@ impl WebWorld {
             }
         }
         if now < self.measure_end {
-            sched.schedule_idle_at(now + HC_PERIOD, Ev::HealthCheck);
+            ctx.schedule_idle_at(now + HC_PERIOD, Ev::HealthCheck);
         }
     }
 
@@ -2444,7 +2212,7 @@ impl WebWorld {
 
     /// One 1 s measurement tick: sample gauges, close the throughput
     /// window, re-arm while the run is live.
-    pub(crate) fn sample_tick(&mut self, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    fn sample_tick(&mut self, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         self.sample(now);
         let delta = self.metrics.completed_total - self.metrics.last_sampled_completed;
         self.metrics.last_sampled_completed = self.metrics.completed_total;
@@ -2453,17 +2221,17 @@ impl WebWorld {
             // measurement tick, not model work: exempt from the
             // watchdog budget so quiescent (crashed) periods with
             // nothing but ticks cannot trip it
-            sched.schedule_idle_at(now + SimDuration::from_secs(1), Ev::Sample);
+            ctx.schedule_idle_at(now + SimDuration::from_secs(1), Ev::Sample);
         }
     }
 
     /// The warmup ended: snapshot the energy meter.
-    pub(crate) fn measure_start_tick(&mut self, now: SimTime) {
+    fn measure_start_tick(&mut self, now: SimTime) {
         self.metrics.energy_at_start = self.nodes.energy_joules(now);
     }
 
     /// The measurement window ended: close the energy meter and stop.
-    pub(crate) fn stop_tick(&mut self, now: SimTime, sched: &mut SchedBuf<Ev>) {
+    fn stop_tick(&mut self, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         if self.guard_on {
             // drain the conservation identity: whatever is still in
             // flight when the run ends lands in the `failed` bucket so
@@ -2494,7 +2262,7 @@ impl WebWorld {
             }
         }
         self.metrics.energy_j = self.nodes.energy_joules(now) - self.metrics.energy_at_start;
-        sched.stop();
+        ctx.stop();
     }
 
     /// Telemetry: fold the per-node power step logs (recorded by the
@@ -2528,25 +2296,21 @@ impl WebWorld {
 }
 
 impl WebWorld {
-    /// The legacy state-machine event dispatcher: one thin arm per
-    /// [`Ev`], each delegating to the shared lifecycle helpers above and
-    /// discarding the step verdicts the async driver branches on. The
-    /// [`edison_simcore::Model`] impl in [`crate::stack`] wraps this in a
-    /// [`SchedBuf`] and flushes it into the engine context.
-    pub(crate) fn dispatch(&mut self, now: SimTime, event: Ev, sched: &mut SchedBuf<Ev>) {
+    /// The event dispatcher: one thin arm per [`Ev`], each delegating to
+    /// the lifecycle helpers above, which schedule straight into `ctx`.
+    /// The [`edison_simcore::Model`] impl in [`crate::stack`] calls it.
+    pub(crate) fn dispatch(&mut self, now: SimTime, event: Ev, ctx: &mut Ctx<'_, Ev>) {
         match event {
             Ev::GenConn => {
                 if now < self.measure_end {
                     if let Some(conn) = self.open_conn_prepare(now) {
-                        let _ = self.syn_attempt(conn, 0, now, sched);
+                        self.syn_attempt(conn, 0, now, ctx);
                     }
                     let d = self.gen_next_delay();
-                    sched.schedule_at(now + d, Ev::GenConn);
+                    ctx.schedule_at(now + d, Ev::GenConn);
                 }
             }
-            Ev::SynRetry { conn, attempt } => {
-                let _ = self.syn_attempt(conn, attempt, now, sched);
-            }
+            Ev::SynRetry { conn, attempt } => self.syn_attempt(conn, attempt, now, ctx),
             Ev::NodeCpu { node, epoch } => {
                 if !self.nodes.node_mut(NodeId(node)).deliver_cpu_completion(epoch) {
                     return;
@@ -2555,14 +2319,14 @@ impl WebWorld {
                 self.nodes.node_mut(NodeId(node)).take_finished_cpu_into(now, &mut done);
                 for &tid in &done {
                     if node < self.n_web() {
-                        self.web_cpu_done(tid, now, sched);
+                        self.web_cpu_done(tid, now, ctx);
                     } else {
-                        let _ = self.cache_cpu_done(tid, now, sched);
+                        self.cache_cpu_done(tid, now, ctx);
                     }
                 }
                 done.clear();
                 self.cpu_done = done;
-                self.schedule_node_cpu(node, now, sched);
+                self.schedule_node_cpu(node, now, ctx);
             }
             Ev::DbCpu { node, epoch } => {
                 if !self.dbc.node_mut(NodeId(node)).deliver_cpu_completion(epoch) {
@@ -2571,45 +2335,32 @@ impl WebWorld {
                 let mut done = std::mem::take(&mut self.cpu_done);
                 self.dbc.node_mut(NodeId(node)).take_finished_cpu_into(now, &mut done);
                 for &tid in &done {
-                    let _ = self.db_cpu_done(tid, now, sched);
+                    self.db_cpu_done(tid, now, ctx);
                 }
                 done.clear();
                 self.cpu_done = done;
-                self.schedule_db_cpu(node, now, sched);
+                self.schedule_db_cpu(node, now, ctx);
             }
-            Ev::ReqAtWeb { req } => {
-                let _ = self.admit_to_worker(req, now, sched);
-            }
-            Ev::ReqAtCache { req } => self.req_at_cache(req, now, sched),
-            Ev::CacheReplyAtWeb { req, hit } => {
-                let _ = self.cache_reply_at_web(req, hit, now, sched);
-            }
-            Ev::ReqAtDb { req } => self.req_at_db(req, now, sched),
+            Ev::ReqAtWeb { req } => self.admit_to_worker(req, now, ctx),
+            Ev::ReqAtCache { req } => self.req_at_cache(req, now, ctx),
+            Ev::CacheReplyAtWeb { req, hit } => self.cache_reply_at_web(req, hit, now, ctx),
+            Ev::ReqAtDb { req } => self.req_at_db(req, now, ctx),
             Ev::DbDiskDone { node, job } => {
-                self.db_disk_pop(node, now, sched);
-                self.db_send_reply(job, now, sched);
+                self.db_disk_pop(node, now, ctx);
+                self.db_send_reply(job, now, ctx);
             }
-            Ev::DbReplyAtWeb { req } => {
-                let _ = self.db_reply_at_web(req, now, sched);
-            }
-            Ev::ReplyAtClient { req } => {
-                let _ = self.finish_reply(req, now, true, sched);
-            }
-            Ev::Sample => self.sample_tick(now, sched),
-            Ev::Fault { idx } => {
-                // the state machine has no tasks to cancel: the crash
-                // outcomes are fully handled inside the fault layer
-                let mut crashes = Vec::new();
-                self.apply_fault_collect(idx, now, sched, &mut crashes);
-            }
-            Ev::HealthCheck => self.health_check_tick(now, sched),
+            Ev::DbReplyAtWeb { req } => self.db_reply_at_web(req, now, ctx),
+            Ev::ReplyAtClient { req } => self.finish_reply(req, now, ctx),
+            Ev::Sample => self.sample_tick(now, ctx),
+            Ev::Fault { idx } => self.apply_fault(idx, now, ctx),
+            Ev::HealthCheck => self.health_check_tick(now, ctx),
             Ev::RetryConn { conn } => {
-                if let RedispatchStep::Go = self.redispatch(conn, now) {
-                    let _ = self.syn_attempt(conn, 0, now, sched);
+                if self.redispatch(conn, now) {
+                    self.syn_attempt(conn, 0, now, ctx);
                 }
             }
             Ev::MeasureStart => self.measure_start_tick(now),
-            Ev::Stop => self.stop_tick(now, sched),
+            Ev::Stop => self.stop_tick(now, ctx),
         }
     }
 }

@@ -26,32 +26,22 @@
 //!   the throughput sag the Dell cluster shows at concurrency 2048.
 //!
 //! The world itself — state, configuration and every lifecycle step — lives
-//! in [`crate::model`]; this module is the *state-machine driver*: the
-//! [`Model`] impl that maps each engine event onto the shared helpers, plus
-//! the `run*` entry points. The async driver over the same helpers is
-//! [`crate::lifecycle`], and `tests/async_equivalence.rs` holds the two
-//! byte-identical.
+//! in [`crate::model`]; this module is the driver: the [`Model`] impl that
+//! hands each engine event to [`WebWorld`]'s dispatcher, plus the `run*`
+//! entry points. `tests/golden_exports.rs` pins their exports byte for
+//! byte.
 
 pub use crate::model::{Ev, GenMode, Metrics, StackConfig, WebWorld};
 
 use edison_simcore::time::SimTime;
-use edison_simcore::{Ctx, EngineProfile, KindProfiler, Model, SchedBuf, Simulation};
+use edison_simcore::{Ctx, EngineProfile, KindProfiler, Model, Simulation};
 use edison_simtel::{record_engine_profile, EventCounter, Telemetry};
 
 impl Model for WebWorld {
     type Event = Ev;
 
     fn handle(&mut self, now: SimTime, event: Ev, ctx: &mut Ctx<Ev>) {
-        // route the shared lifecycle helpers through a SchedBuf so the
-        // same bodies serve the async driver; the buffered ops replay
-        // into the engine context in call order, byte-identically. The
-        // buffer is the world's own, lent out for the handle and re-
-        // anchored at `now`, so no event allocates one.
-        let mut sched = std::mem::replace(&mut self.sched, SchedBuf::new(now));
-        sched.reset(now);
-        self.dispatch(now, event, &mut sched);
-        sched.flush(ctx);
-        self.sched = sched;
+        self.dispatch(now, event, ctx);
     }
 }
 

@@ -6,7 +6,6 @@
 use edison_simcore::time::{SimDuration, SimTime};
 use edison_simfault::FaultPlan;
 use edison_simguard::{Budget, GuardConfig};
-use edison_web::lifecycle::run_async;
 use edison_web::stack::{run, GenMode, StackConfig};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 use proptest::prelude::*;
@@ -40,29 +39,19 @@ proptest! {
 
     /// Conservation: every admitted request reaches exactly one terminal
     /// bucket — completed, degraded, shed, or failed — at any load point
-    /// (under and past the knee), with or without a mid-run crash, in
-    /// both drivers, and the two drivers agree byte-for-byte.
+    /// (under and past the knee), with or without a mid-run crash.
     #[test]
     fn admitted_requests_reach_exactly_one_terminal_bucket(
         conc in 16.0f64..448.0,
         seed in 0u64..1_000,
         crash in any::<bool>(),
     ) {
-        let legacy = run(guarded(conc, seed, crash));
-        let ported = run_async(guarded(conc, seed, crash));
-        for m in [&legacy.metrics, &ported.metrics] {
-            let g = &m.guard;
-            prop_assert_eq!(
-                g.admitted,
-                g.completed + g.degraded + g.shed + g.failed,
-                "conservation identity violated at conc={} seed={} crash={}: {:?}",
-                conc, seed, crash, g
-            );
-        }
+        let g = run(guarded(conc, seed, crash)).metrics.guard;
         prop_assert_eq!(
-            format!("{:?}", legacy.metrics),
-            format!("{:?}", ported.metrics),
-            "guarded drivers diverged at conc={} seed={} crash={}", conc, seed, crash
+            g.admitted,
+            g.completed + g.degraded + g.shed + g.failed,
+            "conservation identity violated at conc={} seed={} crash={}: {:?}",
+            conc, seed, crash, g
         );
     }
 
@@ -75,7 +64,7 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         // past the knee with a crash: sheds, brownout and breaker all live
-        let m = run_async(guarded(conc, seed, true)).metrics;
+        let m = run(guarded(conc, seed, true)).metrics;
         let g = &m.guard;
         prop_assert_eq!(
             m.completed_total,
@@ -120,7 +109,7 @@ proptest! {
         let mut c = guarded(conc, seed, true);
         c.guard.deadline = Budget::ZERO;
         c.guard.db_reserve = SimDuration::ZERO;
-        let m = run_async(c).metrics;
+        let m = run(c).metrics;
         prop_assert_eq!(m.guard.deadline_miss, 0, "deadline miss with deadlines off");
     }
 }
