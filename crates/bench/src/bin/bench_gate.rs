@@ -39,7 +39,7 @@ fn measure() -> Trajectory {
     let mut t = Trajectory::default();
     for name in TRACKED {
         let before = alloc_counts();
-        // simlint: allow(R1) host-side wall timing for advisory rates; never feeds sim state
+        #[expect(clippy::disallowed_methods, reason = "host-side wall timing for advisory rates; never feeds sim state")]
         let t0 = std::time::Instant::now();
         let profile = match run_tracked(name) {
             Ok(p) => p,
@@ -48,10 +48,9 @@ fn measure() -> Trajectory {
         let wall_s = t0.elapsed().as_secs_f64().max(1e-9);
         let after = alloc_counts();
         let mut r = record_from(&profile);
-        let events = r.events as f64; // simlint: allow(R3) exact for counts ≤ 2^53
+        let events = r.events as f64;
         r.events_per_sec = events / wall_s;
         r.sim_seconds_per_wall_second = r.sim_seconds / wall_s;
-        // simlint: allow(R3) exact for counts ≤ 2^53
         r.allocs_per_event = (after.allocs - before.allocs) as f64 / events.max(1.0);
         println!(
             "measured {name:<20} {:>9} events  {:>12.0} events/s  {:>8.1} sim-s/wall-s  {:>6.1} allocs/event",

@@ -2,8 +2,7 @@
 //!
 //! Compares a freshly measured [`Trajectory`] against the committed
 //! `BENCH_0014.json`, looking only at the `deterministic` sections. The
-//! philosophy matches `simlint-baseline.json`: the committed file is a
-//! ratchet. Engine-cost growth beyond [`TOLERANCE`] fails tier-1, and an
+//! committed file is a ratchet. Engine-cost growth beyond [`TOLERANCE`] fails tier-1, and an
 //! *improvement* beyond the same tolerance also fails until the
 //! trajectory is refreshed (`cargo bench-gate -- update`) in the same
 //! commit — so wins are locked in, not silently eroded later.
@@ -58,8 +57,8 @@ pub fn check(committed: &Trajectory, fresh: &Trajectory) -> GateOutcome {
             continue;
         };
         let gated: [(&str, f64, f64); 3] = [
-            ("events", c.events as f64, f.events as f64), // simlint: allow(R3) exact for counts ≤ 2^53
-            ("heap_pushes", c.heap_pushes as f64, f.heap_pushes as f64), // simlint: allow(R3) exact for counts ≤ 2^53
+            ("events", c.events as f64, f.events as f64),
+            ("heap_pushes", c.heap_pushes as f64, f.heap_pushes as f64),
             ("sim_seconds", c.sim_seconds, f.sim_seconds),
         ];
         for (metric, cv, fv) in gated {

@@ -199,7 +199,7 @@ fn main() {
     let mut first_failure: Option<RunError> = None;
     for e in experiments {
         eprintln!("running {} (jobs={}) ...", e.id(), exec.jobs());
-        // simlint: allow(R1) host-side progress display; never feeds sim state
+        #[expect(clippy::disallowed_methods, reason = "host-side progress display; never feeds sim state")]
         let t0 = std::time::Instant::now();
         let report = match e.run(&budget, &exec, &mut tel) {
             Ok(r) => r,

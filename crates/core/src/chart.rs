@@ -64,7 +64,9 @@ pub fn chart(series: &[Series], width: usize, height: usize, x_scale: Scale, y_s
         for &(x, y) in &s.points {
             let tx = transform(x, x_scale, fx);
             let ty = transform(y, y_scale, fy);
+            #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "points lie inside the axis range, so the column is in [0, width - 1]")]
             let col = ((tx - x_lo) / (x_hi - x_lo) * (width - 1) as f64).round() as usize;
+            #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "points lie inside the axis range, so the row is in [0, height - 1]")]
             let row = ((ty - y_lo) / (y_hi - y_lo) * (height - 1) as f64).round() as usize;
             grid[height - 1 - row][col.min(width - 1)] = mark;
         }
@@ -128,6 +130,7 @@ pub fn bar_chart(buckets: &[(f64, u64)], width: usize) -> String {
     let max = buckets.iter().map(|&(_, c)| c).max().unwrap_or(0).max(1);
     let mut out = String::new();
     for &(mid, count) in buckets {
+        #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "count <= max puts the bar in [0, width]")]
         let bar = (count as f64 / max as f64 * width as f64).round() as usize;
         out.push_str(&format!("{mid:>6.2}s |{} {count}\n", "#".repeat(bar)));
     }

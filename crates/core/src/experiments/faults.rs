@@ -286,8 +286,8 @@ pub fn fault_demo(
         tel,
         |i, _| format!("point{i}"),
         |_, &p| {
+            #[expect(clippy::panic, reason = "the whole point of this demo is a deliberate panic")]
             if p == 5 {
-                // simlint: allow(R4) the whole point of this demo is a deliberate panic
                 panic!("deliberate fault-injection panic (point 5)");
             }
             u64::from(p) * 2

@@ -261,15 +261,10 @@ pub fn table6() -> Report {
     ] {
         let mut row = vec![label.to_string()];
         for (scale, _) in scales {
-            let cell = match pick {
-                0 | 1 => {
-                    let s = WebScenario::table6(Platform::Edison, scale).unwrap();
-                    if pick == 0 { s.web_servers } else { s.cache_servers }.to_string()
-                }
-                _ => match WebScenario::table6(Platform::Dell, scale) {
-                    Some(s) => if pick == 2 { s.web_servers } else { s.cache_servers }.to_string(),
-                    None => "N/A".into(),
-                },
+            let platform = if pick < 2 { Platform::Edison } else { Platform::Dell };
+            let cell = match WebScenario::table6(platform, scale) {
+                Some(s) => if pick % 2 == 0 { s.web_servers } else { s.cache_servers }.to_string(),
+                None => "N/A".into(),
             };
             row.push(cell);
         }

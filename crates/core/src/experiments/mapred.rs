@@ -37,9 +37,11 @@ pub(crate) fn profile_for(job: &str, setup: &ClusterSetup) -> Result<JobProfile,
     let tune = setup.tune;
     let mut p = jobs::by_name(job, tune)?;
     // per-cluster-size re-tuning of one-container-per-vcore jobs
+    let workers = u32::try_from(setup.workers)
+        .map_err(|_| SimError::Config(format!("{} workers do not fit a u32", setup.workers)))?;
     let vcores_total = match tune {
-        Tune::Edison => 2 * setup.workers as u32,
-        Tune::Dell => 12 * setup.workers as u32,
+        Tune::Edison => 2 * workers,
+        Tune::Dell => 12 * workers,
     };
     if matches!(job, "wordcount2" | "logcount2" | "pi") {
         // total work (input bytes / pi samples) is preserved by the re-split

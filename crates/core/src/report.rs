@@ -138,6 +138,7 @@ pub fn series_table(x_label: &str, series: &[Series]) -> String {
 }
 
 /// Format a float compactly (integers without decimals).
+#[expect(clippy::cast_possible_truncation, reason = "integral values below 1e12 fit an i64 exactly")]
 pub fn trim_float(v: f64) -> String {
     if !v.is_finite() {
         return "-".into();

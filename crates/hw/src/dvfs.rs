@@ -15,10 +15,9 @@
 //! paper's point.
 
 use crate::specs::ServerSpec;
-use serde::{Deserialize, Serialize};
 
 /// DVFS-capable power model derived from a spec's idle/busy endpoints.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DvfsModel {
     /// Non-scaling platform power, W (the spec's idle draw).
     pub static_w: f64,

@@ -7,10 +7,8 @@
 //! Edison's USB Ethernet dongle — which the paper highlights as drawing
 //! *more than the Edison module itself* (~1 W of the 1.40 W idle draw).
 
-use serde::{Deserialize, Serialize};
-
 /// Linear-in-utilisation power model with a constant peripheral term.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PowerModel {
     /// Device power at 0 % utilisation, watts (excluding peripherals).
     pub idle_w: f64,

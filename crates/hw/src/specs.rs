@@ -9,7 +9,6 @@
 //! * **Power** in watts, energy in joules.
 
 use crate::power::PowerModel;
-use serde::{Deserialize, Serialize};
 
 /// Bytes in one mebibyte (used for block/working-set arithmetic).
 pub const MIB: u64 = 1024 * 1024;
@@ -17,7 +16,7 @@ pub const MIB: u64 = 1024 * 1024;
 pub const GIB: u64 = 1024 * MIB;
 
 /// CPU model: cores, hardware threads and Dhrystone-anchored speed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuSpec {
     /// Physical cores.
     pub cores: u32,
@@ -51,7 +50,7 @@ impl CpuSpec {
 }
 
 /// Memory model: size and a bandwidth curve over access block size.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MemSpec {
     /// Installed RAM, bytes.
     pub total_bytes: u64,
@@ -78,7 +77,7 @@ impl MemSpec {
 
 /// Storage model (Table 5): separate direct/buffered throughput and access
 /// latencies for the Edison microSD card and the Dell SAS 15K disk.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageSpec {
     /// Usable capacity, bytes.
     pub capacity_bytes: u64,
@@ -111,7 +110,7 @@ impl StorageSpec {
 }
 
 /// Network interface model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NicSpec {
     /// Line rate, bits/s (100 Mbps Edison USB adaptor, 1 Gbps Dell).
     pub line_rate_bps: f64,
@@ -136,7 +135,7 @@ impl NicSpec {
 /// Operating-system resource limits that bound web-service throughput
 /// (the paper: "the throughput is limited by the ability to create new TCP
 /// ports and new threads").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OsLimits {
     /// Max simultaneous connections a server process will hold (fds /
     /// worker limits after the paper's tuning).
@@ -149,7 +148,7 @@ pub struct OsLimits {
 }
 
 /// A complete server specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerSpec {
     /// Human-readable platform name.
     pub name: String,
@@ -176,6 +175,7 @@ impl ServerSpec {
 
     /// Table 2's bottom line: nodes of `self` needed to replace one `other`
     /// on raw capacity (max over the three ratios, rounded up).
+    #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "capacity ratios are small positive numbers")]
     pub fn nodes_to_replace(&self, other: &ServerSpec) -> u32 {
         let (c, m, n) = self.replacement_ratios(other);
         c.max(m).max(n).ceil() as u32

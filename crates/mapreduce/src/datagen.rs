@@ -48,14 +48,14 @@ pub fn corpus_file(bytes: usize, rng: &mut SimRng) -> String {
 /// Deterministic word spelling for a vocabulary rank (base-26 with a
 /// length floor so words average ~6 chars).
 pub fn word_for_rank(rank: usize) -> String {
+    const LETTERS: &[u8; 26] = b"abcdefghijklmnopqrstuvwxyz";
     let mut n = rank + 26 * 26; // floor: at least 3 letters
     let mut s = Vec::new();
     while n > 0 {
-        s.push(b'a' + (n % 26) as u8);
+        s.push(char::from(LETTERS[n % 26]));
         n /= 26;
     }
-    s.reverse();
-    String::from_utf8(s).expect("ascii")
+    s.iter().rev().collect()
 }
 
 /// Log levels in their approximate YARN frequency order.
@@ -90,6 +90,7 @@ pub fn teragen_records(n: usize, rng: &mut SimRng) -> Vec<[u8; TERA_RECORD_BYTES
     let mut out = Vec::with_capacity(n);
     for i in 0..n {
         let mut rec = [0u8; TERA_RECORD_BYTES];
+        #[expect(clippy::cast_possible_truncation, reason = "32 + below(95) is printable ASCII")]
         for b in rec.iter_mut().take(TERA_KEY_BYTES) {
             *b = (rng.below(95) + 32) as u8; // printable
         }

@@ -123,7 +123,7 @@ impl ClusterSetup {
             tune: Tune::Edison,
             workers,
             block_bytes: 16 * MIB,
-            replication: 2.min(workers as u32),
+            replication: 2.min(u32::try_from(workers).unwrap_or(u32::MAX)),
             schedulable_mem: 600 * MIB,
             am_mem: 100 * MIB,
             seed: 20160509,
@@ -785,6 +785,7 @@ impl MrWorld {
         // containers may hold at most half the cluster's memory.
         let maps_pending = self.tasks[..self.n_maps].iter().any(|t| t.phase == Phase::Pending);
         let allowance = if maps_pending {
+            #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "a fraction of the cluster's u64 schedulable memory")]
             let cap = (calib::REDUCE_RAMPUP_LIMIT
                 * self.setup.workers as f64
                 * self.setup.schedulable_mem as f64) as u64;
@@ -804,6 +805,7 @@ impl MrWorld {
             } else {
                 self.profile.reduce_container
             };
+            #[expect(clippy::expect_used, reason = "the heartbeat granted only containers that fit")]
             self.nodes.node_mut(NodeId(node)).alloc_mem(mem).expect("scheduler checked fit");
             self.running_containers[node] += 1;
             if !self.tasks[task].is_map {
@@ -1182,6 +1184,7 @@ impl MrWorld {
         let phase = self.tasks[task].phase;
         match phase {
             Phase::Reading => {
+                #[expect(clippy::expect_used, reason = "every read flow is started with its source recorded")]
                 let src = self.tasks[task].current_fetch_src.take().expect("flow had a source");
                 let node = self.tasks[task].node;
                 let (path, _) = self.topo.path(self.hosts[src], self.hosts[node]);
@@ -1189,6 +1192,7 @@ impl MrWorld {
                 self.start_map_cpu(task, now, ctx);
             }
             Phase::Fetching => {
+                #[expect(clippy::expect_used, reason = "every fetch flow is started with its source recorded")]
                 let src = self.tasks[task].current_fetch_src.take().expect("fetch had a source");
                 let node = self.tasks[task].node;
                 let (path, _) = self.topo.path(self.hosts[src], self.hosts[node]);
@@ -1203,6 +1207,7 @@ impl MrWorld {
                 self.next_fetch(task, now, ctx);
             }
             Phase::OutputRepl => {
+                #[expect(clippy::expect_used, reason = "every replication flow is started with its peer recorded")]
                 let peer = self.tasks[task].current_fetch_src.take().expect("repl had a peer");
                 let node = self.tasks[task].node;
                 let (path, _) = self.topo.path(self.hosts[node], self.hosts[peer]);
@@ -1605,6 +1610,7 @@ impl Model for MrWorld {
                     ctx.schedule_at(at, Ev::DiskDone { node, job: next });
                 }
                 if job >= LOCALIZE_BASE {
+                    #[expect(clippy::cast_possible_truncation, reason = "localisation job ids are LOCALIZE_BASE + a node index")]
                     let n = (job - LOCALIZE_BASE) as usize;
                     if !self.node_down[n] {
                         self.node_ready[n] = true;
@@ -1699,6 +1705,7 @@ pub fn run_job_traced(
     setup: &ClusterSetup,
     tel: Telemetry,
 ) -> (JobOutcome, Telemetry) {
+    #[expect(clippy::panic, reason = "the unchecked form; run_job_traced_checked returns the error")]
     run_job_traced_checked(profile, setup, tel).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -1801,8 +1808,8 @@ fn run_job_inner(
             "job {} did not finish: {}/{} maps, {}/{} reduces",
             w.profile.name, w.completed_maps, w.n_maps, w.completed_reduces, w.profile.reduce_tasks
         );
+        #[expect(clippy::panic, reason = "an unfinished job without faults is an engine bug, not a run outcome")]
         if w.fplan.is_empty() {
-            // no faults in play: this is an engine bug, not a fault outcome
             panic!("{detail}");
         }
         return Err(SimError::FaultUnrecovered(detail));

@@ -85,6 +85,7 @@ impl Namenode {
         self.next_writer += 1;
         let mut replicas = vec![primary];
         while replicas.len() < self.replication as usize {
+            #[expect(clippy::cast_possible_truncation, reason = "the draw is below datanodes, a usize")]
             let cand = rng.below(self.datanodes as u64) as usize;
             if !replicas.contains(&cand) {
                 replicas.push(cand);

@@ -82,11 +82,13 @@ pub struct JobProfile {
 
 impl JobProfile {
     /// Total map-output bytes after combining.
+    #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "a non-negative ratio of a u64 byte count")]
     pub fn shuffle_bytes(&self) -> u64 {
         (self.input_bytes as f64 * self.shuffle_ratio) as u64
     }
 
     /// Final output bytes.
+    #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "a non-negative ratio of a u64 byte count")]
     pub fn output_bytes(&self) -> u64 {
         (self.input_bytes as f64 * self.output_ratio) as u64
     }
@@ -388,6 +390,7 @@ impl Mapper for LogCountMapper {
 pub struct PiMapper;
 
 impl Mapper for PiMapper {
+    #[expect(clippy::expect_used, reason = "the input chunks are the two ascii u64s pi's input generator writes")]
     fn map(&self, input: &[u8], emit: &mut dyn FnMut(Vec<u8>, Vec<u8>)) {
         let text = std::str::from_utf8(input).expect("pi input is ascii");
         let mut parts = text.split_whitespace();

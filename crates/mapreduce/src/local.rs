@@ -43,6 +43,7 @@ impl RunStats {
 }
 
 /// Hash partitioner (Hadoop's default).
+#[expect(clippy::cast_possible_truncation, reason = "the remainder is below n_reduce, a usize")]
 pub fn partition(key: &[u8], n_reduce: usize) -> usize {
     let mut h = DefaultHasher::new();
     key.hash(&mut h);

@@ -37,6 +37,7 @@ pub fn run(spec: &ServerSpec, runs: u64) -> DhrystoneResult {
     let work_mi = runs as f64 / DMIPS_DIVISOR;
     let t0 = SimTime::ZERO;
     node.add_cpu_task(t0, 1, work_mi);
+    #[expect(clippy::expect_used, reason = "the only task was added just above")]
     let (_, done) = node.next_cpu_completion(t0).expect("task scheduled");
     let mut finished = Vec::new();
     node.take_finished_cpu_into(done, &mut finished);

@@ -69,6 +69,7 @@ pub fn dd(spec: &ServerSpec, mode: DdMode, bytes: u64, block: u64) -> DdResult {
         let with_latency = !amortised || i == 0;
         let service = per_block(&node, with_latency);
         let scheduled = node.disk().submit(now, i, service);
+        #[expect(clippy::expect_used, reason = "each block is submitted after the previous one completed")]
         let (_, done) = scheduled.expect("sequential dd never queues");
         node.disk().complete(done);
         now = done;

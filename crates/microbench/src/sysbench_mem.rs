@@ -34,7 +34,7 @@ pub struct MemBwResult {
 
 /// The paper's grid: 4 KiB – 1 MiB blocks, 1–16 threads.
 pub fn sweep(spec: &ServerSpec) -> MemBwResult {
-    let blocks: Vec<u64> = (0..9).map(|i| 4 * 1024u64 << i).collect(); // 4K..1M
+    let blocks: [u64; 9] = std::array::from_fn(|i| (4 * 1024u64) << i); // 4K..1M
     let threads: Vec<u32> = vec![1, 2, 4, 8, 12, 16];
     let mut points = Vec::with_capacity(blocks.len() * threads.len());
     let mut peak = 0.0f64;
@@ -45,7 +45,7 @@ pub fn sweep(spec: &ServerSpec) -> MemBwResult {
             points.push(MemBwPoint { block: b, threads: n, bandwidth: bw });
         }
     }
-    let max_block = *blocks.last().unwrap();
+    let max_block = blocks[blocks.len() - 1];
     let saturation_threads = threads
         .iter()
         .copied()

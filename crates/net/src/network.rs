@@ -229,13 +229,13 @@ impl Network {
     ///
     /// Completion instants round *up* (+1 ns slack) so advancing to them
     /// always clears the flow — see `BYTES_EPS`.
+    #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "non-negative finite seconds -> ns; ceil lands past completion")]
     pub fn next_completion(&self, now: SimTime) -> Option<(FlowId, SimTime)> {
         self.flows
             .iter()
             .filter(|(_, f)| f.rate > 0.0)
             .map(|(&id, f)| (id, f.remaining / f.rate))
             .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
-            // simlint: allow(R3) non-negative finite seconds -> ns; ceil lands past completion
             .map(|(id, dt)| (id, now + SimDuration((dt.max(0.0) * 1e9).ceil() as u64 + 1)))
     }
 

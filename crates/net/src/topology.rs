@@ -118,6 +118,7 @@ impl Topology {
     /// The directed uplink and one-way latency from group `from` to `to`.
     ///
     /// Panics if the groups are not connected.
+    #[expect(clippy::panic, reason = "documented contract: builders connect every group pair before routing")]
     fn interconnect(&self, from: GroupId, to: GroupId) -> (LinkId, SimDuration) {
         self.interconnect[from.0][to.0]
             .unwrap_or_else(|| panic!("groups {from:?} and {to:?} not connected"))

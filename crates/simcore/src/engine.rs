@@ -700,8 +700,8 @@ mod tests {
     /// Min-of-N with a generous factor keeps this robust on loaded CI.
     #[test]
     fn noop_observer_adds_no_measurable_overhead() {
-        // simlint: allow(R1) host-side timing of the engine itself; result
-        // never feeds simulation state.
+        // Host-side timing of the engine itself; the result never feeds
+        // simulation state.
         fn min_time<F: FnMut() -> u64>(mut f: F) -> std::time::Duration {
             (0..5)
                 .map(|_| {

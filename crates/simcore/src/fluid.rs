@@ -225,7 +225,7 @@ impl FluidResource {
         // advancing to it always clears the task's remaining work; rounding
         // to nearest can land half a nanosecond early and strand residue
         // above any epsilon.
-        // simlint: allow(R3) dt is clamped non-negative; ceil keeps the cast in range
+        #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "dt is clamped non-negative; ceil keeps the cast in range")]
         let dt_nanos = (dt * 1e9).ceil() as u64 + 1;
         Some((id, now + SimDuration(dt_nanos)))
     }

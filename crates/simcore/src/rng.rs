@@ -5,6 +5,11 @@
 //! distributions) derive from it, so a run is exactly reproducible. Streams
 //! for independent subsystems are split with [`SimRng::split`] to avoid
 //! cross-coupling when one subsystem changes its draw count.
+//!
+//! This is the one module that builds a generator: `edison-simcore` is
+//! the only crate that depends on `rand`, and `cargo lint-gate` denies
+//! `SmallRng` and `seed_from_u64` everywhere but here.
+#![expect(clippy::disallowed_types, clippy::disallowed_methods, reason = "the RNG home: the one place a generator is built, from the run seed")]
 
 use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::SmallRng;
@@ -66,8 +71,8 @@ impl SimRng {
     /// Index drawn with the given (unnormalised, non-negative) weights.
     ///
     /// Panics if all weights are zero or any is negative.
+    #[expect(clippy::expect_used, reason = "documented panic contract; every caller passes literal weights")]
     pub fn weighted(&mut self, weights: &[f64]) -> usize {
-        // simlint: allow(R6) documented panic contract; every caller passes literal weights
         let dist = WeightedIndex::new(weights).expect("invalid weights");
         dist.sample(&mut self.inner)
     }

@@ -9,16 +9,14 @@
 //! * a **timeline** (Figures 12–17) — [`TimeSeries`] sampled at 1 s.
 
 use crate::time::SimTime;
-use serde::{Deserialize, Serialize};
 
 /// A growing set of f64 samples with summary statistics.
 ///
 /// Samples are stored exactly; at this codebase's scales (≤ a few million
 /// request delays) this is cheaper and more faithful than sketches.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct SampleSet {
     samples: Vec<f64>,
-    #[serde(skip)]
     sorted: bool,
 }
 
@@ -94,6 +92,7 @@ impl SampleSet {
             self.samples.sort_by(f64::total_cmp);
             self.sorted = true;
         }
+        #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "p in [0, 100] puts the rank in [0, len - 1]")]
         let rank = ((p / 100.0) * (self.samples.len() as f64 - 1.0)).round() as usize;
         self.samples[rank.min(self.samples.len() - 1)]
     }
@@ -107,7 +106,7 @@ impl SampleSet {
 /// A fixed-width-bucket histogram over `[lo, hi)` with an overflow bucket.
 ///
 /// Used for the Figure 10/11 response-delay distributions (0–8 s).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -134,6 +133,7 @@ impl Histogram {
         } else if v >= self.hi {
             self.overflow += 1;
         } else {
+            #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "lo <= v < hi puts the index in [0, len]; clamped below")]
             let idx = ((v - self.lo) / (self.hi - self.lo) * self.buckets.len() as f64) as usize;
             let idx = idx.min(self.buckets.len() - 1);
             self.buckets[idx] += 1;
@@ -168,13 +168,14 @@ impl Histogram {
         if v < self.lo || v >= self.hi {
             return 0;
         }
+        #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "lo <= v < hi puts the index in [0, len]; clamped here")]
         let idx = ((v - self.lo) / (self.hi - self.lo) * self.buckets.len() as f64) as usize;
         self.buckets[idx.min(self.buckets.len() - 1)]
     }
 }
 
 /// A time-stamped series of f64 samples.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }

@@ -6,7 +6,6 @@
 //! MapReduce runs (8220 s on a 4-node Edison cluster), while keeping all
 //! arithmetic exact — important for reproducibility across platforms.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
@@ -14,11 +13,11 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
 /// An absolute instant in simulated time (nanoseconds since t = 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(pub u64);
 
 /// A span of simulated time (nanoseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
 impl SimTime {
@@ -40,6 +39,7 @@ impl SimTime {
     /// Construct from fractional seconds, rounding to the nearest nanosecond.
     ///
     /// Panics in debug builds if `s` is negative or non-finite.
+    #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "debug-asserted finite and non-negative; 2^64 ns is 584 years")]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s.is_finite() && s >= 0.0, "invalid time {s}");
         SimTime((s * NANOS_PER_SEC as f64).round() as u64)
@@ -99,6 +99,7 @@ impl SimDuration {
     /// Construct from fractional seconds, rounding to the nearest nanosecond.
     ///
     /// Panics in debug builds if `s` is negative or non-finite.
+    #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "debug-asserted finite and non-negative; 2^64 ns is 584 years")]
     pub fn from_secs_f64(s: f64) -> Self {
         debug_assert!(s.is_finite() && s >= 0.0, "invalid duration {s}");
         SimDuration((s * NANOS_PER_SEC as f64).round() as u64)
@@ -130,6 +131,7 @@ impl SimDuration {
     }
 
     /// Scale by a non-negative factor, rounding to the nearest nanosecond.
+    #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "debug-asserted finite and non-negative; 2^64 ns is 584 years")]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         debug_assert!(k.is_finite() && k >= 0.0, "invalid scale {k}");
         SimDuration((self.0 as f64 * k).round() as u64)

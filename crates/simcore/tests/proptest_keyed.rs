@@ -58,7 +58,7 @@ impl Toy {
 
     /// Cancel an in-flight task picked by `work`; false if none is.
     fn cancel(&mut self, now: SimTime, work: f64) -> bool {
-        // simlint: allow(R3) test-only pick of a small id below next_id
+        // a test-only pick of a small id below next_id
         let id = (work * 7.0) as u64 % self.next_id.max(1);
         self.cpu.cancel(now, id).is_some()
     }
@@ -210,7 +210,7 @@ impl RefFluid {
         let (&id, &rem) =
             self.tasks.iter().min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(b.0)))?;
         let dt = (rem / rate).max(0.0);
-        // simlint: allow(R3) dt is clamped non-negative; ceil keeps the cast in range
+        // dt is clamped non-negative; ceil keeps the cast in range
         let dt_nanos = (dt * 1e9).ceil() as u64 + 1;
         Some((id, now + SimDuration(dt_nanos)))
     }

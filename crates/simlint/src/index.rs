@@ -1,15 +1,11 @@
 //! Workspace symbol index: every parsed file plus cross-file lookup
 //! tables the AST analyses share.
 //!
-//! The index answers three kinds of questions that single-file passes
+//! The index answers two kinds of questions that single-file passes
 //! cannot:
 //!
 //! * **Field types** — `self.flows` is a `BTreeMap<FlowId, Flow>` because
 //!   the `Network` struct in the same crate says so ([`Index::field_ty`]).
-//! * **Local methods** — `self.expect(b'{')` in the baseline parser is a
-//!   call to a *crate-local* method named `expect`, not `Option::expect`
-//!   ([`Index::has_local_method`]) — the v1 lexer could not tell and
-//!   counted five such sites as R6 debt.
 //! * **Trait roles** — which types implement `Experiment`, so the taint
 //!   analysis knows whose `run` return values are exported artefacts
 //!   ([`Index::is_experiment_impl`]).
@@ -17,11 +13,9 @@
 //! Lookups are scoped per crate (`crates/<name>/…`, with the root
 //! package's `src`/`tests` as crate `"root"`): the analyses are
 //! deliberately intraprocedural *across files* but not across crates,
-//! matching the issue's "within a crate" contract and keeping name
-//! resolution trivial.
+//! keeping name resolution trivial.
 
-use crate::lexer::Lexed;
-use crate::parse::{self, Ast, Item, ItemKind, Tok, Ty};
+use crate::parse::{self, Ast, Item, ItemKind, Ty};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One parsed workspace file.
@@ -31,16 +25,17 @@ pub struct FileUnit {
     pub rel: String,
     /// Crate name (`crates/net/...` → `net`; root package → `root`).
     pub krate: String,
-    /// Raw source.
-    pub src: String,
-    /// Spanned tokens.
-    pub toks: Vec<Tok>,
     /// Item/expression tree.
     pub ast: Ast,
-    /// v1 lexer output for the same file (allow markers, test regions).
-    pub lexed: Lexed,
     /// Whole file is test-ish (`tests/`, `benches/`, `examples/` trees).
     pub testish: bool,
+}
+
+impl FileUnit {
+    /// Parse `src`, the file at workspace-relative path `rel`.
+    pub fn new(rel: &str, src: &str) -> FileUnit {
+        FileUnit { rel: rel.to_string(), krate: crate_of(rel), ast: parse::parse(src).1, testish: crate::is_testish(rel) }
+    }
 }
 
 /// Cross-file lookup tables over every [`FileUnit`].
@@ -48,12 +43,8 @@ pub struct FileUnit {
 pub struct Index {
     /// crate → struct name → (field name → type).
     pub structs: BTreeMap<String, BTreeMap<String, BTreeMap<String, Ty>>>,
-    /// crate → type name → method names its impl blocks define.
-    pub methods: BTreeMap<String, BTreeMap<String, BTreeSet<String>>>,
     /// crate → type names with an `impl Experiment for …` block.
     pub experiment_impls: BTreeMap<String, BTreeSet<String>>,
-    /// crate → free/assoc fn name → summary (filled by the taint pass).
-    pub fn_names: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl Index {
@@ -98,21 +89,6 @@ impl Index {
         found
     }
 
-    /// Does `type_name` in `krate` define a method called `method`?
-    pub fn has_local_method(&self, krate: &str, type_name: &str, method: &str) -> bool {
-        self.methods
-            .get(krate)
-            .and_then(|m| m.get(type_name))
-            .is_some_and(|set| set.contains(method))
-    }
-
-    /// Does any type in `krate` define a method called `method`?
-    pub fn any_local_method(&self, krate: &str, method: &str) -> bool {
-        self.methods
-            .get(krate)
-            .is_some_and(|m| m.values().any(|set| set.contains(method)))
-    }
-
     /// Does `type_name` implement `Experiment` in `krate`?
     pub fn is_experiment_impl(&self, krate: &str, type_name: &str) -> bool {
         self.experiment_impls.get(krate).is_some_and(|s| s.contains(type_name))
@@ -122,36 +98,8 @@ impl Index {
 fn collect_impls(items: &[Item], krate: &str, ix: &mut Index) {
     for item in items {
         match &item.kind {
-            ItemKind::Impl(trait_head, self_ty, inner) => {
-                if trait_head.as_deref() == Some("Experiment") {
-                    ix.experiment_impls.entry(krate.to_string()).or_default().insert(self_ty.clone());
-                }
-                for it in inner {
-                    if let ItemKind::Fn(f) = &it.kind {
-                        ix.methods
-                            .entry(krate.to_string())
-                            .or_default()
-                            .entry(self_ty.clone())
-                            .or_default()
-                            .insert(f.name.clone());
-                        ix.fn_names.entry(krate.to_string()).or_default().insert(f.name.clone());
-                    }
-                }
-            }
-            ItemKind::Trait(name, inner) => {
-                for it in inner {
-                    if let ItemKind::Fn(f) = &it.kind {
-                        ix.methods
-                            .entry(krate.to_string())
-                            .or_default()
-                            .entry(name.clone())
-                            .or_default()
-                            .insert(f.name.clone());
-                    }
-                }
-            }
-            ItemKind::Fn(f) => {
-                ix.fn_names.entry(krate.to_string()).or_default().insert(f.name.clone());
+            ItemKind::Impl(trait_head, self_ty, _) if trait_head.as_deref() == Some("Experiment") => {
+                ix.experiment_impls.entry(krate.to_string()).or_default().insert(self_ty.clone());
             }
             ItemKind::Mod(_, Some(inner)) => collect_impls(inner, krate, ix),
             _ => {}
@@ -166,216 +114,6 @@ pub fn crate_of(rel: &str) -> String {
         (Some("crates"), Some(name)) => name.to_string(),
         _ => "root".to_string(),
     }
-}
-
-// ---------------------------------------------------------------------------
-// Token-rule suppressions derived from the AST
-// ---------------------------------------------------------------------------
-
-/// Lines in one file where a token-level rule must stay quiet because the
-/// AST proves the match benign.
-#[derive(Debug, Default)]
-pub struct Suppressions {
-    /// R3: lines whose `as` casts are provably widening on 64-bit targets.
-    pub r3_widening: BTreeSet<u32>,
-    /// R6: lines whose `.unwrap(`/`.expect(` is a crate-local method, not
-    /// `Option`/`Result`.
-    pub r6_local_method: BTreeSet<u32>,
-}
-
-/// Integer rank for the widening lattice. On the 64-bit targets this
-/// workspace supports (`usize`≡`u64`, `isize`≡`i64`), `small as big` of
-/// the same signedness — or unsigned into a strictly wider signed — can
-/// neither truncate nor wrap.
-fn int_rank(ty: &str) -> Option<(u8, bool)> {
-    // (bit rank, signed)
-    Some(match ty {
-        "u8" => (8, false),
-        "u16" => (16, false),
-        "u32" => (32, false),
-        "u64" | "usize" => (64, false),
-        "u128" => (128, false),
-        "i8" => (8, true),
-        "i16" => (16, true),
-        "i32" => (32, true),
-        "i64" | "isize" => (64, true),
-        "i128" => (128, true),
-        _ => return None,
-    })
-}
-
-/// Is `src as dst` provably lossless?
-pub fn is_widening(src: &str, dst: &str) -> bool {
-    let (Some((sr, ss)), Some((dr, ds))) = (int_rank(src), int_rank(dst)) else {
-        return false;
-    };
-    match (ss, ds) {
-        (false, false) | (true, true) => sr <= dr,
-        (false, true) => sr < dr, // u32 as i64 fits; u64 as i64 does not
-        (true, false) => false,   // sign loss is never widening
-    }
-}
-
-/// Compute per-file suppressions for the token rules.
-pub fn suppressions(unit: &FileUnit, ix: &Index) -> Suppressions {
-    use crate::parse::{Block, ExprKind, FnDef, Stmt};
-
-    let mut sup = Suppressions::default();
-    let krate = unit.krate.as_str();
-
-    // Walk each fn with a flat local type environment (params + annotated
-    // lets + a few inferable initializer shapes).
-    parse::visit_fns(&unit.ast.items, None, &mut |f: &FnDef, ctx, _in_test| {
-        let self_ty = ctx.map(|(_, st)| st);
-        let mut env: BTreeMap<String, String> = BTreeMap::new();
-        for p in &f.params {
-            if !p.ty.head.is_empty() {
-                env.insert(p.name.clone(), p.ty.head.clone());
-            }
-        }
-        if let Some(body) = &f.body {
-            walk_block(unit, ix, krate, self_ty, body, &mut env, &mut sup);
-        }
-    });
-
-    fn walk_block(
-        unit: &FileUnit,
-        ix: &Index,
-        krate: &str,
-        self_ty: Option<&str>,
-        block: &Block,
-        env: &mut BTreeMap<String, String>,
-        sup: &mut Suppressions,
-    ) {
-        for stmt in &block.stmts {
-            match stmt {
-                Stmt::Let { names, ty, init, .. } => {
-                    if let Some(e) = init {
-                        walk_expr(unit, ix, krate, self_ty, *e, env, sup);
-                    }
-                    if let (Some(t), [name]) = (ty, names.as_slice()) {
-                        env.insert(name.clone(), t.head.clone());
-                    } else if let ([name], Some(e)) = (names.as_slice(), init) {
-                        if let Some(t) = infer_head(unit, ix, krate, self_ty, *e, env) {
-                            env.insert(name.clone(), t);
-                        }
-                    }
-                }
-                Stmt::Expr { expr, .. } => walk_expr(unit, ix, krate, self_ty, *expr, env, sup),
-                Stmt::Item(_) => {}
-            }
-        }
-    }
-
-    fn walk_expr(
-        unit: &FileUnit,
-        ix: &Index,
-        krate: &str,
-        self_ty: Option<&str>,
-        id: crate::parse::ExprId,
-        env: &mut BTreeMap<String, String>,
-        sup: &mut Suppressions,
-    ) {
-        let expr = unit.ast.expr(id);
-        match &expr.kind {
-            ExprKind::Cast { expr: inner, ty, as_line } => {
-                walk_expr(unit, ix, krate, self_ty, *inner, env, sup);
-                if let Some(src_ty) = infer_head(unit, ix, krate, self_ty, *inner, env) {
-                    if is_widening(&src_ty, &ty.head) {
-                        sup.r3_widening.insert(*as_line);
-                    }
-                }
-            }
-            ExprKind::MethodCall { recv, name, name_line, args } => {
-                walk_expr(unit, ix, krate, self_ty, *recv, env, sup);
-                for a in args {
-                    walk_expr(unit, ix, krate, self_ty, *a, env, sup);
-                }
-                if name == "unwrap" || name == "expect" {
-                    let recv_ty = infer_head(unit, ix, krate, self_ty, *recv, env);
-                    if let Some(t) = recv_ty {
-                        if ix.has_local_method(krate, &t, name) {
-                            sup.r6_local_method.insert(*name_line);
-                        }
-                    }
-                }
-            }
-            _ => {
-                for child in children(&expr.kind) {
-                    walk_expr(unit, ix, krate, self_ty, child, env, sup);
-                }
-                // blocks inside expressions get their own sub-walk
-                for b in blocks(&expr.kind) {
-                    walk_block(unit, ix, krate, self_ty, b, env, sup);
-                }
-            }
-        }
-    }
-
-    /// Best-effort head-type of an expression, for the cast/receiver checks.
-    fn infer_head(
-        unit: &FileUnit,
-        ix: &Index,
-        krate: &str,
-        self_ty: Option<&str>,
-        id: crate::parse::ExprId,
-        env: &BTreeMap<String, String>,
-    ) -> Option<String> {
-        let expr = unit.ast.expr(id);
-        match &expr.kind {
-            ExprKind::Path(segs) => match segs.as_slice() {
-                [one] if one == "self" => self_ty.map(|s| s.to_string()),
-                [one] => env.get(one).cloned(),
-                _ => None,
-            },
-            ExprKind::Lit(crate::parse::TokKind::Int) => {
-                // suffixed literals carry their own type: `3u32 as u64`
-                let text = unit.toks.get(expr.toks.start)?.text(&unit.src);
-                for suffix in ["u8", "u16", "u32", "u64", "usize", "i8", "i16", "i32", "i64", "isize"] {
-                    if text.ends_with(suffix) {
-                        return Some(suffix.to_string());
-                    }
-                }
-                None
-            }
-            ExprKind::Cast { ty, .. } => Some(ty.head.clone()),
-            ExprKind::Tuple(parts) if parts.len() == 1 => {
-                infer_head(unit, ix, krate, self_ty, parts[0], env)
-            }
-            ExprKind::MethodCall { name, .. } if name == "len" || name == "count" || name == "capacity" => {
-                Some("usize".to_string())
-            }
-            ExprKind::Field { recv, name } => {
-                let recv_head = infer_head(unit, ix, krate, self_ty, *recv, env);
-                let t = match recv_head {
-                    Some(h) => ix.field_ty(krate, &h, name).cloned(),
-                    None => None,
-                };
-                t.map(|t| t.head)
-            }
-            ExprKind::Unary(inner) | ExprKind::Try(inner) => {
-                infer_head(unit, ix, krate, self_ty, *inner, env)
-            }
-            ExprKind::Binary { op, lhs, rhs, .. } => {
-                use crate::parse::BinOp;
-                if matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem | BinOp::Bit) {
-                    let l = infer_head(unit, ix, krate, self_ty, *lhs, env);
-                    let r = infer_head(unit, ix, krate, self_ty, *rhs, env);
-                    match (l, r) {
-                        (Some(a), Some(b)) if a == b => Some(a),
-                        (Some(a), None) => Some(a),
-                        (None, Some(b)) => Some(b),
-                        _ => None,
-                    }
-                } else {
-                    None
-                }
-            }
-            _ => None,
-        }
-    }
-
-    sup
 }
 
 /// Child expressions of a node (blocks excluded — see [`blocks`]).
@@ -432,20 +170,6 @@ pub fn blocks(kind: &crate::parse::ExprKind) -> Vec<&crate::parse::Block> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer;
-
-    fn unit(rel: &str, src: &str) -> FileUnit {
-        let (toks, ast) = parse::parse(src);
-        FileUnit {
-            rel: rel.to_string(),
-            krate: crate_of(rel),
-            src: src.to_string(),
-            toks,
-            ast,
-            lexed: lexer::lex(src, false),
-            testish: false,
-        }
-    }
 
     #[test]
     fn crate_names_resolve() {
@@ -455,71 +179,17 @@ mod tests {
     }
 
     #[test]
-    fn widening_lattice() {
-        assert!(is_widening("u32", "u64"));
-        assert!(is_widening("usize", "u64"));
-        assert!(is_widening("u64", "usize"));
-        assert!(is_widening("u32", "i64"));
-        assert!(is_widening("i32", "i64"));
-        assert!(!is_widening("u64", "i64"));
-        assert!(!is_widening("u64", "u32"));
-        assert!(!is_widening("i32", "u64"));
-        assert!(!is_widening("f64", "u64"));
-        assert!(!is_widening("u32", "f32"));
-    }
-
-    #[test]
-    fn index_sees_fields_methods_and_experiment_impls() {
+    fn index_sees_fields_and_experiment_impls() {
         let files = vec![
-            unit(
+            FileUnit::new(
                 "crates/demo/src/a.rs",
                 "struct Net { flows: BTreeMap<u64, Flow>, m: HashMap<u8, u8> }\n\
-                 impl Net { fn expect(&self, b: u8) -> u8 { b } }\n\
                  impl Experiment for Net { fn run(&mut self) -> u8 { 0 } }",
             ),
         ];
         let ix = Index::build(&files);
         assert_eq!(ix.field_ty("demo", "Net", "flows").unwrap().head, "BTreeMap");
-        assert!(ix.has_local_method("demo", "Net", "expect"));
-        assert!(!ix.has_local_method("demo", "Net", "unwrap"));
         assert!(ix.is_experiment_impl("demo", "Net"));
         assert!(!ix.is_experiment_impl("demo", "Other"));
-    }
-
-    #[test]
-    fn widening_casts_are_suppressed_lossy_ones_are_not() {
-        let u = unit(
-            "crates/demo/src/b.rs",
-            "fn f(xs: &Vec<u8>, n: u32) -> u64 {\n\
-             \x20   let a = xs.len() as u64;\n\
-             \x20   let b = n as u64;\n\
-             \x20   let c = n as u16;\n\
-             \x20   a + b + c as u64\n\
-             }",
-        );
-        let ix = Index::build(std::slice::from_ref(&u));
-        let sup = suppressions(&u, &ix);
-        assert!(sup.r3_widening.contains(&2), "len() as u64 is widening");
-        assert!(sup.r3_widening.contains(&3), "u32 as u64 is widening");
-        assert!(!sup.r3_widening.contains(&4), "u32 as u16 truncates");
-        // line 5: `c as u64` where c: u16 (inferred from cast) — widening
-        assert!(sup.r3_widening.contains(&5));
-    }
-
-    #[test]
-    fn local_method_expect_is_suppressed() {
-        let u = unit(
-            "crates/demo/src/c.rs",
-            "struct P { pos: usize }\n\
-             impl P {\n\
-             \x20   fn expect(&mut self, b: u8) -> u8 { b }\n\
-             \x20   fn go(&mut self) -> u8 { self.expect(1) }\n\
-             }\n\
-             fn f(o: Option<u8>) -> u8 { o.expect(\"boom\") }",
-        );
-        let ix = Index::build(std::slice::from_ref(&u));
-        let sup = suppressions(&u, &ix);
-        assert!(sup.r6_local_method.contains(&4), "self.expect is a local method");
-        assert!(!sup.r6_local_method.contains(&6), "Option::expect still counts");
     }
 }

@@ -1,44 +1,32 @@
-//! `edison-simlint` — determinism & unit-safety static analysis for this
-//! workspace.
+//! `edison-simlint` — the workspace analyses that clippy cannot express.
 //!
 //! The repo's headline claim is that every experiment is exactly
 //! reproducible from a single `u64` seed and that energy figures come
 //! from exact piecewise-constant integration. Nothing in the type system
-//! enforces that, so this crate does, in a four-stage pipeline:
+//! enforces that. `cargo lint-gate` runs clippy with the token-level
+//! rules denied (wall clock, hash collections, RNG construction, lossy
+//! casts, panics, unwraps). This crate adds the three rules that need
+//! the whole workspace's AST, in a three-stage pipeline:
 //!
-//! 1. **lex** ([`lexer`]) — v1 token stream with test regions and allow
-//!    markers; feeds the six token rules R1–R6.
-//! 2. **parse** ([`parse`]) — a hand-rolled, span-preserving
+//! 1. **parse** ([`parse`]) — a hand-rolled, span-preserving
 //!    item/expression parser (lossless: reassembling spans reproduces the
 //!    input byte-for-byte).
-//! 3. **index** ([`index`]) — workspace symbol tables (struct fields,
-//!    impl methods, `Experiment` impls) scoped per crate, plus
-//!    AST-derived suppressions that silence token-rule false positives
-//!    (provably-widening casts for R3, crate-local `expect`/`unwrap`
-//!    methods for R6).
-//! 4. **rules** — the token rules ([`rules`]) plus two AST analyses:
-//!    determinism taint tracking R7 ([`taint`]) and dimensional analysis
-//!    R8 ([`units`]).
+//! 2. **index** ([`index`]) — workspace symbol tables (struct fields,
+//!    `Experiment` impls) scoped per crate.
+//! 3. **rules** — unit-mixing signatures R5 ([`rules`]), determinism
+//!    taint tracking R7 ([`taint`]) and dimensional analysis R8
+//!    ([`units`]).
 //!
-//! All eight rules share the ratcheting baseline ([`baseline`]) that
-//! grandfathers existing violations and fails the build on new ones —
-//! and, since v2, on baseline entries pointing at files that no longer
-//! exist (stale-debt rot).
-//!
-//! Run it as `cargo run -p edison-simlint -- check` (or the
-//! `cargo lint-gate` alias; `cargo lint-explain R7` prints rule docs);
-//! the root-package integration test `tests/simlint_gate.rs` runs the
-//! same scan in tier-1.
+//! Every rule has a zero budget: the root-package integration test
+//! `tests/simlint_gate.rs` runs [`scan_workspace`] in tier-1 and fails on
+//! any finding.
 
-pub mod baseline;
 pub mod index;
-pub mod lexer;
 pub mod parse;
 pub mod rules;
 pub mod taint;
 pub mod units;
 
-use baseline::{Baseline, Regression, StaleEntry};
 use index::{FileUnit, Index};
 use rules::Finding;
 use std::collections::BTreeMap;
@@ -46,67 +34,17 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Name of the committed ratchet file at the workspace root.
-pub const BASELINE_FILE: &str = "simlint-baseline.json";
-
 /// Source trees scanned, relative to the workspace root. `vendor/` and
 /// `target/` are deliberately absent: the offline dependency stubs are
 /// not simulation code.
 const SCAN_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 
-/// Directory names whose whole subtree is treated as test code (lenient
-/// for R1/R3/R4/R5/R6; R2 still applies).
+/// Directory names whose whole subtree is treated as test code.
 const TESTISH_DIRS: [&str; 3] = ["tests", "benches", "examples"];
 
-/// Everything `check` learned in one scan.
-#[derive(Debug)]
-pub struct ScanResult {
-    /// Every un-suppressed finding, in path/line order.
-    pub findings: Vec<Finding>,
-    /// Findings aggregated into baseline shape.
-    pub counts: Baseline,
-    /// Number of files scanned.
-    pub files_scanned: usize,
-    /// Workspace-relative paths of every scanned file (sorted) — used to
-    /// detect baseline entries whose files no longer exist.
-    pub files: Vec<String>,
-}
-
-/// Result of comparing a scan to the committed baseline.
-#[derive(Debug)]
-pub struct CheckReport {
-    /// The fresh scan the comparison was made against.
-    pub scan: ScanResult,
-    /// (rule, file) pairs over budget — these fail the check.
-    pub regressions: Vec<Regression>,
-    /// (rule, file) pairs under budget — cleanups not yet locked in.
-    pub stale: Vec<StaleEntry>,
-    /// Baseline entries naming files that no longer exist (stale-debt
-    /// rot) — these fail the check too: dead entries hide real budget.
-    pub rot: Vec<(String, String)>,
-}
-
-impl CheckReport {
-    /// True when no (rule, file) pair exceeds the baseline and no
-    /// baseline entry points at a deleted file.
-    pub fn passed(&self) -> bool {
-        self.regressions.is_empty() && self.rot.is_empty()
-    }
-
-    /// The fresh findings belonging to regressed (rule, file) pairs —
-    /// what the developer must fix (or consciously re-baseline).
-    pub fn regressed_findings(&self) -> Vec<&Finding> {
-        self.scan
-            .findings
-            .iter()
-            .filter(|f| self.regressions.iter().any(|r| r.rule == f.rule && r.file == f.file))
-            .collect()
-    }
-}
-
-/// Walk the workspace from `root`; lex, parse, index and lint every
-/// `.rs` file (the full v2 pipeline).
-pub fn scan_workspace(root: &Path) -> io::Result<ScanResult> {
+/// Walk the workspace from `root`; parse, index and analyse every `.rs`
+/// file. Findings come back in (file, line, rule) order.
+pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut paths = Vec::new();
     for tree in SCAN_ROOTS {
         let dir = root.join(tree);
@@ -116,23 +54,10 @@ pub fn scan_workspace(root: &Path) -> io::Result<ScanResult> {
     }
     paths.sort();
 
-    // Pass 1: read + lex + parse every file.
+    // Pass 1: read + parse every file.
     let mut file_units: Vec<FileUnit> = Vec::with_capacity(paths.len());
     for path in &paths {
-        let source = fs::read_to_string(path)?;
-        let rel = rel_path(root, path);
-        let force_test = is_testish(&rel);
-        let lexed = lexer::lex(&source, force_test);
-        let (toks, ast) = parse::parse(&source);
-        file_units.push(FileUnit {
-            krate: index::crate_of(&rel),
-            rel,
-            src: source,
-            toks,
-            ast,
-            lexed,
-            testish: force_test,
-        });
+        file_units.push(FileUnit::new(&rel_path(root, path), &fs::read_to_string(path)?));
     }
 
     // Pass 2: build the workspace index and per-crate taint summaries.
@@ -146,118 +71,15 @@ pub fn scan_workspace(root: &Path) -> io::Result<ScanResult> {
         .map(|(k, files)| (*k, taint::summarize_crate(files, &ix)))
         .collect();
 
-    // Pass 3: token rules (with AST suppressions) + AST rules.
+    // Pass 3: the rules.
     let mut findings = Vec::new();
     for u in &file_units {
-        let sup = index::suppressions(u, &ix);
-        findings.extend(rules::check_file(&u.rel, &u.lexed, &sup));
-        let crate_summaries = &summaries[u.krate.as_str()];
-        let mut ast_findings = taint::check_file(u, &ix, crate_summaries);
-        ast_findings.extend(units::check_file(u, &ix));
-        findings.extend(rules::apply_allows(ast_findings, &u.lexed.allows));
+        findings.extend(rules::check_file(u));
+        findings.extend(taint::check_file(u, &ix, &summaries[u.krate.as_str()]));
+        findings.extend(units::check_file(u, &ix));
     }
     findings.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-    let counts = baseline::aggregate(&findings);
-    let files: Vec<String> = file_units.iter().map(|u| u.rel.clone()).collect();
-    Ok(ScanResult { findings, counts, files_scanned: files.len(), files })
-}
-
-/// Scan and compare against the committed baseline. A missing baseline
-/// file is treated as empty (every finding is then a regression), so a
-/// deleted ratchet file cannot silently disable the gate.
-pub fn check(root: &Path) -> io::Result<CheckReport> {
-    let scan = scan_workspace(root)?;
-    let baseline_path = root.join(BASELINE_FILE);
-    let committed: Baseline = if baseline_path.is_file() {
-        let text = fs::read_to_string(&baseline_path)?;
-        baseline::from_json(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?
-    } else {
-        Baseline::new()
-    };
-    let (regressions, stale) = baseline::compare(&committed, &scan.counts);
-    let mut rot = Vec::new();
-    for (rule, by_file) in &committed {
-        for file in by_file.keys() {
-            if !scan.files.contains(file) {
-                rot.push((rule.clone(), file.clone()));
-            }
-        }
-    }
-    Ok(CheckReport { scan, regressions, stale, rot })
-}
-
-/// Render a `CheckReport` as stable, machine-readable JSON (the
-/// `--json` output). Deterministic: findings are in (file, line, rule)
-/// order, deltas in (rule, file) order, keys always emitted.
-pub fn report_to_json(report: &CheckReport) -> String {
-    fn esc(s: &str) -> String {
-        let mut out = String::with_capacity(s.len() + 2);
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                '\n' => out.push_str("\\n"),
-                '\t' => out.push_str("\\t"),
-                c if u32::from(c) < 0x20 => out.push_str(&format!("\\u{:04x}", u32::from(c))),
-                c => out.push(c),
-            }
-        }
-        out
-    }
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"edison-simlint/2\",\n");
-    out.push_str(&format!("  \"files_scanned\": {},\n", report.scan.files_scanned));
-    out.push_str(&format!("  \"passed\": {},\n", report.passed()));
-    out.push_str("  \"findings\": [");
-    for (i, f) in report.scan.findings.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"msg\": \"{}\"}}",
-            esc(f.rule),
-            esc(&f.file),
-            f.line,
-            esc(&f.msg)
-        ));
-    }
-    out.push_str(if report.scan.findings.is_empty() { "],\n" } else { "\n  ],\n" });
-    // per-(rule, file) deltas vs the committed baseline: regressions
-    // (delta > 0) and stale entries (delta < 0), in (rule, file) order
-    let mut deltas: Vec<(&str, &str, usize, usize)> = Vec::new();
-    for r in &report.regressions {
-        deltas.push((&r.rule, &r.file, r.baseline, r.current));
-    }
-    for s in &report.stale {
-        deltas.push((&s.rule, &s.file, s.baseline, s.current));
-    }
-    deltas.sort();
-    out.push_str("  \"deltas\": [");
-    for (i, (rule, file, base, cur)) in deltas.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"baseline\": {}, \"current\": {}}}",
-            esc(rule),
-            esc(file),
-            base,
-            cur
-        ));
-    }
-    out.push_str(if deltas.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"rot\": [");
-    for (i, (rule, file)) in report.rot.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!("    {{\"rule\": \"{}\", \"file\": \"{}\"}}", esc(rule), esc(file)));
-    }
-    out.push_str(if report.rot.is_empty() { "]\n" } else { "\n  ]\n" });
-    out.push_str("}\n");
-    out
-}
-
-/// Rewrite the baseline from a fresh scan.
-pub fn update_baseline(root: &Path) -> io::Result<ScanResult> {
-    let scan = scan_workspace(root)?;
-    fs::write(root.join(BASELINE_FILE), baseline::to_json(&scan.counts))?;
-    Ok(scan)
+    Ok(findings)
 }
 
 /// Find the workspace root: the nearest ancestor of `start` whose
@@ -301,7 +123,7 @@ fn rel_path(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-fn is_testish(rel: &str) -> bool {
+pub(crate) fn is_testish(rel: &str) -> bool {
     rel.split('/').any(|seg| TESTISH_DIRS.contains(&seg))
 }
 

@@ -3,8 +3,8 @@
 //! This is **not** a full Rust front end: it covers the subset this
 //! workspace actually writes — modules, `use` trees, structs/enums,
 //! traits, impl blocks, and function signatures *with bodies parsed down
-//! to expressions* — which is exactly what the cross-file analyses
-//! ([`crate::taint`], [`crate::units`]) need. Everything it does not
+//! to expressions* — which is exactly what the analyses
+//! ([`crate::rules`], [`crate::taint`], [`crate::units`]) need. Everything it does not
 //! understand degrades to an [`ExprKind::Opaque`] / [`ItemKind::Other`]
 //! node that still records its token range, so analyses skip it instead
 //! of mis-reading it.
@@ -16,7 +16,7 @@
 //! and sibling items tile the file. [`Ast::reassemble`] walks the item
 //! tree emitting each token's source slice plus the trivia
 //! (whitespace/comments) between tokens, and must reproduce the input
-//! byte-for-byte — `tests/parser_roundtrip.rs` asserts this over every
+//! byte-for-byte — `tests/simlint_parser_roundtrip.rs` asserts this over every
 //! `.rs` file in the workspace, which is the forcing function keeping
 //! the parser honest as the codebase grows.
 //!
@@ -28,7 +28,6 @@
 //! shift-right ambiguity without parser state: in type position the two
 //! `>`s are simply two closers.
 
-use std::fmt;
 use std::ops::Range;
 
 // ---------------------------------------------------------------------------
@@ -306,30 +305,6 @@ pub struct Ty {
     pub refd: bool,
 }
 
-impl Ty {
-    /// A type with just a head.
-    pub fn named(head: &str) -> Ty {
-        Ty { head: head.to_string(), args: Vec::new(), refd: false }
-    }
-}
-
-impl fmt::Display for Ty {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.head)?;
-        if !self.args.is_empty() {
-            write!(f, "<")?;
-            for (i, a) in self.args.iter().enumerate() {
-                if i > 0 {
-                    write!(f, ", ")?;
-                }
-                write!(f, "{a}")?;
-            }
-            write!(f, ">")?;
-        }
-        Ok(())
-    }
-}
-
 /// One function parameter.
 #[derive(Debug, Clone)]
 pub struct Param {
@@ -527,8 +502,6 @@ pub enum ExprKind {
         expr: ExprId,
         /// Target type.
         ty: Ty,
-        /// 1-based line of the `as` token itself.
-        as_line: u32,
     },
     /// `expr?`.
     Try(ExprId),
@@ -1381,9 +1354,9 @@ impl<'s> Parser<'s> {
 
     // -- expressions ------------------------------------------------------
 
+    #[expect(clippy::cast_possible_truncation, reason = "a source file with 4 billion expressions is unreachable")]
     fn mk(&mut self, kind: ExprKind, toks: Range<usize>, line: u32) -> ExprId {
         self.exprs.push(Expr { kind, toks, line });
-        // simlint: allow(R3) a source file with 4 billion expressions is unreachable
         ExprId((self.exprs.len() - 1) as u32)
     }
 
@@ -1600,10 +1573,9 @@ impl<'s> Parser<'s> {
                     e = self.mk(ExprKind::Try(e), start..self.pos, line);
                 }
                 "as" => {
-                    let as_line = self.line();
                     self.bump();
                     let ty = self.type_expr();
-                    e = self.mk(ExprKind::Cast { expr: e, ty, as_line }, start..self.pos, line);
+                    e = self.mk(ExprKind::Cast { expr: e, ty }, start..self.pos, line);
                 }
                 _ => break,
             }

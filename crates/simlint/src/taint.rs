@@ -1,12 +1,13 @@
 //! R7 — determinism taint tracking.
 //!
-//! v1's R1 says "a `HashMap` anywhere in sim code is suspicious". This
-//! pass says something sharper: *this* HashMap's iteration order (or this
-//! wall-clock read, ambient RNG draw, or thread id) **reaches an exported
-//! artefact** — a `Telemetry` sink, a `Report`/CSV writer, or the return
-//! value of an `Experiment::run`. A keyed-only map vetted with
-//! `allow(R1)` stays legal right up until someone iterates it into a
-//! metric, at which point R7 fires even though R1 is suppressed.
+//! clippy's `disallowed_types` says "a `HashMap` anywhere in sim code is
+//! suspicious". This pass says something sharper: *this* HashMap's
+//! iteration order (or this wall-clock read, ambient RNG draw, or thread
+//! id) **reaches an exported artefact** — a `Telemetry` sink, a
+//! `Report`/CSV writer, or the return value of an `Experiment::run`. A
+//! keyed-only map vetted with `#[expect(clippy::disallowed_types)]` stays
+//! legal right up until someone iterates it into a metric, at which point
+//! R7 fires even though the lint is expected.
 //!
 //! ### Model
 //!
@@ -35,23 +36,10 @@
 //! addition is non-associative, so summing a hash iteration is exactly
 //! the bug class R7 exists for.
 //!
-//! ### Scheduler-state sources
-//!
-//! Task and thread plumbing (simrun's worker threads over
-//! `std::sync::mpsc`, or any executor) yields values that encode
-//! *scheduler state* rather than model state: the handle `spawn` returns
-//! records spawn order, and `try_recv` reports whether a message had
-//! arrived *at poll time*. Both shift under any refactor that reorders
-//! spawns or wakes — exactly the silent-export-drift R7 exists to catch —
-//! so they are sources here. Channels must not launder taint either: on
-//! `let (tx, rx) = mpsc()` (or `oneshot`/`channel`) the pair is
-//! remembered, and a tainted `tx.send(v)` re-emerges tainted from the
-//! matching `rx.recv()`.
-//!
 //! Known blind spots (documented, not bugs): taint through struct-field
 //! writes, through `if`/`match` *values* (their bodies are still
 //! scanned), and through macro invocations (`write!`-family formatting is
-//! invisible; raw sources inside macros are still caught by R1).
+//! invisible; raw sources inside macros are still caught by clippy).
 
 use crate::index::{blocks, children, FileUnit, Index};
 use crate::parse::{self, Block, ExprId, ExprKind, FnDef, Stmt};
@@ -73,20 +61,6 @@ const SANITIZERS: [&str; 9] =
 /// `simtel`, plus the shared `record` verb.)
 const SINK_METHODS: [&str; 8] =
     ["counter_add", "counter_inc", "gauge_set", "observe", "series_push", "record", "record_into", "write_record"];
-
-/// Method results whose value encodes scheduler state (silently shifted
-/// by any spawn/wake reordering): the handle from a spawn records spawn
-/// order; `try_recv` snapshots whether a message had arrived at poll
-/// time.
-const SCHED_SOURCE_METHODS: [(&str, &str); 2] = [
-    ("spawn", "task spawn order (spawn handle)"),
-    ("try_recv", "try_recv poll-time arrival state"),
-];
-
-/// Channel constructors returning a `(sender, receiver)` pair; a
-/// tuple-destructuring `let` on one links the two bindings so `send`
-/// taint re-emerges from `recv`.
-const CHANNEL_CTORS: [&str; 3] = ["mpsc", "oneshot", "channel"];
 
 /// Free/assoc functions that render report artefacts.
 const SINK_FNS: [&str; 3] = ["table", "series_table", "trim_float"];
@@ -154,8 +128,7 @@ pub fn summarize_crate(files: &[&FileUnit], ix: &Index) -> Summaries {
     summaries
 }
 
-/// Run R7 over one file given its crate's summaries. Findings come back
-/// un-vetted; the caller applies allow markers.
+/// Run R7 over one file given its crate's summaries.
 pub fn check_file(unit: &FileUnit, ix: &Index, summaries: &Summaries) -> Vec<Finding> {
     let mut findings = Vec::new();
     if unit.testish {
@@ -187,7 +160,6 @@ fn eval_fn(
         summaries,
         taints: BTreeMap::new(),
         hashy: BTreeMap::new(),
-        chan_peer: BTreeMap::new(),
         self_ty,
         ret: Taint::clean(),
         sinks_params: false,
@@ -239,9 +211,6 @@ struct Cx<'a> {
     taints: BTreeMap<String, Taint>,
     /// binding name → is a hash collection.
     hashy: BTreeMap<String, bool>,
-    /// channel-pair bindings: each side of a `let (tx, rx) = mpsc()`
-    /// destructure maps to the other, so `send` taints the receiver.
-    chan_peer: BTreeMap<String, String>,
     self_ty: Option<&'a str>,
     /// union of `return`-ed taints.
     ret: Taint,
@@ -293,12 +262,6 @@ impl<'a> Cx<'a> {
                         self.taints.insert(name.clone(), t);
                         self.hashy.insert(name.clone(), hashy);
                     }
-                    // `let (tx, rx) = mpsc()` — link the pair so a
-                    // tainted send re-emerges from the matching recv
-                    if names.len() == 2 && init.is_some_and(|e| self.is_channel_ctor(e)) {
-                        self.chan_peer.insert(names[0].clone(), names[1].clone());
-                        self.chan_peer.insert(names[1].clone(), names[0].clone());
-                    }
                 }
                 Stmt::Expr { expr, semi } => {
                     let t = self.eval(*expr);
@@ -310,20 +273,6 @@ impl<'a> Cx<'a> {
             }
         }
         tail
-    }
-
-    /// Is this expression a call to a channel constructor returning a
-    /// `(sender, receiver)` pair?
-    fn is_channel_ctor(&self, id: ExprId) -> bool {
-        let expr = self.unit.ast.expr(id);
-        if let ExprKind::Call { callee, .. } = &expr.kind {
-            if let ExprKind::Path(segs) = &self.unit.ast.expr(*callee).kind {
-                return segs
-                    .last()
-                    .is_some_and(|s| CHANNEL_CTORS.contains(&s.as_str()));
-            }
-        }
-        false
     }
 
     /// Is this expression a hash collection (so its iteration methods are
@@ -376,10 +325,7 @@ impl<'a> Cx<'a> {
                 self.eval(*recv)
             }
             ExprKind::Unary(a) | ExprKind::Try(a) | ExprKind::Cast { expr: a, .. } => self.eval(*a),
-            ExprKind::Index { recv, index } => {
-                let t = self.eval(*recv).or(self.eval(*index));
-                t
-            }
+            ExprKind::Index { recv, index } => self.eval(*recv).or(self.eval(*index)),
             ExprKind::Tuple(parts) | ExprKind::Array(parts) => {
                 parts.iter().fold(Taint::clean(), |acc, p| acc.or(self.eval(*p)))
             }
@@ -419,30 +365,12 @@ impl<'a> Cx<'a> {
                 if SINK_METHODS.contains(&name.as_str()) {
                     self.sink_hit(arg_taint, *name_line, &format!("telemetry/report sink `.{name}()`"));
                 }
-                // `tx.send(v)` on a linked channel pair: the payload's
-                // taint crosses to the receiver binding, so it is still
-                // there when `rx.recv()` hands the value back
-                if name == "send" {
-                    if let ExprKind::Path(segs) = &self.unit.ast.expr(*recv).kind {
-                        if let [one] = segs.as_slice() {
-                            if let Some(peer) = self.chan_peer.get(one).cloned() {
-                                let prev = self.taints.get(&peer).copied().unwrap_or_default();
-                                self.taints.insert(peer, prev.or(arg_taint));
-                            }
-                        }
-                    }
-                }
                 if SANITIZERS.contains(&name.as_str()) {
                     return Taint { source: None, param: recv_taint.param || arg_taint.param };
                 }
                 let mut t = recv_taint.or(arg_taint);
                 if ITER_SOURCES.contains(&name.as_str()) && self.is_hash(*recv) {
                     t = t.or(Taint { source: Some("HashMap/HashSet iteration order"), param: false });
-                }
-                if let Some((_, src)) =
-                    SCHED_SOURCE_METHODS.iter().find(|(m, _)| *m == name.as_str())
-                {
-                    t = t.or(Taint { source: Some(src), param: false });
                 }
                 // crate-local callee summaries (methods resolved by name)
                 if let Some(s) = self.summaries.get(name.as_str()) {
@@ -454,11 +382,6 @@ impl<'a> Cx<'a> {
                     }
                     if s.returns_source {
                         t = t.or(Taint { source: Some("a nondeterministic callee"), param: false });
-                    }
-                    if !s.taints_through && !ITER_SOURCES.contains(&name.as_str()) {
-                        // callee provably drops its inputs' influence on
-                        // the return value — but only trust that for
-                        // crate-local fns we actually summarized
                     }
                 }
                 t
@@ -593,25 +516,9 @@ impl<'a> Cx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::crate_of;
-    use crate::lexer;
-
-    fn unit(src: &str) -> FileUnit {
-        let rel = "crates/demo/src/lib.rs";
-        let (toks, ast) = parse::parse(src);
-        FileUnit {
-            rel: rel.to_string(),
-            krate: crate_of(rel),
-            src: src.to_string(),
-            toks,
-            ast,
-            lexed: lexer::lex(src, false),
-            testish: false,
-        }
-    }
 
     fn findings(src: &str) -> Vec<Finding> {
-        let u = unit(src);
+        let u = FileUnit::new("crates/demo/src/lib.rs", src);
         let ix = Index::build(std::slice::from_ref(&u));
         let summaries = summarize_crate(&[&u], &ix);
         check_file(&u, &ix, &summaries)
@@ -723,56 +630,6 @@ mod tests {
                    } }";
         let f = findings(src);
         assert_eq!(f.len(), 1, "{f:?}");
-    }
-
-    #[test]
-    fn spawn_task_id_into_report_is_flagged() {
-        let src = "fn f(exec: &mut Executor) -> Comparison {\n\
-                   \x20   let tid = exec.spawn(fut());\n\
-                   \x20   Comparison::new(\"winner\", 1.0, tid)\n\
-                   }";
-        let f = findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].msg.contains("spawn order"), "{}", f[0].msg);
-    }
-
-    #[test]
-    fn try_recv_arrival_state_into_telemetry_is_flagged() {
-        let src = "fn f(tel: &mut Telemetry, rx: &mut Receiver<f64>) {\n\
-                   \x20   if let Some(v) = rx.try_recv() {\n\
-                   \x20       tel.gauge_set(\"v\", Labels::none(), v);\n\
-                   \x20   }\n\
-                   }";
-        let f = findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].msg.contains("try_recv"), "{}", f[0].msg);
-    }
-
-    #[test]
-    fn channel_send_does_not_launder_iteration_order() {
-        let src = "struct S { m: HashMap<u64, f64> }\n\
-                   impl S { fn export(&self, tel: &mut Telemetry) {\n\
-                   \x20   let (tx, rx) = mpsc();\n\
-                   \x20   let worst: f64 = self.m.values().sum();\n\
-                   \x20   let _ = tx.send(worst);\n\
-                   \x20   let got = rx.recv();\n\
-                   \x20   tel.gauge_set(\"worst\", Labels::none(), got);\n\
-                   } }";
-        let f = findings(src);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].msg.contains("iteration order"), "{}", f[0].msg);
-    }
-
-    #[test]
-    fn clean_channel_traffic_and_len_stay_clean() {
-        let src = "fn f(tel: &mut Telemetry) {\n\
-                   \x20   let (tx, rx) = oneshot();\n\
-                   \x20   let _ = tx.send(1.0);\n\
-                   \x20   let got = rx.recv();\n\
-                   \x20   tel.gauge_set(\"g\", Labels::none(), got);\n\
-                   \x20   tel.counter_add(\"n\", Labels::none(), rx.len() as u64);\n\
-                   }";
-        assert!(findings(src).is_empty(), "{:?}", findings(src));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!    `as_secs_f64()`-style accessors) are time.
 //! 2. **Names**: snake_case segments of params/locals/fields against a
 //!    fixed vocabulary (`watts`, `busy_j`, `bytes_per_sec`, …) — the same
-//!    convention R5 policed at signature level, now applied to every
+//!    convention R5 polices at signature level, applied here to every
 //!    binding.
 //! 3. **Arithmetic propagation**: `W × s → J`, `J ÷ s → W`, `B ÷ s → B/s`,
 //!    `X ÷ X → dimensionless`, and unit-preserving `+`/`-`/`min`/`max`.
@@ -23,7 +23,7 @@
 //!   unit, e.g. `let total_j = watts * watts;`.
 //!
 //! Unknown stays silent: the pass only speaks when it can say *which two
-//! units* disagree, which is what keeps it usable as a ratcheted gate
+//! units* disagree, which is what keeps it usable as a zero-budget gate
 //! rather than a noise fountain.
 
 use crate::index::{blocks, children, FileUnit, Index};
@@ -54,7 +54,7 @@ pub enum Unit {
 }
 
 impl Unit {
-    /// Human name used in findings and `--explain R8`.
+    /// Human name used in findings.
     pub fn name(self) -> &'static str {
         match self {
             Unit::Seconds => "time",
@@ -74,8 +74,8 @@ impl Unit {
 }
 
 /// Unit implied by a binding/field name, via whole snake_case segments —
-/// `busy_w` is power, `wattage_class` is nothing. This extends R5's
-/// time/power/energy vocabulary with bytes, rates, and request counts.
+/// `busy_w` is power, `wattage_class` is nothing. R5 reads its
+/// time/power/energy classes from here too.
 pub fn unit_of_name(name: &str) -> Unit {
     const TIME: [&str; 13] =
         ["s", "secs", "sec", "seconds", "ms", "millis", "us", "ns", "nanos", "duration", "latency", "delay", "elapsed"];
@@ -179,8 +179,7 @@ const UNIT_PRESERVING: [&str; 10] =
 const TIME_ACCESSORS: [&str; 6] =
     ["as_secs_f64", "as_millis_f64", "as_secs", "as_millis", "as_micros", "as_nanos"];
 
-/// Run R8 over one file. `Finding`s come back un-vetted; the caller
-/// applies the allow markers.
+/// Run R8 over one file.
 pub fn check_file(unit: &FileUnit, ix: &Index) -> Vec<Finding> {
     let mut findings = Vec::new();
     if unit.testish {
@@ -425,20 +424,10 @@ impl<'a> Cx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::{crate_of, FileUnit};
-    use crate::lexer;
+    use crate::index::FileUnit;
 
     fn findings(src: &str) -> Vec<Finding> {
-        let (toks, ast) = parse::parse(src);
-        let u = FileUnit {
-            rel: "crates/demo/src/lib.rs".into(),
-            krate: crate_of("crates/demo/src/lib.rs"),
-            src: src.to_string(),
-            toks,
-            ast,
-            lexed: lexer::lex(src, false),
-            testish: false,
-        };
+        let u = FileUnit::new("crates/demo/src/lib.rs", src);
         let ix = Index::build(std::slice::from_ref(&u));
         check_file(&u, &ix)
     }

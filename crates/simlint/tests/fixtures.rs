@@ -1,205 +1,309 @@
-//! Fixture tests: one positive and one negative case per rule, driven
-//! through the public `check_file` API exactly as the scanner calls it,
-//! plus an end-to-end ratchet test against a throwaway workspace on disk.
+//! Fixture tests: one positive and one negative case per rule.
 //!
-//! All rule-triggering tokens live inside string literals so that
-//! simlint's own scan of this file stays clean.
+//! R1–R4 and R6 are clippy lints. Each fixture becomes a module of a
+//! throwaway crate, linted with the exact command of the `cargo lint-gate`
+//! alias (read from `.cargo/config.toml`, with the workspace's
+//! `clippy.toml`); the tests assert which lines fail. R5 runs through
+//! simlint's own `rules::check_file`.
 
-use edison_simlint::index::Suppressions;
-use edison_simlint::lexer::lex;
-use edison_simlint::rules::check_file;
-use edison_simlint::{baseline, check, update_baseline};
+use edison_simlint::index::FileUnit;
+use edison_simlint::{find_workspace_root, rules};
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
-const LIB: &str = "crates/demo/src/lib.rs";
+fn workspace_root() -> PathBuf {
+    find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root")
+}
 
-fn rules_of(src: &str) -> Vec<&'static str> {
-    check_file(LIB, &lex(src, false), &Suppressions::default()).into_iter().map(|f| f.rule).collect()
+/// The `cargo lint-gate` alias's arguments.
+fn gate_args(root: &Path) -> Vec<String> {
+    let config = fs::read_to_string(root.join(".cargo/config.toml")).expect("cargo config");
+    let alias = config.lines().find_map(|l| l.strip_prefix("lint-gate = ")).expect("lint-gate alias");
+    alias.trim_matches('"').split_whitespace().map(String::from).collect()
+}
+
+/// Lint a throwaway crate `name` whose library has one module per
+/// snippet, with the gate's command plus `extra` cargo arguments. The
+/// crate depends on the vendored `rand` when `with_rand`. Returns the
+/// errors per snippet as sorted `"<line>: <message>"` strings, without
+/// the labels and help clippy appends after a further `": "`.
+fn gate(name: &str, snippets: &[&str], with_rand: bool, extra: &[&str]) -> Vec<Vec<String>> {
+    let root = workspace_root();
+    let base = Path::new(env!("CARGO_TARGET_TMPDIR")).join("lint-fixtures");
+    let dir = base.join(name);
+    fs::remove_dir_all(&dir).ok();
+    fs::create_dir_all(dir.join("src")).expect("mkdir");
+    let rand = if with_rand {
+        format!("rand = {{ path = {:?}, features = [\"small_rng\"] }}", root.join("vendor/rand"))
+    } else {
+        String::new()
+    };
+    let manifest = format!("[package]\nname = \"{name}\"\nversion = \"0.0.0\"\nedition = \"2021\"\n\n[workspace]\n\n[dependencies]\n{rand}\n");
+    fs::write(dir.join("Cargo.toml"), manifest).expect("manifest");
+    let mods: String = (0..snippets.len()).map(|i| format!("pub mod m{i};\n")).collect();
+    fs::write(dir.join("src/lib.rs"), mods).expect("lib.rs");
+    for (i, src) in snippets.iter().enumerate() {
+        fs::write(dir.join(format!("src/m{i}.rs")), src).expect("snippet");
+    }
+
+    let args = gate_args(&root);
+    let split = args.iter().position(|a| a == "--").expect("lint-gate passes lints after `--`");
+    let out = Command::new(std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into()))
+        .args(&args[..split])
+        .args(extra)
+        .arg("--message-format=short")
+        .args(&args[split..])
+        .current_dir(&dir)
+        .env("CARGO_TARGET_DIR", base.join("target"))
+        .env("CLIPPY_CONF_DIR", &root)
+        .output()
+        .expect("run cargo clippy");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+
+    // `src/m3.rs:2:13: error: used `unwrap()` on an `Option` value`, or
+    // `src/m0.rs:1:21: error[E0425]: cannot find function ...: not found in ...`
+    let mut errors = vec![Vec::new(); snippets.len()];
+    for l in stderr.lines() {
+        let Some((loc, rest)) = l.split_once(": error") else { continue };
+        let mut loc = loc.split(':');
+        let (Some(file), Some(line)) = (loc.next(), loc.next()) else { continue };
+        let Some(i) = file.strip_prefix("src/m").and_then(|f| f.strip_suffix(".rs")) else { continue };
+        let msg = rest.split(": ").nth(1).unwrap_or(rest);
+        errors[i.parse::<usize>().expect("module index")].push(format!("{line}: {msg}"));
+    }
+    errors.iter_mut().for_each(|e| e.sort());
+    assert_eq!(out.status.success(), errors.iter().all(Vec::is_empty), "{stderr}");
+    errors
+}
+
+fn assert_clean(errors: &[Vec<String>]) {
+    assert!(errors.iter().all(Vec::is_empty), "{errors:#?}");
 }
 
 // ---- R1: nondeterminism sources ------------------------------------------
 
 #[test]
 fn r1_positive_wallclock_ambient_rng_and_hash_maps() {
-    assert_eq!(rules_of("fn f() { let t0 = Instant::now(); }"), vec!["R1"]);
-    assert_eq!(rules_of("fn f() { let t0 = SystemTime::now(); }"), vec!["R1"]);
-    assert_eq!(rules_of("fn f() -> f64 { rand::random() }"), vec!["R1"]);
-    assert_eq!(rules_of("struct S { m: HashMap<u64, f64> }"), vec!["R1"]);
-    assert_eq!(rules_of("fn f() { let s: HashSet<u8> = HashSet::default(); }"), vec!["R1", "R1"]);
+    let f = gate(
+        "r1_positive",
+        &[
+            "pub fn f() -> std::time::Instant { std::time::Instant::now() }",
+            "use std::time::SystemTime;\npub fn f() -> SystemTime { SystemTime::now() }",
+            "pub struct S { pub m: std::collections::HashMap<u64, f64> }",
+            "pub fn f() -> usize {\n    let s: std::collections::HashSet<u8> = Default::default();\n    s.len()\n}",
+        ],
+        false,
+        &[],
+    );
+    assert_eq!(f[0], ["1: use of a disallowed method `std::time::Instant::now`"]);
+    assert_eq!(f[1], ["2: use of a disallowed method `std::time::SystemTime::now`"]);
+    assert_eq!(f[2], ["1: use of a disallowed type `std::collections::HashMap`"]);
+    assert_eq!(f[3], ["2: use of a disallowed type `std::collections::HashSet`"]);
+
+    // The vendored rand has no ambient generator: code that asks for one
+    // does not build, so the gate fails on it.
+    let f = gate("r1_ambient_rng", &["pub fn f() -> f64 { rand::random() }"], true, &[]);
+    assert_eq!(f[0], ["1: cannot find function `random` in crate `rand`"]);
 }
 
 #[test]
 fn r1_negative_btreemap_tests_uses_and_vetted_sites() {
-    assert!(rules_of("struct S { m: BTreeMap<u64, f64> }").is_empty());
-    assert!(rules_of("use std::collections::HashMap;").is_empty());
-    assert!(rules_of("#[cfg(test)]\nmod tests { fn f() { let t = Instant::now(); } }").is_empty());
-    // an allow marker on the line above vouches for a keyed-only map
-    assert!(rules_of("struct S {\n    // simlint: allow(R1) keyed lookup only\n    m: HashMap<u64, f64>,\n}").is_empty());
-    // `Instant` inside a string or comment is not a finding
-    assert!(rules_of("fn f() { let s = \"Instant::now()\"; } // Instant::now()").is_empty());
+    assert_clean(&gate(
+        "r1_negative",
+        &[
+            "pub struct S { pub m: std::collections::BTreeMap<u64, f64> }",
+            "#[cfg(test)]\nmod tests {\n    fn f() { let _t = std::time::Instant::now(); }\n}",
+            // an expectation with a reason vouches for a keyed-only map
+            "pub struct S {\n    #[expect(clippy::disallowed_types, reason = \"keyed lookup only\")]\n    pub m: std::collections::HashMap<u64, f64>,\n}",
+            // `Instant::now` inside a string or comment is not a call
+            "pub fn f() -> &'static str { \"Instant::now()\" } // Instant::now()",
+        ],
+        false,
+        &[],
+    ));
 }
 
 // ---- R2: RNG construction outside simcore/src/rng.rs ---------------------
 
 #[test]
 fn r2_positive_rng_construction_even_in_tests() {
-    assert_eq!(rules_of("fn f() { let r = SmallRng::seed_from_u64(7); }"), vec!["R2", "R2"]);
-    // R2 deliberately applies inside test regions too
-    assert_eq!(
-        rules_of("#[cfg(test)]\nmod tests { fn f() { let r = StdRng::seed_from_u64(1); } }"),
-        vec!["R2", "R2"]
+    let f = gate(
+        "r2_positive",
+        &["use rand::SeedableRng;\npub fn f() -> rand::rngs::SmallRng { rand::rngs::SmallRng::seed_from_u64(7) }"],
+        true,
+        &[],
     );
+    assert_eq!(
+        f[0],
+        [
+            "2: use of a disallowed method `rand::SeedableRng::seed_from_u64`",
+            "2: use of a disallowed type `rand::rngs::SmallRng`",
+            "2: use of a disallowed type `rand::rngs::SmallRng`",
+        ]
+    );
+    // Test code is outside the gate, but only simcore depends on rand (see
+    // tests/rand_dependency.rs), so test code anywhere else cannot name it.
+    let f = gate(
+        "r2_positive_tests",
+        &["#[cfg(test)]\nmod tests {\n    fn f() { let _ = rand::rngs::SmallRng::seed_from_u64(1); }\n}"],
+        false,
+        &["--tests"],
+    );
+    assert_eq!(f[0], ["3: cannot find module or crate `rand` in this scope"]);
 }
 
 #[test]
 fn r2_negative_inside_rng_home_and_via_simrng() {
-    let src = "fn mk() { let r = SmallRng::seed_from_u64(7); }";
-    assert!(check_file("crates/simcore/src/rng.rs", &lex(src, false), &Suppressions::default()).is_empty());
-    assert!(rules_of("fn f(rng: &mut SimRng) { let sub = rng.split(\"net\"); }").is_empty());
+    assert_clean(&gate(
+        "r2_negative",
+        &[
+            // the RNG home vouches for its construction once, for the module
+            "#![expect(clippy::disallowed_types, clippy::disallowed_methods, reason = \"the RNG home\")]\n\
+             use rand::SeedableRng;\n\
+             pub fn new(seed: u64) -> rand::rngs::SmallRng { rand::rngs::SmallRng::seed_from_u64(seed) }",
+            // drawing from a generator handed in is fine
+            "pub fn draw(rng: &mut impl rand::Rng) -> f64 { rng.gen() }",
+        ],
+        true,
+        &[],
+    ));
 }
 
 // ---- R3: lossy numeric casts ---------------------------------------------
 
 #[test]
 fn r3_positive_truncating_casts() {
-    assert_eq!(rules_of("fn f(x: u64) -> u32 { x as u32 }"), vec!["R3"]);
-    assert_eq!(rules_of("fn f(x: f64) -> i64 { x as i64 }"), vec!["R3"]);
-    assert_eq!(rules_of("fn f(x: f64) -> f32 { x as f32 }"), vec!["R3"]);
+    let f = gate(
+        "r3_positive",
+        &[
+            "pub fn f(x: u64) -> u32 { x as u32 }",
+            "pub fn f(x: f64) -> i64 { x as i64 }",
+            "pub fn f(x: f64) -> f32 { x as f32 }",
+            "pub fn f(x: u64) -> i64 { x as i64 }",
+        ],
+        false,
+        &[],
+    );
+    assert_eq!(f[0], ["1: casting `u64` to `u32` may truncate the value"]);
+    assert_eq!(f[1], ["1: casting `f64` to `i64` may truncate the value"]);
+    assert_eq!(f[2], ["1: casting `f64` to `f32` may truncate the value"]);
+    assert_eq!(f[3], ["1: casting `u64` to `i64` may wrap around the value"]);
 }
 
 #[test]
 fn r3_negative_widening_and_test_code() {
-    assert!(rules_of("fn f(x: u32) -> f64 { x as f64 }").is_empty());
-    assert!(rules_of("#[cfg(test)]\nmod tests { fn f(x: u64) -> u8 { x as u8 } }").is_empty());
+    assert_clean(&gate(
+        "r3_negative",
+        &[
+            "pub fn f(x: u32) -> f64 { x as f64 }",
+            "pub fn f(x: u32) -> u64 { x as u64 }",
+            "#[cfg(test)]\nmod tests {\n    fn f(x: u64) -> u8 { x as u8 }\n}",
+        ],
+        false,
+        &[],
+    ));
 }
 
-// ---- R4: panic-macro budget -----------------------------------------------
+// ---- R4: panic macros -----------------------------------------------------
 
 #[test]
 fn r4_positive_panic_macros() {
-    assert_eq!(rules_of("fn f() { panic!(\"boom\") }"), vec!["R4"]);
-    assert_eq!(rules_of("fn f() { unreachable!() }"), vec!["R4"]);
-    assert_eq!(rules_of("fn f() { todo!() }"), vec!["R4"]);
+    let f = gate(
+        "r4_positive",
+        &[
+            "pub fn f() { panic!(\"boom\") }",
+            "pub fn f() { unreachable!() }",
+            "pub fn f() { todo!() }",
+            "pub fn f() { unimplemented!() }",
+        ],
+        false,
+        &[],
+    );
+    assert_eq!(f[0], ["1: `panic` should not be present in production code"]);
+    assert_eq!(f[1], ["1: usage of the `unreachable!` macro"]);
+    assert_eq!(f[2], ["1: `todo` should not be present in production code"]);
+    assert_eq!(f[3], ["1: `unimplemented` should not be present in production code"]);
 }
 
 #[test]
 fn r4_negative_asserts_and_test_code() {
-    assert!(rules_of("fn f(x: u8) { assert!(x > 0); debug_assert_eq!(x, 1); }").is_empty());
-    assert!(rules_of("#[cfg(test)]\nmod tests { fn f() { panic!(\"boom\") } }").is_empty());
+    assert_clean(&gate(
+        "r4_negative",
+        &[
+            "pub fn f(x: u8) { assert!(x > 0); debug_assert_eq!(x, 1); }",
+            "#[cfg(test)]\nmod tests {\n    fn f() { panic!(\"boom\") }\n}",
+        ],
+        false,
+        &[],
+    ));
 }
 
 // ---- R5: unit-mixing signatures ------------------------------------------
 
+fn r5(src: &str) -> Vec<&'static str> {
+    rules::check_file(&FileUnit::new("crates/demo/src/lib.rs", src)).into_iter().map(|f| f.rule).collect()
+}
+
 #[test]
 fn r5_positive_mixed_unit_vocabulary() {
-    assert_eq!(rules_of("fn charge(watts: f64, duration_s: f64) -> f64 { watts * duration_s }"), vec!["R5"]);
-    assert_eq!(rules_of("fn e(idle_w: f64, ramp_ms: f64) {}"), vec!["R5"]);
+    assert_eq!(r5("fn charge(watts: f64, duration_s: f64) -> f64 { watts * duration_s }"), vec!["R5"]);
+    assert_eq!(r5("fn e(idle_w: f64, ramp_ms: f64) {}"), vec!["R5"]);
 }
 
 #[test]
 fn r5_negative_single_class_newtypes_and_unclassified() {
-    assert!(rules_of("fn f(warmup_s: f64, measure_s: f64) {}").is_empty());
-    assert!(rules_of("fn f(watts: f64, t: SimTime) {}").is_empty());
-    assert!(rules_of("fn f(a: f64, b: f64) {}").is_empty());
+    assert!(r5("fn f(warmup_s: f64, measure_s: f64) {}").is_empty());
+    assert!(r5("fn f(watts: f64, t: SimTime) {}").is_empty());
+    assert!(r5("fn f(a: f64, b: f64) {}").is_empty());
 }
 
-// ---- R6: unwrap/expect budget ---------------------------------------------
+// ---- R6: unwrap/expect ----------------------------------------------------
 
 #[test]
 fn r6_positive_unwrap_expect_method_calls() {
-    assert_eq!(rules_of("fn f(o: Option<u8>) -> u8 { o.unwrap() }"), vec!["R6"]);
-    assert_eq!(rules_of("fn f(o: Option<u8>) -> u8 { o.expect(\"set\") }"), vec!["R6"]);
+    let f = gate(
+        "r6_positive",
+        &[
+            "pub fn f(o: Option<u8>) -> u8 { o.unwrap() }",
+            "pub fn f(o: Option<u8>) -> u8 { o.expect(\"set\") }",
+            "pub fn f(r: Result<u8, ()>) -> u8 { r.unwrap() }",
+        ],
+        false,
+        &[],
+    );
+    assert_eq!(f[0], ["1: used `unwrap()` on an `Option` value"]);
+    assert_eq!(f[1], ["1: used `expect()` on an `Option` value"]);
+    assert_eq!(f[2], ["1: used `unwrap()` on a `Result` value"]);
 }
 
 #[test]
 fn r6_negative_or_family_free_fns_and_test_code() {
-    assert!(rules_of("fn f(o: Option<u8>) -> u8 { o.unwrap_or(0) }").is_empty());
-    assert!(rules_of("fn f(o: Option<u8>) -> u8 { o.unwrap_or_else(|| 0) }").is_empty());
-    assert!(rules_of("#[cfg(test)]\nmod tests { fn f(o: Option<u8>) -> u8 { o.unwrap() } }").is_empty());
+    assert_clean(&gate(
+        "r6_negative",
+        &[
+            "pub fn f(o: Option<u8>) -> u8 { o.unwrap_or(0) }",
+            "pub fn f(o: Option<u8>) -> u8 { o.unwrap_or_else(|| 0) }",
+            "#[cfg(test)]\nmod tests {\n    fn f(o: Option<u8>) -> u8 { o.unwrap() }\n}",
+            // a crate-local method named `expect` is not Option::expect
+            "pub struct P;\nimpl P {\n    pub fn expect(&self, b: u8) -> u8 { b }\n    pub fn go(&self) -> u8 { self.expect(1) }\n}",
+        ],
+        false,
+        &[],
+    ));
 }
 
-// ---- end to end: the ratchet against a real directory tree ---------------
+// ---- vetted sites stay honest ---------------------------------------------
 
-/// Build a throwaway single-crate workspace, then walk the full ratchet
-/// cycle: a violating tree fails with no baseline, passes once the debt
-/// is grandfathered, and fails again as soon as a *new* violation lands.
+/// An `#[expect]` whose finding has gone fails the gate, so a vetted site
+/// cannot outlive the code it vetted.
 #[test]
-fn ratchet_cycle_on_disk() {
-    let root = PathBuf::from(std::env::temp_dir())
-        .join(format!("simlint-fixture-{}", std::process::id()));
-    let src_dir = root.join("crates/demo/src");
-    fs::create_dir_all(&src_dir).expect("mkdir");
-    fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n").expect("manifest");
-    fs::write(src_dir.join("lib.rs"), "pub fn f(o: Option<u8>) -> u8 { o.unwrap() }\n").expect("lib");
-
-    // No baseline on disk: every finding is a regression (a deleted
-    // ratchet file cannot silently disable the gate).
-    let report = check(&root).expect("scan");
-    assert!(!report.passed(), "missing baseline must not pass a dirty tree");
-    assert_eq!(report.regressions.len(), 1);
-    assert_eq!(report.regressions[0].rule, "R6");
-
-    // Grandfather the debt; the same tree now passes.
-    let scan = update_baseline(&root).expect("update");
-    assert_eq!(baseline::aggregate(&scan.findings), scan.counts);
-    let report = check(&root).expect("scan");
-    assert!(report.passed(), "grandfathered tree must pass: {:?}", report.regressions);
-    assert!(report.stale.is_empty());
-
-    // One *new* violation over the budget fails again.
-    fs::write(
-        src_dir.join("extra.rs"),
-        "pub fn g() { let t0 = Instant::now(); let _ = t0; }\n",
-    )
-    .expect("extra");
-    let report = check(&root).expect("scan");
-    assert!(!report.passed(), "new violation must fail the ratchet");
-    assert_eq!(report.regressions.len(), 1);
-    assert_eq!(report.regressions[0].rule, "R1");
-    assert_eq!(report.regressions[0].file, "crates/demo/src/extra.rs");
-
-    // Cleaning the new file up again leaves the tree passing and the
-    // baseline exactly reproducible.
-    fs::remove_file(src_dir.join("extra.rs")).expect("rm");
-    let report = check(&root).expect("scan");
-    assert!(report.passed());
-    let committed = fs::read_to_string(root.join(edison_simlint::BASELINE_FILE)).expect("read");
-    assert_eq!(committed, baseline::to_json(&report.scan.counts));
-
-    fs::remove_dir_all(&root).ok();
-}
-
-/// A baseline entry naming a file that no longer exists is rot: the gate
-/// must fail until `--update-baseline` drops it, so dead debt cannot be
-/// silently inherited by a future file of the same name.
-#[test]
-fn rotten_baseline_entries_fail_the_gate() {
-    let root = PathBuf::from(std::env::temp_dir())
-        .join(format!("simlint-rot-{}", std::process::id()));
-    fs::remove_dir_all(&root).ok();
-    let src_dir = root.join("crates/demo/src");
-    fs::create_dir_all(&src_dir).expect("mkdir");
-    fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/*\"]\n").expect("manifest");
-    fs::write(src_dir.join("lib.rs"), "pub fn f() -> u8 { 0 }\n").expect("lib");
-    fs::write(
-        root.join(edison_simlint::BASELINE_FILE),
-        "{\n  \"R6\": {\n    \"crates/demo/src/deleted.rs\": 3\n  }\n}\n",
-    )
-    .expect("baseline");
-
-    let report = check(&root).expect("scan");
-    assert!(!report.passed(), "rot must fail the gate");
-    assert!(report.regressions.is_empty(), "rot is not a regression: {:?}", report.regressions);
-    assert_eq!(
-        report.rot,
-        vec![("R6".to_string(), "crates/demo/src/deleted.rs".to_string())]
+fn stale_expect_fails_the_gate() {
+    let f = gate(
+        "stale_expect",
+        &["#[expect(clippy::unwrap_used, reason = \"was o.unwrap()\")]\npub fn f(o: Option<u8>) -> u8 { o.unwrap_or(0) }"],
+        false,
+        &[],
     );
-
-    // `--update-baseline` clears the rot and the tree passes again.
-    update_baseline(&root).expect("update");
-    let report = check(&root).expect("scan");
-    assert!(report.passed(), "rot should be gone after update: {:?}", report.rot);
-
-    fs::remove_dir_all(&root).ok();
+    assert_eq!(f[0], ["1: this lint expectation is unfulfilled"]);
 }

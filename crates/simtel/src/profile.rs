@@ -111,14 +111,14 @@ pub fn record_engine_profile(
     tel.gauge_set(
         "profile_heap_depth_max",
         labels(&[("world", world)]),
-        profile.heap_depth_hwm as f64, // simlint: allow(R3) u64 HWM, exact ≤ 2^53
+        profile.heap_depth_hwm as f64,
     );
     for &(t, depth) in &profile.hwm_track {
         tel.series_push(
             "profile_heap_depth",
             labels(&[("world", world)]),
             t,
-            depth as f64, // simlint: allow(R3) u64 HWM, exact ≤ 2^53
+            depth as f64,
         );
     }
     tel.gauge_set("profile_end_seconds", labels(&[("world", world)]), profile.sim_seconds());

@@ -14,7 +14,6 @@
 //! utilisation bounds.
 
 use edison_hw::{presets, ServerSpec};
-use serde::{Deserialize, Serialize};
 
 /// Table 9 electricity price, $/kWh (US average per the paper).
 pub const ELECTRICITY_PER_KWH: f64 = 0.10;
@@ -28,7 +27,7 @@ pub const U_HIGH: f64 = 0.75;
 pub const U_LOW: f64 = 0.10;
 
 /// Inputs for one cluster's TCO under Equation (1).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TcoInput {
     /// Nodes in the cluster.
     pub nodes: u32,
@@ -56,7 +55,7 @@ impl TcoInput {
 }
 
 /// The Equation-(1) breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Tco {
     /// Total equipment cost, $.
     pub equipment: f64,
@@ -83,7 +82,7 @@ pub fn tco(input: &TcoInput) -> Tco {
 }
 
 /// One Table 10 row: a named scenario comparing the two clusters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Table10Row {
     /// Scenario label as printed in the paper.
     pub scenario: &'static str,

@@ -30,6 +30,7 @@ pub struct RowQuery {
 
 /// Draw a query according to a workload mix: image tables are selected
 /// with total probability `mix.image_fraction`, rows uniformly.
+#[expect(clippy::cast_possible_truncation, reason = "draws are below TOTAL_TABLES (fits u8) and ROWS_PER_TABLE (fits u32)")]
 pub fn draw_query(mix: &WorkloadMix, rng: &mut SimRng) -> RowQuery {
     let is_image = rng.chance(mix.image_fraction);
     let table = if is_image {

@@ -10,6 +10,7 @@
 //! Determinism: these maps serve keyed lookup only. Nothing iterates them
 //! except `WebWorld::apply_crash`, which sorts what it collects, so neither
 //! the hash function nor the map's internal order reaches any output.
+#![expect(clippy::disallowed_types, reason = "keyed lookup only; see the module docs")]
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -43,7 +44,7 @@ impl Hasher for IdHasher {
     }
 }
 
-// simlint: allow(R1) keyed lookup only; see the module docs
+/// An integer-keyed map hashed by [`IdHasher`].
 pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]

@@ -42,6 +42,7 @@ impl Key {
 
     /// The cache server holding this key among `shards` (memcached client
     /// hashing): `dense_id % shards`.
+    #[expect(clippy::cast_possible_truncation, reason = "the remainder is below `shards`, a usize")]
     pub fn shard(self, shards: usize) -> usize {
         (self.dense_id() % shards as u64) as usize
     }
@@ -123,6 +124,7 @@ impl LruStore {
 
     /// The slot of `key`. Panics on a key outside the row space or outside
     /// this store's shard, which would alias another key's slot.
+    #[expect(clippy::cast_possible_truncation, reason = "the asserted key space has TOTAL_TABLES × ROWS_PER_TABLE ids, well below 2^32")]
     fn slot(&self, key: Key) -> u32 {
         assert!(
             usize::from(key.table) < TOTAL_TABLES && key.row < ROWS_PER_TABLE,

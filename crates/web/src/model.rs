@@ -674,6 +674,7 @@ impl WebWorld {
             accept_rate_of.push(accept);
             req_mi_of.push(mi);
             lb_weights.push(weight);
+            #[expect(clippy::expect_used, reason = "set-up invariant: every platform's memory holds its worker pool")]
             nodes
                 .node_mut(NodeId(i))
                 .alloc_mem(worker_mem * workers_per_node as u64)
@@ -685,20 +686,24 @@ impl WebWorld {
         let mut cache_cap_of = Vec::new();
         for i in 0..n_cache {
             let free = nodes.node(NodeId(n_web)).mem_free();
+            #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "85% of a u64 byte count stays in range")]
             let cap = (free as f64 * 0.85) as u64;
             cache_cap_of.push(cap);
             caches.push(LruStore::new(cap, n_cache, i));
         }
+        #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "a hit ratio in [0, 1] keeps the row count within ROWS_PER_TABLE")]
         let warm_rows = (cfg.mix.cache_hit_ratio * ROWS_PER_TABLE as f64) as u32;
+        #[expect(clippy::cast_possible_truncation, reason = "TOTAL_TABLES fits Key::table's u8")]
         for table in 0..db::TOTAL_TABLES as u8 {
             for row in 0..warm_rows {
                 let key = Key { table, row };
-                caches[key.shard(n_cache)].set(key, db::reply_bytes_for(key) as u32);
+                caches[key.shard(n_cache)].set(key, u32::try_from(db::reply_bytes_for(key)).unwrap_or(u32::MAX));
             }
         }
         for (i, c) in caches.iter_mut().enumerate() {
             c.reset_stats();
             let used = c.used_bytes();
+            #[expect(clippy::expect_used, reason = "set-up invariant: cache capacity is 85% of the node's free memory")]
             nodes
                 .node_mut(NodeId(n_web + i))
                 .alloc_mem(used)
@@ -898,6 +903,7 @@ impl WebWorld {
             GenMode::Httperf { calls_per_conn, .. } => {
                 let base = calls_per_conn.floor();
                 let frac = calls_per_conn - base;
+                #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "calls per connection is a small positive count")]
                 (base as u32 + u32::from(self.rng.chance(frac))).max(1)
             }
             GenMode::Python { .. } => 1,
@@ -1380,6 +1386,7 @@ impl WebWorld {
         self.next_req += 1;
         let query = db::draw_query(&self.cfg.mix, &mut self.rng);
         let cache = query.key.shard(self.caches.len());
+        #[expect(clippy::cast_possible_truncation, reason = "below(2) is 0 or 1")]
         let db_node = self.rng.below(2) as usize;
         // the deadline budget starts when the request leaves the client;
         // Budget::ZERO (deadlines off) derives no deadline at all
@@ -1512,6 +1519,7 @@ impl WebWorld {
             // 5xx: backlog overflow
             self.metrics.server_errors += 1;
             self.tel_outcome("server_error");
+            #[expect(clippy::expect_used, reason = "the caller found req_id in reqs")]
             let req = self.reqs.remove(&req_id).expect("req exists");
             self.abort_conn(req.conn);
         }
@@ -1545,6 +1553,7 @@ impl WebWorld {
         match state {
             ReqState::Stage1 => self.stage1_to_cache(req_id, now, ctx),
             ReqState::Stage2 => self.stage2_to_reply(req_id, now, ctx),
+            #[expect(clippy::unreachable, reason = "web CPU tasks exist only in Stage1 and Stage2")]
             other => unreachable!("web cpu done in state {other:?}"),
         }
     }
@@ -1717,6 +1726,7 @@ impl WebWorld {
             }
             // go to the database
             let db_node = {
+                #[expect(clippy::expect_used, reason = "the cache reply was routed for a live req_id")]
                 let r = self.reqs.get_mut(&req_id).expect("req exists");
                 r.state = ReqState::DbRpc;
                 r.t_db_sent = now;
@@ -1746,6 +1756,7 @@ impl WebWorld {
             None => return,
         };
         if db::query_hits_disk(&mut self.rng) {
+            #[expect(clippy::expect_used, reason = "looked up just above")]
             let r = self.reqs.get_mut(&req_id).expect("checked");
             r.state = ReqState::DbDisk;
             let bytes = r.query.reply_bytes;
@@ -1799,6 +1810,7 @@ impl WebWorld {
             // re-warm a cold-restarted store: PHP writes the row
             // back to memcached after the db read
             let (key, cache) = {
+                #[expect(clippy::expect_used, reason = "looked up at the top of this handler")]
                 let r = self.reqs.get(&req_id).expect("req exists");
                 (r.query.key, r.cache)
             };
@@ -1819,13 +1831,15 @@ impl WebWorld {
             let args = vec![("db_node", format!("{db_node}"))];
             self.tel.span_on(track, "rpc", "mysql_query", t_db_sent, now, args);
         }
-        self.reqs.get_mut(&req_id).expect("req exists").db_delay =
-            Some(now.since(t_db_sent).as_millis_f64());
+        #[expect(clippy::expect_used, reason = "looked up at the top of this handler")]
+        let r = self.reqs.get_mut(&req_id).expect("req exists");
+        r.db_delay = Some(now.since(t_db_sent).as_millis_f64());
         self.begin_stage2(req_id, now, ctx);
     }
 
     fn begin_stage2(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let (web, bytes) = {
+            #[expect(clippy::expect_used, reason = "callers pass a live req_id")]
             let r = self.reqs.get_mut(&req_id).expect("req exists");
             r.state = ReqState::Stage2;
             (r.web, r.query.reply_bytes)

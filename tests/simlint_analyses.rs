@@ -1,7 +1,7 @@
 //! End-to-end fixtures for the AST-level analyses: each seeds a bug the
-//! token-level v1 rules (R1–R6) cannot see, runs the full pipeline
-//! (lex → parse → index → taint/units → allow markers), and asserts the
-//! scan yields exactly that one finding.
+//! token-level rules (clippy's lints and R5) cannot see, runs the full
+//! pipeline (parse → index → taint/units), and asserts the scan yields
+//! exactly that one finding.
 
 use std::fs;
 use std::path::PathBuf;
@@ -18,18 +18,17 @@ fn fixture(tag: &str, files: &[(&str, &str)]) -> PathBuf {
     root
 }
 
-/// R7: a `HashMap` vetted for R1 (the map itself is fine) whose iteration
-/// order still leaks into a telemetry sink through a local. R1 is
-/// suppressed by the allow marker, R2–R6 have nothing to say, yet the
-/// report would differ run-to-run — only the taint analysis sees the flow.
+/// R7: a `HashMap` whose iteration order leaks into a telemetry sink
+/// through a local. The map itself could be a vetted keyed-only one, R5
+/// and R8 have nothing to say, yet the report would differ run-to-run —
+/// only the taint analysis sees the flow.
 #[test]
 fn hashmap_iteration_into_sink_is_caught_only_by_taint() {
     let root = fixture(
         "taint",
         &[(
             "crates/demo/src/lib.rs",
-            r#"// simlint: allow-file(R1) keyed by opaque ids; lookups only, vetted in review
-use std::collections::HashMap;
+            r#"use std::collections::HashMap;
 
 pub struct Telemetry;
 impl Telemetry {
@@ -48,15 +47,15 @@ pub fn export_worst(t: &mut Telemetry, lat_by_conn: &HashMap<u64, f64>) {
 "#,
         )],
     );
-    let scan = edison_simlint::scan_workspace(&root).expect("scan");
-    let rules: Vec<&str> = scan.findings.iter().map(|f| f.rule).collect();
-    assert_eq!(rules, ["R7"], "findings: {:#?}", scan.findings);
-    assert!(scan.findings[0].msg.contains("iteration order"), "{}", scan.findings[0].msg);
+    let findings = edison_simlint::scan_workspace(&root).expect("scan");
+    let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, ["R7"], "findings: {findings:#?}");
+    assert!(findings[0].msg.contains("iteration order"), "{}", findings[0].msg);
     fs::remove_dir_all(&root).ok();
 }
 
 /// R8: seconds and watts mixed across *locals*. R5 only reads function
-/// signatures, so a parameterless function hides the bug from v1 —
+/// signatures, so a parameterless function hides the bug from it —
 /// dimensional inference over the body is required.
 #[test]
 fn local_seconds_plus_watts_is_caught_only_by_units() {
@@ -72,16 +71,16 @@ fn local_seconds_plus_watts_is_caught_only_by_units() {
 "#,
         )],
     );
-    let scan = edison_simlint::scan_workspace(&root).expect("scan");
-    let rules: Vec<&str> = scan.findings.iter().map(|f| f.rule).collect();
-    assert_eq!(rules, ["R8"], "findings: {:#?}", scan.findings);
-    assert!(scan.findings[0].msg.contains("incompatible units"), "{}", scan.findings[0].msg);
+    let findings = edison_simlint::scan_workspace(&root).expect("scan");
+    let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, ["R8"], "findings: {findings:#?}");
+    assert!(findings[0].msg.contains("incompatible units"), "{}", findings[0].msg);
     fs::remove_dir_all(&root).ok();
 }
 
 /// The dual: dimensionally sound arithmetic (W × s → J assigned into a
-/// joules name) produces no findings, so R8 can ride the zero-budget
-/// ratchet without manufacturing debt.
+/// joules name) produces no findings, so R8 can hold a zero budget
+/// without manufacturing debt.
 #[test]
 fn sound_dimensional_arithmetic_is_clean() {
     let root = fixture(
@@ -97,7 +96,7 @@ fn sound_dimensional_arithmetic_is_clean() {
 "#,
         )],
     );
-    let scan = edison_simlint::scan_workspace(&root).expect("scan");
-    assert!(scan.findings.is_empty(), "findings: {:#?}", scan.findings);
+    let findings = edison_simlint::scan_workspace(&root).expect("scan");
+    assert!(findings.is_empty(), "findings: {findings:#?}");
     fs::remove_dir_all(&root).ok();
 }

@@ -1,72 +1,18 @@
-//! Tier-1 lint gate: the simlint scan must pass against the committed
-//! baseline, and the committed baseline must match a fresh scan exactly.
-//!
-//! This is the same check `cargo lint-gate` runs, wired into `cargo test`
-//! so the ratchet cannot be forgotten. The exact-match assertion is
-//! stricter than the CLI (which only warns on stale entries): in CI we
-//! also refuse a baseline that *overstates* the debt, so cleanups are
-//! locked in with `--update-baseline` in the same commit.
+//! Tier-1 analysis gate: simlint's AST rules (R5 unit-mixing signatures,
+//! R7 determinism taint, R8 dimensional analysis) have a zero budget.
+//! The token rules are clippy lints denied by `cargo lint-gate`.
 
-use edison_simlint::{baseline, check, find_workspace_root, BASELINE_FILE};
+use edison_simlint::{find_workspace_root, scan_workspace};
 use std::path::Path;
 
-fn workspace_root() -> std::path::PathBuf {
-    find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root")
-}
-
-/// No (rule, file) pair may exceed its committed budget.
+/// The workspace scan finds nothing.
 #[test]
 fn workspace_is_within_lint_budget() {
-    let report = check(&workspace_root()).expect("scan");
+    let root = find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR"))).expect("workspace root");
+    let findings = scan_workspace(&root).expect("scan");
     assert!(
-        report.passed(),
-        "simlint found new violations over the committed baseline:\n{}",
-        report
-            .regressed_findings()
-            .iter()
-            .map(|f| format!("  {}:{}: [{}] {}", f.file, f.line, f.rule, f.msg))
-            .collect::<Vec<_>>()
-            .join("\n")
+        findings.is_empty(),
+        "simlint findings:\n{}",
+        findings.iter().map(|f| format!("  {}:{}: [{}] {}", f.file, f.line, f.rule, f.msg)).collect::<Vec<_>>().join("\n")
     );
-}
-
-/// The committed baseline is byte-for-byte what a fresh scan produces —
-/// no stale (over-budget) entries, no hand-edits, stable formatting.
-#[test]
-fn committed_baseline_matches_fresh_scan() {
-    let root = workspace_root();
-    let committed = std::fs::read_to_string(root.join(BASELINE_FILE))
-        .expect("committed simlint-baseline.json at the workspace root");
-    let scan = edison_simlint::scan_workspace(&root).expect("scan");
-    let fresh = baseline::to_json(&scan.counts);
-    assert_eq!(
-        committed, fresh,
-        "simlint-baseline.json is out of date; run `cargo run -p edison-simlint -- check --update-baseline`"
-    );
-}
-
-/// The committed baseline may not carry debt for files that no longer
-/// exist: a deleted file's entries are rot, not budget, and hiding them
-/// would let a future file reuse the name with free violations.
-#[test]
-fn baseline_entries_name_only_live_files() {
-    let report = check(&workspace_root()).expect("scan");
-    assert!(
-        report.rot.is_empty(),
-        "baseline entries for deleted files (run --update-baseline): {:?}",
-        report.rot
-    );
-}
-
-/// Policy floor: only lossy casts (R3), panic macros (R4) and
-/// unwrap/expect debt (R6) are grandfathered. Nondeterminism (R1), stray
-/// RNG construction (R2), unit-mixing (R5), determinism taint (R7) and
-/// dimensional errors (R8) start — and must stay — at zero.
-#[test]
-fn determinism_rules_have_zero_budget() {
-    let report = check(&workspace_root()).expect("scan");
-    for rule in ["R1", "R2", "R5", "R7", "R8"] {
-        let n: usize = report.scan.counts.get(rule).map(|m| m.values().sum()).unwrap_or(0);
-        assert_eq!(n, 0, "{rule} findings present; these may never be grandfathered");
-    }
 }
