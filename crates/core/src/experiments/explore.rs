@@ -77,7 +77,7 @@ fn base_plan(budget: &RunBudget) -> FaultPlan {
 fn score(m: &Metrics) -> ScheduleScore {
     ScheduleScore {
         availability: availability(m),
-        worst_recovery_s: if m.recovery_s.len() == 0 { 0.0 } else { m.recovery_s.max() },
+        worst_recovery_s: if m.recovery_s.is_empty() { 0.0 } else { m.recovery_s.max() },
     }
 }
 

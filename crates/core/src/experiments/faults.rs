@@ -206,7 +206,7 @@ pub fn fault_sweep(
             .fold(f64::INFINITY, |a, b| if b.total_cmp(&a).is_lt() { b } else { a });
         let wc_recovery = cand_metrics
             .iter()
-            .filter(|c| c.recovery_s.len() > 0)
+            .filter(|c| !c.recovery_s.is_empty())
             .map(|c| c.recovery_s.max())
             .fold(f64::NEG_INFINITY, |a, b| if b.total_cmp(&a).is_gt() { b } else { a });
         let m = &mut cand_metrics[0]; // the row's own (unperturbed) schedule
@@ -231,7 +231,7 @@ pub fn fault_sweep(
             format!("{:.1}", m.delays_ms.percentile(99.0)),
             format!("{}", m.failovers),
             format!("{}/{}", m.retry_dead_total, m.retry_overflow_total),
-            if m.recovery_s.len() == 0 { "-".into() } else { format!("{:.2}", m.recovery_s.mean()) },
+            if m.recovery_s.is_empty() { "-".into() } else { format!("{:.2}", m.recovery_s.mean()) },
             if wc_recovery.is_finite() { format!("{wc_recovery:.2}") } else { "-".into() },
             format!("{:.1}", m.completed as f64 / m.energy_j.max(1e-9)),
         ]);

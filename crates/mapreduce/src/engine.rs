@@ -365,7 +365,8 @@ struct MrWorld {
     node_ready: Vec<bool>,
     /// Memory currently held by running reduce containers (ramp-up cap).
     running_reduce_mem: u64,
-    /// Durations of completed (non-speculative) map tasks, seconds.
+    /// Durations of completed (non-speculative) map tasks, seconds, kept
+    /// in ascending [`f64::total_cmp`] order.
     map_durations: Vec<f64>,
     /// Speculative copies launched.
     speculative_copies: u32,
@@ -680,7 +681,9 @@ impl MrWorld {
         }
         for lost in self.liveness.sweep(now) {
             self.nodes_lost += 1;
-            self.tel.counter_inc(fault_metrics::NODE_LOST_TOTAL, labels(&[("tier", "mapreduce")]));
+            if self.tel.is_on() {
+                self.tel.counter_inc(fault_metrics::NODE_LOST_TOTAL, labels(&[("tier", "mapreduce")]));
+            }
             if !self.brk.is_empty() && self.brk[lost].record_failure(now) {
                 self.guard_breaker_trips += 1;
                 self.note_brk_transition(lost);
@@ -716,30 +719,9 @@ impl MrWorld {
             // heartbeat's grants
             self.maybe_speculate(now);
         }
-        // build the pending list (deterministic order: maps then reduces,
-        // by index)
-        let mut pending = Vec::new();
-        for (i, t) in self.tasks.iter().enumerate() {
-            if t.phase != Phase::Pending {
-                continue;
-            }
-            // drop speculative copies whose original already finished
-            if let Some(orig) = t.dup_of {
-                if self.tasks[orig].logical_done {
-                    continue;
-                }
-            }
-            if t.is_map {
-                pending.push(PendingTask { task: i, mem: self.profile.map_container, is_map: true });
-            } else if self.reduces_requested {
-                pending.push(PendingTask {
-                    task: i,
-                    mem: self.profile.reduce_container,
-                    is_map: false,
-                });
-            }
-        }
-        if pending.is_empty() {
+        // nothing to place: the breakers are not consulted (a check
+        // advances their state and records telemetry)
+        if !self.tasks.iter().any(|t| self.schedulable(t)) {
             return;
         }
         // breaker verdicts per worker (lazily advances open → half-open):
@@ -759,27 +741,35 @@ impl MrWorld {
                 })
                 .collect()
         };
-        let probe_cap = self.profile.map_container.max(self.profile.reduce_container);
-        let mut capacity: Vec<NodeCapacity> = (0..self.setup.workers)
-            .map(|i| {
-                let node = self.nodes.node(NodeId(i));
-                let used_beyond_base = node.mem_used() - node.spec().os.base_memory;
-                let mut free = if self.node_ready[i] && !self.liveness.is_lost(i) {
-                    self.setup.schedulable_mem.saturating_sub(used_beyond_base)
-                } else {
-                    0 // not localised yet, or declared lost by the RM
-                };
-                match verdicts.get(i) {
-                    Some(BreakerVerdict::Reject) => free = 0,
-                    Some(BreakerVerdict::Probe) => free = free.min(probe_cap),
-                    _ => {}
-                }
-                NodeCapacity {
-                    free_mem: free,
-                    running: self.running_containers[i],
-                    max_containers: 2 * node.spec().cpu.threads,
-                }
+        // capacity gate: every grant needs `fits(mem)`, which is monotone
+        // in `mem`, so when no node fits the smallest container a pending
+        // task could ask for, nothing is granted and the pending × nodes
+        // placement scan is skipped (most heartbeats: the cluster is full)
+        let smallest = if self.reduces_requested {
+            self.profile.map_container.min(self.profile.reduce_container)
+        } else {
+            self.profile.map_container
+        };
+        if !(0..self.setup.workers)
+            .any(|i| self.node_capacity(i, verdicts.get(i).copied()).fits(smallest))
+        {
+            return;
+        }
+        // the pending list, in deterministic order: maps then reduces, by
+        // index
+        let pending: Vec<PendingTask> = self
+            .tasks
+            .iter()
+            .enumerate()
+            .filter(|(_, t)| self.schedulable(t))
+            .map(|(i, t)| {
+                let mem =
+                    if t.is_map { self.profile.map_container } else { self.profile.reduce_container };
+                PendingTask { task: i, mem, is_map: t.is_map }
             })
+            .collect();
+        let mut capacity: Vec<NodeCapacity> = (0..self.setup.workers)
+            .map(|i| self.node_capacity(i, verdicts.get(i).copied()))
             .collect();
         // Hadoop's reduce ramp-up: while maps are pending, running reduce
         // containers may hold at most half the cluster's memory.
@@ -823,11 +813,48 @@ impl MrWorld {
             t.local = local;
             t.started = now;
             t.probe = probe;
-            let kind = if t.is_map { "map" } else { "reduce" };
             self.set_phase(task, Phase::Launching, now);
-            self.tel.counter_inc("mr_containers_granted_total", labels(&[("kind", kind)]));
+            if self.tel.is_on() {
+                let kind = if self.tasks[task].is_map { "map" } else { "reduce" };
+                self.tel.counter_inc("mr_containers_granted_total", labels(&[("kind", kind)]));
+            }
             let id = self.job_id(task);
             self.add_cpu(node, id, self.profile.container_startup_mi, now, ctx);
+        }
+    }
+
+    /// Whether the RM may place `t` this heartbeat: pending, not a
+    /// speculative copy whose original already finished, and a map or a
+    /// reduce whose requests have gone out.
+    fn schedulable(&self, t: &Task) -> bool {
+        t.phase == Phase::Pending
+            && !t.dup_of.is_some_and(|orig| self.tasks[orig].logical_done)
+            && (t.is_map || self.reduces_requested)
+    }
+
+    /// Free capacity of worker `i` as the scheduler sees it: nothing
+    /// before job localisation or once the RM declared the node lost,
+    /// nothing behind an open breaker and at most one probe container
+    /// behind a half-open one.
+    fn node_capacity(&self, i: usize, verdict: Option<BreakerVerdict>) -> NodeCapacity {
+        let node = self.nodes.node(NodeId(i));
+        let used_beyond_base = node.mem_used() - node.spec().os.base_memory;
+        let mut free = if self.node_ready[i] && !self.liveness.is_lost(i) {
+            self.setup.schedulable_mem.saturating_sub(used_beyond_base)
+        } else {
+            0 // not localised yet, or declared lost by the RM
+        };
+        match verdict {
+            Some(BreakerVerdict::Reject) => free = 0,
+            Some(BreakerVerdict::Probe) => {
+                free = free.min(self.profile.map_container.max(self.profile.reduce_container));
+            }
+            _ => {}
+        }
+        NodeCapacity {
+            free_mem: free,
+            running: self.running_containers[i],
+            max_containers: 2 * node.spec().cpu.threads,
         }
     }
 
@@ -839,10 +866,7 @@ impl MrWorld {
         if self.completed_maps * 4 < self.n_maps * 3 || self.map_durations.is_empty() {
             return;
         }
-        let mut sorted = self.map_durations.clone();
-        // total_cmp: no NaN panic even if a duration ever degenerates
-        sorted.sort_by(f64::total_cmp);
-        let median = sorted[sorted.len() / 2];
+        let median = self.map_durations[self.map_durations.len() / 2];
         let threshold = 1.5 * median;
         for i in 0..self.n_maps {
             let t = &self.tasks[i];
@@ -877,7 +901,9 @@ impl MrWorld {
                     probe: false,
                 });
                 self.speculative_copies += 1;
-                self.tel.counter_inc("mr_speculative_copies_total", labels(&[]));
+                if self.tel.is_on() {
+                    self.tel.counter_inc("mr_speculative_copies_total", labels(&[]));
+                }
             }
         }
     }
@@ -886,6 +912,9 @@ impl MrWorld {
 
     /// Telemetry: the breaker of `node` just changed state.
     fn note_brk_transition(&mut self, node: usize) {
+        if !self.tel.is_on() {
+            return;
+        }
         let to = match self.brk[node].state() {
             BreakerState::Closed => "closed",
             BreakerState::Open => "open",
@@ -924,10 +953,12 @@ impl MrWorld {
         let started = self.tasks[task].started;
         if self.setup.guard.deadline.deadline_from(started).is_some_and(|d| d.passed(now)) {
             self.guard_deadline_miss += 1;
-            self.tel.counter_inc(
-                guard_metrics::DEADLINE_MISS_TOTAL,
-                labels(&[("tier", "mapreduce")]),
-            );
+            if self.tel.is_on() {
+                self.tel.counter_inc(
+                    guard_metrics::DEADLINE_MISS_TOTAL,
+                    labels(&[("tier", "mapreduce")]),
+                );
+            }
         }
     }
 
@@ -977,8 +1008,7 @@ impl MrWorld {
         let block = self.tasks[task].block;
         let bytes = self.map_input_bytes();
         self.set_phase(task, Phase::Reading, now);
-        let alive: Vec<bool> = self.node_down.iter().map(|&d| !d).collect();
-        match self.nn.replica_for_alive(block, node, &alive) {
+        match self.nn.live_replica(block, node, &self.node_down) {
             Some(src) if src == node => {
                 let service = self.nodes.node(NodeId(node)).disk_read_time(bytes, false);
                 let id = self.job_id(task);
@@ -1034,18 +1064,23 @@ impl MrWorld {
         }
         self.tasks[origin].logical_done = true;
         self.map_winner[origin] = Some(task);
-        self.map_durations
-            .push(now.saturating_since(self.tasks[task].started).as_secs_f64());
+        // sorted insert (total_cmp: no NaN panic even if a duration ever
+        // degenerates), so speculation reads the median in place
+        let d = now.saturating_since(self.tasks[task].started).as_secs_f64();
+        let at = self.map_durations.partition_point(|x| x.total_cmp(&d).is_le());
+        self.map_durations.insert(at, d);
         self.guard_deadline_check(task, now);
         self.completed_maps += 1;
         let local = self.tasks[task].local;
         if local {
             self.local_maps += 1;
         }
-        self.tel.counter_inc(
-            "mr_maps_completed_total",
-            labels(&[("local", if local { "true" } else { "false" })]),
-        );
+        if self.tel.is_on() {
+            self.tel.counter_inc(
+                "mr_maps_completed_total",
+                labels(&[("local", if local { "true" } else { "false" })]),
+            );
+        }
         // notify shuffling reducers still missing this partition (they
         // fetch from the winner's node)
         for i in self.n_maps..self.tasks.len() {
@@ -1233,7 +1268,9 @@ impl MrWorld {
         self.guard_deadline_check(task, now);
         self.running_reduce_mem = self.running_reduce_mem.saturating_sub(self.profile.reduce_container);
         self.completed_reduces += 1;
-        self.tel.counter_inc("mr_reduces_completed_total", labels(&[]));
+        if self.tel.is_on() {
+            self.tel.counter_inc("mr_reduces_completed_total", labels(&[]));
+        }
         if self.completed_reduces == self.profile.reduce_tasks as usize {
             self.finish = Some(now);
         }
@@ -1310,12 +1347,14 @@ impl MrWorld {
             // no memcached tier in the MapReduce world
             FaultKind::CacheColdRestart => false,
         };
-        let name = if applied {
-            fault_metrics::FAULT_INJECTED_TOTAL
-        } else {
-            fault_metrics::FAULT_SKIPPED_TOTAL
-        };
-        self.tel.counter_inc(name, labels(&[("kind", kind.name()), ("tier", "mapreduce")]));
+        if self.tel.is_on() {
+            let name = if applied {
+                fault_metrics::FAULT_INJECTED_TOTAL
+            } else {
+                fault_metrics::FAULT_SKIPPED_TOTAL
+            };
+            self.tel.counter_inc(name, labels(&[("kind", kind.name()), ("tier", "mapreduce")]));
+        }
     }
 
     /// Kill worker `node`: its containers and disk/CPU work die instantly;
@@ -1468,8 +1507,10 @@ impl MrWorld {
             self.set_phase(t, Phase::Pending, now);
             self.tasks[t].node = usize::MAX;
             self.task_reexecs += 1;
-            let kind = if is_map { "map" } else { "reduce" };
-            self.tel.counter_inc(fault_metrics::TASK_REEXEC_TOTAL, labels(&[("kind", kind)]));
+            if self.tel.is_on() {
+                let kind = if is_map { "map" } else { "reduce" };
+                self.tel.counter_inc(fault_metrics::TASK_REEXEC_TOTAL, labels(&[("kind", kind)]));
+            }
         }
         // 2. completed maps whose output lived on the node: re-execute the
         //    origin if any reducer still needs its partition
@@ -1495,8 +1536,12 @@ impl MrWorld {
                 self.set_phase(origin, Phase::Pending, now);
                 self.tasks[origin].node = usize::MAX;
                 self.task_reexecs += 1;
-                self.tel
-                    .counter_inc(fault_metrics::TASK_REEXEC_TOTAL, labels(&[("kind", "map_output")]));
+                if self.tel.is_on() {
+                    self.tel.counter_inc(
+                        fault_metrics::TASK_REEXEC_TOTAL,
+                        labels(&[("kind", "map_output")]),
+                    );
+                }
             }
             // else: a speculative loser of this map is still running
             // elsewhere — with logical_done cleared it now wins
@@ -1618,12 +1663,14 @@ impl Model for MrWorld {
                             // re-localisation done: the node serves again
                             let rec = now.saturating_since(crashed).as_secs_f64();
                             self.recovery_s.push(rec);
-                            self.tel.observe(
-                                fault_metrics::RECOVERY_SECONDS,
-                                labels(&[("tier", "mapreduce")]),
-                                fault_metrics::RECOVERY_BOUNDS_S,
-                                rec,
-                            );
+                            if self.tel.is_on() {
+                                self.tel.observe(
+                                    fault_metrics::RECOVERY_SECONDS,
+                                    labels(&[("tier", "mapreduce")]),
+                                    fault_metrics::RECOVERY_BOUNDS_S,
+                                    rec,
+                                );
+                            }
                         }
                         if let Some(up) = self.restart_time[n].take() {
                             // restarted-but-not-schedulable: the window

@@ -128,15 +128,17 @@ impl Namenode {
         }
     }
 
-    /// A replica node for `block` among nodes still alive (`alive[i]`),
-    /// preferring `node` itself. `None` when every replica is down — the
-    /// block is unreadable and the read fails over to nothing (the fault
-    /// layer's unrecoverable case).
-    pub fn replica_for_alive(&self, block: usize, node: usize, alive: &[bool]) -> Option<usize> {
-        if self.is_local(block, node) && alive.get(node).copied().unwrap_or(false) {
+    /// A replica node for `block` among nodes not down (`down[i]`, the
+    /// engine's crash flags; nodes past its end count as down), preferring
+    /// `node` itself. `None` when every replica is down — the block is
+    /// unreadable and the read fails over to nothing (the fault layer's
+    /// unrecoverable case).
+    pub fn live_replica(&self, block: usize, node: usize, down: &[bool]) -> Option<usize> {
+        let up = |n: usize| down.get(n).is_some_and(|&d| !d);
+        if self.is_local(block, node) && up(node) {
             return Some(node);
         }
-        self.blocks[block].replicas.iter().copied().find(|&r| alive.get(r).copied().unwrap_or(false))
+        self.blocks[block].replicas.iter().copied().find(|&r| up(r))
     }
 
     /// Bytes stored per node (replica-weighted) — the balance diagnostic.
@@ -204,6 +206,25 @@ mod tests {
         assert_eq!(nn.replica_for(block, reps[1]), reps[1]);
         let other = (0..5).find(|n| !reps.contains(n)).unwrap();
         assert_eq!(nn.replica_for(block, other), reps[0]);
+    }
+
+    #[test]
+    fn live_replica_skips_down_nodes() {
+        let mut nn = Namenode::new(5, 2, MB);
+        let mut rng = SimRng::new(4);
+        nn.put("f", MB, &mut rng);
+        let block = 0;
+        let reps = nn.block(block).replicas.clone();
+        let other = (0..5).find(|n| !reps.contains(n)).unwrap();
+        let mut down = vec![false; 5];
+        assert_eq!(nn.live_replica(block, reps[1], &down), Some(reps[1]), "local first");
+        assert_eq!(nn.live_replica(block, other, &down), Some(reps[0]), "then the primary");
+        down[reps[0]] = true;
+        assert_eq!(nn.live_replica(block, other, &down), Some(reps[1]), "a surviving replica");
+        assert_eq!(nn.live_replica(block, reps[0], &down), Some(reps[1]), "a down reader reads remotely");
+        down[reps[1]] = true;
+        assert_eq!(nn.live_replica(block, other, &down), None, "every replica down");
+        assert_eq!(nn.live_replica(block, other, &[]), None, "nodes past the flags count as down");
     }
 
     #[test]

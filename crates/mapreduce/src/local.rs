@@ -55,7 +55,7 @@ fn pair_bytes(p: &Pair) -> u64 {
 }
 
 /// Group sorted pairs by key and apply a reducer.
-fn reduce_group(reducer: &dyn Reducer, pairs: &mut Vec<Pair>, out: &mut Vec<Pair>) {
+fn reduce_group(reducer: &dyn Reducer, pairs: &mut [Pair], out: &mut Vec<Pair>) {
     pairs.sort();
     let mut i = 0;
     while i < pairs.len() {

@@ -9,6 +9,15 @@
 //! data-local nodes. This policy mix yields the paper's ≈95 %
 //! data-locality, its container-allocation waves, and the reduce-phase
 //! start times of Figures 12–17.
+//!
+//! Every grant [`heartbeat`] makes needs [`NodeCapacity::fits`] for the
+//! task's container, and `fits` is monotone in the container size. So the
+//! engine calls `heartbeat` only when some node fits the smallest
+//! container a pending task could ask for; on the other heartbeats (a
+//! full cluster, most of a job's life) it builds neither the pending list
+//! nor the capacity vector. That gate is exact: grants, and everything
+//! the heartbeat does before them (liveness, speculation, breakers), happen
+//! at the same instants and in the same order as without it.
 
 use edison_simcore::time::{SimDuration, SimTime};
 

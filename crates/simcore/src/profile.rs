@@ -131,7 +131,7 @@ impl EngineProfile {
             let mine = self.kinds.entry(kind).or_default();
             mine.dispatched += stats.dispatched;
             mine.scheduled += stats.scheduled;
-            mine.advance = mine.advance + stats.advance;
+            mine.advance += stats.advance;
         }
         self.heap_pushes += other.heap_pushes;
         self.heap_pops += other.heap_pops;
@@ -182,7 +182,7 @@ impl<E, F: FnMut(&E) -> &'static str> Profiler<E> for KindProfiler<F> {
         self.current = (self.classify)(event);
         let k = self.profile.kinds.entry(self.current).or_default();
         k.dispatched += 1;
-        k.advance = k.advance + advanced;
+        k.advance += advanced;
         self.profile.end = now;
     }
 

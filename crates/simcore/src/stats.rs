@@ -189,7 +189,7 @@ impl TimeSeries {
     /// Append a point; time must be non-decreasing (debug-asserted).
     pub fn push(&mut self, t: SimTime, v: f64) {
         debug_assert!(
-            self.points.last().map_or(true, |&(lt, _)| lt <= t),
+            self.points.last().is_none_or(|&(lt, _)| lt <= t),
             "time series must be appended in order"
         );
         self.points.push((t, v));

@@ -367,14 +367,15 @@ impl FaultPlan {
                     if !(0.0..1.0).contains(&loss) || !loss.is_finite() {
                         return err(format!("nic loss {loss} not in [0, 1)"));
                     }
-                    if !(latency_mult >= 1.0) || !latency_mult.is_finite() {
+                    if !latency_mult.is_finite() || latency_mult < 1.0 {
                         return err(format!("nic latency multiplier {latency_mult} must be ≥ 1"));
                     }
                 }
-                FaultKind::DiskSlow { factor } | FaultKind::CpuThrottle { factor } => {
-                    if !(factor >= 1.0) || !factor.is_finite() {
-                        return err(format!("{} factor {factor} must be ≥ 1", f.kind.name()));
-                    }
+                // !is_finite also rejects NaN
+                FaultKind::DiskSlow { factor } | FaultKind::CpuThrottle { factor }
+                    if !factor.is_finite() || factor < 1.0 =>
+                {
+                    return err(format!("{} factor {factor} must be ≥ 1", f.kind.name()));
                 }
                 _ => {}
             }
@@ -546,6 +547,11 @@ mod tests {
         assert!(bad_loss.validate(4).is_err());
         let bad_factor = FaultPlan::new().disk_slow(0, t(1), 0.5);
         assert!(bad_factor.validate(4).is_err());
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert!(FaultPlan::new().nic_degrade(0, t(1), 0.05, bad).validate(4).is_err());
+            assert!(FaultPlan::new().disk_slow(0, t(1), bad).validate(4).is_err());
+            assert!(FaultPlan::new().cpu_throttle(0, t(1), bad).validate(4).is_err());
+        }
         let ok = FaultPlan::new()
             .crash_restart(0, t(1), SimDuration::from_secs(1))
             .nic_degrade(1, t(2), 0.05, 2.0)

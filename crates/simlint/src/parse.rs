@@ -1457,8 +1457,7 @@ impl<'s> Parser<'s> {
         let start = self.pos;
         let line = self.line();
         let mut lhs = self.binary_level(level + 1, allow_struct);
-        loop {
-            let Some((op, op_text, n_toks)) = self.binop_at_level(level) else { break };
+        while let Some((op, op_text, n_toks)) = self.binop_at_level(level) {
             for _ in 0..n_toks {
                 self.bump();
             }

@@ -283,7 +283,7 @@ fn r6_negative_or_family_free_fns_and_test_code() {
         "r6_negative",
         &[
             "pub fn f(o: Option<u8>) -> u8 { o.unwrap_or(0) }",
-            "pub fn f(o: Option<u8>) -> u8 { o.unwrap_or_else(|| 0) }",
+            "pub fn f(o: Option<u8>, d: fn() -> u8) -> u8 { o.unwrap_or_else(d) }",
             "#[cfg(test)]\nmod tests {\n    fn f(o: Option<u8>) -> u8 { o.unwrap() }\n}",
             // a crate-local method named `expect` is not Option::expect
             "pub struct P;\nimpl P {\n    pub fn expect(&self, b: u8) -> u8 { b }\n    pub fn go(&self) -> u8 { self.expect(1) }\n}",

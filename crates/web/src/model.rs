@@ -139,7 +139,7 @@ impl SynGate {
         while now.saturating_since(self.window_start) >= SimDuration::from_secs(1) {
             self.ewma_rate = 0.5 * self.ewma_rate + 0.5 * self.window_count as f64;
             self.window_count = 0;
-            self.window_start = self.window_start + SimDuration::from_secs(1);
+            self.window_start += SimDuration::from_secs(1);
         }
         self.window_count += 1;
         if self.ewma_rate <= self.bucket_rate {
@@ -991,8 +991,8 @@ impl WebWorld {
         self.rr_web += 1;
         let mut web = 0;
         let mut acc = 0.0;
-        for i in 0..n_web {
-            if !allowed[i] {
+        for (i, &ok) in allowed.iter().enumerate().take(n_web) {
+            if !ok {
                 continue;
             }
             acc += self.lb_weights[i];

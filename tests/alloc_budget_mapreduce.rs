@@ -1,0 +1,54 @@
+//! Allocation budget of the telemetry-off MapReduce engine.
+//!
+//! A job's events must not touch the heap: the YARN heartbeat builds its
+//! pending list and capacity vector only when some node can take a
+//! container, HDFS replica choice reads the crash flags in place, and
+//! telemetry labels are built only while a sink is enabled. What is left
+//! is world set-up (HDFS metadata, the task table) and amortised growth
+//! (the event heap, the timelines). This test pins that at under
+//! 0.25 allocations per event on one Table 8 cell, so a per-event
+//! allocation creeping back in fails tier-1.
+//!
+//! The binary installs its own counting global allocator and holds a
+//! single test, so nothing else allocates while the region is measured.
+
+use edison_bench::{alloc_counts, CountingAlloc};
+use edison_mapreduce::engine::{run_job_checked, run_job_profiled_checked};
+use edison_mapreduce::jobs::{self, Tune};
+use edison_mapreduce::ClusterSetup;
+use edison_simtel::Telemetry;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Budget: allocations per delivered event, world set-up included.
+const MAX_ALLOCS_PER_EVENT: f64 = 0.25;
+
+#[test]
+fn telemetry_off_job_stays_under_the_allocation_budget() {
+    // Table 8's wordcount cell on the full 35-node Edison cluster
+    let profile = jobs::wordcount(Tune::Edison);
+    let setup = ClusterSetup::edison(35);
+    // the event count of exactly this job, from the engine's own profile
+    // (profiling does not perturb the run)
+    let (_, _, engine) =
+        run_job_profiled_checked(&profile, &setup, Telemetry::profiled()).expect("job completes");
+    let events = engine.events();
+    assert!(events > 10_000, "job too small to measure: {events} events");
+
+    // warm any lazily initialised process state before counting
+    drop(run_job_checked(&profile, &setup).expect("job completes"));
+
+    let before = alloc_counts().allocs;
+    let outcome = run_job_checked(&profile, &setup).expect("job completes");
+    let total = alloc_counts().allocs - before;
+    assert!(outcome.finish_time_s > 0.0);
+    drop(outcome);
+
+    let per_event = total as f64 / events as f64;
+    assert!(
+        per_event < MAX_ALLOCS_PER_EVENT,
+        "{per_event:.4} allocations per event ({total} in run_job_checked, {events} events); \
+         budget {MAX_ALLOCS_PER_EVENT}"
+    );
+}
