@@ -1,4 +1,4 @@
-//! A counting global allocator for the bench harness.
+//! A counting global allocator for allocation-budget tests.
 //!
 //! Install in a *binary* (never in this library — a global allocator in a
 //! lib would leak into every consumer):
@@ -9,8 +9,8 @@
 //! ```
 //!
 //! The wrapper delegates every call to [`std::alloc::System`] and counts
-//! allocation events and requested bytes in relaxed atomics, so the
-//! harness can report allocations-per-event alongside wall-clock rates.
+//! allocation events and requested bytes in relaxed atomics, so a test
+//! binary (`tests/alloc_budget*.rs`) can pin allocations per engine event.
 //! Counts are process-global and monotone; snapshot with
 //! [`alloc_counts`] before and after the region of interest and subtract.
 

@@ -1,7 +1,7 @@
 //! The tracked benchmark workloads.
 //!
-//! Five fixed-seed, fixed-scale simulations whose engine profiles are
-//! the benchmark trajectory's deterministic inputs: a three-point web
+//! Five fixed-seed, fixed-scale simulations whose engine profiles the
+//! benchmark trajectory records: a three-point web
 //! concurrency sweep, a scaled-down MapReduce wordcount (the Figure 12–17 family),
 //! the web point again under a crash/restart fault plan, a small
 //! simexplore candidate neighbourhood run end to end (the explore
@@ -9,12 +9,11 @@
 //! hot path: sheds, brownout, breaker trips). Everything here is a pure
 //! function of the constants below — no
 //! wall clock, no ambient RNG — so two runs on any machine produce
-//! bit-identical [`EngineProfile`]s. Wall-clock rates are measured by the
-//! harness *around* these calls, never inside them.
+//! bit-identical [`EngineProfile`]s.
 
 use edison_mapreduce::engine::{run_job_profiled_checked, ClusterSetup};
 use edison_mapreduce::jobs;
-use edison_simcore::time::SimDuration;
+use edison_simcore::time::{SimDuration, SimTime};
 use edison_simcore::EngineProfile;
 use edison_simexplore::{candidates, ExploreBudget, PerturbSpace};
 use edison_simfault::{FaultPlan, RecoveryWindow};
@@ -58,6 +57,12 @@ fn web_cfg(stream: &str, idx: u64, conc: f64, plan: FaultPlan) -> Result<StackCo
     Ok(cfg)
 }
 
+/// The plan shared by the fault, explore and overload workloads: web
+/// node 0 crashes 4 s in and returns 2 s later.
+fn crash_restart_web0() -> FaultPlan {
+    FaultPlan::new().crash_restart(0, SimTime::from_secs(4), SimDuration::from_secs(2))
+}
+
 /// The web sweep: three concurrency points, profiles merged in input
 /// order (the same fold [`merge_profiles`] applies to executor sweeps).
 pub fn web_sweep() -> Result<EngineProfile, SimError> {
@@ -85,12 +90,7 @@ pub fn mapreduce_wordcount() -> Result<EngineProfile, SimError> {
 /// The mid-curve web point under a crash/restart fault plan: web node 0
 /// goes down 4 s in and returns 2 s later, with one retry budgeted.
 pub fn fault_sweep() -> Result<EngineProfile, SimError> {
-    let plan = FaultPlan::new().crash_restart(
-        0,
-        edison_simcore::time::SimTime::from_secs(4),
-        SimDuration::from_secs(2),
-    );
-    let mut cfg = web_cfg("bench:fault", 0, 64.0, plan)?;
+    let mut cfg = web_cfg("bench:fault", 0, 64.0, crash_restart_web0())?;
     cfg.retry_budget = 1;
     let (_, p) = stack::run_profiled(cfg, Telemetry::profiled());
     Ok(p)
@@ -104,15 +104,11 @@ pub fn fault_sweep() -> Result<EngineProfile, SimError> {
 /// rather than observed so the workload stays a pure function of the
 /// constants here.
 pub fn explore_worst() -> Result<EngineProfile, SimError> {
-    let base = FaultPlan::new().crash_restart(
-        0,
-        edison_simcore::time::SimTime::from_secs(4),
-        SimDuration::from_secs(2),
-    );
+    let base = crash_restart_web0();
     let window = RecoveryWindow {
         node: 0,
-        start: edison_simcore::time::SimTime::from_secs(6),
-        end: edison_simcore::time::SimTime::from_secs(7),
+        start: SimTime::from_secs(6),
+        end: SimTime::from_secs(7),
     };
     let space =
         PerturbSpace::full(SimDuration::from_secs(1), vec![window], vec![1], SimDuration::from_secs(2));
@@ -132,12 +128,7 @@ pub fn explore_worst() -> Result<EngineProfile, SimError> {
 /// simguard hot path (admission control, queue-gate sheds, brownout
 /// degradation, breaker trips and half-open probing) under the profiler.
 pub fn overload_web() -> Result<EngineProfile, SimError> {
-    let plan = FaultPlan::new().crash_restart(
-        0,
-        edison_simcore::time::SimTime::from_secs(4),
-        SimDuration::from_secs(2),
-    );
-    let mut cfg = web_cfg("bench:overload", 0, 384.0, plan)?;
+    let mut cfg = web_cfg("bench:overload", 0, 384.0, crash_restart_web0())?;
     cfg.retry_budget = 2;
     cfg.guard = GuardConfig::web_defaults();
     let (_, p) = stack::run_profiled(cfg, Telemetry::profiled());

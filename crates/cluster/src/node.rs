@@ -127,12 +127,6 @@ impl Node {
         self.cpu.len()
     }
 
-    /// Time to execute `mi` on an otherwise idle single thread (used for
-    /// non-contended service-time estimates, e.g. ioping handling).
-    pub fn single_thread_time(&self, mi: f64) -> SimDuration {
-        SimDuration::from_secs_f64(mi / self.spec.cpu.single_thread_mips)
-    }
-
     // ---- Disk ---------------------------------------------------------
 
     /// The disk's FCFS queue (sequential device semantics).

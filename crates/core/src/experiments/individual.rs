@@ -2,7 +2,7 @@
 //! in-text measurements.
 
 use crate::paper;
-use crate::report::{table, trim_float, Comparison, Report, Series};
+use crate::report::{table, Comparison, Report, Series};
 use edison_hw::presets;
 use edison_microbench::{dhrystone, network, storage, sysbench_cpu, sysbench_mem};
 
@@ -303,14 +303,6 @@ pub fn table9() -> Report {
             Comparison::new("Dell node cost ($)", 2500.0, d.unit_cost_usd),
         ],
     }
-}
-
-/// Convenience: format a (threads → seconds) sweep row for docs.
-pub fn fmt_sweep(rows: &[(u32, f64)]) -> String {
-    rows.iter()
-        .map(|(t, s)| format!("{t} threads: {}s", trim_float(*s)))
-        .collect::<Vec<_>>()
-        .join(", ")
 }
 
 #[cfg(test)]

@@ -125,11 +125,6 @@ impl NicSpec {
     pub fn tcp_bytes_per_sec(&self) -> f64 {
         self.line_rate_bps * self.tcp_efficiency / 8.0
     }
-
-    /// Achievable UDP goodput in bytes/s.
-    pub fn udp_bytes_per_sec(&self) -> f64 {
-        self.line_rate_bps * self.udp_efficiency / 8.0
-    }
 }
 
 /// Operating-system resource limits that bound web-service throughput

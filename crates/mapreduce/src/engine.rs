@@ -336,14 +336,6 @@ pub struct JobOutcome {
     pub guard_deadline_miss: u32,
 }
 
-impl JobOutcome {
-    /// Work-done-per-joule relative to another outcome of the same job:
-    /// `other.energy / self.energy` (> 1 means self is more efficient).
-    pub fn efficiency_vs(&self, other: &JobOutcome) -> f64 {
-        other.energy_j / self.energy_j
-    }
-}
-
 struct MrWorld {
     profile: JobProfile,
     setup: ClusterSetup,

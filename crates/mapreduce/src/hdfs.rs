@@ -109,11 +109,6 @@ impl Namenode {
         0..self.blocks.len()
     }
 
-    /// Total blocks stored.
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
     /// True when `node` holds a replica of `block`.
     pub fn is_local(&self, block: usize, node: usize) -> bool {
         self.blocks[block].replicas.contains(&node)

@@ -180,11 +180,6 @@ impl Topology {
     pub fn group_of(&self, h: HostId) -> GroupId {
         self.hosts[h.0].group
     }
-
-    /// Number of hosts.
-    pub fn host_count(&self) -> usize {
-        self.hosts.len()
-    }
 }
 
 /// Build the paper's two-room testbed fabric:

@@ -152,12 +152,6 @@ impl<E> Ctx<'_, E> {
         self.schedule_idle_at(self.now + d, event);
     }
 
-    /// Schedule `event` immediately (same timestamp, after currently queued
-    /// same-time events).
-    pub fn schedule_now(&mut self, event: E) {
-        self.schedule_at(self.now, event);
-    }
-
     /// Request that the run loop stop after the current event.
     pub fn stop(&mut self) {
         self.stop = true;

@@ -311,6 +311,70 @@ mod tests {
         SimTime::from_secs_f64(s)
     }
 
+    /// One Edison node (MIPS) and its single-thread cap.
+    const NODE_MIPS: f64 = 1264.6;
+    const THREAD_MIPS: f64 = 632.3;
+
+    /// Makespan of `n` tasks of 500 MI arriving every 100 ms, driven
+    /// event by event: each completion is taken before the next arrival.
+    fn exact_makespan(n: u64) -> f64 {
+        let mut r = FluidResource::new(NODE_MIPS, THREAD_MIPS);
+        let mut now = SimTime::ZERO;
+        for i in 0..n {
+            let arrival = t(0.1 * i as f64);
+            while let Some((_, at)) = r.next_completion(now).filter(|&(_, at)| at <= arrival) {
+                now = at;
+                r.take_finished(now);
+            }
+            now = arrival;
+            r.add(now, i, 500.0);
+        }
+        while let Some((_, at)) = r.next_completion(now) {
+            now = at;
+            r.take_finished(now);
+        }
+        now.as_secs_f64()
+    }
+
+    /// The same arrivals through a time-stepped model: each `tick` seconds,
+    /// admit what has arrived, give every task its share for the whole
+    /// tick, and drop the tasks that finished.
+    fn stepped_makespan(n: u64, tick: f64) -> f64 {
+        let mut remaining: Vec<f64> = Vec::new();
+        let (mut admitted, mut k) = (0, 0u64);
+        loop {
+            let now = k as f64 * tick;
+            while admitted < n && 0.1 * admitted as f64 <= now + 1e-9 {
+                remaining.push(500.0);
+                admitted += 1;
+            }
+            if remaining.is_empty() && admitted == n {
+                return now;
+            }
+            let rate = THREAD_MIPS.min(NODE_MIPS / remaining.len().max(1) as f64);
+            for w in &mut remaining {
+                *w -= rate * tick;
+            }
+            remaining.retain(|&w| w > 0.0);
+            k += 1;
+        }
+    }
+
+    #[test]
+    fn time_stepping_overshoots_and_converges_to_the_exact_makespan() {
+        for n in [16, 64] {
+            let exact = exact_makespan(n);
+            let mut last_err = f64::INFINITY;
+            for tick in [0.1, 0.01, 0.001] {
+                let stepped = stepped_makespan(n, tick);
+                assert!(stepped >= exact, "n={n} tick={tick}: stepped {stepped} < exact {exact}");
+                let err = stepped / exact - 1.0;
+                assert!(err < last_err, "n={n} tick={tick}: error {err} did not shrink");
+                last_err = err;
+            }
+        }
+    }
+
     #[test]
     fn single_task_runs_at_cap() {
         // capacity 100/s, cap 10/s per task: a lone task runs at 10/s.

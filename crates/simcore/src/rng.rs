@@ -49,12 +49,6 @@ impl SimRng {
         self.inner.gen_range(0..n)
     }
 
-    /// Uniform integer in `[lo, hi)`.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo < hi);
-        self.inner.gen_range(lo..hi)
-    }
-
     /// Exponential with the given mean (inter-arrival times).
     pub fn exp(&mut self, mean: f64) -> f64 {
         debug_assert!(mean > 0.0);

@@ -105,11 +105,6 @@ impl SimDuration {
         SimDuration((s * NANOS_PER_SEC as f64).round() as u64)
     }
 
-    /// Construct from fractional milliseconds.
-    pub fn from_millis_f64(ms: f64) -> Self {
-        Self::from_secs_f64(ms / 1e3)
-    }
-
     /// This duration as fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / NANOS_PER_SEC as f64
