@@ -19,7 +19,7 @@ use edison_simexplore::{candidates, ExploreBudget, PerturbSpace};
 use edison_simfault::{FaultPlan, RecoveryWindow};
 use edison_simguard::GuardConfig;
 use edison_simrun::error::SimError;
-use edison_simrun::{derive_seed, merge_profiles, ROOT_SEED};
+use edison_simrun::{derive_seed, ROOT_SEED};
 use edison_simtel::Telemetry;
 use edison_web::httperf::CALLS_PER_CONN;
 use edison_web::stack::{self, GenMode, StackConfig};
@@ -64,15 +64,15 @@ fn crash_restart_web0() -> FaultPlan {
 }
 
 /// The web sweep: three concurrency points, profiles merged in input
-/// order (the same fold [`merge_profiles`] applies to executor sweeps).
+/// order.
 pub fn web_sweep() -> Result<EngineProfile, SimError> {
-    let mut profiles = Vec::with_capacity(WEB_POINTS.len());
+    let mut merged = EngineProfile::default();
     for (i, &conc) in (0u64..).zip(WEB_POINTS.iter()) {
         let cfg = web_cfg("bench:web", i, conc, FaultPlan::new())?;
         let (_, p) = stack::run_profiled(cfg, Telemetry::profiled());
-        profiles.push(p);
+        merged.merge(&p);
     }
-    Ok(merge_profiles(profiles))
+    Ok(merged)
 }
 
 /// Scaled-down wordcount on 8 Edison nodes — the Figure 12/17 job family
@@ -113,14 +113,14 @@ pub fn explore_worst() -> Result<EngineProfile, SimError> {
     let space =
         PerturbSpace::full(SimDuration::from_secs(1), vec![window], vec![1], SimDuration::from_secs(2));
     let budget = ExploreBudget::new(4, ROOT_SEED);
-    let mut profiles = Vec::new();
+    let mut merged = EngineProfile::default();
     for (i, cand) in (0u64..).zip(candidates(&base, &space, &budget)) {
         let mut cfg = web_cfg("bench:explore", i, 64.0, cand.plan)?;
         cfg.retry_budget = 1;
         let (_, p) = stack::run_profiled(cfg, Telemetry::profiled());
-        profiles.push(p);
+        merged.merge(&p);
     }
-    Ok(merge_profiles(profiles))
+    Ok(merged)
 }
 
 /// The guarded overload point: a load level past the Eighth-scale knee

@@ -60,7 +60,8 @@ fn heap_row(world: &str, profile: &EngineProfile) -> Vec<String> {
         world.into(),
         format!("{}", profile.events()),
         format!("{}", profile.heap_pushes),
-        format!("{}", profile.heap_pops),
+        // every pop delivers an event
+        format!("{}", profile.events()),
         format!("{}", profile.heap_depth_hwm),
         format!("{:.1}", profile.sim_seconds()),
     ]

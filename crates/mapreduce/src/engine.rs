@@ -26,13 +26,13 @@ use edison_net::{HostId, LinkGauge, Topology};
 use edison_simcore::rng::SimRng;
 use edison_simcore::stats::TimeSeries;
 use edison_simcore::time::{SimDuration, SimTime};
-use edison_simcore::{Ctx, EngineProfile, KindProfiler, Model, Simulation};
+use edison_simcore::{Ctx, EngineProfile, KindProfiler, Model, NoopProfiler, Simulation};
 use edison_simfault::metrics as fault_metrics;
 use edison_simfault::{Fault, FaultKind, FaultPlan, RecoveryWindow};
 use edison_simguard::metrics as guard_metrics;
 use edison_simguard::{BreakerState, BreakerVerdict, CircuitBreaker, GuardConfig};
 use edison_simrun::{derive_seed, SimError};
-use edison_simtel::{labels, record_engine_profile, EventCounter, Telemetry};
+use edison_simtel::{labels, record_engine_profile, record_sim_metrics, Telemetry};
 use std::collections::VecDeque;
 
 const MIB: u64 = 1024 * 1024;
@@ -268,8 +268,8 @@ pub enum Ev {
 }
 
 impl Ev {
-    /// Static event-kind name for engine-level telemetry
-    /// ([`EventCounter`]).
+    /// Static event-kind name for the engine's [`KindProfiler`], which
+    /// keys the `sim_*` and `profile_*` metrics by it.
     pub fn kind(&self) -> &'static str {
         match self {
             Ev::Heartbeat => "heartbeat",
@@ -1780,15 +1780,18 @@ pub fn run_job_profiled_checked(
     tel: Telemetry,
 ) -> Result<(JobOutcome, Telemetry, EngineProfile), SimError> {
     run_job_inner(profile, setup, tel, true)
-        .map(|(o, t, p)| (o, t, p.unwrap_or_default()))
 }
 
+/// Build, seed and run one job. With telemetry off this is the hook-free
+/// [`Simulation::run`] and the profile is empty; a traced run always
+/// counts events through [`KindProfiler`] and exports `sim_*`, plus
+/// `profile_*` when `profiling` is set.
 fn run_job_inner(
     profile: &JobProfile,
     setup: &ClusterSetup,
     tel: Telemetry,
     profiling: bool,
-) -> Result<(JobOutcome, Telemetry, Option<EngineProfile>), SimError> {
+) -> Result<(JobOutcome, Telemetry, EngineProfile), SimError> {
     let tracing = tel.is_on();
     let mut world = MrWorld::new(profile.clone(), setup.clone());
     world.tel = tel;
@@ -1818,22 +1821,17 @@ fn run_job_inner(
     for (idx, at) in fault_times.into_iter().enumerate() {
         sim.schedule_at(at, Ev::Fault { idx });
     }
-    let mut engine_profile = None;
-    if tracing && profiling {
-        let mut obs = EventCounter::new(Ev::kind);
+    let mut engine_profile = EngineProfile::default();
+    if tracing {
         let mut prof = KindProfiler::new(Ev::kind);
-        sim.run_profiled(&mut obs, &mut prof);
-        let p = prof.finish(&sim);
+        sim.run_profiled(&mut prof, &mut NoopProfiler);
+        let watchdog_tripped = sim.watchdog_tripped();
+        engine_profile = prof.finish(&sim);
         let w = sim.world_mut();
-        obs.record_into(&mut w.tel, "mapreduce");
-        record_engine_profile(&mut w.tel, "mapreduce", &p, phase_of);
-        w.harvest_power_series();
-        engine_profile = Some(p);
-    } else if tracing {
-        let mut obs = EventCounter::new(Ev::kind);
-        sim.run_observed(&mut obs);
-        let w = sim.world_mut();
-        obs.record_into(&mut w.tel, "mapreduce");
+        record_sim_metrics(&mut w.tel, "mapreduce", &engine_profile, watchdog_tripped);
+        if profiling {
+            record_engine_profile(&mut w.tel, "mapreduce", &engine_profile, phase_of);
+        }
         w.harvest_power_series();
     } else {
         sim.run();

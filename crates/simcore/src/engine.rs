@@ -158,41 +158,6 @@ impl<E> Ctx<'_, E> {
     }
 }
 
-/// Hooks into the event loop, called around every delivered event.
-///
-/// All methods have empty `#[inline]` default bodies, so a generic run loop
-/// instantiated with [`NoopObserver`] monomorphizes to exactly the
-/// unobserved loop — observation is zero-cost when disabled.
-///
-/// Observers receive only borrowed event data and engine counters; they must
-/// not influence scheduling (the engine stays a pure function of world state
-/// and seed whether or not it is observed).
-pub trait Observer<E> {
-    /// Called after the clock advanced to `now` but before the event is
-    /// handed to the world. `heap_depth` is the number of events still
-    /// queued (excluding the one being delivered), keyed ones included.
-    #[inline]
-    fn pre_event(&mut self, _now: SimTime, _event: &E, _heap_depth: usize) {}
-
-    /// Called after the world handled the event. `newly_scheduled` is the
-    /// number of follow-up events the handler enqueued (keyed ones
-    /// included); `processed` is the total delivered so far.
-    #[inline]
-    fn post_event(&mut self, _now: SimTime, _newly_scheduled: usize, _processed: u64) {}
-
-    /// Called once if the max-events watchdog halts the run (see
-    /// [`Simulation::set_max_events`]).
-    #[inline]
-    fn on_watchdog(&mut self, _now: SimTime, _processed: u64) {}
-}
-
-/// The do-nothing observer; running with it is identical to running
-/// unobserved.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopObserver;
-
-impl<E> Observer<E> for NoopObserver {}
-
 /// A running simulation: world + event heap + clock.
 pub struct Simulation<M: Model> {
     world: M,
@@ -231,7 +196,7 @@ impl<M: Model> Simulation<M> {
     /// Arm (or with `None`, disarm) the runaway-run watchdog: once the number
     /// of **budgeted** (non-idle) events delivered reaches `limit` the loop
     /// refuses to deliver further events, marks the run stopped, and reports
-    /// through [`Observer::on_watchdog`].
+    /// through [`Profiler::on_watchdog`].
     ///
     /// A tripped watchdog means the world is live-locked (e.g. an event that
     /// reschedules itself forever without advancing the experiment) — the
@@ -282,15 +247,6 @@ impl<M: Model> Simulation<M> {
     /// Events still queued, plain and keyed.
     pub(crate) fn pending(&self) -> usize {
         self.heap.len() + self.keyed.len()
-    }
-
-    /// Time of the earliest queued event, plain or keyed.
-    fn peek_at(&self) -> Option<SimTime> {
-        match (self.heap.peek(), self.keyed.peek()) {
-            (Some(Reverse(a)), Some(b)) => Some(a.at.min(b.at)),
-            (Some(Reverse(a)), None) => Some(a.at),
-            (None, b) => b.map(|b| b.at),
-        }
     }
 
     /// Pop the earliest queued event by `(at, seq)` from whichever queue
@@ -346,33 +302,12 @@ impl<M: Model> Simulation<M> {
         self.heap.push(Reverse(Scheduled { at, seq, event, idle: true }));
     }
 
-    /// Deliver the next event, if any. Returns `false` when the heap is empty
-    /// or a stop was requested.
-    pub fn step(&mut self) -> bool {
-        self.step_observed(&mut NoopObserver)
-    }
-
-    /// [`step`](Self::step), reporting to `obs`. With [`NoopObserver`] this
-    /// compiles to the same code as the unobserved step.
-    pub fn step_observed<O: Observer<M::Event>>(&mut self, obs: &mut O) -> bool {
-        self.step_inner(obs, &mut NoopProfiler)
-    }
-
-    /// [`step`](Self::step), reporting to both `obs` (world-level metrics)
-    /// and `prof` (engine self-measurement). With [`NoopProfiler`] this
-    /// compiles to the same code as [`step_observed`](Self::step_observed).
-    pub fn step_profiled<O: Observer<M::Event>, P: Profiler<M::Event>>(
+    /// Deliver the next event, if any, reporting to `first` and then `second`.
+    /// Returns `false` when the heap is empty or a stop was requested.
+    fn step_inner<A: Profiler<M::Event>, B: Profiler<M::Event>>(
         &mut self,
-        obs: &mut O,
-        prof: &mut P,
-    ) -> bool {
-        self.step_inner(obs, prof)
-    }
-
-    fn step_inner<O: Observer<M::Event>, P: Profiler<M::Event>>(
-        &mut self,
-        obs: &mut O,
-        prof: &mut P,
+        first: &mut A,
+        second: &mut B,
     ) -> bool {
         if self.stopped {
             return false;
@@ -381,8 +316,8 @@ impl<M: Model> Simulation<M> {
             if self.budgeted >= limit {
                 self.stopped = true;
                 self.watchdog_tripped = true;
-                obs.on_watchdog(self.now, self.processed);
-                prof.on_watchdog(self.now);
+                first.on_watchdog(self.now);
+                second.on_watchdog(self.now);
                 return false;
             }
         }
@@ -397,8 +332,8 @@ impl<M: Model> Simulation<M> {
         if !next.idle {
             self.budgeted += 1;
         }
-        obs.pre_event(self.now, &next.event, self.pending());
-        prof.on_dispatch(self.now, &next.event, advanced);
+        first.on_dispatch(self.now, &next.event, advanced);
+        second.on_dispatch(self.now, &next.event, advanced);
         let mut ctx = Ctx {
             now: self.now,
             seq: self.seq,
@@ -415,68 +350,34 @@ impl<M: Model> Simulation<M> {
         if stop {
             self.stopped = true;
         }
-        obs.post_event(self.now, newly_scheduled, self.processed);
-        prof.on_handled(self.now, newly_scheduled, self.pending());
+        let depth = self.pending();
+        first.on_handled(self.now, newly_scheduled, depth);
+        second.on_handled(self.now, newly_scheduled, depth);
         true
     }
 
-    /// Run until the heap drains or a stop is requested. Returns the number
-    /// of events delivered by this call.
+    /// Run until the heap drains, a stop is requested or the watchdog
+    /// trips. Returns the number of events delivered by this call.
     pub fn run(&mut self) -> u64 {
-        self.run_observed(&mut NoopObserver)
+        self.run_profiled(&mut NoopProfiler, &mut NoopProfiler)
     }
 
-    /// [`run`](Self::run), reporting every event to `obs`.
-    pub fn run_observed<O: Observer<M::Event>>(&mut self, obs: &mut O) -> u64 {
-        let before = self.processed;
-        while self.step_observed(obs) {}
-        self.processed - before
-    }
-
-    /// [`run`](Self::run), reporting every event to `obs` and `prof`.
+    /// [`run`](Self::run), reporting every event to `first` and then
+    /// `second`.
     ///
-    /// The profiler sees the same stream the observer does; with
-    /// [`NoopProfiler`] this monomorphizes to
-    /// [`run_observed`](Self::run_observed) exactly, so profiling is
-    /// zero-cost when disabled.
-    pub fn run_profiled<O: Observer<M::Event>, P: Profiler<M::Event>>(
+    /// Both see the same stream; with [`NoopProfiler`] in both places
+    /// this monomorphizes to [`run`](Self::run) exactly, so the hooks are
+    /// zero-cost when unused.
+    pub fn run_profiled<A: Profiler<M::Event>, B: Profiler<M::Event>>(
         &mut self,
-        obs: &mut O,
-        prof: &mut P,
+        first: &mut A,
+        second: &mut B,
     ) -> u64 {
         let before = self.processed;
-        while self.step_inner(obs, prof) {}
-        self.processed - before
-    }
-
-    /// Run until simulated time reaches `deadline` (events strictly after the
-    /// deadline remain queued), the heap drains, or a stop is requested.
-    pub fn run_until(&mut self, deadline: SimTime) -> u64 {
-        self.run_until_observed(deadline, &mut NoopObserver)
-    }
-
-    /// [`run_until`](Self::run_until), reporting every event to `obs`.
-    pub fn run_until_observed<O: Observer<M::Event>>(
-        &mut self,
-        deadline: SimTime,
-        obs: &mut O,
-    ) -> u64 {
-        let before = self.processed;
-        loop {
-            match self.peek_at() {
-                Some(at) if at <= deadline => {
-                    if !self.step_observed(obs) {
-                        break;
-                    }
-                }
-                _ => break,
-            }
-        }
-        // Advance the clock to the deadline even if no event landed on it,
-        // so metric extraction sees a consistent "end of window" time.
-        if self.now < deadline && !self.stopped {
-            self.now = deadline;
-        }
+        let depth = self.pending();
+        first.on_start(depth);
+        second.on_start(depth);
+        while self.step_inner(first, second) {}
         self.processed - before
     }
 }
@@ -555,18 +456,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_leaves_future_events() {
-        let mut sim = Simulation::new(Recorder { log: vec![] });
-        sim.schedule_at(SimTime::from_secs(1), Ev::Mark(1));
-        sim.schedule_at(SimTime::from_secs(5), Ev::Mark(5));
-        sim.run_until(SimTime::from_secs(2));
-        assert_eq!(sim.world().log.len(), 1);
-        assert_eq!(sim.now(), SimTime::from_secs(2));
-        sim.run();
-        assert_eq!(sim.world().log.len(), 2);
-    }
-
-    #[test]
     fn stop_halts_the_loop() {
         let mut sim = Simulation::new(Recorder { log: vec![] });
         sim.schedule_at(SimTime::from_secs(1), Ev::StopNow);
@@ -576,27 +465,31 @@ mod tests {
         assert!(sim.world().log.is_empty());
     }
 
-    /// Counting observer used by the hook tests below.
+    /// Counting profiler used by the hook tests below.
     #[derive(Default)]
     struct Counting {
+        start: Option<usize>,
         pre: u64,
         post: u64,
         scheduled: u64,
         max_heap_depth: usize,
-        watchdog: Option<(SimTime, u64)>,
+        watchdog: Option<SimTime>,
     }
 
-    impl<E> Observer<E> for Counting {
-        fn pre_event(&mut self, _now: SimTime, _event: &E, heap_depth: usize) {
-            self.pre += 1;
-            self.max_heap_depth = self.max_heap_depth.max(heap_depth);
+    impl<E> Profiler<E> for Counting {
+        fn on_start(&mut self, heap_depth: usize) {
+            self.start = Some(heap_depth);
         }
-        fn post_event(&mut self, _now: SimTime, newly_scheduled: usize, _processed: u64) {
+        fn on_dispatch(&mut self, _now: SimTime, _event: &E, _advanced: SimDuration) {
+            self.pre += 1;
+        }
+        fn on_handled(&mut self, _now: SimTime, newly_scheduled: usize, heap_depth: usize) {
             self.post += 1;
             self.scheduled += newly_scheduled as u64;
+            self.max_heap_depth = self.max_heap_depth.max(heap_depth);
         }
-        fn on_watchdog(&mut self, now: SimTime, processed: u64) {
-            self.watchdog = Some((now, processed));
+        fn on_watchdog(&mut self, now: SimTime) {
+            self.watchdog = Some(now);
         }
     }
 
@@ -609,8 +502,9 @@ mod tests {
         );
         sim.schedule_at(SimTime::from_secs(1), Ev::Mark(1));
         let mut obs = Counting::default();
-        let n = sim.run_observed(&mut obs);
+        let n = sim.run_profiled(&mut obs, &mut NoopProfiler);
         assert_eq!(n, 11);
+        assert_eq!(obs.start, Some(2), "both initial events queued");
         assert_eq!(obs.pre, 11);
         assert_eq!(obs.post, 11);
         assert_eq!(obs.scheduled, 9); // each chain link but the last reschedules once
@@ -632,7 +526,7 @@ mod tests {
         let mut plain = build();
         plain.run();
         let mut observed = build();
-        observed.run_observed(&mut Counting::default());
+        observed.run_profiled(&mut Counting::default(), &mut Counting::default());
         assert_eq!(plain.world().log, observed.world().log);
         assert_eq!(plain.now(), observed.now());
         assert_eq!(plain.processed(), observed.processed());
@@ -668,10 +562,10 @@ mod tests {
             Ev::Chain { left: 100, gap: SimDuration::from_millis(1) },
         );
         let mut obs = Counting::default();
-        sim.run_observed(&mut obs);
+        sim.run_profiled(&mut obs, &mut NoopProfiler);
         assert_eq!(obs.pre, 3);
-        let (at, processed) = obs.watchdog.expect("watchdog should have fired");
-        assert_eq!(processed, 3);
+        let at = obs.watchdog.expect("watchdog should have fired");
+        assert_eq!(sim.processed(), 3);
         assert_eq!(at, SimTime::from_millis(2));
         assert!(sim.watchdog_tripped());
     }
@@ -689,9 +583,10 @@ mod tests {
         assert!(!sim.watchdog_tripped());
     }
 
-    /// The unobserved loop must not regress from carrying observer hooks:
-    /// a NoopObserver run must cost the same as `run()` to within noise.
-    /// Min-of-N with a generous factor keeps this robust on loaded CI.
+    /// The hook-free loop must not regress from carrying profiler hooks:
+    /// a run with two [`NoopProfiler`]s must cost the same as `run()` to
+    /// within noise. Min-of-N with a generous factor keeps this robust on
+    /// loaded CI.
     #[test]
     fn noop_observer_adds_no_measurable_overhead() {
         // Host-side timing of the engine itself; the result never feeds
@@ -715,14 +610,9 @@ mod tests {
             sim
         };
         let plain = min_time(|| chain().run());
-        let observed = min_time(|| chain().run_observed(&mut NoopObserver));
         let profiled =
-            min_time(|| chain().run_profiled(&mut NoopObserver, &mut NoopProfiler));
+            min_time(|| chain().run_profiled(&mut NoopProfiler, &mut NoopProfiler));
         // Identical monomorphized code; 4x headroom absorbs scheduler noise.
-        assert!(
-            observed <= plain * 4 + std::time::Duration::from_millis(5),
-            "NoopObserver run regressed: {observed:?} vs {plain:?}"
-        );
         assert!(
             profiled <= plain * 4 + std::time::Duration::from_millis(5),
             "NoopProfiler run regressed: {profiled:?} vs {plain:?}"
@@ -856,22 +746,16 @@ mod tests {
         assert_eq!(sim.scheduled_total(), sim.processed() + sim.superseded_total());
     }
 
-    /// Per-event hook readings: `newly_scheduled` from the observer,
-    /// `heap_depth` from the profiler.
+    /// Per-event `on_handled` readings.
     #[derive(Default)]
     struct Hooks {
         newly: Vec<usize>,
         depth: Vec<usize>,
     }
 
-    impl Observer<u32> for Hooks {
-        fn post_event(&mut self, _now: SimTime, newly_scheduled: usize, _processed: u64) {
-            self.newly.push(newly_scheduled);
-        }
-    }
-
     impl Profiler<u32> for Hooks {
-        fn on_handled(&mut self, _now: SimTime, _newly_scheduled: usize, heap_depth: usize) {
+        fn on_handled(&mut self, _now: SimTime, newly_scheduled: usize, heap_depth: usize) {
+            self.newly.push(newly_scheduled);
             self.depth.push(heap_depth);
         }
     }
@@ -900,13 +784,12 @@ mod tests {
         script[7] = vec![Stop, Plain { ms: 5, id: 12 }, Keyed { key: 2, ms: 5, id: 13 }];
         let mut sim = Simulation::new(Script { script, log: vec![] });
         sim.schedule_at(SimTime::ZERO, 0);
-        let mut obs = Hooks::default();
-        let mut prof = Hooks::default();
-        sim.run_profiled(&mut obs, &mut prof);
+        let mut hooks = Hooks::default();
+        sim.run_profiled(&mut hooks, &mut NoopProfiler);
         let log: Vec<(u64, u32)> = sim.world().log.iter().map(|&(t, i)| (t / 1_000_000, i)).collect();
         assert_eq!(log, vec![(0, 0), (2, 4), (2, 5), (3, 1), (3, 2), (3, 11), (4, 7)]);
-        assert_eq!(obs.newly, vec![6, 1, 0, 2, 2, 0, 2]);
-        assert_eq!(prof.depth, vec![5, 5, 4, 4, 5, 4, 5]);
+        assert_eq!(hooks.newly, vec![6, 1, 0, 2, 2, 0, 2]);
+        assert_eq!(hooks.depth, vec![5, 5, 4, 4, 5, 4, 5]);
         assert!(sim.is_stopped());
         assert_eq!(sim.superseded_total(), 2);
         assert_eq!(sim.pending(), 5, "ids 8, 9, 10, 12 and 13 never ran");
@@ -974,22 +857,20 @@ mod tests {
     }
 
     #[test]
-    fn keyed_events_count_in_heap_depth_and_run_until() {
+    fn keyed_events_count_in_heap_depth() {
         use Op::{Keyed, Plain};
         let mut sim = Simulation::new(Script {
             script: vec![vec![Keyed { key: 3, ms: 4, id: 1 }, Plain { ms: 6, id: 2 }]],
             log: vec![],
         });
         sim.schedule_at(SimTime::ZERO, 0);
-        let mut obs = Counting::default();
-        sim.run_until_observed(SimTime::from_millis(1), &mut obs);
-        assert_eq!(sim.pending(), 2);
-        assert_eq!(obs.scheduled, 2, "keyed schedules count as newly scheduled");
-        // the keyed event at 4 ms is the earliest: run_until must see it
-        sim.run_until_observed(SimTime::from_millis(5), &mut obs);
-        assert_eq!(sim.world().log.len(), 2);
-        assert_eq!(obs.max_heap_depth, 1, "keyed event queued while id 2 waits");
-        sim.run();
+        let mut hooks = Hooks::default();
+        sim.run_profiled(&mut hooks, &mut NoopProfiler);
+        assert_eq!(hooks.newly, vec![2, 0, 0], "keyed schedules count as newly scheduled");
+        assert_eq!(hooks.depth, vec![2, 1, 0], "keyed event queued while id 2 waits");
+        // the keyed event at 4 ms is the earliest, so it delivers first
+        let ids: Vec<u32> = sim.world().log.iter().map(|&(_, i)| i).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
         assert_eq!(sim.pending(), 0);
     }
 

@@ -11,7 +11,12 @@
 //!   user-supplied world type. Events are an arbitrary user enum; ties in
 //!   time are broken by insertion order so runs are exactly reproducible.
 //!   Keyed events ([`Ctx::schedule_keyed`]) hold one replaceable pending
-//!   event per key, for tentative completions.
+//!   event per key, for tentative completions. [`Simulation::run`] is the
+//!   hook-free loop; [`Simulation::run_profiled`] drives the same loop
+//!   through the one hook trait, [`Profiler`].
+//! * [`profile`] — [`KindProfiler`] accumulates an [`EngineProfile`], the
+//!   simulator's one set of event counts per kind, heap pushes and queue
+//!   depths.
 //! * [`fluid::FluidResource`] — a processor-sharing "fluid" resource used to
 //!   model CPUs (cores shared among threads) and network links (bandwidth
 //!   shared among flows) without time-stepping.
@@ -37,6 +42,10 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use engine::{Ctx, Model, NoopObserver, Observer, Simulation};
+pub use engine::{Ctx, Model, Simulation};
 pub use profile::{EngineProfile, KindProfiler, KindStats, NoopProfiler, Profiler};
+
+/// The old name of [`NoopProfiler`], kept only because the frozen host-time
+/// benchmark (`perfbench/src/trace.rs`) still imports it.
+pub use profile::NoopProfiler as NoopObserver;
 pub use time::{SimDuration, SimTime};

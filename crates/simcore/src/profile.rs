@@ -9,38 +9,43 @@
 //!
 //! Three pieces:
 //!
-//! * [`Profiler`] — the hook trait the run loop reports through. All
-//!   methods have empty `#[inline]` default bodies, so a loop
-//!   instantiated with [`NoopProfiler`] monomorphizes to exactly the
-//!   unprofiled loop (the same zero-cost construction as
-//!   [`Observer`](crate::Observer)).
+//! * [`Profiler`] — the engine's one hook trait, which
+//!   [`Simulation::run_profiled`] reports through. All methods have empty
+//!   `#[inline]` default bodies, so a loop instantiated with
+//!   [`NoopProfiler`] monomorphizes to exactly the hook-free loop of
+//!   [`Simulation::run`].
 //! * [`KindProfiler`] — the production impl: classifies events through a
-//!   caller-supplied `fn(&E) -> &'static str` (the same `Ev::kind`
-//!   classifiers the telemetry layer uses) and accumulates an
-//!   [`EngineProfile`].
-//! * [`EngineProfile`] — the result: per-kind dispatch/schedule counts
-//!   and sim-time attribution, heap push/pop totals, and the heap-depth
+//!   caller-supplied `fn(&E) -> &'static str` (the worlds' `Ev::kind`
+//!   classifiers) and accumulates an [`EngineProfile`].
+//! * [`EngineProfile`] — the result and the simulator's one set of event
+//!   counts: per-kind dispatch/schedule counts and sim-time attribution,
+//!   heap pushes, the queue depth at delivery, and the heap-depth
 //!   high-water mark with its step track (exportable as a Perfetto
-//!   counter track). Profiles [`merge`](EngineProfile::merge) so a sweep
-//!   can fold per-point profiles in input order into one per-experiment
-//!   breakdown.
+//!   counter track). `simtel` renders both the `sim_*` and the
+//!   `profile_*` metrics from it. Profiles
+//!   [`merge`](EngineProfile::merge) so a sweep can fold per-point
+//!   profiles in input order into one per-experiment breakdown.
 //!
 //! Profilers receive only borrowed event data; they must not influence
 //! scheduling. The engine stays a pure function of world state and seed
-//! whether or not it is profiled — enforced by observer-equivalence
-//! tests in the stacks (profiled and unprofiled runs produce identical
-//! metrics).
+//! whether or not it is profiled — enforced by equivalence tests in the
+//! stacks (profiled and unprofiled runs produce identical metrics).
 
 use crate::engine::{Model, Simulation};
 use crate::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
-/// Hooks into the run loop, called around every delivered event.
+/// Hooks into the run loop, called around every delivered event by
+/// [`Simulation::run_profiled`].
 ///
-/// Mirrors [`Observer`](crate::Observer) but is aimed at *engine*
-/// self-measurement rather than world-level metrics; the two compose
-/// (see [`Simulation::run_profiled`](crate::Simulation::run_profiled)).
+/// Profilers receive only borrowed event data and engine counters; they
+/// must not influence scheduling.
 pub trait Profiler<E> {
+    /// Called once when a run starts, before any delivery. `heap_depth`
+    /// is the number of events queued, keyed ones included.
+    #[inline]
+    fn on_start(&mut self, _heap_depth: usize) {}
+
     /// Called after the clock advanced to `now` but before the event is
     /// handed to the world. `advanced` is the sim time the clock moved to
     /// reach this event (zero for same-timestamp deliveries).
@@ -91,8 +96,9 @@ pub struct EngineProfile {
     /// Total events ever scheduled (initial + follow-ups, plain + keyed):
     /// one per sequence number consumed.
     pub heap_pushes: u64,
-    /// Total events popped (== delivered).
-    pub heap_pops: u64,
+    /// Peak queue depth at a delivery: events still queued right after
+    /// the pop, keyed ones included (the `sim_heap_depth_max` metric).
+    pub dispatch_depth_max: u64,
     /// Heap-depth high-water mark (events queued after a handler ran,
     /// keyed ones included).
     pub heap_depth_hwm: u64,
@@ -104,12 +110,12 @@ pub struct EngineProfile {
     /// Keyed events dropped undelivered because a later keyed schedule on
     /// the same key replaced them (see
     /// [`Ctx::schedule_keyed`](crate::Ctx::schedule_keyed)). Over a run,
-    /// `heap_pushes = heap_pops + superseded + events pending at stop`.
+    /// `heap_pushes = events() + superseded + events pending at stop`.
     pub superseded: u64,
 }
 
 impl EngineProfile {
-    /// Total events delivered across all kinds.
+    /// Total events delivered (== popped) across all kinds.
     pub fn events(&self) -> u64 {
         self.kinds.values().map(|k| k.dispatched).sum()
     }
@@ -119,9 +125,9 @@ impl EngineProfile {
         self.end.as_secs_f64()
     }
 
-    /// Fold `other` into `self`: counts add, high-water marks take the
-    /// max, step tracks concatenate in time order (stable, so same-time
-    /// steps keep fold order), `end` takes the max.
+    /// Fold `other` into `self`: counts add, depth maxima take the max,
+    /// step tracks concatenate in time order (stable, so same-time steps
+    /// keep fold order), `end` takes the max.
     ///
     /// Folding a sweep's per-point profiles **in input order** makes the
     /// merged profile independent of worker count — the property the
@@ -134,8 +140,8 @@ impl EngineProfile {
             mine.advance += stats.advance;
         }
         self.heap_pushes += other.heap_pushes;
-        self.heap_pops += other.heap_pops;
         self.superseded += other.superseded;
+        self.dispatch_depth_max = self.dispatch_depth_max.max(other.dispatch_depth_max);
         self.heap_depth_hwm = self.heap_depth_hwm.max(other.heap_depth_hwm);
         self.hwm_track.extend(other.hwm_track.iter().copied());
         self.hwm_track.sort_by_key(|&(t, _)| t); // stable: fold order kept on ties
@@ -149,15 +155,26 @@ impl EngineProfile {
 pub struct KindProfiler<F> {
     classify: F,
     profile: EngineProfile,
-    /// Kind of the event currently being handled (set by `on_dispatch`,
-    /// consumed by `on_handled`).
+    /// Kind and clock advance of the event currently being handled (set
+    /// by `on_dispatch`, counted by `on_handled` with one map lookup).
     current: &'static str,
+    advanced: SimDuration,
+    /// Queue depth at the last hook: the start of the run or the end of
+    /// the last handler. Nothing touches the queue between that hook and
+    /// the next pop, so the depth after the pop is one less.
+    depth: u64,
 }
 
 impl<F> KindProfiler<F> {
     /// New profiler using `classify` to name event kinds.
     pub fn new(classify: F) -> Self {
-        KindProfiler { classify, profile: EngineProfile::default(), current: "" }
+        KindProfiler {
+            classify,
+            profile: EngineProfile::default(),
+            current: "",
+            advanced: SimDuration::ZERO,
+            depth: 0,
+        }
     }
 
     /// The profile accumulated so far.
@@ -166,30 +183,35 @@ impl<F> KindProfiler<F> {
     }
 
     /// Finish profiling `sim`'s run: fills in the engine-level heap
-    /// totals (pushes = every event ever scheduled, pops = every event
-    /// delivered, superseded = every keyed event replaced undelivered) and
-    /// returns the completed profile.
+    /// totals (pushes = every event ever scheduled, superseded = every
+    /// keyed event replaced undelivered) and returns the completed profile.
     pub fn finish<M: Model>(mut self, sim: &Simulation<M>) -> EngineProfile {
         self.profile.heap_pushes = sim.scheduled_total();
-        self.profile.heap_pops = sim.processed();
         self.profile.superseded = sim.superseded_total();
         self.profile
     }
 }
 
 impl<E, F: FnMut(&E) -> &'static str> Profiler<E> for KindProfiler<F> {
+    fn on_start(&mut self, heap_depth: usize) {
+        self.depth = u64::try_from(heap_depth).unwrap_or(u64::MAX);
+    }
+
     fn on_dispatch(&mut self, now: SimTime, event: &E, advanced: SimDuration) {
+        self.depth = self.depth.saturating_sub(1);
+        self.profile.dispatch_depth_max = self.profile.dispatch_depth_max.max(self.depth);
         self.current = (self.classify)(event);
-        let k = self.profile.kinds.entry(self.current).or_default();
-        k.dispatched += 1;
-        k.advance += advanced;
+        self.advanced = advanced;
         self.profile.end = now;
     }
 
     fn on_handled(&mut self, now: SimTime, newly_scheduled: usize, heap_depth: usize) {
         let k = self.profile.kinds.entry(self.current).or_default();
+        k.dispatched += 1;
+        k.advance += self.advanced;
         k.scheduled += u64::try_from(newly_scheduled).unwrap_or(u64::MAX);
         let depth = u64::try_from(heap_depth).unwrap_or(u64::MAX);
+        self.depth = depth;
         if depth > self.profile.heap_depth_hwm {
             self.profile.heap_depth_hwm = depth;
             self.profile.hwm_track.push((now, depth));
@@ -204,7 +226,7 @@ impl<E, F: FnMut(&E) -> &'static str> Profiler<E> for KindProfiler<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Ctx, NoopObserver};
+    use crate::engine::Ctx;
 
     struct Chain {
         left: u32,
@@ -241,7 +263,7 @@ mod tests {
         let mut sim = Simulation::new(Chain { left });
         sim.schedule_at(SimTime::ZERO, Ev::Tick);
         let mut prof = KindProfiler::new(Ev::kind);
-        sim.run_profiled(&mut NoopObserver, &mut prof);
+        sim.run_profiled(&mut prof, &mut NoopProfiler);
         prof.finish(&sim)
     }
 
@@ -268,7 +290,7 @@ mod tests {
     fn heap_totals_balance() {
         let p = profiled_run(9);
         assert_eq!(p.heap_pushes, 10, "1 external + 9 follow-ups");
-        assert_eq!(p.heap_pops, 10, "heap fully drained");
+        assert_eq!(p.events(), 10, "heap fully drained");
     }
 
     /// Re-arms key 0 from every handler, so each delivery supersedes the
@@ -293,22 +315,24 @@ mod tests {
     fn seq_numbers_balance_pops_superseded_and_pending() {
         let mut sim = Simulation::new(Rearm { left: 40 });
         sim.schedule_at(SimTime::ZERO, Ev::Tick);
+        // halt part-way, with events still queued
+        sim.set_max_events(Some(25));
         let mut prof = KindProfiler::new(Ev::kind);
-        // stop part-way, with events still queued
-        while sim.processed() < 25 && sim.step_profiled(&mut NoopObserver, &mut prof) {}
+        sim.run_profiled(&mut prof, &mut NoopProfiler);
         let pending = sim.pending() as u64;
         let p = prof.finish(&sim);
+        assert_eq!(p.events(), 25);
         assert!(pending > 0 && p.superseded > 0);
-        assert_eq!(p.heap_pushes, p.heap_pops + p.superseded + pending);
+        assert_eq!(p.heap_pushes, p.events() + p.superseded + pending);
         // and at the end of the run, with nothing left
         let mut sim = Simulation::new(Rearm { left: 40 });
         sim.schedule_at(SimTime::ZERO, Ev::Tick);
         let mut prof = KindProfiler::new(Ev::kind);
-        sim.run_profiled(&mut NoopObserver, &mut prof);
+        sim.run_profiled(&mut prof, &mut NoopProfiler);
         let p = prof.finish(&sim);
         assert_eq!(sim.pending(), 0);
         assert_eq!(p.heap_pushes, 1 + 40 * 3);
-        assert_eq!(p.heap_pushes, p.heap_pops + p.superseded);
+        assert_eq!(p.heap_pushes, p.events() + p.superseded);
         assert_eq!(p.kinds["tock"].dispatched, 1, "only the last keyed event survives");
     }
 
@@ -319,9 +343,10 @@ mod tests {
             sim.schedule_at(SimTime::from_secs(i), Ev::Tick);
         }
         let mut prof = KindProfiler::new(Ev::kind);
-        sim.run_profiled(&mut NoopObserver, &mut prof);
+        sim.run_profiled(&mut prof, &mut NoopProfiler);
         let p = prof.finish(&sim);
         assert_eq!(p.heap_depth_hwm, 49, "depth after first delivery");
+        assert_eq!(p.dispatch_depth_max, 49, "depth right after the first pop");
         // the track only records *rises*, so it is strictly increasing in
         // depth and never longer than the high-water mark itself
         assert!(p.hwm_track.windows(2).all(|w| w[0].1 < w[1].1));
@@ -355,7 +380,7 @@ mod tests {
         plain.run();
         let mut profiled = build();
         let mut prof = KindProfiler::new(Ev::kind);
-        profiled.run_profiled(&mut NoopObserver, &mut prof);
+        profiled.run_profiled(&mut prof, &mut NoopProfiler);
         assert_eq!(plain.now(), profiled.now());
         assert_eq!(plain.processed(), profiled.processed());
         assert_eq!(plain.world().left, profiled.world().left);

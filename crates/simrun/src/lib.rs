@@ -23,16 +23,15 @@
 //!   the `repro` binary maps each class to a distinct exit code.
 //!
 //! Per-point outcome counters flow into the existing `simtel` sink as
-//! `simrun_points_total{sweep,outcome}` (see [`Executor::sweep`]), and
-//! per-point engine profiles fold input-ordered via [`merge_profiles`] so
-//! merged simprof output is independent of `--jobs`.
+//! `simrun_points_total{sweep,outcome}` (see [`Executor::sweep`]).
+//! Because results come back in input order, folding per-point engine
+//! profiles with `EngineProfile::merge` in that order gives merged
+//! simprof output that is independent of `--jobs`.
 
 pub mod error;
 pub mod executor;
-pub mod profile;
 pub mod seed;
 
 pub use error::{RunError, SimError};
 pub use executor::{Executor, PointPanic, JOBS_ENV};
-pub use profile::merge_profiles;
 pub use seed::{derive_seed, derive_seed_at, ROOT_SEED};

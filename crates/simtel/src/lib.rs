@@ -8,9 +8,8 @@
 //!
 //! * **Zero overhead when disabled.** Every recording call on [`Telemetry`]
 //!   early-returns on a single bool when the sink is off; worlds keep one
-//!   `Telemetry` value and never branch on configuration themselves. The
-//!   engine-level hooks ([`edison_simcore::Observer`]) monomorphize away
-//!   entirely with `NoopObserver`.
+//!   `Telemetry` value and never branch on configuration themselves. An
+//!   untraced run calls `Simulation::run`, the loop with no engine hooks.
 //! * **Deterministic.** All timestamps are [`SimTime`] (never wall clock),
 //!   every map is a `BTreeMap`, span/track identity is assigned in first-use
 //!   order, and float formatting goes through Rust's shortest-roundtrip
@@ -28,20 +27,19 @@
 //!   timeseries keyed by `(name, labels)`.
 //! * [`span`] — [`Tracer`]: complete-event spans on named (process, thread)
 //!   tracks.
-//! * [`observe`] — [`EventCounter`], an [`edison_simcore::Observer`] that
-//!   aggregates engine-level event counts per kind.
+//! * [`profile`] — [`record_sim_metrics`] and [`record_engine_profile`]
+//!   render an [`edison_simcore::EngineProfile`], the engine's per-kind
+//!   event counts, as the `sim_*` and `profile_*` metrics.
 //! * [`export`] — the serializers, plus a dependency-free JSON validity
 //!   checker used by tests.
 
 pub mod export;
 pub mod metrics;
-pub mod observe;
 pub mod profile;
 pub mod span;
 
 pub use metrics::{labels, Histogram, Labels, Registry};
-pub use observe::EventCounter;
-pub use profile::record_engine_profile;
+pub use profile::{record_engine_profile, record_sim_metrics};
 pub use span::{Span, Tracer};
 
 use edison_simcore::time::SimTime;
@@ -94,8 +92,8 @@ impl Telemetry {
     }
 
     /// Whether engine self-profiling was requested. Only meaningful when
-    /// [`is_on`](Self::is_on); worlds check this to decide between
-    /// `run_observed` and `run_profiled`.
+    /// [`is_on`](Self::is_on); worlds check this to decide whether to
+    /// export the `profile_*` metrics next to the `sim_*` ones.
     pub fn profiling(&self) -> bool {
         self.enabled && self.profiling
     }

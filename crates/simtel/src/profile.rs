@@ -1,14 +1,24 @@
-//! Export surface for engine self-profiles (simprof).
+//! Export surface for engine profiles.
 //!
-//! [`record_engine_profile`] maps an
-//! [`EngineProfile`](edison_simcore::EngineProfile) onto the ordinary
-//! metric vocabulary, so profiles ride the existing exporters with no new
+//! Two functions map an [`EngineProfile`] onto the ordinary metric
+//! vocabulary, so engine counts ride the existing exporters with no new
 //! serialization code: every metric below appears in the Prometheus text
-//! exposition and the long-form telemetry CSV under the `profile_` prefix,
-//! and the heap-depth high-water track becomes a `"C"` counter track in the
-//! Chrome trace JSON (rendered as a counter lane by Perfetto).
+//! exposition and the long-form telemetry CSV.
 //!
-//! Vocabulary (all deterministic — counts and sim-seconds only):
+//! [`record_sim_metrics`] writes the `sim_*` summary every traced run
+//! exports:
+//!
+//! | metric | type | labels |
+//! |---|---|---|
+//! | `sim_events_total` | counter | `world`, `kind` |
+//! | `sim_events_scheduled_total` | counter | `world` |
+//! | `sim_heap_depth_max` | gauge | `world` |
+//! | `sim_end_seconds` | gauge | `world` |
+//! | `sim_watchdog_trips_total` | counter | `world` |
+//!
+//! [`record_engine_profile`] writes the `profile_*` breakdown (simprof) of
+//! profiled runs; the heap-depth high-water track becomes a `"C"` counter
+//! track in the Chrome trace JSON (rendered as a counter lane by Perfetto):
 //!
 //! | metric | type | labels |
 //! |---|---|---|
@@ -24,6 +34,8 @@
 //! | `profile_heap_depth` | series | `world` |
 //! | `profile_end_seconds` | gauge | `world` |
 //!
+//! All values are deterministic: counts and sim-seconds only.
+//!
 //! *Phases* roll event kinds up into a handful of coarse buckets (load
 //! generation vs request path vs control traffic vs fault machinery) via a
 //! world-supplied classifier, mirroring how the paper discusses workload
@@ -32,6 +44,44 @@
 use crate::{labels, Telemetry};
 use edison_simcore::profile::EngineProfile;
 use std::collections::BTreeMap;
+
+/// Record the `sim_*` summary of `profile` into `tel`, labelled with
+/// `world`. `watchdog_tripped` is
+/// [`Simulation::watchdog_tripped`](edison_simcore::Simulation::watchdog_tripped)
+/// for the profiled run; a trip adds one to `sim_watchdog_trips_total`.
+pub fn record_sim_metrics(
+    tel: &mut Telemetry,
+    world: &str,
+    profile: &EngineProfile,
+    watchdog_tripped: bool,
+) {
+    if !tel.is_on() {
+        return;
+    }
+    tel.help("sim_events_total", "events delivered by the engine, by kind");
+    tel.help("sim_events_scheduled_total", "follow-up events scheduled by handlers");
+    tel.help("sim_heap_depth_max", "peak event-heap depth during the run");
+    tel.help("sim_end_seconds", "sim time when the run finished");
+    tel.help("sim_watchdog_trips_total", "runs halted by the max-events watchdog");
+    for (kind, stats) in &profile.kinds {
+        tel.counter_add(
+            "sim_events_total",
+            labels(&[("world", world), ("kind", kind)]),
+            stats.dispatched,
+        );
+    }
+    let scheduled = profile.kinds.values().map(|k| k.scheduled).sum();
+    tel.counter_add("sim_events_scheduled_total", labels(&[("world", world)]), scheduled);
+    tel.gauge_set(
+        "sim_heap_depth_max",
+        labels(&[("world", world)]),
+        profile.dispatch_depth_max as f64,
+    );
+    tel.gauge_set("sim_end_seconds", labels(&[("world", world)]), profile.sim_seconds());
+    if watchdog_tripped {
+        tel.counter_inc("sim_watchdog_trips_total", labels(&[("world", world)]));
+    }
+}
 
 /// Register `# HELP` texts for the `profile_*` vocabulary.
 pub fn profile_help(tel: &mut Telemetry) {
@@ -102,7 +152,8 @@ pub fn record_engine_profile(
         );
     }
     tel.counter_add("profile_heap_pushes_total", labels(&[("world", world)]), profile.heap_pushes);
-    tel.counter_add("profile_heap_pops_total", labels(&[("world", world)]), profile.heap_pops);
+    // every pop delivers an event
+    tel.counter_add("profile_heap_pops_total", labels(&[("world", world)]), profile.events());
     tel.counter_add(
         "profile_superseded_total",
         labels(&[("world", world)]),
@@ -141,8 +192,8 @@ mod tests {
             KindStats { dispatched: 30, scheduled: 25, advance: SimDuration::from_millis(20) },
         );
         p.heap_pushes = 41;
-        p.heap_pops = 40;
         p.superseded = 1;
+        p.dispatch_depth_max = 6;
         p.heap_depth_hwm = 7;
         p.hwm_track = vec![(SimTime::from_millis(1), 3), (SimTime::from_millis(9), 7)];
         p.end = SimTime::from_millis(25);

@@ -366,8 +366,9 @@ pub enum Ev {
 }
 
 impl Ev {
-    /// Static event-kind name for engine-level telemetry
-    /// ([`edison_simtel::EventCounter`]).
+    /// Static event-kind name for the engine's
+    /// [`KindProfiler`](edison_simcore::KindProfiler), which keys the
+    /// `sim_*` and `profile_*` metrics by it.
     pub fn kind(&self) -> &'static str {
         match self {
             Ev::GenConn => "gen_conn",

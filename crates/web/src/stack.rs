@@ -34,8 +34,8 @@
 pub use crate::model::{Ev, GenMode, Metrics, StackConfig, WebWorld};
 
 use edison_simcore::time::SimTime;
-use edison_simcore::{Ctx, EngineProfile, KindProfiler, Model, Simulation};
-use edison_simtel::{record_engine_profile, EventCounter, Telemetry};
+use edison_simcore::{Ctx, EngineProfile, KindProfiler, Model, NoopProfiler, Simulation};
+use edison_simtel::{record_engine_profile, record_sim_metrics, Telemetry};
 
 impl Model for WebWorld {
     type Event = Ev;
@@ -69,23 +69,24 @@ pub fn run(cfg: StackConfig) -> WebWorld {
 /// the profiling flag ([`Telemetry::profiled`]) additionally self-profiles
 /// the engine and records the `profile_*` vocabulary.
 pub fn run_traced(cfg: StackConfig, tel: Telemetry) -> WebWorld {
-    if tel.profiling() {
-        return run_profiled(cfg, tel).0;
-    }
-    run_inner(cfg, tel, false).0
+    let profile = tel.profiling();
+    run_inner(cfg, tel, profile).0
 }
 
 /// Like [`run_traced`] with an enabled sink, but always self-profiles the
 /// engine: returns the world plus the deterministic [`EngineProfile`]
-/// (per-kind dispatch/advance, heap push/pop totals, depth high-water
-/// mark). The profile is also recorded into the world's telemetry as
-/// `profile_*` metrics; [`Metrics`] are identical to an unprofiled run.
+/// (per-kind dispatch/advance, heap pushes, queue depths). The profile is
+/// also recorded into the world's telemetry as `profile_*` metrics;
+/// [`Metrics`] are identical to an unprofiled run.
 pub fn run_profiled(cfg: StackConfig, tel: Telemetry) -> (WebWorld, EngineProfile) {
-    let (world, profile) = run_inner(cfg, tel, true);
-    (world, profile.unwrap_or_default())
+    run_inner(cfg, tel, true)
 }
 
-fn run_inner(cfg: StackConfig, tel: Telemetry, profile: bool) -> (WebWorld, Option<EngineProfile>) {
+/// Build, seed and run `cfg`. With telemetry off this is the hook-free
+/// [`Simulation::run`] and the profile is empty; a traced run always
+/// counts events through [`KindProfiler`] and exports `sim_*`, plus
+/// `profile_*` when `profile` is set.
+fn run_inner(cfg: StackConfig, tel: Telemetry, profile: bool) -> (WebWorld, EngineProfile) {
     let warmup = cfg.warmup;
     let measure = cfg.measure;
     let tracing = tel.is_on();
@@ -110,27 +111,21 @@ fn run_inner(cfg: StackConfig, tel: Telemetry, profile: bool) -> (WebWorld, Opti
     }
     sim.schedule_at(SimTime::ZERO + warmup, Ev::MeasureStart);
     sim.schedule_at(SimTime::ZERO + warmup + measure, Ev::Stop);
-    if tracing && profile {
-        let mut obs = EventCounter::new(Ev::kind);
-        let mut prof = KindProfiler::new(Ev::kind);
-        sim.run_profiled(&mut obs, &mut prof);
-        let engine_profile = prof.finish(&sim);
-        let mut world = sim.into_world();
-        obs.record_into(&mut world.tel, "web");
-        record_engine_profile(&mut world.tel, "web", &engine_profile, phase_of);
-        world.harvest_power_series();
-        (world, Some(engine_profile))
-    } else if tracing {
-        let mut obs = EventCounter::new(Ev::kind);
-        sim.run_observed(&mut obs);
-        let mut world = sim.into_world();
-        obs.record_into(&mut world.tel, "web");
-        world.harvest_power_series();
-        (world, None)
-    } else {
+    if !tracing {
         sim.run();
-        (sim.into_world(), None)
+        return (sim.into_world(), EngineProfile::default());
     }
+    let mut prof = KindProfiler::new(Ev::kind);
+    sim.run_profiled(&mut prof, &mut NoopProfiler);
+    let watchdog_tripped = sim.watchdog_tripped();
+    let engine_profile = prof.finish(&sim);
+    let mut world = sim.into_world();
+    record_sim_metrics(&mut world.tel, "web", &engine_profile, watchdog_tripped);
+    if profile {
+        record_engine_profile(&mut world.tel, "web", &engine_profile, phase_of);
+    }
+    world.harvest_power_series();
+    (world, engine_profile)
 }
 
 #[cfg(test)]

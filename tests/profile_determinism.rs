@@ -1,4 +1,4 @@
-//! Observer-equivalence and merge-determinism of the simprof layer.
+//! Profiling-equivalence and merge-determinism of the simprof layer.
 //!
 //! The profiler's contract (DESIGN.md §Performance observability): turning
 //! it on must not change what the simulation computes, only record how the
@@ -8,7 +8,8 @@
 use edison_bench::workloads;
 use edison_mapreduce::engine::{run_job, run_job_profiled_checked, ClusterSetup};
 use edison_mapreduce::jobs;
-use edison_simrun::{merge_profiles, Executor};
+use edison_simcore::EngineProfile;
+use edison_simrun::Executor;
 use edison_simtel::Telemetry;
 use edison_web::httperf::{self, RunOpts};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
@@ -58,7 +59,11 @@ fn merged_profiles_identical_across_worker_counts() {
     let merge_at = |jobs: usize| {
         let results =
             Executor::new(jobs).run(&names, |_, name| workloads::run_tracked(name).expect("runs"));
-        merge_profiles(results.into_iter().map(|r| r.expect("no panics")))
+        let mut merged = EngineProfile::default();
+        for r in results {
+            merged.merge(&r.expect("no panics"));
+        }
+        merged
     };
     let serial = merge_at(1);
     let wide = merge_at(8);
