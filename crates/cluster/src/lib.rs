@@ -9,10 +9,8 @@
 //! utilisation timelines of Figures 12–17, the energy columns of Table 8).
 
 pub mod node;
-pub mod token_bucket;
 
 pub use node::{Node, NodeId};
-pub use token_bucket::TokenBucket;
 
 use edison_hw::ServerSpec;
 use edison_simcore::time::SimTime;

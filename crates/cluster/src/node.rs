@@ -10,8 +10,7 @@ use edison_simcore::energy::StepIntegrator;
 use edison_simcore::fluid::{FluidResource, TaskId};
 use edison_simcore::queue::FcfsQueue;
 use edison_simcore::time::{SimDuration, SimTime};
-
-use crate::token_bucket::TokenBucket;
+use edison_simcore::token_bucket::TokenBucket;
 
 /// Index of a node within its cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -49,7 +48,9 @@ impl Node {
     pub fn new(id: NodeId, spec: ServerSpec) -> Self {
         let cpu = FluidResource::new(spec.cpu.total_mips(), spec.cpu.per_thread_cap());
         let idle_power = spec.power.power_at(0.0);
-        let accept_bucket = TokenBucket::new(spec.os.max_accept_rate, spec.os.max_accept_rate.max(8.0));
+        let (rate, burst) = (spec.os.max_accept_rate, spec.os.max_accept_rate.max(8.0));
+        assert!(rate > 0.0 && burst > 0.0);
+        let accept_bucket = TokenBucket::new(rate, burst);
         Node {
             id,
             mem_used: spec.os.base_memory,
@@ -188,7 +189,7 @@ impl Node {
         if self.connections >= self.spec.os.max_connections {
             return Err(AdmitError::TooManyConnections);
         }
-        if !self.accept_bucket.try_take(now, 1.0) {
+        if !self.accept_bucket.try_take(now) {
             return Err(AdmitError::AcceptOverrun);
         }
         self.connections += 1;

@@ -143,13 +143,13 @@ mod tests {
 
     #[test]
     fn telemetry_csv_round_trip() {
-        use edison_simtel::{labels, Telemetry};
+        use edison_simtel::Telemetry;
         let mut tel = Telemetry::on();
-        tel.counter_add("web_requests_total", labels(&[("outcome", "ok")]), 7);
-        tel.observe("d_seconds", labels(&[]), &[1.0], 0.5);
+        tel.counter_add("web_requests_total", &[("outcome", "ok")], 7);
+        tel.observe("d_seconds", &[], &[1.0], 0.5);
         tel.series_push(
             "node_power_watts",
-            labels(&[("node", "0")]),
+            &[("node", "0")],
             edison_simcore::SimTime::from_secs(2),
             3.25,
         );

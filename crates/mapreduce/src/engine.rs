@@ -32,7 +32,7 @@ use edison_simfault::{Fault, FaultKind, FaultPlan, RecoveryWindow};
 use edison_simguard::metrics as guard_metrics;
 use edison_simguard::{BreakerState, BreakerVerdict, CircuitBreaker, GuardConfig};
 use edison_simrun::{derive_seed, SimError};
-use edison_simtel::{labels, record_engine_profile, record_sim_metrics, Telemetry};
+use edison_simtel::{record_engine_profile, record_sim_metrics, Telemetry};
 use std::collections::VecDeque;
 
 const MIB: u64 = 1024 * 1024;
@@ -56,16 +56,6 @@ const REREG_BACKOFF_CAP: u32 = 2;
 /// per (node, restart), so simultaneously restarted nodes never hammer
 /// the RM in lockstep.
 const REREG_JITTER: f64 = 0.25;
-
-/// Apply a fault multiplier without perturbing fault-free arithmetic: the
-/// common `m == 1.0` case returns `d` bit-exactly.
-fn scaled(d: SimDuration, m: f64) -> SimDuration {
-    if m == 1.0 {
-        d
-    } else {
-        d.mul_f64(m)
-    }
-}
 
 /// Inverse of [`MrWorld::job_id`]: `(attempt, task)`.
 fn decode_job(job: u64) -> (u32, usize) {
@@ -556,13 +546,10 @@ impl MrWorld {
         }
     }
 
-    /// Span track id for slave `node` — cached at trace setup; the fallback
-    /// interns on demand for worlds driven without the prefill.
-    fn slave_track(&mut self, node: usize) -> usize {
-        match self.slave_tracks.get(node) {
-            Some(&t) => t,
-            None => self.tel.track_id("mapreduce", &format!("slave-{node}")),
-        }
+    /// Span track id for slave `node`, interned at trace setup (0, a no-op
+    /// track, on a disabled sink).
+    fn slave_track(&self, node: usize) -> usize {
+        self.slave_tracks.get(node).copied().unwrap_or_default()
     }
 
     /// Transition `task` to `phase`, closing the telemetry span of the
@@ -571,15 +558,12 @@ impl MrWorld {
         if self.tasks[task].phase == phase {
             return;
         }
-        if self.tel.is_on() {
-            let t = &self.tasks[task];
-            if t.node != usize::MAX && !matches!(t.phase, Phase::Pending | Phase::Done) {
-                let (node, since, from) = (t.node, t.phase_since, t.phase);
-                let cat = if t.is_map { "map" } else { "reduce" };
-                let args = vec![("task", format!("{task}"))];
-                let track = self.slave_track(node);
-                self.tel.span_on(track, cat, phase_name(from), since, now, args);
-            }
+        let t = &self.tasks[task];
+        if t.node != usize::MAX && !matches!(t.phase, Phase::Pending | Phase::Done) {
+            let (node, since, from) = (t.node, t.phase_since, t.phase);
+            let cat = if t.is_map { "map" } else { "reduce" };
+            let track = self.slave_track(node);
+            self.tel.span_on(track, cat, phase_name(from), since, now, &[("task", &task)]);
         }
         let t = &mut self.tasks[task];
         t.phase = phase;
@@ -655,7 +639,7 @@ impl MrWorld {
         if self.node_down[node] {
             return; // a dead node completes nothing
         }
-        let service = scaled(service, self.disk_factor[node]);
+        let service = service.mul_f64(self.disk_factor[node]);
         if let Some((j, at)) = self.nodes.node_mut(NodeId(node)).disk().submit(now, job, service) {
             ctx.schedule_at(at, Ev::DiskDone { node, job: j });
         }
@@ -673,9 +657,7 @@ impl MrWorld {
         }
         for lost in self.liveness.sweep(now) {
             self.nodes_lost += 1;
-            if self.tel.is_on() {
-                self.tel.counter_inc(fault_metrics::NODE_LOST_TOTAL, labels(&[("tier", "mapreduce")]));
-            }
+            self.tel.counter_inc(fault_metrics::NODE_LOST_TOTAL, &[("tier", "mapreduce")]);
             if !self.brk.is_empty() && self.brk[lost].record_failure(now) {
                 self.guard_breaker_trips += 1;
                 self.note_brk_transition(lost);
@@ -806,10 +788,8 @@ impl MrWorld {
             t.started = now;
             t.probe = probe;
             self.set_phase(task, Phase::Launching, now);
-            if self.tel.is_on() {
-                let kind = if self.tasks[task].is_map { "map" } else { "reduce" };
-                self.tel.counter_inc("mr_containers_granted_total", labels(&[("kind", kind)]));
-            }
+            let kind = if self.tasks[task].is_map { "map" } else { "reduce" };
+            self.tel.counter_inc("mr_containers_granted_total", &[("kind", kind)]);
             let id = self.job_id(task);
             self.add_cpu(node, id, self.profile.container_startup_mi, now, ctx);
         }
@@ -893,9 +873,7 @@ impl MrWorld {
                     probe: false,
                 });
                 self.speculative_copies += 1;
-                if self.tel.is_on() {
-                    self.tel.counter_inc("mr_speculative_copies_total", labels(&[]));
-                }
+                self.tel.counter_inc("mr_speculative_copies_total", &[]);
             }
         }
     }
@@ -904,9 +882,6 @@ impl MrWorld {
 
     /// Telemetry: the breaker of `node` just changed state.
     fn note_brk_transition(&mut self, node: usize) {
-        if !self.tel.is_on() {
-            return;
-        }
         let to = match self.brk[node].state() {
             BreakerState::Closed => "closed",
             BreakerState::Open => "open",
@@ -914,7 +889,7 @@ impl MrWorld {
         };
         self.tel.counter_inc(
             guard_metrics::BREAKER_TRANSITIONS_TOTAL,
-            labels(&[("tier", "mapreduce"), ("to", to)]),
+            &[("tier", "mapreduce"), ("to", to)],
         );
     }
 
@@ -945,12 +920,7 @@ impl MrWorld {
         let started = self.tasks[task].started;
         if self.setup.guard.deadline.deadline_from(started).is_some_and(|d| d.passed(now)) {
             self.guard_deadline_miss += 1;
-            if self.tel.is_on() {
-                self.tel.counter_inc(
-                    guard_metrics::DEADLINE_MISS_TOTAL,
-                    labels(&[("tier", "mapreduce")]),
-                );
-            }
+            self.tel.counter_inc(guard_metrics::DEADLINE_MISS_TOTAL, &[("tier", "mapreduce")]);
         }
     }
 
@@ -1013,7 +983,7 @@ impl MrWorld {
                 self.tasks[task].current_fetch_src = Some(src);
                 let attempt = self.tasks[task].attempt;
                 ctx.schedule_at(
-                    now + scaled(lat + dur, self.net_scale(src, node)),
+                    now + (lat + dur).mul_f64(self.net_scale(src, node)),
                     Ev::FlowEnd { task, attempt },
                 );
             }
@@ -1036,13 +1006,15 @@ impl MrWorld {
         // this physical container ends regardless of who wins
         let node = self.tasks[task].node;
         self.set_phase(task, Phase::Done, now);
-        if self.tel.is_on() {
-            let t = &self.tasks[task];
-            let args = vec![("task", format!("{task}")), ("local", format!("{}", t.local))];
-            let started = t.started;
-            let track = self.slave_track(node);
-            self.tel.span_on(track, "container", "map_task", started, now, args);
-        }
+        let t = &self.tasks[task];
+        self.tel.span_on(
+            self.slave_track(node),
+            "container",
+            "map_task",
+            t.started,
+            now,
+            &[("task", &task), ("local", &t.local)],
+        );
         self.nodes.node_mut(NodeId(node)).free_mem(self.profile.map_container);
         self.running_containers[node] -= 1;
         self.guard_task_done(task, node);
@@ -1067,12 +1039,10 @@ impl MrWorld {
         if local {
             self.local_maps += 1;
         }
-        if self.tel.is_on() {
-            self.tel.counter_inc(
-                "mr_maps_completed_total",
-                labels(&[("local", if local { "true" } else { "false" })]),
-            );
-        }
+        self.tel.counter_inc(
+            "mr_maps_completed_total",
+            &[("local", if local { "true" } else { "false" })],
+        );
         // notify shuffling reducers still missing this partition (they
         // fetch from the winner's node)
         for i in self.n_maps..self.tasks.len() {
@@ -1135,7 +1105,7 @@ impl MrWorld {
             let attempt = self.tasks[task].attempt;
             // a fetch also pays a fixed RPC latency
             ctx.schedule_at(
-                now + scaled(lat + dur + SimDuration::from_millis(1), self.net_scale(src, node)),
+                now + (lat + dur + SimDuration::from_millis(1)).mul_f64(self.net_scale(src, node)),
                 Ev::FlowEnd { task, attempt },
             );
             return;
@@ -1193,7 +1163,7 @@ impl MrWorld {
                     self.tasks[task].current_fetch_src = Some(peer);
                     let attempt = self.tasks[task].attempt;
                     ctx.schedule_at(
-                        now + scaled(lat + dur, self.net_scale(node, peer)),
+                        now + (lat + dur).mul_f64(self.net_scale(node, peer)),
                         Ev::FlowEnd { task, attempt },
                     );
                 } else {
@@ -1248,21 +1218,15 @@ impl MrWorld {
     fn finish_reduce(&mut self, task: usize, now: SimTime, _ctx: &mut Ctx<Ev>) {
         let node = self.tasks[task].node;
         self.set_phase(task, Phase::Done, now);
-        if self.tel.is_on() {
-            let args = vec![("task", format!("{task}"))];
-            let started = self.tasks[task].started;
-            let track = self.slave_track(node);
-            self.tel.span_on(track, "container", "reduce_task", started, now, args);
-        }
+        let (track, started) = (self.slave_track(node), self.tasks[task].started);
+        self.tel.span_on(track, "container", "reduce_task", started, now, &[("task", &task)]);
         self.nodes.node_mut(NodeId(node)).free_mem(self.profile.reduce_container);
         self.running_containers[node] -= 1;
         self.guard_task_done(task, node);
         self.guard_deadline_check(task, now);
         self.running_reduce_mem = self.running_reduce_mem.saturating_sub(self.profile.reduce_container);
         self.completed_reduces += 1;
-        if self.tel.is_on() {
-            self.tel.counter_inc("mr_reduces_completed_total", labels(&[]));
-        }
+        self.tel.counter_inc("mr_reduces_completed_total", &[]);
         if self.completed_reduces == self.profile.reduce_tasks as usize {
             self.finish = Some(now);
         }
@@ -1339,14 +1303,12 @@ impl MrWorld {
             // no memcached tier in the MapReduce world
             FaultKind::CacheColdRestart => false,
         };
-        if self.tel.is_on() {
-            let name = if applied {
-                fault_metrics::FAULT_INJECTED_TOTAL
-            } else {
-                fault_metrics::FAULT_SKIPPED_TOTAL
-            };
-            self.tel.counter_inc(name, labels(&[("kind", kind.name()), ("tier", "mapreduce")]));
-        }
+        let name = if applied {
+            fault_metrics::FAULT_INJECTED_TOTAL
+        } else {
+            fault_metrics::FAULT_SKIPPED_TOTAL
+        };
+        self.tel.counter_inc(name, &[("kind", kind.name()), ("tier", "mapreduce")]);
     }
 
     /// Kill worker `node`: its containers and disk/CPU work die instantly;
@@ -1499,10 +1461,8 @@ impl MrWorld {
             self.set_phase(t, Phase::Pending, now);
             self.tasks[t].node = usize::MAX;
             self.task_reexecs += 1;
-            if self.tel.is_on() {
-                let kind = if is_map { "map" } else { "reduce" };
-                self.tel.counter_inc(fault_metrics::TASK_REEXEC_TOTAL, labels(&[("kind", kind)]));
-            }
+            let kind = if is_map { "map" } else { "reduce" };
+            self.tel.counter_inc(fault_metrics::TASK_REEXEC_TOTAL, &[("kind", kind)]);
         }
         // 2. completed maps whose output lived on the node: re-execute the
         //    origin if any reducer still needs its partition
@@ -1528,12 +1488,7 @@ impl MrWorld {
                 self.set_phase(origin, Phase::Pending, now);
                 self.tasks[origin].node = usize::MAX;
                 self.task_reexecs += 1;
-                if self.tel.is_on() {
-                    self.tel.counter_inc(
-                        fault_metrics::TASK_REEXEC_TOTAL,
-                        labels(&[("kind", "map_output")]),
-                    );
-                }
+                self.tel.counter_inc(fault_metrics::TASK_REEXEC_TOTAL, &[("kind", "map_output")]);
             }
             // else: a speculative loser of this map is still running
             // elsewhere — with logical_done cleared it now wins
@@ -1565,15 +1520,18 @@ impl MrWorld {
         if cpu > 20.0 && self.cpu_rise.is_none() {
             self.cpu_rise = Some(now);
         }
-        if self.tel.is_on() {
-            self.tel.series_push("mr_map_progress_pct", labels(&[]), now, self.completed_maps as f64 / self.n_maps as f64 * 100.0);
-            self.tel.series_push(
-                "mr_reduce_progress_pct",
-                labels(&[]),
-                now,
-                self.completed_reduces as f64 / self.profile.reduce_tasks as f64 * 100.0,
-            );
-        }
+        self.tel.series_push(
+            "mr_map_progress_pct",
+            &[],
+            now,
+            self.completed_maps as f64 / self.n_maps as f64 * 100.0,
+        );
+        self.tel.series_push(
+            "mr_reduce_progress_pct",
+            &[],
+            now,
+            self.completed_reduces as f64 / self.profile.reduce_tasks as f64 * 100.0,
+        );
     }
 
     /// Telemetry: fold the per-node power step logs into
@@ -1588,7 +1546,7 @@ impl MrWorld {
             let steps = self.nodes.node(NodeId(i)).power_trace().to_vec();
             let name = format!("slave-{i}");
             for (t, w) in steps {
-                self.tel.series_push("node_power_watts", labels(&[("node", &name)]), t, w);
+                self.tel.series_push("node_power_watts", &[("node", &name)], t, w);
             }
         }
     }
@@ -1655,14 +1613,12 @@ impl Model for MrWorld {
                             // re-localisation done: the node serves again
                             let rec = now.saturating_since(crashed).as_secs_f64();
                             self.recovery_s.push(rec);
-                            if self.tel.is_on() {
-                                self.tel.observe(
-                                    fault_metrics::RECOVERY_SECONDS,
-                                    labels(&[("tier", "mapreduce")]),
-                                    fault_metrics::RECOVERY_BOUNDS_S,
-                                    rec,
-                                );
-                            }
+                            self.tel.observe(
+                                fault_metrics::RECOVERY_SECONDS,
+                                &[("tier", "mapreduce")],
+                                fault_metrics::RECOVERY_BOUNDS_S,
+                                rec,
+                            );
                         }
                         if let Some(up) = self.restart_time[n].take() {
                             // restarted-but-not-schedulable: the window

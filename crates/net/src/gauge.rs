@@ -1,10 +1,12 @@
 //! Snapshot-rate link gauge — the cheap sibling of [`crate::Network`].
 //!
 //! The exact max-min solver recomputes every flow's rate on every mutation
-//! (O(links × flows)), which is the right tool for MapReduce's few large
-//! shuffle flows but far too expensive for the web experiments, where
-//! thousands of small reply transfers per second are in flight. The gauge
-//! instead *freezes each flow's rate at start time*:
+//! (O(links × flows)). Both simulated worlds use this gauge instead: the
+//! web experiments keep thousands of small reply transfers per second in
+//! flight, and MapReduce's shuffle fetches go through the same
+//! `LinkGauge::mirror` of the topology. The solver serves the §4.4 iperf
+//! run and is the reference the tests below compare against. The gauge
+//! *freezes each flow's rate at start time*:
 //!
 //! ```text
 //! rate = min over path links of  capacity_l / (active_l + 1)

@@ -22,6 +22,8 @@
 //!   shared among flows) without time-stepping.
 //! * [`queue::FcfsQueue`] — a k-server first-come-first-served queue used to
 //!   model disks and database servers.
+//! * [`token_bucket::TokenBucket`] — a lazily refilled rate/burst bucket,
+//!   the admission gate of node accept paths and load balancers.
 //! * [`stats`] — histograms, percentile sample sets, time series and counters
 //!   used by the experiment harness to regenerate the paper's figures.
 //! * [`energy::StepIntegrator`] — exact integration of piecewise-constant
@@ -41,6 +43,7 @@ pub mod queue;
 pub mod rng;
 pub mod stats;
 pub mod time;
+pub mod token_bucket;
 
 pub use engine::{Ctx, Model, Simulation};
 pub use profile::{EngineProfile, KindProfiler, KindStats, NoopProfiler, Profiler};

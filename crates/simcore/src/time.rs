@@ -126,9 +126,14 @@ impl SimDuration {
     }
 
     /// Scale by a non-negative factor, rounding to the nearest nanosecond.
+    /// `k == 1.0` returns `self` exactly (no round trip through `f64`), so
+    /// an identity fault multiplier leaves fault-free arithmetic bit-exact.
     #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "debug-asserted finite and non-negative; 2^64 ns is 584 years")]
     pub fn mul_f64(self, k: f64) -> SimDuration {
         debug_assert!(k.is_finite() && k >= 0.0, "invalid scale {k}");
+        if k == 1.0 {
+            return self;
+        }
         SimDuration((self.0 as f64 * k).round() as u64)
     }
 }
@@ -261,6 +266,9 @@ mod tests {
         let d = SimDuration::from_secs(1).mul_f64(0.5);
         assert_eq!(d, SimDuration::from_millis(500));
         assert_eq!(SimDuration::from_secs(3).mul_f64(0.0), SimDuration::ZERO);
+        // above 2^53 ns an f64 round trip would lose the low bits
+        let big = SimDuration((1 << 60) + 1);
+        assert_eq!(big.mul_f64(1.0), big);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 
 use edison_simfault::FaultPlan;
 use edison_simrun::{Executor, RunError, SimError};
-use edison_simtel::{labels, Telemetry};
+use edison_simtel::Telemetry;
 
 use crate::metrics;
 use crate::space::{candidates, PerturbSpace};
@@ -145,7 +145,7 @@ where
             Ok(s) => {
                 tel.counter_inc(
                     metrics::SCHEDULES_TOTAL,
-                    labels(&[("phase", cand.phase), ("outcome", "ok")]),
+                    &[("phase", cand.phase), ("outcome", "ok")],
                 );
                 if i == 0 {
                     base_score = Some(s);
@@ -161,7 +161,7 @@ where
             Err(e) => {
                 tel.counter_inc(
                     metrics::SCHEDULES_TOTAL,
-                    labels(&[("phase", cand.phase), ("outcome", "error")]),
+                    &[("phase", cand.phase), ("outcome", "error")],
                 );
                 if i == 0 {
                     return Err(e.into());
@@ -185,9 +185,9 @@ where
         None
     };
 
-    tel.gauge_set(metrics::CLIFF_DEPTH, labels(&[]), depth);
-    tel.gauge_set(metrics::WORST_AVAILABILITY, labels(&[]), worst_score.availability);
-    tel.gauge_set(metrics::WORST_RECOVERY_SECONDS, labels(&[]), worst_score.worst_recovery_s);
+    tel.gauge_set(metrics::CLIFF_DEPTH, &[], depth);
+    tel.gauge_set(metrics::WORST_AVAILABILITY, &[], worst_score.availability);
+    tel.gauge_set(metrics::WORST_RECOVERY_SECONDS, &[], worst_score.worst_recovery_s);
     if let (Some(first), Some(last)) = (worst_plan.faults().first(), worst_plan.faults().last()) {
         let track = tel.track_id("explore", "worst-schedule");
         tel.span_on(
@@ -196,10 +196,10 @@ where
             "worst-schedule",
             first.at,
             last.at.max(first.at + edison_simcore::time::SimDuration::from_millis(1)),
-            vec![
-                ("phase", cands[worst_index].phase.to_string()),
-                ("label", cands[worst_index].label.clone()),
-                ("availability", format!("{:.4}", worst_score.availability)),
+            &[
+                ("phase", &cands[worst_index].phase),
+                ("label", &cands[worst_index].label),
+                ("availability", &format_args!("{:.4}", worst_score.availability)),
             ],
         );
     }
@@ -251,7 +251,7 @@ where
                 Ok(s) => {
                     tel.counter_inc(
                         metrics::SCHEDULES_TOTAL,
-                        labels(&[("phase", "shrink"), ("outcome", "ok")]),
+                        &[("phase", "shrink"), ("outcome", "ok")],
                     );
                     if s.availability <= threshold {
                         current = probe;
@@ -261,7 +261,7 @@ where
                 Err(_) => {
                     tel.counter_inc(
                         metrics::SCHEDULES_TOTAL,
-                        labels(&[("phase", "shrink"), ("outcome", "error")]),
+                        &[("phase", "shrink"), ("outcome", "error")],
                     );
                 }
             }

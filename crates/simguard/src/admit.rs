@@ -1,42 +1,9 @@
-//! Load-balancer admission control: token bucket + CoDel-style queue
-//! gate.
+//! Load-balancer admission control: the CoDel-style queue gate. The rate
+//! bucket in front of it is [`edison_simcore::token_bucket::TokenBucket`]
+//! (one connection = one token).
 
 use crate::config::Priority;
 use edison_simcore::time::{SimDuration, SimTime};
-
-/// A deterministic token bucket: `rate` tokens/s refilled lazily on
-/// access, holding at most `burst`. One connection = one token.
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
-    rate: f64,
-    burst: f64,
-    tokens: f64,
-    last: SimTime,
-}
-
-impl TokenBucket {
-    /// A full bucket. `rate <= 0` disables the bucket (always admits).
-    pub fn new(rate: f64, burst: f64) -> Self {
-        let burst = burst.max(1.0);
-        TokenBucket { rate, burst, tokens: burst, last: SimTime::ZERO }
-    }
-
-    /// Take one token at `now`; `false` means shed.
-    pub fn try_take(&mut self, now: SimTime) -> bool {
-        if self.rate <= 0.0 {
-            return true;
-        }
-        let dt = now.saturating_since(self.last).as_secs_f64();
-        self.last = now;
-        self.tokens = (self.tokens + dt * self.rate).min(self.burst);
-        if self.tokens >= 1.0 {
-            self.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
-    }
-}
 
 /// What the queue gate wants done with an arriving connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,6 +119,7 @@ impl QueueGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edison_simcore::token_bucket::TokenBucket;
 
     fn at(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)

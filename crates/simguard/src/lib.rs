@@ -18,9 +18,10 @@
 //!   sim-time cooldowns and derived-seed probe selection, so a dead or
 //!   flapping backend stops eating retries without masking the
 //!   health-check recovery path.
-//! * [`TokenBucket`] + [`QueueGate`] — admission control at the load
-//!   balancer: a rate/burst bucket plus a CoDel-style queue-delay gate
-//!   that sheds when the PHP backlog sojourn stays above target.
+//! * [`QueueGate`] — admission control at the load balancer: behind the
+//!   rate/burst [`edison_simcore::token_bucket::TokenBucket`], a
+//!   CoDel-style queue-delay gate that sheds when the PHP backlog sojourn
+//!   stays above target.
 //! * [`Brownout`] — a degraded mode: when the smoothed queue delay
 //!   crosses the enter threshold, sheddable-priority requests skip the
 //!   memcached/MySQL stage and get a cheap degraded response.
@@ -37,7 +38,7 @@ pub mod config;
 pub mod metrics;
 pub mod units;
 
-pub use admit::{GateVerdict, QueueGate, TokenBucket};
+pub use admit::{GateVerdict, QueueGate};
 pub use breaker::{BreakerState, BreakerVerdict, CircuitBreaker};
 pub use brownout::{Brownout, BrownoutStep};
 pub use config::{class_of, probe_eligible, GuardConfig, Priority};

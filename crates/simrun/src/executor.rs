@@ -21,7 +21,7 @@
 //! of the first crashed point into [`RunError::PointFailed`].
 
 use crate::error::RunError;
-use edison_simtel::{labels, Telemetry};
+use edison_simtel::Telemetry;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -182,10 +182,10 @@ impl Executor {
         }
         tel.help("simrun_points_total", "Sweep points executed, by sweep name and outcome");
         if ok > 0 {
-            tel.counter_add("simrun_points_total", labels(&[("sweep", name), ("outcome", "ok")]), ok);
+            tel.counter_add("simrun_points_total", &[("sweep", name), ("outcome", "ok")], ok);
         }
         if panicked > 0 {
-            tel.counter_add("simrun_points_total", labels(&[("sweep", name), ("outcome", "panicked")]), panicked);
+            tel.counter_add("simrun_points_total", &[("sweep", name), ("outcome", "panicked")], panicked);
         }
         match first_failure {
             Some(e) => Err(e),

@@ -453,7 +453,6 @@ pub fn validate_prometheus(s: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::labels;
     use edison_simcore::time::SimTime;
 
     #[test]
@@ -467,26 +466,19 @@ mod tests {
     fn sample_tel() -> Telemetry {
         let mut t = Telemetry::on();
         t.help("web_requests_total", "completed requests");
-        t.counter_add("web_requests_total", labels(&[("outcome", "ok")]), 7);
-        t.gauge_set("sim_heap_depth_max", labels(&[("world", "web")]), 42.0);
-        t.observe("web_request_delay_seconds", labels(&[]), &[0.1, 1.0], 0.25);
-        t.observe("web_request_delay_seconds", labels(&[]), &[0.1, 1.0], 5.0);
-        t.series_push("node_power_watts", labels(&[("node", "edison-0")]), SimTime::ZERO, 3.2);
+        t.counter_add("web_requests_total", &[("outcome", "ok")], 7);
+        t.gauge_set("sim_heap_depth_max", &[("world", "web")], 42.0);
+        t.observe("web_request_delay_seconds", &[], &[0.1, 1.0], 0.25);
+        t.observe("web_request_delay_seconds", &[], &[0.1, 1.0], 5.0);
+        t.series_push("node_power_watts", &[("node", "edison-0")], SimTime::ZERO, 3.2);
         t.series_push(
             "node_power_watts",
-            labels(&[("node", "edison-0")]),
+            &[("node", "edison-0")],
             SimTime::from_secs(1),
             4.7,
         );
-        t.span(
-            "web",
-            "node-0",
-            "web",
-            "request",
-            SimTime::ZERO,
-            SimTime::from_secs(1),
-            vec![("id", "7".to_string())],
-        );
+        let track = t.track_id("web", "node-0");
+        t.span_on(track, "web", "request", SimTime::ZERO, SimTime::from_secs(1), &[("id", &7)]);
         t
     }
 

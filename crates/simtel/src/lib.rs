@@ -6,18 +6,24 @@
 //!
 //! ## Design rules
 //!
-//! * **Zero overhead when disabled.** Every recording call on [`Telemetry`]
-//!   early-returns on a single bool when the sink is off; worlds keep one
-//!   `Telemetry` value and never branch on configuration themselves. An
-//!   untraced run calls `Simulation::run`, the loop with no engine hooks.
+//! * **Free when disabled.** Every recording call on [`Telemetry`] is an
+//!   inlined test of one bool in front of an out-of-line body. Labels are
+//!   borrowed `(name, value)` slices and span arguments borrowed
+//!   [`Display`](std::fmt::Display) values; the owned label map and the
+//!   rendered argument strings are built only inside the enabled branch,
+//!   so a disabled sink allocates nothing. Worlds therefore record
+//!   unconditionally and never branch on the flag themselves, except to
+//!   skip work the sink cannot see: formatting an owned label value,
+//!   interning tracks, or looping over recorded data. An untraced run
+//!   calls `Simulation::run`, the loop with no engine hooks.
 //! * **Deterministic.** All timestamps are [`SimTime`] (never wall clock),
 //!   every map is a `BTreeMap`, span/track identity is assigned in first-use
 //!   order, and float formatting goes through Rust's shortest-roundtrip
 //!   `{}`. Two same-seed runs therefore serialize to *byte-identical*
 //!   output — enforced by golden tests in the workspace root.
 //! * **Static metric names.** Metric and label *names* are `&'static str`;
-//!   only label *values* are owned strings. Naming follows the Prometheus
-//!   conventions: `<subsystem>_<noun>_<unit>` with `_total` for counters,
+//!   only label *values* are stored as owned strings. Naming follows the
+//!   Prometheus conventions: `<subsystem>_<noun>_<unit>` with `_total` for counters,
 //!   e.g. `web_requests_total`, `web_request_delay_seconds`,
 //!   `node_power_watts`, `sim_events_total`.
 //!
@@ -25,8 +31,8 @@
 //!
 //! * [`metrics`] — [`Registry`] of counters / gauges / histograms /
 //!   timeseries keyed by `(name, labels)`.
-//! * [`span`] — [`Tracer`]: complete-event spans on named (process, thread)
-//!   tracks.
+//! * [`span`] — [`Tracer`]: complete-event spans on interned
+//!   (process, thread) tracks.
 //! * [`profile`] — [`record_sim_metrics`] and [`record_engine_profile`]
 //!   render an [`edison_simcore::EngineProfile`], the engine's per-kind
 //!   event counts, as the `sim_*` and `profile_*` metrics.
@@ -38,11 +44,12 @@ pub mod metrics;
 pub mod profile;
 pub mod span;
 
-pub use metrics::{labels, Histogram, Labels, Registry};
+pub use metrics::{Histogram, Labels, Registry};
 pub use profile::{record_engine_profile, record_sim_metrics};
 pub use span::{Span, Tracer};
 
 use edison_simcore::time::SimTime;
+use std::fmt::Display;
 
 /// The telemetry sink handed through a simulation run.
 ///
@@ -85,8 +92,11 @@ impl Telemetry {
         self
     }
 
-    /// Whether recording is active. Worlds may use this to skip building
-    /// expensive label values, but plain recording calls are already gated.
+    /// Whether recording is active. Recording calls are already gated and
+    /// take borrowed labels, so callers need this only to skip work the
+    /// sink cannot see: formatting an owned label value, interning tracks,
+    /// or looping over recorded data.
+    #[inline]
     pub fn is_on(&self) -> bool {
         self.enabled
     }
@@ -121,19 +131,22 @@ impl Telemetry {
     }
 
     /// Add `delta` to the counter `name{labels}`.
-    pub fn counter_add(&mut self, name: &'static str, labels: Labels, delta: u64) {
+    #[inline]
+    pub fn counter_add(&mut self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
         if self.enabled {
             self.registry.counter_add(name, labels, delta);
         }
     }
 
     /// Increment the counter `name{labels}` by one.
-    pub fn counter_inc(&mut self, name: &'static str, labels: Labels) {
+    #[inline]
+    pub fn counter_inc(&mut self, name: &'static str, labels: &[(&'static str, &str)]) {
         self.counter_add(name, labels, 1);
     }
 
     /// Set the gauge `name{labels}` to `v`.
-    pub fn gauge_set(&mut self, name: &'static str, labels: Labels, v: f64) {
+    #[inline]
+    pub fn gauge_set(&mut self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
         if self.enabled {
             self.registry.gauge_set(name, labels, v);
         }
@@ -142,35 +155,24 @@ impl Telemetry {
     /// Record `v` into the histogram `name{labels}`; the histogram is
     /// created with `bounds` (strictly increasing upper bounds, `+Inf`
     /// implicit) on first use.
-    pub fn observe(&mut self, name: &'static str, labels: Labels, bounds: &'static [f64], v: f64) {
+    #[inline]
+    pub fn observe(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        bounds: &'static [f64],
+        v: f64,
+    ) {
         if self.enabled {
             self.registry.observe(name, labels, bounds, v);
         }
     }
 
     /// Append `(t, v)` to the timeseries `name{labels}`.
-    pub fn series_push(&mut self, name: &'static str, labels: Labels, t: SimTime, v: f64) {
+    #[inline]
+    pub fn series_push(&mut self, name: &'static str, labels: &[(&'static str, &str)], t: SimTime, v: f64) {
         if self.enabled {
             self.registry.series_push(name, labels, t, v);
-        }
-    }
-
-    /// Record a complete span `[start, end)` on the `(process, thread)`
-    /// track. `cat` is the Perfetto category; `args` become span arguments.
-    #[allow(clippy::too_many_arguments)]
-    pub fn span(
-        &mut self,
-        process: &str,
-        thread: &str,
-        cat: &'static str,
-        name: &'static str,
-        start: SimTime,
-        end: SimTime,
-        args: Vec<(&'static str, String)>,
-    ) {
-        if self.enabled {
-            let track = self.tracer.track(process, thread);
-            self.tracer.span(track, cat, name, start, end, args);
         }
     }
 
@@ -187,8 +189,11 @@ impl Telemetry {
         }
     }
 
-    /// Record a complete span on a previously interned track id (see
-    /// [`track_id`](Self::track_id)).
+    /// Record a complete span `[start, end)` on a previously interned track
+    /// id (see [`track_id`](Self::track_id)). `cat` is the Perfetto
+    /// category; `args` become span arguments, rendered through `Display`
+    /// only when the sink is enabled.
+    #[inline]
     pub fn span_on(
         &mut self,
         track: usize,
@@ -196,7 +201,7 @@ impl Telemetry {
         name: &'static str,
         start: SimTime,
         end: SimTime,
-        args: Vec<(&'static str, String)>,
+        args: &[(&'static str, &dyn Display)],
     ) {
         if self.enabled {
             self.tracer.span(track, cat, name, start, end, args);
@@ -234,11 +239,12 @@ mod tests {
     #[test]
     fn off_records_nothing() {
         let mut t = Telemetry::off();
-        t.counter_inc("x_total", labels(&[]));
-        t.gauge_set("g", labels(&[]), 1.0);
-        t.observe("h_seconds", labels(&[]), &[1.0], 0.5);
-        t.series_push("s", labels(&[]), SimTime::ZERO, 1.0);
-        t.span("p", "t", "c", "n", SimTime::ZERO, SimTime::from_secs(1), vec![]);
+        t.counter_inc("x_total", &[]);
+        t.gauge_set("g", &[], 1.0);
+        t.observe("h_seconds", &[], &[1.0], 0.5);
+        t.series_push("s", &[], SimTime::ZERO, 1.0);
+        let track = t.track_id("p", "t");
+        t.span_on(track, "c", "n", SimTime::ZERO, SimTime::from_secs(1), &[]);
         assert!(!t.is_on());
         assert_eq!(t.registry.counters().count(), 0);
         assert_eq!(t.tracer.spans().len(), 0);
@@ -247,10 +253,11 @@ mod tests {
     #[test]
     fn on_records_and_merges() {
         let mut a = Telemetry::on();
-        a.counter_add("x_total", labels(&[("k", "1")]), 2);
+        a.counter_add("x_total", &[("k", "1")], 2);
         let mut b = Telemetry::on();
-        b.counter_add("x_total", labels(&[("k", "1")]), 3);
-        b.span("p", "t", "c", "n", SimTime::ZERO, SimTime::from_secs(1), vec![]);
+        b.counter_add("x_total", &[("k", "1")], 3);
+        let track = b.track_id("p", "t");
+        b.span_on(track, "c", "n", SimTime::ZERO, SimTime::from_secs(1), &[]);
         a.merge(b);
         let got: Vec<_> = a.registry.counters().collect();
         assert_eq!(got.len(), 1);

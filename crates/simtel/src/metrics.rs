@@ -11,13 +11,9 @@ use std::collections::BTreeMap;
 /// A label set: static label names, owned label values, deterministic order.
 pub type Labels = BTreeMap<&'static str, String>;
 
-/// Build a [`Labels`] from `(name, value)` pairs.
-///
-/// ```
-/// let l = edison_simtel::labels(&[("node", "edison-3"), ("kind", "map")]);
-/// assert_eq!(l.get("node").map(String::as_str), Some("edison-3"));
-/// ```
-pub fn labels(pairs: &[(&'static str, &str)]) -> Labels {
+/// Build the owned [`Labels`] key of one instrument from the borrowed
+/// `(name, value)` pairs a recording call takes.
+fn labels(pairs: &[(&'static str, &str)]) -> Labels {
     pairs.iter().map(|&(k, v)| (k, v.to_string())).collect()
 }
 
@@ -123,27 +119,33 @@ impl Registry {
     }
 
     /// Add `delta` to counter `name{labels}` (created at 0).
-    pub fn counter_add(&mut self, name: &'static str, labels: Labels, delta: u64) {
-        *self.counters.entry((name, labels)).or_insert(0) += delta;
+    pub fn counter_add(&mut self, name: &'static str, pairs: &[(&'static str, &str)], delta: u64) {
+        *self.counters.entry((name, labels(pairs))).or_insert(0) += delta;
     }
 
     /// Set gauge `name{labels}` to `v` (last write wins).
-    pub fn gauge_set(&mut self, name: &'static str, labels: Labels, v: f64) {
-        self.gauges.insert((name, labels), v);
+    pub fn gauge_set(&mut self, name: &'static str, pairs: &[(&'static str, &str)], v: f64) {
+        self.gauges.insert((name, labels(pairs)), v);
     }
 
     /// Record `v` into histogram `name{labels}`, created over `bounds` on
     /// first use.
-    pub fn observe(&mut self, name: &'static str, labels: Labels, bounds: &'static [f64], v: f64) {
+    pub fn observe(
+        &mut self,
+        name: &'static str,
+        pairs: &[(&'static str, &str)],
+        bounds: &'static [f64],
+        v: f64,
+    ) {
         self.histograms
-            .entry((name, labels))
+            .entry((name, labels(pairs)))
             .or_insert_with(|| Histogram::new(bounds))
             .record(v);
     }
 
     /// Append `(t, v)` to timeseries `name{labels}`.
-    pub fn series_push(&mut self, name: &'static str, labels: Labels, t: SimTime, v: f64) {
-        self.series.entry((name, labels)).or_default().push((t, v));
+    pub fn series_push(&mut self, name: &'static str, pairs: &[(&'static str, &str)], t: SimTime, v: f64) {
+        self.series.entry((name, labels(pairs))).or_default().push((t, v));
     }
 
     /// Iterate counters as `(name, labels, value)` in deterministic order.
@@ -248,11 +250,11 @@ mod tests {
     #[test]
     fn registry_round_trip() {
         let mut r = Registry::new();
-        r.counter_add("a_total", labels(&[("k", "x")]), 1);
-        r.counter_add("a_total", labels(&[("k", "x")]), 2);
-        r.gauge_set("g", labels(&[]), 4.0);
-        r.observe("h_seconds", labels(&[]), BOUNDS, 0.2);
-        r.series_push("s_watts", labels(&[("node", "0")]), SimTime::ZERO, 3.0);
+        r.counter_add("a_total", &[("k", "x")], 1);
+        r.counter_add("a_total", &[("k", "x")], 2);
+        r.gauge_set("g", &[], 4.0);
+        r.observe("h_seconds", &[], BOUNDS, 0.2);
+        r.series_push("s_watts", &[("node", "0")], SimTime::ZERO, 3.0);
         assert_eq!(r.counters().next(), Some(("a_total", &labels(&[("k", "x")]), 3)));
         assert_eq!(r.gauges().next().map(|(_, _, v)| v), Some(4.0));
         assert_eq!(r.histograms().next().map(|(_, _, h)| h.count()), Some(1));
@@ -263,9 +265,9 @@ mod tests {
     #[test]
     fn merge_series_sorts_by_time() {
         let mut a = Registry::new();
-        a.series_push("s", labels(&[]), SimTime::from_secs(2), 1.0);
+        a.series_push("s", &[], SimTime::from_secs(2), 1.0);
         let mut b = Registry::new();
-        b.series_push("s", labels(&[]), SimTime::from_secs(1), 2.0);
+        b.series_push("s", &[], SimTime::from_secs(1), 2.0);
         a.merge(b);
         let pts: Vec<_> = a.series().next().map(|(_, _, p)| p.to_vec()).unwrap_or_default();
         assert_eq!(pts, vec![(SimTime::from_secs(1), 2.0), (SimTime::from_secs(2), 1.0)]);

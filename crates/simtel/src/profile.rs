@@ -41,7 +41,7 @@
 //! world-supplied classifier, mirroring how the paper discusses workload
 //! structure rather than individual event types.
 
-use crate::{labels, Telemetry};
+use crate::Telemetry;
 use edison_simcore::profile::EngineProfile;
 use std::collections::BTreeMap;
 
@@ -66,20 +66,20 @@ pub fn record_sim_metrics(
     for (kind, stats) in &profile.kinds {
         tel.counter_add(
             "sim_events_total",
-            labels(&[("world", world), ("kind", kind)]),
+            &[("world", world), ("kind", kind)],
             stats.dispatched,
         );
     }
     let scheduled = profile.kinds.values().map(|k| k.scheduled).sum();
-    tel.counter_add("sim_events_scheduled_total", labels(&[("world", world)]), scheduled);
+    tel.counter_add("sim_events_scheduled_total", &[("world", world)], scheduled);
     tel.gauge_set(
         "sim_heap_depth_max",
-        labels(&[("world", world)]),
+        &[("world", world)],
         profile.dispatch_depth_max as f64,
     );
-    tel.gauge_set("sim_end_seconds", labels(&[("world", world)]), profile.sim_seconds());
+    tel.gauge_set("sim_end_seconds", &[("world", world)], profile.sim_seconds());
     if watchdog_tripped {
-        tel.counter_inc("sim_watchdog_trips_total", labels(&[("world", world)]));
+        tel.counter_inc("sim_watchdog_trips_total", &[("world", world)]);
     }
 }
 
@@ -122,17 +122,17 @@ pub fn record_engine_profile(
     for (kind, stats) in &profile.kinds {
         tel.counter_add(
             "profile_events_total",
-            labels(&[("world", world), ("kind", kind)]),
+            &[("world", world), ("kind", kind)],
             stats.dispatched,
         );
         tel.counter_add(
             "profile_scheduled_total",
-            labels(&[("world", world), ("kind", kind)]),
+            &[("world", world), ("kind", kind)],
             stats.scheduled,
         );
         tel.gauge_set(
             "profile_advance_seconds",
-            labels(&[("world", world), ("kind", kind)]),
+            &[("world", world), ("kind", kind)],
             stats.advance.as_secs_f64(),
         );
         let p = phases.entry(phase_of(kind)).or_insert((0, 0.0));
@@ -142,37 +142,37 @@ pub fn record_engine_profile(
     for (phase, (events, advance)) in phases {
         tel.counter_add(
             "profile_phase_events_total",
-            labels(&[("world", world), ("phase", phase)]),
+            &[("world", world), ("phase", phase)],
             events,
         );
         tel.gauge_set(
             "profile_phase_advance_seconds",
-            labels(&[("world", world), ("phase", phase)]),
+            &[("world", world), ("phase", phase)],
             advance,
         );
     }
-    tel.counter_add("profile_heap_pushes_total", labels(&[("world", world)]), profile.heap_pushes);
+    tel.counter_add("profile_heap_pushes_total", &[("world", world)], profile.heap_pushes);
     // every pop delivers an event
-    tel.counter_add("profile_heap_pops_total", labels(&[("world", world)]), profile.events());
+    tel.counter_add("profile_heap_pops_total", &[("world", world)], profile.events());
     tel.counter_add(
         "profile_superseded_total",
-        labels(&[("world", world)]),
+        &[("world", world)],
         profile.superseded,
     );
     tel.gauge_set(
         "profile_heap_depth_max",
-        labels(&[("world", world)]),
+        &[("world", world)],
         profile.heap_depth_hwm as f64,
     );
     for &(t, depth) in &profile.hwm_track {
         tel.series_push(
             "profile_heap_depth",
-            labels(&[("world", world)]),
+            &[("world", world)],
             t,
             depth as f64,
         );
     }
-    tel.gauge_set("profile_end_seconds", labels(&[("world", world)]), profile.sim_seconds());
+    tel.gauge_set("profile_end_seconds", &[("world", world)], profile.sim_seconds());
 }
 
 #[cfg(test)]

@@ -17,6 +17,7 @@
 
 use edison_simcore::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Display;
 use std::sync::Arc;
 
 /// One completed span on a track.
@@ -83,8 +84,9 @@ impl Tracer {
         i
     }
 
-    /// Record a complete span `[start, end)` on `track`. A backwards span is
-    /// clamped to zero duration (and debug-asserted) rather than wrapping.
+    /// Record a complete span `[start, end)` on `track`, rendering each
+    /// argument value through `Display`. A backwards span is clamped to
+    /// zero duration (and debug-asserted) rather than wrapping.
     pub fn span(
         &mut self,
         track: usize,
@@ -92,7 +94,7 @@ impl Tracer {
         name: &'static str,
         start: SimTime,
         end: SimTime,
-        args: Vec<(&'static str, String)>,
+        args: &[(&'static str, &dyn Display)],
     ) {
         debug_assert!(start <= end, "span '{name}' ends before it starts");
         self.spans.push(Span {
@@ -101,7 +103,7 @@ impl Tracer {
             name,
             start,
             dur_ns: end.saturating_since(start).0,
-            args,
+            args: args.iter().map(|&(k, v)| (k, v.to_string())).collect(),
         });
     }
 
@@ -166,7 +168,7 @@ mod tests {
     fn span_duration_is_exact_ns() {
         let mut tr = Tracer::new();
         let t = tr.track("p", "t");
-        tr.span(t, "c", "x", SimTime(100), SimTime(350), vec![]);
+        tr.span(t, "c", "x", SimTime(100), SimTime(350), &[]);
         assert_eq!(tr.spans()[0].dur_ns, 250);
     }
 
@@ -176,7 +178,7 @@ mod tests {
         a.track("web", "client");
         let mut b = Tracer::new();
         let t = b.track("mr", "node-0");
-        b.span(t, "mr", "map", SimTime::ZERO, SimTime(10), vec![]);
+        b.span(t, "mr", "map", SimTime::ZERO, SimTime(10), &[]);
         a.merge(b);
         assert_eq!(a.tracks().len(), 2);
         assert_eq!(a.spans()[0].track, 1);

@@ -3,7 +3,7 @@
 //! counts must sum to `count`, and the Prometheus cumulative export must end
 //! at `count`.
 
-use edison_simtel::{labels, Histogram, Telemetry};
+use edison_simtel::{Histogram, Telemetry};
 use proptest::prelude::*;
 
 const BOUNDS: &[f64] = &[0.001, 0.01, 0.1, 0.5, 1.0, 2.0, 8.0];
@@ -37,7 +37,7 @@ proptest! {
     fn prometheus_cumulative_ends_at_count(vals in proptest::collection::vec(-10.0..10.0f64, 1..100)) {
         let mut tel = Telemetry::on();
         for v in &vals {
-            tel.observe("h_seconds", labels(&[]), BOUNDS, *v);
+            tel.observe("h_seconds", &[], BOUNDS, *v);
         }
         let prom = tel.prometheus_text();
         edison_simtel::export::validate_prometheus(&prom).unwrap();

@@ -20,16 +20,17 @@ use edison_net::{HostId, LinkGauge, Topology};
 use edison_simcore::rng::SimRng;
 use edison_simcore::stats::{Histogram, SampleSet, TimeSeries};
 use edison_simcore::time::{SimDuration, SimTime};
+use edison_simcore::token_bucket::TokenBucket;
 use edison_simcore::Ctx;
 use edison_simfault::metrics as fault_metrics;
 use edison_simfault::{Fault, FaultKind, FaultPlan, RecoveryWindow};
 use edison_simguard::metrics as guard_metrics;
 use edison_simguard::{
     class_of, probe_eligible, BreakerState, BreakerVerdict, Brownout, BrownoutStep,
-    CircuitBreaker, Deadline, GateVerdict, GuardConfig, Priority, QueueGate, TokenBucket,
+    CircuitBreaker, Deadline, GateVerdict, GuardConfig, Priority, QueueGate,
 };
 use edison_simrun::derive_seed;
-use edison_simtel::{labels, Telemetry};
+use edison_simtel::Telemetry;
 use std::collections::VecDeque;
 
 /// Histogram bounds for request-delay telemetry, seconds (log-ish spacing
@@ -569,16 +570,6 @@ fn span_path(r: &Req) -> &'static str {
     }
 }
 
-/// Scale a duration by a fault multiplier (identity fast path keeps
-/// fault-free runs bit-exact with the pre-fault arithmetic).
-fn scaled(d: SimDuration, m: f64) -> SimDuration {
-    if m == 1.0 {
-        d
-    } else {
-        d.mul_f64(m)
-    }
-}
-
 impl WebWorld {
     /// Assemble the world: cluster, fabric, pre-warmed caches.
     pub fn new(cfg: StackConfig) -> Self {
@@ -850,19 +841,13 @@ impl WebWorld {
     /// Telemetry: count one request leaving the system, by outcome
     /// (`ok`, `server_error`, `client_error`).
     fn tel_outcome(&mut self, outcome: &'static str) {
-        if self.tel.is_on() {
-            self.tel.counter_inc("web_requests_total", labels(&[("outcome", outcome)]));
-        }
+        self.tel.counter_inc("web_requests_total", &[("outcome", outcome)]);
     }
 
-    /// Span track id for web node `web` — cached by
-    /// [`WebWorld::init_tracing`]; the fallback interns on demand for
-    /// worlds driven without the prefill (manual drivers).
-    fn web_track(&mut self, web: usize) -> usize {
-        match self.web_tracks.get(web) {
-            Some(&t) => t,
-            None => self.tel.track_id("web", &format!("web-{web}")),
-        }
+    /// Span track id for web node `web`, interned by
+    /// [`WebWorld::init_tracing`] (0, a no-op track, on a disabled sink).
+    fn web_track(&self, web: usize) -> usize {
+        self.web_tracks.get(web).copied().unwrap_or_default()
     }
 
     /// Current circuit-breaker state per web backend (empty when the
@@ -1019,15 +1004,15 @@ impl WebWorld {
             BreakerState::HalfOpen => ("half_open", 0.5),
             BreakerState::Open => ("open", 1.0),
         };
+        self.tel.counter_inc(
+            guard_metrics::BREAKER_TRANSITIONS_TOTAL,
+            &[("tier", "web"), ("to", to)],
+        );
         if self.tel.is_on() {
-            self.tel.counter_inc(
-                guard_metrics::BREAKER_TRANSITIONS_TOTAL,
-                labels(&[("tier", "web"), ("to", to)]),
-            );
             let backend = format!("web-{web}");
             self.tel.gauge_set(
                 guard_metrics::BREAKER_STATE,
-                labels(&[("tier", "web"), ("backend", &backend)]),
+                &[("tier", "web"), ("backend", &backend)],
                 level,
             );
         }
@@ -1093,12 +1078,7 @@ impl WebWorld {
     /// (token bucket / queue gate / breaker block).
     fn guard_shed_lb(&mut self, reason: &'static str) {
         self.metrics.guard.lb_rejected += 1;
-        if self.tel.is_on() {
-            self.tel.counter_inc(
-                guard_metrics::SHED_TOTAL,
-                labels(&[("tier", "web"), ("reason", reason)]),
-            );
-        }
+        self.tel.counter_inc(guard_metrics::SHED_TOTAL, &[("tier", "web"), ("reason", reason)]);
         self.tel_outcome("shed");
     }
 
@@ -1106,12 +1086,7 @@ impl WebWorld {
     /// conservation identity's `failed` bucket).
     fn guard_req_failed(&mut self, reason: &'static str) {
         self.metrics.guard.failed += 1;
-        if self.tel.is_on() {
-            self.tel.counter_inc(
-                guard_metrics::FAILED_TOTAL,
-                labels(&[("tier", "web"), ("reason", reason)]),
-            );
-        }
+        self.tel.counter_inc(guard_metrics::FAILED_TOTAL, &[("tier", "web"), ("reason", reason)]);
     }
 
     /// Feed one observed PHP-backlog sojourn into the queue gate and the
@@ -1121,36 +1096,21 @@ impl WebWorld {
     /// a span on exit.
     fn guard_observe_queue(&mut self, sojourn: SimDuration, now: SimTime) {
         self.admit_gate.observe(sojourn, now);
-        let tel_on = self.tel.is_on();
-        if tel_on {
-            self.tel.observe(
-                guard_metrics::QUEUE_DELAY_SECONDS,
-                labels(&[("tier", "web")]),
-                guard_metrics::QUEUE_DELAY_BOUNDS_S,
-                sojourn.as_secs_f64(),
-            );
-        }
+        self.tel.observe(
+            guard_metrics::QUEUE_DELAY_SECONDS,
+            &[("tier", "web")],
+            guard_metrics::QUEUE_DELAY_BOUNDS_S,
+            sojourn.as_secs_f64(),
+        );
         match self.brownout.observe(self.admit_gate.smoothed_sojourn_s(), now) {
             BrownoutStep::Entered => {
                 self.metrics.guard.brownout_entries += 1;
-                if tel_on {
-                    self.tel.gauge_set(
-                        guard_metrics::BROWNOUT_ACTIVE,
-                        labels(&[("tier", "web")]),
-                        1.0,
-                    );
-                }
+                self.tel.gauge_set(guard_metrics::BROWNOUT_ACTIVE, &[("tier", "web")], 1.0);
             }
             BrownoutStep::Exited { since } => {
-                if tel_on {
-                    self.tel.gauge_set(
-                        guard_metrics::BROWNOUT_ACTIVE,
-                        labels(&[("tier", "web")]),
-                        0.0,
-                    );
-                }
+                self.tel.gauge_set(guard_metrics::BROWNOUT_ACTIVE, &[("tier", "web")], 0.0);
                 if let Some(track) = self.guard_track {
-                    self.tel.span_on(track, "guard", "brownout", since, now, vec![]);
+                    self.tel.span_on(track, "guard", "brownout", since, now, &[]);
                 }
             }
             BrownoutStep::None => {}
@@ -1267,9 +1227,7 @@ impl WebWorld {
             RetryCause::Dead => self.metrics.retry_dead_total += 1,
             RetryCause::Overflow => self.metrics.retry_overflow_total += 1,
         }
-        if self.tel.is_on() {
-            self.tel.counter_inc(guard_metrics::RETRY_CAUSE, labels(&[("cause", cause.name())]));
-        }
+        self.tel.counter_inc(guard_metrics::RETRY_CAUSE, &[("cause", cause.name())]);
         // connection ids count up from 0 and never reach 2^56, so packing
         // the attempt into the top byte keeps the stream index unique
         let stream_idx = conn_id | (u64::from(attempt) << 56);
@@ -1337,14 +1295,13 @@ impl WebWorld {
             Ok(()) => {
                 // handshake: one RTT before the first request leaves
                 let client_host = self.client_hosts[self.conns[&conn_id].client];
-                let rtt = scaled(self.topo.rtt(client_host, self.node_hosts[web]), self.nic_lat[web]);
+                let rtt =
+                    self.topo.rtt(client_host, self.node_hosts[web]).mul_f64(self.nic_lat[web]);
                 self.start_request(conn_id, true, now + rtt, ctx);
             }
             Err(AdmitError::AcceptOverrun) => {
                 self.metrics.syn_drops += 1;
-                if self.tel.is_on() {
-                    self.tel.counter_inc("web_syn_drops_total", labels(&[]));
-                }
+                self.tel.counter_inc("web_syn_drops_total", &[]);
                 if attempt < 3 {
                     // kernel SYN retransmit backoff: +1 s, +2 s, +4 s
                     let backoff = SimDuration::from_secs(1 << attempt);
@@ -1417,11 +1374,9 @@ impl WebWorld {
         );
         if self.guard_on {
             self.metrics.guard.admitted += 1;
-            if self.tel.is_on() {
-                self.tel.counter_inc(guard_metrics::ADMITTED_TOTAL, labels(&[("tier", "web")]));
-            }
+            self.tel.counter_inc(guard_metrics::ADMITTED_TOTAL, &[("tier", "web")]);
         }
-        let lat = scaled(self.topo.latency(client_host, self.node_hosts[web]), self.nic_lat[web]);
+        let lat = self.topo.latency(client_host, self.node_hosts[web]).mul_f64(self.nic_lat[web]);
         ctx.schedule_at(send_at + lat, Ev::ReqAtWeb { req: id });
     }
 
@@ -1434,12 +1389,9 @@ impl WebWorld {
             mi += calib::TCP_ACCEPT_MI;
         }
         mi *= self.cpu_factor[web];
-        if self.tel.is_on() {
-            if let Some(tq) = queued_at {
-                // time spent waiting for a free PHP worker
-                let track = self.web_track(web);
-                self.tel.span_on(track, "queue", "php_backlog", tq, now, vec![]);
-            }
+        if let Some(tq) = queued_at {
+            // time spent waiting for a free PHP worker
+            self.tel.span_on(self.web_track(web), "queue", "php_backlog", tq, now, &[]);
         }
         if self.guard_on {
             // every worker grant feeds the gate: zero sojourn when the
@@ -1461,16 +1413,11 @@ impl WebWorld {
         r.shed = true;
         r.state = ReqState::Reply;
         let (web, client) = (r.web, r.client);
-        if self.tel.is_on() {
-            self.tel.counter_inc(
-                guard_metrics::SHED_TOTAL,
-                labels(&[("tier", "web"), ("reason", "deadline")]),
-            );
-        }
-        let lat = scaled(
-            self.topo.latency(self.node_hosts[web], self.client_hosts[client]),
-            self.nic_lat[web],
-        );
+        self.tel.counter_inc(guard_metrics::SHED_TOTAL, &[("tier", "web"), ("reason", "deadline")]);
+        let lat = self
+            .topo
+            .latency(self.node_hosts[web], self.client_hosts[client])
+            .mul_f64(self.nic_lat[web]);
         ctx.schedule_at(now + lat, Ev::ReplyAtClient { req: req_id });
     }
 
@@ -1585,10 +1532,10 @@ impl WebWorld {
         r.t_cache_sent = now;
         let (web, cache) = (r.web, r.cache);
         let cache_node = self.n_web() + cache;
-        let lat = scaled(
-            self.topo.latency(self.node_hosts[web], self.node_hosts[cache_node]),
-            self.nic_lat[web] * self.nic_lat[cache_node],
-        );
+        let lat = self
+            .topo
+            .latency(self.node_hosts[web], self.node_hosts[cache_node])
+            .mul_f64(self.nic_lat[web] * self.nic_lat[cache_node]);
         ctx.schedule_at(now + lat, Ev::ReqAtCache { req: req_id });
     }
 
@@ -1601,12 +1548,7 @@ impl WebWorld {
         now: SimTime,
         ctx: &mut Ctx<'_, Ev>,
     ) {
-        if self.tel.is_on() {
-            self.tel.counter_inc(
-                guard_metrics::DEGRADED_TOTAL,
-                labels(&[("tier", "web"), ("reason", reason)]),
-            );
-        }
+        self.tel.counter_inc(guard_metrics::DEGRADED_TOTAL, &[("tier", "web"), ("reason", reason)]);
         let Some(r) = self.reqs.get_mut(&req_id) else { return };
         r.degraded = true;
         r.query.reply_bytes = DEGRADED_REPLY_BYTES;
@@ -1624,9 +1566,8 @@ impl WebWorld {
         // (PHP unserialize); db delay was closed at reply arrival.
         // Degraded requests skipped (or abandoned) the cache stage, so
         // they contribute no cache/db samples or rpc spans.
-        if self.tel.is_on() && !went_to_db && !degraded {
-            let track = self.web_track(web);
-            self.tel.span_on(track, "rpc", "memcached_get", t_cache_sent, now, vec![]);
+        if !went_to_db && !degraded {
+            self.tel.span_on(self.web_track(web), "rpc", "memcached_get", t_cache_sent, now, &[]);
         }
         if self.in_window(now) {
             if went_to_db {
@@ -1650,7 +1591,7 @@ impl WebWorld {
         let (path, lat) = self.topo.path(self.node_hosts[web], client_host);
         let dur = self.gauge.begin_transfer(&path, (bytes + HEADER_BYTES) as f64);
         let m = self.nic_lat[web];
-        ctx.schedule_at(now + scaled(lat, m) + scaled(dur, m), Ev::ReplyAtClient { req: req_id });
+        ctx.schedule_at(now + lat.mul_f64(m) + dur.mul_f64(m), Ev::ReplyAtClient { req: req_id });
     }
 
     /// The get arrived at the cache node: charge the lookup CPU.
@@ -1674,12 +1615,8 @@ impl WebWorld {
             None => return,
         };
         let hit = self.caches[cache].get(key).is_some();
-        if self.tel.is_on() {
-            self.tel.counter_inc(
-                "web_cache_lookups_total",
-                labels(&[("result", if hit { "hit" } else { "miss" })]),
-            );
-        }
+        let result = if hit { "hit" } else { "miss" };
+        self.tel.counter_inc("web_cache_lookups_total", &[("result", result)]);
         let web_host = self.node_hosts[web];
         let cache_node = self.n_web() + cache;
         let cache_host = self.node_hosts[cache_node];
@@ -1688,10 +1625,13 @@ impl WebWorld {
         if hit {
             let bytes = db::reply_bytes_for(key) + HEADER_BYTES;
             let dur = self.gauge.begin_transfer(&path, bytes as f64);
-            ctx.schedule_at(now + scaled(lat, m) + scaled(dur, m), Ev::CacheReplyAtWeb { req: req_id, hit: true });
+            ctx.schedule_at(
+                now + lat.mul_f64(m) + dur.mul_f64(m),
+                Ev::CacheReplyAtWeb { req: req_id, hit: true },
+            );
         } else {
             // tiny miss notice: latency only, no gauge claim
-            ctx.schedule_at(now + scaled(lat, m), Ev::CacheReplyAtWeb { req: req_id, hit: false });
+            ctx.schedule_at(now + lat.mul_f64(m), Ev::CacheReplyAtWeb { req: req_id, hit: false });
         }
     }
 
@@ -1761,10 +1701,11 @@ impl WebWorld {
             let r = self.reqs.get_mut(&req_id).expect("checked");
             r.state = ReqState::DbDisk;
             let bytes = r.query.reply_bytes;
-            let service = scaled(
-                self.dbc.node(NodeId(db_node)).disk_read_time(bytes, false),
-                self.db_disk_factor[db_node],
-            );
+            let service = self
+                .dbc
+                .node(NodeId(db_node))
+                .disk_read_time(bytes, false)
+                .mul_f64(self.db_disk_factor[db_node]);
             if let Some((job, at)) = self.dbc.node_mut(NodeId(db_node)).disk().submit(now, req_id, service) {
                 ctx.schedule_at(at, Ev::DbDiskDone { node: db_node, job });
             }
@@ -1791,7 +1732,7 @@ impl WebWorld {
         let (path, lat) = self.topo.path(self.db_hosts[db_node], self.node_hosts[web]);
         let dur = self.gauge.begin_transfer(&path, (bytes + HEADER_BYTES) as f64);
         let m = self.nic_lat[web];
-        ctx.schedule_at(now + scaled(lat, m) + scaled(dur, m), Ev::DbReplyAtWeb { req: req_id });
+        ctx.schedule_at(now + lat.mul_f64(m) + dur.mul_f64(m), Ev::DbReplyAtWeb { req: req_id });
     }
 
     /// The MySQL reply landed back on the web node: close the db leg and
@@ -1827,11 +1768,8 @@ impl WebWorld {
                 self.nodes.node_mut(NodeId(node)).free_mem(before - after);
             }
         }
-        if self.tel.is_on() {
-            let track = self.web_track(web);
-            let args = vec![("db_node", format!("{db_node}"))];
-            self.tel.span_on(track, "rpc", "mysql_query", t_db_sent, now, args);
-        }
+        let track = self.web_track(web);
+        self.tel.span_on(track, "rpc", "mysql_query", t_db_sent, now, &[("db_node", &db_node)]);
         #[expect(clippy::expect_used, reason = "looked up at the top of this handler")]
         let r = self.reqs.get_mut(&req_id).expect("req exists");
         r.db_delay = Some(now.since(t_db_sent).as_millis_f64());
@@ -1885,12 +1823,7 @@ impl WebWorld {
             self.guard_brk_success(web, now);
             if r.deadline.is_some_and(|d| d.passed(now)) {
                 self.metrics.guard.deadline_miss += 1;
-                if self.tel.is_on() {
-                    self.tel.counter_inc(
-                        guard_metrics::DEADLINE_MISS_TOTAL,
-                        labels(&[("tier", "web")]),
-                    );
-                }
+                self.tel.counter_inc(guard_metrics::DEADLINE_MISS_TOTAL, &[("tier", "web")]);
             }
             if r.degraded {
                 self.metrics.guard.degraded += 1;
@@ -1898,18 +1831,11 @@ impl WebWorld {
                 self.metrics.guard.completed += 1;
             }
         }
-        if self.tel.is_on() {
-            let track = self.web_track(web);
-            let args = vec![("path", span_path(&r).to_string())];
-            self.tel.span_on(track, "request", "http_request", start, now, args);
-            self.tel_outcome(if r.degraded { "degraded" } else { "ok" });
-            self.tel.observe(
-                "web_request_delay_seconds",
-                labels(&[]),
-                DELAY_BOUNDS_S,
-                now.since(start).as_secs_f64(),
-            );
-        }
+        let track = self.web_track(web);
+        self.tel.span_on(track, "request", "http_request", start, now, &[("path", &span_path(&r))]);
+        self.tel_outcome(if r.degraded { "degraded" } else { "ok" });
+        let delay_s = now.since(start).as_secs_f64();
+        self.tel.observe("web_request_delay_seconds", &[], DELAY_BOUNDS_S, delay_s);
         // degraded responses never count as full successes: the window
         // goodput/latency samples stay full-fidelity-only (availability
         // math in the sweep depends on this)
@@ -1935,19 +1861,10 @@ impl WebWorld {
     fn finish_shed_reply(&mut self, r: &Req, now: SimTime) {
         self.metrics.guard.shed += 1;
         let conn = self.conns.remove(&r.conn);
-        if self.tel.is_on() {
-            if let Some(c) = &conn {
-                let start = if r.first_call { c.t_first_syn } else { r.t_sent };
-                let track = self.web_track(r.web);
-                self.tel.span_on(
-                    track,
-                    "request",
-                    "http_request",
-                    start,
-                    now,
-                    vec![("path", "shed".to_string())],
-                );
-            }
+        if let Some(c) = &conn {
+            let start = if r.first_call { c.t_first_syn } else { r.t_sent };
+            let track = self.web_track(r.web);
+            self.tel.span_on(track, "request", "http_request", start, now, &[("path", &"shed")]);
         }
         self.tel_outcome("shed");
         if let Some(c) = conn {
@@ -2079,9 +1996,7 @@ impl WebWorld {
         } else {
             fault_metrics::FAULT_SKIPPED_TOTAL
         };
-        if self.tel.is_on() {
-            self.tel.counter_inc(name, labels(&[("kind", kind.name()), ("tier", "web")]));
-        }
+        self.tel.counter_inc(name, &[("kind", kind.name()), ("tier", "web")]);
         self.ensure_health_checks(now, ctx);
     }
 
@@ -2157,9 +2072,7 @@ impl WebWorld {
                 if !self.lb_dead[i] && self.hc_fail[i] >= HC_FALL {
                     self.lb_dead[i] = true;
                     self.metrics.failovers += 1;
-                    if self.tel.is_on() {
-                        self.tel.counter_inc(fault_metrics::FAILOVER_TOTAL, labels(&[("tier", "web")]));
-                    }
+                    self.tel.counter_inc(fault_metrics::FAILOVER_TOTAL, &[("tier", "web")]);
                 }
             } else {
                 self.hc_fail[i] = 0;
@@ -2171,14 +2084,12 @@ impl WebWorld {
                         if let Some(t0) = self.crash_time[i].take() {
                             let rec = now.since(t0).as_secs_f64();
                             self.metrics.recovery_s.push(rec);
-                            if self.tel.is_on() {
-                                self.tel.observe(
-                                    fault_metrics::RECOVERY_SECONDS,
-                                    labels(&[("tier", "web")]),
-                                    fault_metrics::RECOVERY_BOUNDS_S,
-                                    rec,
-                                );
-                            }
+                            self.tel.observe(
+                                fault_metrics::RECOVERY_SECONDS,
+                                &[("tier", "web")],
+                                fault_metrics::RECOVERY_BOUNDS_S,
+                                rec,
+                            );
                         }
                         if let Some(up) = self.restart_time[i].take() {
                             // restarted-but-not-in-rotation: the window
@@ -2219,10 +2130,8 @@ impl WebWorld {
         self.metrics.cache_cpu.push(cache_cpu / n_cache as f64);
         self.metrics.web_mem.push(web_mem / n_web as f64);
         self.metrics.cache_mem.push(cache_mem / n_cache as f64);
-        if self.tel.is_on() {
-            let delta = self.metrics.completed_total - self.metrics.last_sampled_completed;
-            self.tel.series_push("web_throughput_rps", labels(&[]), now, delta as f64);
-        }
+        let delta = self.metrics.completed_total - self.metrics.last_sampled_completed;
+        self.tel.series_push("web_throughput_rps", &[], now, delta as f64);
     }
 
     /// One 1 s measurement tick: sample gauges, close the throughput
@@ -2252,27 +2161,18 @@ impl WebWorld {
             // flight when the run ends lands in the `failed` bucket so
             // admitted = completed + degraded + shed + failed holds
             let inflight = u64::try_from(self.reqs.len()).unwrap_or(u64::MAX);
-            let tel_on = self.tel.is_on();
             if inflight > 0 {
                 self.metrics.guard.failed += inflight;
-                if tel_on {
-                    self.tel.counter_add(
-                        guard_metrics::FAILED_TOTAL,
-                        labels(&[("tier", "web"), ("reason", "inflight_at_stop")]),
-                        inflight,
-                    );
-                }
+                self.tel.counter_add(
+                    guard_metrics::FAILED_TOTAL,
+                    &[("tier", "web"), ("reason", "inflight_at_stop")],
+                    inflight,
+                );
             }
             if let Some(since) = self.brownout.active_since() {
-                if tel_on {
-                    self.tel.gauge_set(
-                        guard_metrics::BROWNOUT_ACTIVE,
-                        labels(&[("tier", "web")]),
-                        0.0,
-                    );
-                }
+                self.tel.gauge_set(guard_metrics::BROWNOUT_ACTIVE, &[("tier", "web")], 0.0);
                 if let Some(track) = self.guard_track {
-                    self.tel.span_on(track, "guard", "brownout", since, now, vec![]);
+                    self.tel.span_on(track, "guard", "brownout", since, now, &[]);
                 }
             }
         }
@@ -2297,14 +2197,14 @@ impl WebWorld {
                 format!("cache-{}", i - n_web)
             };
             for (t, w) in steps {
-                self.tel.series_push("node_power_watts", labels(&[("node", &name)]), t, w);
+                self.tel.series_push("node_power_watts", &[("node", &name)], t, w);
             }
         }
         for i in 0..self.dbc.len() {
             let steps = self.dbc.node(NodeId(i)).power_trace().to_vec();
             let name = format!("db-{i}");
             for (t, w) in steps {
-                self.tel.series_push("node_power_watts", labels(&[("node", &name)]), t, w);
+                self.tel.series_push("node_power_watts", &[("node", &name)], t, w);
             }
         }
     }

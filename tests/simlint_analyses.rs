@@ -54,6 +54,38 @@ pub fn export_worst(t: &mut Telemetry, lat_by_conn: &HashMap<u64, f64>) {
     fs::remove_dir_all(&root).ok();
 }
 
+/// R7 through the borrowed-label call shape: a `HashMap` iteration value
+/// passed as a label pair inside `&[(name, value)]` still reaches the
+/// `counter_inc` sink, because taint flows through the reference, the
+/// array and the tuple alike.
+#[test]
+fn hashmap_iteration_into_label_slice_is_caught_by_taint() {
+    let root = fixture(
+        "taint-labels",
+        &[(
+            "crates/demo/src/lib.rs",
+            r#"use std::collections::HashMap;
+
+pub struct Telemetry;
+impl Telemetry {
+    pub fn counter_inc(&mut self, _name: &'static str, _labels: &[(&'static str, &str)]) {}
+}
+
+pub fn export_hosts(t: &mut Telemetry, conns_by_host: &HashMap<&'static str, u64>) {
+    for (host, _n) in conns_by_host.iter() {
+        t.counter_inc("host_conns_total", &[("host", *host)]);
+    }
+}
+"#,
+        )],
+    );
+    let findings = edison_simlint::scan_workspace(&root).expect("scan");
+    let rules: Vec<&str> = findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, ["R7"], "findings: {findings:#?}");
+    assert!(findings[0].msg.contains("iteration order"), "{}", findings[0].msg);
+    fs::remove_dir_all(&root).ok();
+}
+
 /// R8: seconds and watts mixed across *locals*. R5 only reads function
 /// signatures, so a parameterless function hides the bug from it —
 /// dimensional inference over the body is required.
