@@ -22,7 +22,7 @@ use crate::jobs::{JobProfile, Tune};
 use crate::yarn::{heartbeat, Grant, LivenessTracker, NodeCapacity, PendingTask};
 use edison_cluster::{Cluster, NodeId};
 use edison_hw::{calib, presets};
-use edison_net::{HostId, LinkGauge, Topology};
+use edison_net::{HostId, Topology};
 use edison_simcore::rng::SimRng;
 use edison_simcore::stats::TimeSeries;
 use edison_simcore::time::{SimDuration, SimTime};
@@ -331,7 +331,6 @@ struct MrWorld {
     setup: ClusterSetup,
     nodes: Cluster,
     topo: Topology,
-    gauge: LinkGauge,
     hosts: Vec<HostId>,
     nn: Namenode,
     tasks: Vec<Task>,
@@ -442,7 +441,6 @@ impl MrWorld {
         let hosts: Vec<HostId> = (0..setup.workers)
             .map(|_| topo.add_host(room, spec.nic.line_rate_bps, spec.nic.tcp_efficiency))
             .collect();
-        let gauge = LinkGauge::mirror(topo.network());
 
         let mut rng = SimRng::new(setup.seed);
         // HDFS: one file per map split (CombineFileInputFormat is modelled
@@ -499,7 +497,6 @@ impl MrWorld {
             setup,
             nodes,
             topo,
-            gauge,
             hosts,
             nn,
             tasks,
@@ -979,7 +976,7 @@ impl MrWorld {
             Some(src) => {
                 // remote read: stream from a surviving replica over the fabric
                 let (path, lat) = self.topo.path(self.hosts[src], self.hosts[node]);
-                let dur = self.gauge.begin_transfer(&path, bytes as f64);
+                let dur = self.topo.gauge_mut().begin_transfer(&path, bytes as f64);
                 self.tasks[task].current_fetch_src = Some(src);
                 let attempt = self.tasks[task].attempt;
                 ctx.schedule_at(
@@ -1101,7 +1098,7 @@ impl MrWorld {
             self.tasks[task].fetching_origin = Some(origin);
             let bytes = self.fetch_bytes();
             let (path, lat) = self.topo.path(self.hosts[src], self.hosts[node]);
-            let dur = self.gauge.begin_transfer(&path, bytes as f64);
+            let dur = self.topo.gauge_mut().begin_transfer(&path, bytes as f64);
             let attempt = self.tasks[task].attempt;
             // a fetch also pays a fixed RPC latency
             ctx.schedule_at(
@@ -1159,7 +1156,7 @@ impl MrWorld {
                     self.set_phase(task, Phase::OutputRepl, now);
                     let (path, lat) = self.topo.path(self.hosts[node], self.hosts[peer]);
                     let bytes = self.output_per_reduce();
-                    let dur = self.gauge.begin_transfer(&path, bytes as f64);
+                    let dur = self.topo.gauge_mut().begin_transfer(&path, bytes as f64);
                     self.tasks[task].current_fetch_src = Some(peer);
                     let attempt = self.tasks[task].attempt;
                     ctx.schedule_at(
@@ -1185,7 +1182,7 @@ impl MrWorld {
                 let src = self.tasks[task].current_fetch_src.take().expect("flow had a source");
                 let node = self.tasks[task].node;
                 let (path, _) = self.topo.path(self.hosts[src], self.hosts[node]);
-                self.gauge.end(&path);
+                self.topo.gauge_mut().end(&path);
                 self.start_map_cpu(task, now, ctx);
             }
             Phase::Fetching => {
@@ -1193,7 +1190,7 @@ impl MrWorld {
                 let src = self.tasks[task].current_fetch_src.take().expect("fetch had a source");
                 let node = self.tasks[task].node;
                 let (path, _) = self.topo.path(self.hosts[src], self.hosts[node]);
-                self.gauge.end(&path);
+                self.topo.gauge_mut().end(&path);
                 if let Some(origin) = self.tasks[task].fetching_origin.take() {
                     if !self.tasks[task].fetched_from[origin] {
                         self.tasks[task].fetched_from[origin] = true;
@@ -1208,7 +1205,7 @@ impl MrWorld {
                 let peer = self.tasks[task].current_fetch_src.take().expect("repl had a peer");
                 let node = self.tasks[task].node;
                 let (path, _) = self.topo.path(self.hosts[node], self.hosts[peer]);
-                self.gauge.end(&path);
+                self.topo.gauge_mut().end(&path);
                 self.finish_reduce(task, now, ctx);
             }
             other => debug_assert!(false, "flow end for task {task} in phase {other:?}"),
@@ -1337,7 +1334,7 @@ impl MrWorld {
                 if let Some(other) = self.tasks[t].current_fetch_src.take() {
                     let (a, b) = if phase == Phase::OutputRepl { (node, other) } else { (other, node) };
                     let (path, _) = self.topo.path(self.hosts[a], self.hosts[b]);
-                    self.gauge.end(&path);
+                    self.topo.gauge_mut().end(&path);
                 }
                 self.tasks[t].fetching_origin = None;
                 self.tasks[t].attempt += 1;
@@ -1350,7 +1347,7 @@ impl MrWorld {
                     if self.tasks[t].current_fetch_src == Some(node) =>
                 {
                     let (path, _) = self.topo.path(self.hosts[node], self.hosts[tnode]);
-                    self.gauge.end(&path);
+                    self.topo.gauge_mut().end(&path);
                     self.tasks[t].current_fetch_src = None;
                     self.tasks[t].fetching_origin = None;
                     self.tasks[t].attempt += 1;
@@ -1366,7 +1363,7 @@ impl MrWorld {
                 }
                 Phase::OutputRepl if self.tasks[t].current_fetch_src == Some(node) => {
                     let (path, _) = self.topo.path(self.hosts[tnode], self.hosts[node]);
-                    self.gauge.end(&path);
+                    self.topo.gauge_mut().end(&path);
                     self.tasks[t].current_fetch_src = None;
                     self.tasks[t].attempt += 1;
                     // the primary replica is safe; abandon the pipeline

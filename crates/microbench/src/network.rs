@@ -2,11 +2,12 @@
 //!
 //! The paper transfers 1 GB over TCP and UDP between three node pairs
 //! (Dell↔Dell, Dell↔Edison, Edison↔Edison) and pings each pair. We build
-//! the two-room fabric and run the same flows through the max-min network.
+//! the two-room fabric with the pair's two hosts and time one transfer on
+//! the idle links: it runs at the path's bottleneck goodput.
 
 use edison_hw::ServerSpec;
 use edison_net::topology::TwoRooms;
-use edison_simcore::time::SimTime;
+use edison_net::{GroupId, HostId, Topology};
 
 /// Protocol used for the iperf transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,39 +37,34 @@ pub struct IperfResult {
     pub mbits_per_sec: f64,
 }
 
+/// The two-room fabric holding `pair`'s source and destination hosts, each
+/// NIC at its line rate and the goodput efficiency `eff` gives its spec.
+fn pair_hosts(
+    pair: Pair,
+    edison: &ServerSpec,
+    dell: &ServerSpec,
+    eff: impl Fn(&ServerSpec) -> f64,
+) -> (Topology, HostId, HostId) {
+    let TwoRooms { mut topo, edison_room, dell_room } = TwoRooms::new();
+    let (src, dst) = match pair {
+        Pair::DellToDell => ((dell, dell_room), (dell, dell_room)),
+        Pair::DellToEdison => ((dell, dell_room), (edison, edison_room)),
+        Pair::EdisonToEdison => ((edison, edison_room), (edison, edison_room)),
+    };
+    let mut add = |(spec, room): (&ServerSpec, GroupId)| topo.add_host(room, spec.nic.line_rate_bps, eff(spec));
+    let (src, dst) = (add(src), add(dst));
+    (topo, src, dst)
+}
+
 /// Run one iperf transfer of `bytes` between the given pair.
 pub fn iperf(pair: Pair, proto: Proto, bytes: u64, edison: &ServerSpec, dell: &ServerSpec) -> IperfResult {
-    let mut rooms = TwoRooms::new();
-    let eff = |spec: &ServerSpec| match proto {
+    let (mut topo, src, dst) = pair_hosts(pair, edison, dell, |spec| match proto {
         Proto::Tcp => spec.nic.tcp_efficiency,
         Proto::Udp => spec.nic.udp_efficiency,
-    };
-    let (src, dst) = match pair {
-        Pair::DellToDell => (
-            rooms.topo.add_host(rooms.dell_room, dell.nic.line_rate_bps, eff(dell)),
-            rooms.topo.add_host(rooms.dell_room, dell.nic.line_rate_bps, eff(dell)),
-        ),
-        Pair::DellToEdison => (
-            rooms.topo.add_host(rooms.dell_room, dell.nic.line_rate_bps, eff(dell)),
-            rooms.topo.add_host(rooms.edison_room, edison.nic.line_rate_bps, eff(edison)),
-        ),
-        Pair::EdisonToEdison => (
-            rooms.topo.add_host(rooms.edison_room, edison.nic.line_rate_bps, eff(edison)),
-            rooms.topo.add_host(rooms.edison_room, edison.nic.line_rate_bps, eff(edison)),
-        ),
-    };
-    let (path, latency) = rooms.topo.path(src, dst);
-    let t0 = SimTime::ZERO;
-    let net = rooms.topo.network_mut();
-    net.start_flow(t0, 1, bytes as f64, path.to_vec(), f64::INFINITY);
-    let done = match net.next_completion(t0) {
-        Some((_, done)) => done,
-        // A just-started flow always schedules a completion; the only way
-        // to get none is a zero-byte transfer, which finishes instantly.
-        None => t0,
-    };
-    net.take_finished(done);
-    let seconds = (done + latency).as_secs_f64();
+    });
+    let (path, latency) = topo.path(src, dst);
+    let transfer = topo.gauge_mut().begin_transfer(&path, bytes as f64);
+    let seconds = (transfer + latency).as_secs_f64();
     IperfResult {
         pair,
         proto,
@@ -80,22 +76,8 @@ pub fn iperf(pair: Pair, proto: Proto, bytes: u64, edison: &ServerSpec, dell: &S
 
 /// Ping RTT between a pair, milliseconds.
 pub fn ping_rtt_ms(pair: Pair, edison: &ServerSpec, dell: &ServerSpec) -> f64 {
-    let mut rooms = TwoRooms::new();
-    let (src, dst) = match pair {
-        Pair::DellToDell => (
-            rooms.topo.add_host(rooms.dell_room, dell.nic.line_rate_bps, 1.0),
-            rooms.topo.add_host(rooms.dell_room, dell.nic.line_rate_bps, 1.0),
-        ),
-        Pair::DellToEdison => (
-            rooms.topo.add_host(rooms.dell_room, dell.nic.line_rate_bps, 1.0),
-            rooms.topo.add_host(rooms.edison_room, edison.nic.line_rate_bps, 1.0),
-        ),
-        Pair::EdisonToEdison => (
-            rooms.topo.add_host(rooms.edison_room, edison.nic.line_rate_bps, 1.0),
-            rooms.topo.add_host(rooms.edison_room, edison.nic.line_rate_bps, 1.0),
-        ),
-    };
-    rooms.topo.rtt(src, dst).as_millis_f64()
+    let (topo, src, dst) = pair_hosts(pair, edison, dell, |_| 1.0);
+    topo.rtt(src, dst).as_millis_f64()
 }
 
 #[cfg(test)]

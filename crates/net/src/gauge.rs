@@ -1,12 +1,9 @@
-//! Snapshot-rate link gauge — the cheap sibling of [`crate::Network`].
+//! Snapshot-rate link gauge: the network model of every simulated world.
 //!
-//! The exact max-min solver recomputes every flow's rate on every mutation
-//! (O(links × flows)). Both simulated worlds use this gauge instead: the
-//! web experiments keep thousands of small reply transfers per second in
-//! flight, and MapReduce's shuffle fetches go through the same
-//! `LinkGauge::mirror` of the topology. The solver serves the §4.4 iperf
-//! run and is the reference the tests below compare against. The gauge
-//! *freezes each flow's rate at start time*:
+//! [`crate::Topology`] keeps its links here, and the web replies and
+//! MapReduce shuffle fetches admit their transfers through
+//! `Topology::gauge_mut`. The gauge *freezes each flow's rate at start
+//! time*:
 //!
 //! ```text
 //! rate = min over path links of  capacity_l / (active_l + 1)
@@ -16,15 +13,21 @@
 //! other flows come and go, so completions never need invalidation — a flow
 //! is scheduled once. Under heavy load the snapshot rate systematically
 //! reflects contention at admission, which is what drives the paper's
-//! delay-vs-load curves (Figures 7–9).
+//! delay-vs-load curves (Figures 7–9). A lone transfer on an idle fabric
+//! runs at its path's bottleneck capacity, which is all the §4.4 iperf run
+//! needs.
 //!
-//! The price is accuracy: for staggered equal flows on one link the
-//! snapshot makespan never falls below the exact max-min one and overshoots
-//! it by at most 10 % (about 9 %, 2 % and 1 % for 10, 50 and 100 flows; see
-//! the tests).
+//! The price is accuracy against exact max-min sharing: for staggered
+//! equal flows on one link the snapshot makespan never falls below the
+//! exact one and overshoots it by at most 10 % (about 9 %, 2 % and 1 % for
+//! 10, 50 and 100 flows; see the tests, whose exact reference is a
+//! processor-sharing `FluidResource`, i.e. max-min on one link).
 
-use crate::network::LinkId;
 use edison_simcore::time::SimDuration;
+
+/// Index of a directed link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct LinkId(pub usize);
 
 /// Per-link active-flow counters with frozen-rate admission. See module docs.
 #[derive(Debug, Clone, Default)]
@@ -39,26 +42,14 @@ impl LinkGauge {
         Self::default()
     }
 
-    /// Mirror a link (same ids as the [`crate::Topology`] that created it).
+    /// Add a directed link with `capacity_bps` **bits**/second line rate and
+    /// a goodput efficiency factor (TCP ≈ 0.94 per the paper's iperf runs).
+    /// Returns its id. Capacity is stored in bytes/second of goodput.
     pub fn add_link_bps(&mut self, capacity_bps: f64, efficiency: f64) -> LinkId {
         assert!(capacity_bps > 0.0 && efficiency > 0.0 && efficiency <= 1.0);
         self.caps.push(capacity_bps * efficiency / 8.0);
         self.active.push(0);
         LinkId(self.caps.len() - 1)
-    }
-
-    /// Build a gauge mirroring every link of an existing exact network.
-    pub fn mirror(net: &crate::Network) -> Self {
-        let mut g = LinkGauge::new();
-        for i in 0.. {
-            let l = LinkId(i);
-            if i >= net.link_count() {
-                break;
-            }
-            g.caps.push(net.link_capacity(l));
-            g.active.push(0);
-        }
-        g
     }
 
     /// Admit a flow over `path`; returns its frozen rate (bytes/s).
@@ -99,38 +90,32 @@ impl LinkGauge {
     pub fn active_on(&self, l: LinkId) -> u32 {
         self.active[l.0]
     }
-
-    /// Instantaneous "pressure" on a link: active flows × unit demand over
-    /// capacity; ≥ 1.0 means the link is saturated under the snapshot model.
-    pub fn pressure(&self, l: LinkId, per_flow_demand: f64) -> f64 {
-        self.active[l.0] as f64 * per_flow_demand / self.caps[l.0]
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Network;
+    use edison_simcore::fluid::FluidResource;
     use edison_simcore::time::SimTime;
 
     /// Makespan of `n` flows of 100 kB, one every 10 ms, over one 1 MB/s
-    /// link under the exact max-min solver.
+    /// link under exact max-min sharing: on a single link that is
+    /// processor sharing.
     fn exact_makespan(n: u64) -> f64 {
-        let mut net = Network::new();
-        let link = net.add_link_bytes(1e6);
+        let mut link = FluidResource::new(1e6, f64::INFINITY);
         let mut now = SimTime::ZERO;
         for f in 0..n {
             let arrival = SimTime::from_secs_f64(0.01 * f as f64);
-            while let Some((_, at)) = net.next_completion(now).filter(|&(_, at)| at <= arrival) {
+            while let Some((_, at)) = link.next_completion(now).filter(|&(_, at)| at <= arrival) {
                 now = at;
-                net.take_finished(now);
+                link.take_finished(now);
             }
             now = arrival;
-            net.start_flow(now, f, 1e5, vec![link], f64::INFINITY);
+            link.add(now, f, 1e5);
         }
-        while let Some((_, at)) = net.next_completion(now) {
+        while let Some((_, at)) = link.next_completion(now) {
             now = at;
-            net.take_finished(now);
+            link.take_finished(now);
         }
         now.as_secs_f64()
     }

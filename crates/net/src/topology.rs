@@ -1,4 +1,5 @@
-//! The testbed topology of the paper, as a thin layer over [`Network`].
+//! The testbed topology of the paper; its links live in the [`LinkGauge`] it
+//! owns.
 //!
 //! * every **host** gets a full-duplex pair of NIC links (up = egress,
 //!   down = ingress) at its line rate;
@@ -10,7 +11,7 @@
 //! * one-way propagation latencies are per group pair, from the paper's
 //!   ping round trips.
 
-use crate::network::{LinkId, Network};
+use crate::gauge::{LinkGauge, LinkId};
 use edison_simcore::time::SimDuration;
 use std::ops::Deref;
 
@@ -62,7 +63,7 @@ impl Deref for Path {
 /// A grouped-star topology with per-pair latencies. See module docs.
 #[derive(Debug, Clone, Default)]
 pub struct Topology {
-    net: Network,
+    gauge: LinkGauge,
     hosts: Vec<Host>,
     /// One-way latency within a group, indexed by [`GroupId`].
     intra_latency: Vec<SimDuration>,
@@ -93,8 +94,8 @@ impl Topology {
     /// goodput efficiency.
     pub fn add_host(&mut self, group: GroupId, nic_bps: f64, efficiency: f64) -> HostId {
         assert!(group.0 < self.intra_latency.len(), "unknown group");
-        let up = self.net.add_link_bps(nic_bps, efficiency);
-        let down = self.net.add_link_bps(nic_bps, efficiency);
+        let up = self.gauge.add_link_bps(nic_bps, efficiency);
+        let down = self.gauge.add_link_bps(nic_bps, efficiency);
         self.hosts.push(Host { group, up, down });
         HostId(self.hosts.len() - 1)
     }
@@ -109,8 +110,8 @@ impl Topology {
         efficiency: f64,
         one_way_latency: SimDuration,
     ) {
-        let ab = self.net.add_link_bps(capacity_bps, efficiency);
-        let ba = self.net.add_link_bps(capacity_bps, efficiency);
+        let ab = self.gauge.add_link_bps(capacity_bps, efficiency);
+        let ba = self.gauge.add_link_bps(capacity_bps, efficiency);
         self.interconnect[a.0][b.0] = Some((ab, one_way_latency));
         self.interconnect[b.0][a.0] = Some((ba, one_way_latency));
     }
@@ -156,17 +157,12 @@ impl Topology {
         l + l
     }
 
-    /// The underlying fluid network.
-    pub fn network(&self) -> &Network {
-        &self.net
+    /// The links' gauge, for admitting and releasing transfers.
+    pub fn gauge_mut(&mut self) -> &mut LinkGauge {
+        &mut self.gauge
     }
 
-    /// Mutable access to the underlying fluid network (flow start/finish).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
-    }
-
-    /// The egress link of a host (for utilisation metrics).
+    /// The egress link of a host.
     pub fn uplink(&self, h: HostId) -> LinkId {
         self.hosts[h.0].up
     }
@@ -223,7 +219,6 @@ impl Default for TwoRooms {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edison_simcore::time::SimTime;
 
     #[test]
     fn intra_group_path_uses_two_links() {
@@ -264,31 +259,53 @@ mod tests {
         let a = rooms.topo.add_host(rooms.edison_room, 100e6, 0.939);
         let b = rooms.topo.add_host(rooms.edison_room, 100e6, 0.939);
         let (path, _) = rooms.topo.path(a, b);
-        let t0 = SimTime::ZERO;
-        rooms.topo.network_mut().start_flow(t0, 1, 1e9, path.to_vec(), f64::INFINITY);
-        let (_, at) = rooms.topo.network_mut().next_completion(t0).unwrap();
+        let took = rooms.topo.gauge_mut().begin_transfer(&path, 1e9);
         // 1 GB at 93.9 Mbit/s ≈ 85 s — matches the iperf result shape
-        assert!((at.as_secs_f64() - 85.2).abs() < 0.2);
+        assert!((took.as_secs_f64() - 85.2).abs() < 0.2, "took {took:?}");
     }
 
     #[test]
     fn interroom_uplink_caps_aggregate() {
         // 24 Edison hosts each sending to a Dell-room client share 1 Gbps:
-        // each gets ~41.7 Mbit/s of the uplink — below their NIC rate.
+        // past the tenth admission the uplink share drops below the NIC
+        // rate, and the 24th flow gets ~39 Mbit/s of it.
         let mut rooms = TwoRooms::new();
-        let mut flows = vec![];
-        for i in 0..24 {
+        let mut paths = vec![];
+        for _ in 0..24 {
             let e = rooms.topo.add_host(rooms.edison_room, 100e6, 0.939);
             let c = rooms.topo.add_host(rooms.dell_room, 1e9, 0.942);
-            flows.push((i as u64, rooms.topo.path(e, c).0));
+            paths.push(rooms.topo.path(e, c).0);
         }
-        let t0 = SimTime::ZERO;
-        for (id, path) in flows {
-            rooms.topo.network_mut().start_flow(t0, id, 1e9, path.to_vec(), f64::INFINITY);
+        // the k-th admission is frozen at min(NIC, uplink / k)
+        let (nic, uplink) = (100e6 * 0.939 / 8.0, 1e9 * 0.942 / 8.0);
+        for (k, path) in (1..).zip(&paths) {
+            let rate = rooms.topo.gauge_mut().begin(path);
+            let want = f64::min(nic, uplink / f64::from(k));
+            assert!((rate - want).abs() / want < 1e-12, "flow {k}: rate {rate} vs {want}");
         }
-        let rate = rooms.topo.network().flow_rate(0);
-        let uplink_share = 1e9 * 0.942 / 8.0 / 24.0;
-        assert!((rate - uplink_share).abs() / uplink_share < 1e-6, "rate {rate}");
+    }
+
+    #[test]
+    fn bits_to_bytes_conversion_matches_iperf() {
+        // Each link holds bps × efficiency / 8 bytes/s of goodput (the
+        // iperf rate), which a lone flow on the idle link gets in full.
+        let mut rooms = TwoRooms::new();
+        // the paper's Edison NIC: 100 Mbps at 93.9 % TCP efficiency
+        let e = rooms.topo.add_host(rooms.edison_room, 100e6, 0.939);
+        let d = rooms.topo.add_host(rooms.dell_room, 1e9, 0.942);
+        let uplink = rooms.topo.interconnect(rooms.edison_room, rooms.dell_room).0;
+        let links = [
+            (rooms.topo.uplink(e), 100e6 * 0.939),
+            (rooms.topo.downlink(e), 100e6 * 0.939),
+            (rooms.topo.uplink(d), 1e9 * 0.942),
+            (rooms.topo.downlink(d), 1e9 * 0.942),
+            (uplink, 1e9 * 0.942),
+        ];
+        let gauge = rooms.topo.gauge_mut();
+        for (l, goodput_bps) in links {
+            assert_eq!(gauge.begin(&[l]), goodput_bps / 8.0, "{l:?}");
+            gauge.end(&[l]);
+        }
     }
 
     /// A populated two-room fabric: three Edison and four Dell-room hosts.

@@ -4,8 +4,9 @@
 //! The index answers two kinds of questions that single-file passes
 //! cannot:
 //!
-//! * **Field types** — `self.flows` is a `BTreeMap<FlowId, Flow>` because
-//!   the `Network` struct in the same crate says so ([`Index::field_ty`]).
+//! * **Field types** — `self.gauges` is a `BTreeMap<(&'static str, Labels),
+//!   f64>` because the `Registry` struct in the same crate says so
+//!   ([`Index::field_ty`]).
 //! * **Trait roles** — which types implement `Experiment`, so the taint
 //!   analysis knows whose `run` return values are exported artefacts
 //!   ([`Index::is_experiment_impl`]).
@@ -173,7 +174,7 @@ mod tests {
 
     #[test]
     fn crate_names_resolve() {
-        assert_eq!(crate_of("crates/net/src/network.rs"), "net");
+        assert_eq!(crate_of("crates/net/src/gauge.rs"), "net");
         assert_eq!(crate_of("src/lib.rs"), "root");
         assert_eq!(crate_of("tests/simlint_gate.rs"), "root");
     }

@@ -137,7 +137,7 @@ mod tests {
         assert!(is_testish("crates/bench/benches/kernel.rs"));
         assert!(is_testish("examples/quickstart.rs"));
         assert!(is_testish("tests/headline_results.rs"));
-        assert!(!is_testish("crates/net/src/network.rs"));
+        assert!(!is_testish("crates/net/src/gauge.rs"));
         assert!(!is_testish("src/lib.rs"));
     }
 

@@ -16,7 +16,7 @@ use edison_cluster::node::AdmitError;
 use edison_cluster::{Cluster, NodeId};
 use edison_hw::{calib, presets};
 use edison_net::topology::TwoRooms;
-use edison_net::{HostId, LinkGauge, Topology};
+use edison_net::{HostId, Topology};
 use edison_simcore::rng::SimRng;
 use edison_simcore::stats::{Histogram, SampleSet, TimeSeries};
 use edison_simcore::time::{SimDuration, SimTime};
@@ -433,7 +433,6 @@ pub struct WebWorld {
     pub(crate) nodes: Cluster,
     pub(crate) dbc: Cluster,
     pub(crate) topo: Topology,
-    pub(crate) gauge: LinkGauge,
     pub(crate) node_hosts: Vec<HostId>,
     pub(crate) db_hosts: Vec<HostId>,
     pub(crate) client_hosts: Vec<HostId>,
@@ -630,7 +629,6 @@ impl WebWorld {
         let client_hosts: Vec<HostId> = (0..cfg.clients)
             .map(|_| topo.add_host(rooms.dell_room, 1.0e9, 0.942))
             .collect();
-        let gauge = LinkGauge::mirror(topo.network());
 
         // PHP worker pools + memory + LB weights, per node platform
         let mut workers = Vec::new();
@@ -736,7 +734,6 @@ impl WebWorld {
             nodes,
             dbc,
             topo,
-            gauge,
             node_hosts,
             db_hosts,
             client_hosts,
@@ -1589,7 +1586,7 @@ impl WebWorld {
         };
         let client_host = self.client_hosts[conn.client];
         let (path, lat) = self.topo.path(self.node_hosts[web], client_host);
-        let dur = self.gauge.begin_transfer(&path, (bytes + HEADER_BYTES) as f64);
+        let dur = self.topo.gauge_mut().begin_transfer(&path, (bytes + HEADER_BYTES) as f64);
         let m = self.nic_lat[web];
         ctx.schedule_at(now + lat.mul_f64(m) + dur.mul_f64(m), Ev::ReplyAtClient { req: req_id });
     }
@@ -1624,7 +1621,7 @@ impl WebWorld {
         let m = self.nic_lat[web] * self.nic_lat[cache_node];
         if hit {
             let bytes = db::reply_bytes_for(key) + HEADER_BYTES;
-            let dur = self.gauge.begin_transfer(&path, bytes as f64);
+            let dur = self.topo.gauge_mut().begin_transfer(&path, bytes as f64);
             ctx.schedule_at(
                 now + lat.mul_f64(m) + dur.mul_f64(m),
                 Ev::CacheReplyAtWeb { req: req_id, hit: true },
@@ -1647,7 +1644,7 @@ impl WebWorld {
             let (path, _) = self
                 .topo
                 .path(self.node_hosts[self.n_web() + cache], self.node_hosts[web]);
-            self.gauge.end(&path);
+            self.topo.gauge_mut().end(&path);
             if self.dead[web] {
                 self.drop_req_on_dead_node(req_id, now, ctx);
                 return;
@@ -1730,7 +1727,7 @@ impl WebWorld {
             None => return,
         };
         let (path, lat) = self.topo.path(self.db_hosts[db_node], self.node_hosts[web]);
-        let dur = self.gauge.begin_transfer(&path, (bytes + HEADER_BYTES) as f64);
+        let dur = self.topo.gauge_mut().begin_transfer(&path, (bytes + HEADER_BYTES) as f64);
         let m = self.nic_lat[web];
         ctx.schedule_at(now + lat.mul_f64(m) + dur.mul_f64(m), Ev::DbReplyAtWeb { req: req_id });
     }
@@ -1743,7 +1740,7 @@ impl WebWorld {
             None => return,
         };
         let (path, _) = self.topo.path(self.db_hosts[db_node], self.node_hosts[web]);
-        self.gauge.end(&path);
+        self.topo.gauge_mut().end(&path);
         if self.dead[web] {
             self.drop_req_on_dead_node(req_id, now, ctx);
             return;
@@ -1801,7 +1798,7 @@ impl WebWorld {
         }
         let client_host = self.client_hosts[r.client];
         let (path, _) = self.topo.path(self.node_hosts[r.web], client_host);
-        self.gauge.end(&path);
+        self.topo.gauge_mut().end(&path);
         let (t_first_syn, calls_left, web) = match self.conns.get_mut(&r.conn) {
             Some(conn) => {
                 conn.calls_left -= 1;
