@@ -39,8 +39,6 @@ pub struct Node {
     mem_used: u64,
     connections: u32,
     power: StepIntegrator,
-    /// Peak concurrent connections observed (diagnostics).
-    peak_connections: u32,
 }
 
 impl Node {
@@ -58,7 +56,6 @@ impl Node {
             accept_bucket,
             connections: 0,
             power: StepIntegrator::new(SimTime::ZERO, idle_power),
-            peak_connections: 0,
             cpu,
             spec,
         }
@@ -193,7 +190,6 @@ impl Node {
             return Err(AdmitError::AcceptOverrun);
         }
         self.connections += 1;
-        self.peak_connections = self.peak_connections.max(self.connections);
         Ok(())
     }
 
@@ -203,8 +199,8 @@ impl Node {
         self.connections = self.connections.saturating_sub(1);
     }
 
-    /// Drop every open connection — a reboot after a crash fault. Peak
-    /// diagnostics survive; the fd table starts empty.
+    /// Drop every open connection — a reboot after a crash fault: the fd
+    /// table starts empty.
     pub fn reset_connections(&mut self) {
         self.connections = 0;
     }
@@ -212,11 +208,6 @@ impl Node {
     /// Open connections right now.
     pub fn connections(&self) -> u32 {
         self.connections
-    }
-
-    /// Peak concurrent connections seen.
-    pub fn peak_connections(&self) -> u32 {
-        self.peak_connections
     }
 
     // ---- Power --------------------------------------------------------
@@ -337,7 +328,7 @@ mod tests {
         assert_eq!(n.try_accept(t(0.0)), Err(AdmitError::TooManyConnections));
         n.close_connection();
         assert!(n.try_accept(t(0.0)).is_ok());
-        assert_eq!(n.peak_connections(), 2);
+        assert_eq!(n.connections(), 2);
     }
 
     #[test]

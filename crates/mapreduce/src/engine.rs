@@ -390,12 +390,16 @@ struct MrWorld {
     /// Observed recovery windows: restart applied → re-localised (the
     /// interval simexplore probes with follow-up faults).
     recovery_windows: Vec<RecoveryWindow>,
-    /// Guard layer (cached [`GuardConfig::is_active`]): per-worker
-    /// breakers on RM dispatch plus per-attempt deadline accounting.
-    /// Everything below is inert when false.
+    /// Cached [`GuardConfig::is_active`]: gates only the guard help text
+    /// in telemetry. The breakers and the deadline check below decide
+    /// behaviour from their own zero values.
     guard_on: bool,
-    /// Per-worker circuit breaker (empty when breakers are off).
+    /// Per-worker circuit breaker on RM dispatch (threshold 0 = always
+    /// passes).
     brk: Vec<CircuitBreaker>,
+    /// Per-worker breaker verdict of the heartbeat in progress, reused
+    /// across heartbeats; read by [`MrWorld::node_capacity`].
+    brk_verdict: Vec<BreakerVerdict>,
     guard_breaker_trips: u32,
     guard_deadline_miss: u32,
     /// Last task-phase transition (stall detection).
@@ -480,18 +484,14 @@ impl MrWorld {
             LivenessTracker::new(setup.workers, SimDuration::from_secs_f64(setup.liveness_timeout_s));
         let workers = setup.workers;
         let guard_on = setup.guard.is_active();
-        let brk = if setup.guard.breaker_threshold > 0 {
-            vec![
-                CircuitBreaker::new(
-                    setup.guard.breaker_threshold,
-                    setup.guard.breaker_cooldown,
-                    setup.guard.breaker_probes,
-                );
-                workers
-            ]
-        } else {
-            Vec::new()
-        };
+        let brk = vec![
+            CircuitBreaker::new(
+                setup.guard.breaker_threshold,
+                setup.guard.breaker_cooldown,
+                setup.guard.breaker_probes,
+            );
+            workers
+        ];
         MrWorld {
             profile,
             setup,
@@ -534,6 +534,7 @@ impl MrWorld {
             recovery_windows: Vec::new(),
             guard_on,
             brk,
+            brk_verdict: vec![BreakerVerdict::Pass; workers],
             guard_breaker_trips: 0,
             guard_deadline_miss: 0,
             last_progress: SimTime::ZERO,
@@ -655,7 +656,7 @@ impl MrWorld {
         for lost in self.liveness.sweep(now) {
             self.nodes_lost += 1;
             self.tel.counter_inc(fault_metrics::NODE_LOST_TOTAL, &[("tier", "mapreduce")]);
-            if !self.brk.is_empty() && self.brk[lost].record_failure(now) {
+            if self.brk[lost].record_failure(now) {
                 self.guard_breaker_trips += 1;
                 self.note_brk_transition(lost);
             }
@@ -698,20 +699,13 @@ impl MrWorld {
         // breaker verdicts per worker (lazily advances open → half-open):
         // an open breaker offers the scheduler no capacity, a half-open
         // one at most a single probe container
-        let verdicts: Vec<BreakerVerdict> = if self.brk.is_empty() {
-            Vec::new()
-        } else {
-            (0..self.setup.workers)
-                .map(|i| {
-                    let before = self.brk[i].state();
-                    let v = self.brk[i].check(now);
-                    if self.brk[i].state() != before {
-                        self.note_brk_transition(i);
-                    }
-                    v
-                })
-                .collect()
-        };
+        for i in 0..self.setup.workers {
+            let before = self.brk[i].state();
+            self.brk_verdict[i] = self.brk[i].check(now);
+            if self.brk[i].state() != before {
+                self.note_brk_transition(i);
+            }
+        }
         // capacity gate: every grant needs `fits(mem)`, which is monotone
         // in `mem`, so when no node fits the smallest container a pending
         // task could ask for, nothing is granted and the pending × nodes
@@ -722,7 +716,7 @@ impl MrWorld {
             self.profile.map_container
         };
         if !(0..self.setup.workers)
-            .any(|i| self.node_capacity(i, verdicts.get(i).copied()).fits(smallest))
+            .any(|i| self.node_capacity(i).fits(smallest))
         {
             return;
         }
@@ -740,7 +734,7 @@ impl MrWorld {
             })
             .collect();
         let mut capacity: Vec<NodeCapacity> = (0..self.setup.workers)
-            .map(|i| self.node_capacity(i, verdicts.get(i).copied()))
+            .map(|i| self.node_capacity(i))
             .collect();
         // Hadoop's reduce ramp-up: while maps are pending, running reduce
         // containers may hold at most half the cluster's memory.
@@ -775,7 +769,7 @@ impl MrWorld {
                     self.first_reduce = Some(now);
                 }
             }
-            let probe = !self.brk.is_empty() && self.brk[node].state() == BreakerState::HalfOpen;
+            let probe = self.brk[node].state() == BreakerState::HalfOpen;
             if probe {
                 self.brk[node].begin_probe();
             }
@@ -804,8 +798,8 @@ impl MrWorld {
     /// Free capacity of worker `i` as the scheduler sees it: nothing
     /// before job localisation or once the RM declared the node lost,
     /// nothing behind an open breaker and at most one probe container
-    /// behind a half-open one.
-    fn node_capacity(&self, i: usize, verdict: Option<BreakerVerdict>) -> NodeCapacity {
+    /// behind a half-open one (this heartbeat's `brk_verdict`).
+    fn node_capacity(&self, i: usize) -> NodeCapacity {
         let node = self.nodes.node(NodeId(i));
         let used_beyond_base = node.mem_used() - node.spec().os.base_memory;
         let mut free = if self.node_ready[i] && !self.liveness.is_lost(i) {
@@ -813,12 +807,12 @@ impl MrWorld {
         } else {
             0 // not localised yet, or declared lost by the RM
         };
-        match verdict {
-            Some(BreakerVerdict::Reject) => free = 0,
-            Some(BreakerVerdict::Probe) => {
+        match self.brk_verdict[i] {
+            BreakerVerdict::Reject => free = 0,
+            BreakerVerdict::Probe => {
                 free = free.min(self.profile.map_container.max(self.profile.reduce_container));
             }
-            _ => {}
+            BreakerVerdict::Pass => {}
         }
         NodeCapacity {
             free_mem: free,
@@ -894,9 +888,6 @@ impl MrWorld {
     /// was one) and record the success — one successful probe closes a
     /// half-open breaker.
     fn guard_task_done(&mut self, task: usize, node: usize) {
-        if self.brk.is_empty() {
-            return;
-        }
         if self.tasks[task].probe {
             self.tasks[task].probe = false;
             self.brk[node].end_probe();
@@ -910,10 +901,8 @@ impl MrWorld {
 
     /// Per-attempt deadline accounting: the logical task just completed;
     /// was its winning attempt inside the configured budget?
+    /// (`Budget::ZERO`, deadlines off, derives no deadline.)
     fn guard_deadline_check(&mut self, task: usize, now: SimTime) {
-        if !self.guard_on {
-            return;
-        }
         let started = self.tasks[task].started;
         if self.setup.guard.deadline.deadline_from(started).is_some_and(|d| d.passed(now)) {
             self.guard_deadline_miss += 1;
@@ -1431,9 +1420,7 @@ impl MrWorld {
                 // the probe died with the node; free its slot (the
                 // breaker reopens via the node-lost failure)
                 self.tasks[t].probe = false;
-                if !self.brk.is_empty() {
-                    self.brk[node].end_probe();
-                }
+                self.brk[node].end_probe();
             }
             if !is_map {
                 self.running_reduce_mem =

@@ -87,7 +87,8 @@ impl LinkGauge {
     }
 
     /// Flows currently crossing a link.
-    pub fn active_on(&self, l: LinkId) -> u32 {
+    #[cfg(test)]
+    fn active_on(&self, l: LinkId) -> u32 {
         self.active[l.0]
     }
 }

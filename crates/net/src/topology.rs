@@ -163,17 +163,20 @@ impl Topology {
     }
 
     /// The egress link of a host.
-    pub fn uplink(&self, h: HostId) -> LinkId {
+    #[cfg(test)]
+    fn uplink(&self, h: HostId) -> LinkId {
         self.hosts[h.0].up
     }
 
     /// The ingress link of a host.
-    pub fn downlink(&self, h: HostId) -> LinkId {
+    #[cfg(test)]
+    fn downlink(&self, h: HostId) -> LinkId {
         self.hosts[h.0].down
     }
 
     /// The group a host belongs to.
-    pub fn group_of(&self, h: HostId) -> GroupId {
+    #[cfg(test)]
+    fn group_of(&self, h: HostId) -> GroupId {
         self.hosts[h.0].group
     }
 }

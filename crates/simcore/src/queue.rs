@@ -23,12 +23,6 @@ pub struct FcfsQueue {
     waiting: VecDeque<(JobId, SimDuration)>,
     /// Completed-job count, for throughput metrics.
     completed: u64,
-    /// Σ service time actually dispatched, for utilisation metrics.
-    dispatched_service: SimDuration,
-    /// Peak queue length observed.
-    peak_waiting: usize,
-    /// Peak system depth (in service + waiting) observed.
-    peak_depth: usize,
 }
 
 impl FcfsQueue {
@@ -40,9 +34,6 @@ impl FcfsQueue {
             busy: 0,
             waiting: VecDeque::new(),
             completed: 0,
-            dispatched_service: SimDuration::ZERO,
-            peak_waiting: 0,
-            peak_depth: 0,
         }
     }
 
@@ -56,68 +47,22 @@ impl FcfsQueue {
         self.waiting.len()
     }
 
-    /// Greatest queue length seen so far.
-    pub fn peak_queued(&self) -> usize {
-        self.peak_waiting
-    }
-
-    /// Total jobs in the system right now: in service plus waiting. This is
-    /// the value a queue-depth gauge should export; it counts a cancelled
-    /// waiter exactly zero times (see
-    /// [`cancel_waiting`](Self::cancel_waiting)).
-    pub fn depth(&self) -> usize {
-        self.busy + self.waiting.len()
-    }
-
-    /// Greatest [`depth`](Self::depth) seen so far.
-    pub fn peak_depth(&self) -> usize {
-        self.peak_depth
-    }
-
-    /// Retract a job that is still **waiting** (not yet dispatched to a
-    /// server). Returns `true` if the job was found and removed.
-    ///
-    /// Depth accounting is exact: a cancelled waiter leaves
-    /// [`queued`](Self::queued) / [`depth`](Self::depth) immediately, never
-    /// reaches a server, and never counts toward
-    /// [`completed`](Self::completed) or
-    /// [`dispatched_service`](Self::dispatched_service). Without this, a
-    /// model that abandons queued work (a timed-out request retracting its
-    /// disk read) would leave the depth gauge permanently inflated — the
-    /// drift that made any depth metric a lie. In-service jobs cannot be
-    /// cancelled here; their completion event is already on the heap, and the
-    /// kernel's epoch-tombstone convention (see `engine` docs) handles those.
-    pub fn cancel_waiting(&mut self, job: JobId) -> bool {
-        let before = self.waiting.len();
-        self.waiting.retain(|&(j, _)| j != job);
-        before != self.waiting.len()
-    }
-
     /// Jobs fully served so far.
     pub fn completed(&self) -> u64 {
         self.completed
-    }
-
-    /// Σ service time dispatched to servers so far.
-    pub fn dispatched_service(&self) -> SimDuration {
-        self.dispatched_service
     }
 
     /// Submit a job needing `service` time. If a server is free the job
     /// starts immediately and its completion time is returned for
     /// scheduling; otherwise it waits and `None` is returned.
     pub fn submit(&mut self, now: SimTime, job: JobId, service: SimDuration) -> Option<(JobId, SimTime)> {
-        let out = if self.busy < self.servers {
+        if self.busy < self.servers {
             self.busy += 1;
-            self.dispatched_service += service;
             Some((job, now + service))
         } else {
             self.waiting.push_back((job, service));
-            self.peak_waiting = self.peak_waiting.max(self.waiting.len());
             None
-        };
-        self.peak_depth = self.peak_depth.max(self.depth());
-        out
+        }
     }
 
     /// Record the completion of an in-service job. If another job was
@@ -130,7 +75,6 @@ impl FcfsQueue {
         self.completed += 1;
         if let Some((job, service)) = self.waiting.pop_front() {
             // The finishing server immediately takes the next job.
-            self.dispatched_service += service;
             Some((job, now + service))
         } else {
             self.busy -= 1;
@@ -198,69 +142,5 @@ mod tests {
             }
         }
         assert_eq!(order, (11..20).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn peak_queue_tracked() {
-        let mut q = FcfsQueue::new(1);
-        q.submit(t(0), 1, d(5));
-        q.submit(t(0), 2, d(5));
-        q.submit(t(0), 3, d(5));
-        assert_eq!(q.peak_queued(), 2);
-        q.complete(t(5));
-        assert_eq!(q.peak_queued(), 2);
-    }
-
-    #[test]
-    fn dispatched_service_accumulates() {
-        let mut q = FcfsQueue::new(1);
-        q.submit(t(0), 1, d(3));
-        q.submit(t(0), 2, d(4));
-        q.complete(t(3));
-        assert_eq!(q.dispatched_service(), d(7));
-    }
-
-    #[test]
-    fn cancel_waiting_decrements_depth() {
-        let mut q = FcfsQueue::new(1);
-        q.submit(t(0), 1, d(5));
-        q.submit(t(0), 2, d(5));
-        q.submit(t(0), 3, d(5));
-        assert_eq!(q.depth(), 3);
-        assert!(q.cancel_waiting(2));
-        assert_eq!(q.depth(), 2, "cancelled waiter must leave the gauge");
-        assert_eq!(q.queued(), 1);
-        // job 2 never reaches a server: job 3 dispatches next.
-        assert_eq!(q.complete(t(5)), Some((3, t(10))));
-        assert_eq!(q.complete(t(10)), None);
-        assert_eq!(q.depth(), 0);
-        assert_eq!(q.completed(), 2, "cancelled job never counts as served");
-        assert_eq!(q.dispatched_service(), d(10), "cancelled service never dispatched");
-    }
-
-    #[test]
-    fn cancel_waiting_misses_unknown_and_in_service_jobs() {
-        let mut q = FcfsQueue::new(1);
-        q.submit(t(0), 1, d(5));
-        q.submit(t(0), 2, d(5));
-        assert!(!q.cancel_waiting(99), "unknown job");
-        assert!(!q.cancel_waiting(1), "in-service jobs are not cancellable here");
-        assert_eq!(q.depth(), 2);
-        assert!(q.cancel_waiting(2), "waiting job is cancellable");
-        assert_eq!(q.depth(), 1);
-    }
-
-    #[test]
-    fn peak_depth_counts_in_service_and_survives_cancel() {
-        let mut q = FcfsQueue::new(2);
-        q.submit(t(0), 1, d(5));
-        q.submit(t(0), 2, d(5));
-        q.submit(t(0), 3, d(5));
-        assert_eq!(q.peak_depth(), 3);
-        assert_eq!(q.peak_queued(), 1);
-        assert!(q.cancel_waiting(3));
-        // peak is a high-water mark; live depth reflects the cancel.
-        assert_eq!(q.peak_depth(), 3);
-        assert_eq!(q.depth(), 2);
     }
 }

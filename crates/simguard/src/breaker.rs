@@ -76,11 +76,6 @@ impl CircuitBreaker {
         self.trips
     }
 
-    /// Start of the current half-open phase, if in one.
-    pub fn half_open_since(&self) -> Option<SimTime> {
-        self.half_open_since
-    }
-
     /// One routing decision at `now`. Advances open→half-open when the
     /// cooldown has elapsed (lazy: no timer event needed).
     pub fn check(&mut self, now: SimTime) -> BreakerVerdict {
@@ -192,7 +187,8 @@ mod tests {
         assert_eq!(b.check(t(2)), BreakerVerdict::Reject, "inside cooldown");
         assert_eq!(b.check(t(3)), BreakerVerdict::Probe, "cooldown elapsed");
         assert_eq!(b.state(), BreakerState::HalfOpen);
-        assert_eq!(b.half_open_since(), Some(t(3)));
+        assert_eq!(b.record_success(), Some(t(3)), "a success closes the window opened at t=3");
+        assert_eq!(b.state(), BreakerState::Closed);
     }
 
     #[test]

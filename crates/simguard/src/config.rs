@@ -129,9 +129,10 @@ impl GuardConfig {
         }
     }
 
-    /// True when any guard feature is enabled. Everything the hosting
-    /// world does for guards — accounting, telemetry, state — must be
-    /// gated on this, so `off()` runs are byte-identical no-ops.
+    /// True when any guard feature is enabled. Behaviour needs no gate:
+    /// every part is inert at its zero value, so the hosting world runs
+    /// one path. Gate on this only the guard accounting and telemetry,
+    /// so `off()` runs export no guard series and stay byte-identical.
     pub fn is_active(&self) -> bool {
         !self.deadline.is_zero()
             || self.breaker_threshold > 0

@@ -6,8 +6,9 @@
 //! tier would run there, built so that every decision is a pure function
 //! of (configuration, sim-time, derived seed) — no wall clock, no
 //! ambient RNG, no map-iteration order — and therefore byte-identical
-//! across the legacy state-machine driver, the async lifecycle driver,
-//! and any `--jobs` level:
+//! at any `--jobs` level. Every part is inert at its zero value, so a
+//! hosting world runs one request path and [`GuardConfig::off`] needs
+//! no branch of its own:
 //!
 //! * [`Deadline`]/[`Budget`] — per-request deadline budgets that
 //!   propagate through every lifecycle stage (LB → lighttpd → PHP →

@@ -398,7 +398,7 @@ enum LbPick {
     /// Route to `web`; `probe` means a half-open probe slot was claimed.
     Backend { web: usize, probe: bool },
     /// Every backend is out of LB rotation (crashed / health-checked
-    /// out): the legacy hard client error.
+    /// out): a hard client error.
     AllDead,
     /// At least one backend is in rotation but every one of them is
     /// breaker-blocked: shed instead of erroring.
@@ -505,13 +505,18 @@ pub struct WebWorld {
     /// recording then does no string formatting or comparison.
     pub(crate) web_tracks: Vec<usize>,
     // ---- guard layer (simguard) ---------------------------------------
-    /// Cached [`GuardConfig::is_active`]: every guard side effect —
-    /// accounting, telemetry, state — is gated on this, so guards-off
-    /// runs are byte-identical to the pre-guard code path.
+    /// Cached [`GuardConfig::is_active`]. The guard parts decide
+    /// behaviour from their own zero values; this gates only the guard
+    /// accounting and telemetry (so guards-off exports carry no guard
+    /// series) and the overflow retry-instead-of-5xx policy.
     pub(crate) guard_on: bool,
-    /// One circuit breaker per web backend; empty when breakers are off
-    /// (the LB then uses the legacy pick path verbatim).
+    /// One circuit breaker per web backend (threshold 0 = always passes,
+    /// so breakers-off picks are the plain weighted stride).
     pub(crate) brk: Vec<CircuitBreaker>,
+    /// Per-backend verdict of the LB pick in progress, reused across
+    /// picks: `Reject` for a backend out of rotation or breaker-blocked,
+    /// `Probe` for one this connection may probe half-open.
+    lb_verdict: Vec<BreakerVerdict>,
     /// LB admission token bucket (disabled at rate 0).
     pub(crate) admit_bucket: TokenBucket,
     /// CoDel-style queue-delay gate fed by PHP-backlog sojourns.
@@ -714,18 +719,14 @@ impl WebWorld {
         // guard layer: every sub-feature is zero-disabled, so building
         // from the (all-zero) off() config costs nothing and does nothing
         let guard_on = cfg.guard.is_active();
-        let brk = if cfg.guard.breaker_threshold > 0 {
-            vec![
-                CircuitBreaker::new(
-                    cfg.guard.breaker_threshold,
-                    cfg.guard.breaker_cooldown,
-                    cfg.guard.breaker_probes,
-                );
-                n_web
-            ]
-        } else {
-            Vec::new()
-        };
+        let brk = vec![
+            CircuitBreaker::new(
+                cfg.guard.breaker_threshold,
+                cfg.guard.breaker_cooldown,
+                cfg.guard.breaker_probes,
+            );
+            n_web
+        ];
         let admit_bucket = TokenBucket::new(cfg.guard.admit_rate, cfg.guard.admit_burst);
         let admit_gate = QueueGate::new(cfg.guard.queue_target, cfg.guard.queue_interval);
         let brownout = Brownout::new(cfg.guard.brownout_enter, cfg.guard.brownout_exit);
@@ -772,6 +773,7 @@ impl WebWorld {
             web_tracks: Vec::new(),
             guard_on,
             brk,
+            lb_verdict: vec![BreakerVerdict::Pass; n_web],
             admit_bucket,
             admit_gate,
             brownout,
@@ -847,8 +849,8 @@ impl WebWorld {
         self.web_tracks.get(web).copied().unwrap_or_default()
     }
 
-    /// Current circuit-breaker state per web backend (empty when the
-    /// breaker is disabled). Introspection for tests and experiments.
+    /// Current circuit-breaker state per web backend (all `Closed` when
+    /// breakers are off). Introspection for tests and experiments.
     pub fn breaker_states(&self) -> Vec<BreakerState> {
         self.brk.iter().map(|b| b.state()).collect()
     }
@@ -893,59 +895,15 @@ impl WebWorld {
         }
     }
 
-    /// HAProxy smooth WRR over backends still in rotation (`dead` covers
-    /// the pre-health-check kill path; `lb_dead` the health-check
-    /// verdict). `None` when the whole tier is out.
-    fn lb_pick(&mut self) -> Option<usize> {
-        let n_web = self.n_web();
-        let total_w: f64 = (0..n_web)
-            .filter(|&i| !self.dead[i] && !self.lb_dead[i])
-            .map(|i| self.lb_weights[i])
-            .sum();
-        if total_w <= 0.0 {
-            return None;
-        }
-        // deterministic smooth WRR: golden-ratio stride through the
-        // cumulative weights spreads picks evenly at every prefix length
-        let target = (self.rr_web as f64 * 0.618_033_988_749_895).fract() * total_w;
-        self.rr_web += 1;
-        let mut web = 0;
-        let mut acc = 0.0;
-        for i in 0..n_web {
-            if self.dead[i] || self.lb_dead[i] {
-                continue;
-            }
-            acc += self.lb_weights[i];
-            web = i;
-            if target < acc {
-                break;
-            }
-        }
-        Some(web)
-    }
-
-    /// LB pick with breaker awareness. With breakers off this *is* the
-    /// legacy [`WebWorld::lb_pick`] (same stride counter, same draws);
-    /// with breakers on, open backends leave the candidate set and
-    /// half-open ones admit only probe-eligible connections.
-    fn lb_pick_any(&mut self, conn_id: u64, now: SimTime) -> LbPick {
-        if self.brk.is_empty() {
-            return match self.lb_pick() {
-                Some(web) => LbPick::Backend { web, probe: false },
-                None => LbPick::AllDead,
-            };
-        }
-        self.lb_pick_breakered(conn_id, now)
-    }
-
-    /// The breaker-aware WRR: identical golden-ratio stride over the
-    /// cumulative weights, restricted to backends whose breaker admits
-    /// this connection. A `Probe` pick claims the half-open slot.
-    fn lb_pick_breakered(&mut self, conn_id: u64, now: SimTime) -> LbPick {
+    /// HAProxy smooth WRR over the backends that admit `conn_id`: in
+    /// rotation (`dead` covers the pre-health-check kill path, `lb_dead`
+    /// the health-check verdict) and passed by their breaker, where a
+    /// half-open breaker admits only probe-eligible connections. A
+    /// `Probe` pick claims the half-open slot. With every breaker closed
+    /// (or off) this is the plain weighted stride.
+    fn lb_pick(&mut self, conn_id: u64, now: SimTime) -> LbPick {
         let n_web = self.n_web();
         let probe_ok = probe_eligible(self.cfg.seed, conn_id, self.cfg.guard.probe_ratio);
-        let mut allowed = vec![false; n_web];
-        let mut probing = vec![false; n_web];
         let mut any_alive = false;
         for i in 0..n_web {
             let alive = !self.dead[i] && !self.lb_dead[i];
@@ -957,25 +915,27 @@ impl WebWorld {
             if self.brk[i].state() != before {
                 self.note_brk_transition(i);
             }
-            let (adm, prb) = match verdict {
-                BreakerVerdict::Pass => (true, false),
-                BreakerVerdict::Probe => (probe_ok, true),
-                BreakerVerdict::Reject => (false, false),
+            self.lb_verdict[i] = match verdict {
+                BreakerVerdict::Probe if !probe_ok => BreakerVerdict::Reject,
+                _ if !alive => BreakerVerdict::Reject,
+                v => v,
             };
-            allowed[i] = alive && adm;
-            probing[i] = prb;
         }
-        let total_w: f64 =
-            (0..n_web).filter(|&i| allowed[i]).map(|i| self.lb_weights[i]).sum();
+        let total_w: f64 = (0..n_web)
+            .filter(|&i| self.lb_verdict[i] != BreakerVerdict::Reject)
+            .map(|i| self.lb_weights[i])
+            .sum();
         if total_w <= 0.0 {
             return if any_alive { LbPick::Blocked } else { LbPick::AllDead };
         }
+        // deterministic smooth WRR: golden-ratio stride through the
+        // cumulative weights spreads picks evenly at every prefix length
         let target = (self.rr_web as f64 * 0.618_033_988_749_895).fract() * total_w;
         self.rr_web += 1;
         let mut web = 0;
         let mut acc = 0.0;
-        for (i, &ok) in allowed.iter().enumerate().take(n_web) {
-            if !ok {
+        for i in 0..n_web {
+            if self.lb_verdict[i] == BreakerVerdict::Reject {
                 continue;
             }
             acc += self.lb_weights[i];
@@ -984,7 +944,7 @@ impl WebWorld {
                 break;
             }
         }
-        let probe = probing[web];
+        let probe = self.lb_verdict[web] == BreakerVerdict::Probe;
         if probe {
             self.brk[web].begin_probe();
         }
@@ -1018,9 +978,6 @@ impl WebWorld {
     /// Feed one backend failure signal (dead-node drop, overflow 5xx,
     /// fd exhaustion) into `web`'s breaker.
     fn guard_brk_failure(&mut self, web: usize, now: SimTime) {
-        if self.brk.is_empty() {
-            return;
-        }
         let before = self.brk[web].state();
         if self.brk[web].record_failure(now) {
             self.metrics.guard.breaker_trips += 1;
@@ -1033,9 +990,6 @@ impl WebWorld {
     /// Feed one backend success into `web`'s breaker; a success that
     /// closes a half-open phase reports the recovery window.
     fn guard_brk_success(&mut self, web: usize, now: SimTime) {
-        if self.brk.is_empty() {
-            return;
-        }
         let before = self.brk[web].state();
         if let Some(since) = self.brk[web].record_success() {
             self.metrics
@@ -1048,25 +1002,10 @@ impl WebWorld {
         }
     }
 
-    /// Release the half-open probe slot `conn_id` holds, if any (the
-    /// probe request reached a verdict, or the connection moved on).
-    fn guard_probe_done(&mut self, conn_id: u64) {
-        if self.brk.is_empty() {
-            return;
-        }
-        if let Some(c) = self.conns.get_mut(&conn_id) {
-            if c.probe {
-                c.probe = false;
-                let web = c.web;
-                self.brk[web].end_probe();
-            }
-        }
-    }
-
     /// A connection left the world for good: release its probe slot.
-    /// Called at every `conns.remove` site (no-op with breakers off).
+    /// Called at every `conns.remove` site.
     fn guard_conn_retired(&mut self, conn: &Conn) {
-        if conn.probe && !self.brk.is_empty() {
+        if conn.probe {
             self.brk[conn.web].end_probe();
         }
     }
@@ -1115,46 +1054,16 @@ impl WebWorld {
     }
 
     /// Everything [`open_connection`](crate::stack) did *except* the first
-    /// SYN attempt: pick a backend, a client and the call count, and
-    /// register the connection. Returns the new connection id, or `None`
-    /// when the whole web tier is out of rotation (accounted as a client
-    /// error). The first [`WebWorld::syn_attempt`] is the caller's move.
+    /// SYN attempt: the priority class (derived seed), token bucket, CoDel
+    /// queue gate, then the weighted LB pick; a picked backend gets a
+    /// client, the call count and the registered connection. Returns the
+    /// new connection id, or `None` when the connection is shed (bucket,
+    /// gate or breaker block) or the whole web tier is out of rotation
+    /// (a client error). The first [`WebWorld::syn_attempt`] is the
+    /// caller's move.
     fn open_conn_prepare(&mut self, now: SimTime) -> Option<u64> {
         let id = self.next_conn;
         self.next_conn += 1;
-        if self.guard_on {
-            return self.open_conn_prepare_guarded(id, now);
-        }
-        // HAProxy weighted round robin, health-checked around dead servers
-        let Some(web) = self.lb_pick() else {
-            // whole tier down
-            self.metrics.client_errors += 1;
-            self.tel_outcome("client_error");
-            return None;
-        };
-        let client = self.rr_client % self.client_hosts.len();
-        self.rr_client += 1;
-        let calls = self.draw_calls();
-        self.conns.insert(
-            id,
-            Conn {
-                client,
-                web,
-                calls_left: calls,
-                t_first_syn: now,
-                retries: 0,
-                class: Priority::Interactive,
-                probe: false,
-            },
-        );
-        Some(id)
-    }
-
-    /// The guarded front door: priority class (derived seed), token
-    /// bucket, CoDel queue gate, then the breaker-aware LB pick. Every
-    /// refusal is a shed, not an error — except the legacy whole-tier-down
-    /// case, which stays a client error.
-    fn open_conn_prepare_guarded(&mut self, id: u64, now: SimTime) -> Option<u64> {
         let class = class_of(self.cfg.seed, id, self.cfg.guard.shed_ratio);
         if !self.admit_bucket.try_take(now) {
             self.guard_shed_lb("lb_bucket");
@@ -1173,7 +1082,7 @@ impl WebWorld {
                 }
             }
         }
-        match self.lb_pick_any(id, now) {
+        match self.lb_pick(id, now) {
             LbPick::Backend { web, probe } => {
                 let client = self.rr_client % self.client_hosts.len();
                 self.rr_client += 1;
@@ -1189,6 +1098,7 @@ impl WebWorld {
                 None
             }
             LbPick::AllDead => {
+                // whole tier down
                 self.metrics.client_errors += 1;
                 self.tel_outcome("client_error");
                 None
@@ -1243,8 +1153,8 @@ impl WebWorld {
         if self.guard_on {
             // the request is terminal even when its connection retries
             self.guard_req_failed("dead_node");
-            self.guard_brk_failure(r.web, now);
         }
+        self.guard_brk_failure(r.web, now);
         if self.conn_retry(conn_id, now, ctx, RetryCause::Dead) {
             return;
         }
@@ -1265,9 +1175,7 @@ impl WebWorld {
         if self.dead[web] && self.cfg.retry_budget > 0 {
             // a crashed host sends no RST: the connect times out and the
             // client re-resolves through the LB (or gives up)
-            if self.guard_on {
-                self.guard_brk_failure(web, now);
-            }
+            self.guard_brk_failure(web, now);
             if self.conn_retry(conn_id, now, ctx, RetryCause::Dead) {
                 return;
             }
@@ -1313,9 +1221,7 @@ impl WebWorld {
             }
             Err(_) => {
                 // fd exhaustion → lighttpd answers 5xx on this node
-                if self.guard_on {
-                    self.guard_brk_failure(web, now);
-                }
+                self.guard_brk_failure(web, now);
                 self.metrics.server_errors += 1;
                 self.tel_outcome("server_error");
                 if let Some(c) = self.conns.remove(&conn_id) {
@@ -1345,8 +1251,7 @@ impl WebWorld {
         let db_node = self.rng.below(2) as usize;
         // the deadline budget starts when the request leaves the client;
         // Budget::ZERO (deadlines off) derives no deadline at all
-        let deadline =
-            if self.guard_on { self.cfg.guard.deadline.deadline_from(send_at) } else { None };
+        let deadline = self.cfg.guard.deadline.deadline_from(send_at);
         self.reqs.insert(
             id,
             Req {
@@ -1419,8 +1324,8 @@ impl WebWorld {
     }
 
     /// The request arrived at the web node: take a PHP worker (or queue,
-    /// or 5xx on overflow; with guards on, shed a request whose deadline
-    /// has already passed).
+    /// or 5xx on overflow — a retry with guards on; shed a request whose
+    /// deadline has already passed).
     fn admit_to_worker(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         // the target server may have died while this request was in flight
         let Some(req) = self.reqs.get(&req_id) else { return };
@@ -1430,7 +1335,7 @@ impl WebWorld {
             self.drop_req_on_dead_node(req_id, now, ctx);
             return;
         }
-        if self.guard_on && deadline.is_some_and(|d| d.passed(now)) {
+        if deadline.is_some_and(|d| d.passed(now)) {
             // already late at the front of the worker pool: shedding now
             // is strictly cheaper than timing out at full cost later
             return self.shed_request(req_id, now, ctx);
@@ -1503,26 +1408,24 @@ impl WebWorld {
         }
     }
 
-    /// Stage-1 CPU finished: issue the memcached get — or, with guards
-    /// on, degrade (skip the cache/db stage) when the deadline is blown
-    /// or the tier is in brownout and the connection is bulk-class.
+    /// Stage-1 CPU finished: issue the memcached get — or degrade (skip
+    /// the cache/db stage) when the deadline is blown or the tier is in
+    /// brownout and the connection is bulk-class.
     fn stage1_to_cache(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let Some(r) = self.reqs.get(&req_id) else { return };
         let (conn_id, deadline) = (r.conn, r.deadline);
-        if self.guard_on {
-            let reason = if deadline.is_some_and(|d| d.passed(now)) {
-                Some("deadline")
-            } else if self.brownout.active()
-                && self.conns.get(&conn_id).is_some_and(|c| c.class == Priority::Bulk)
-            {
-                Some("brownout")
-            } else {
-                None
-            };
-            if let Some(reason) = reason {
-                self.degrade_request(req_id, reason, now, ctx);
-                return;
-            }
+        let reason = if deadline.is_some_and(|d| d.passed(now)) {
+            Some("deadline")
+        } else if self.brownout.active()
+            && self.conns.get(&conn_id).is_some_and(|c| c.class == Priority::Bulk)
+        {
+            Some("brownout")
+        } else {
+            None
+        };
+        if let Some(reason) = reason {
+            self.degrade_request(req_id, reason, now, ctx);
+            return;
         }
         let Some(r) = self.reqs.get_mut(&req_id) else { return };
         r.state = ReqState::CacheRpc;
@@ -1633,11 +1536,11 @@ impl WebWorld {
     }
 
     /// The cache verdict landed back on the web node: a hit goes on to
-    /// stage-2 CPU, a miss to MySQL (or, with guards on, degrades when the
-    /// deadline cannot afford the MySQL leg).
+    /// stage-2 CPU, a miss to MySQL (or degrades when the deadline cannot
+    /// afford the MySQL leg).
     fn cache_reply_at_web(&mut self, req_id: u64, hit: bool, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let (web, cache) = match self.reqs.get(&req_id) {
-            Some(r) => (r.web, r.cache),
+        let (web, cache, deadline) = match self.reqs.get(&req_id) {
+            Some(r) => (r.web, r.cache, r.deadline),
             None => return,
         };
         if hit {
@@ -1651,16 +1554,13 @@ impl WebWorld {
             }
             self.begin_stage2(req_id, now, ctx);
         } else {
-            if self.guard_on {
-                // a miss means a MySQL round trip: degrade when the
-                // deadline is blown or cannot afford the reserved db leg
-                let deadline = self.reqs[&req_id].deadline;
-                if deadline.is_some_and(|d| {
-                    d.passed(now) || d.cannot_afford(now, self.cfg.guard.db_reserve)
-                }) {
-                    self.degrade_request(req_id, "deadline", now, ctx);
-                    return;
-                }
+            // a miss means a MySQL round trip: degrade when the deadline
+            // is blown or cannot afford the reserved db leg
+            if deadline.is_some_and(|d| {
+                d.passed(now) || d.cannot_afford(now, self.cfg.guard.db_reserve)
+            }) {
+                self.degrade_request(req_id, "deadline", now, ctx);
+                return;
             }
             // go to the database
             let db_node = {
@@ -1799,10 +1699,11 @@ impl WebWorld {
         let client_host = self.client_hosts[r.client];
         let (path, _) = self.topo.path(self.node_hosts[r.web], client_host);
         self.topo.gauge_mut().end(&path);
-        let (t_first_syn, calls_left, web) = match self.conns.get_mut(&r.conn) {
+        let (t_first_syn, calls_left, web, probe) = match self.conns.get_mut(&r.conn) {
             Some(conn) => {
                 conn.calls_left -= 1;
-                (conn.t_first_syn, conn.calls_left, conn.web)
+                // the probe request reached its verdict: release the slot
+                (conn.t_first_syn, conn.calls_left, conn.web, std::mem::take(&mut conn.probe))
             }
             None => {
                 if self.guard_on {
@@ -1815,13 +1716,15 @@ impl WebWorld {
         // handshake + any retries), later calls from request send
         let start = if r.first_call { t_first_syn } else { r.t_sent };
         self.metrics.completed_total += 1;
+        if probe {
+            self.brk[web].end_probe();
+        }
+        self.guard_brk_success(web, now);
+        if r.deadline.is_some_and(|d| d.passed(now)) {
+            self.metrics.guard.deadline_miss += 1;
+            self.tel.counter_inc(guard_metrics::DEADLINE_MISS_TOTAL, &[("tier", "web")]);
+        }
         if self.guard_on {
-            self.guard_probe_done(r.conn);
-            self.guard_brk_success(web, now);
-            if r.deadline.is_some_and(|d| d.passed(now)) {
-                self.metrics.guard.deadline_miss += 1;
-                self.tel.counter_inc(guard_metrics::DEADLINE_MISS_TOTAL, &[("tier", "web")]);
-            }
             if r.degraded {
                 self.metrics.guard.degraded += 1;
             } else {
@@ -1874,12 +1777,12 @@ impl WebWorld {
     /// follow-up SYN attempt is the caller's move) or retire it when the
     /// whole tier is out. True when a backend was picked.
     fn redispatch(&mut self, conn_id: u64, now: SimTime) -> bool {
-        if !self.conns.contains_key(&conn_id) {
-            return false;
-        }
+        let Some(c) = self.conns.get_mut(&conn_id) else { return false };
         // a retried probe is no longer probing the backend it left
-        self.guard_probe_done(conn_id);
-        match self.lb_pick_any(conn_id, now) {
+        if std::mem::take(&mut c.probe) {
+            self.brk[c.web].end_probe();
+        }
+        match self.lb_pick(conn_id, now) {
             LbPick::Backend { web, probe } => {
                 if let Some(c) = self.conns.get_mut(&conn_id) {
                     c.web = web;

@@ -98,6 +98,31 @@ proptest! {
         );
     }
 
+    /// Breakers that never leave `Closed` do not move the LB: with only
+    /// breakers enabled, light load and no fault, the breaker-aware pick
+    /// keeps the plain weighted stride, so every outcome and delay sample
+    /// matches the guard-off run.
+    #[test]
+    fn closed_breakers_keep_the_unguarded_pick(
+        conc in 16.0f64..64.0,
+        seed in 0u64..1_000,
+        threshold in 1u32..8,
+    ) {
+        let mut c = cfg(conc, seed);
+        c.guard.breaker_threshold = threshold;
+        c.guard.breaker_cooldown = SimDuration::from_secs(3);
+        c.guard.breaker_probes = 2;
+        let with = run(c);
+        prop_assert_eq!(with.metrics.guard.breaker_trips, 0, "a breaker tripped at light load");
+        let off = run(cfg(conc, seed)).metrics;
+        let on = &with.metrics;
+        prop_assert_eq!(on.completed, off.completed);
+        prop_assert_eq!(on.server_errors, off.server_errors);
+        prop_assert_eq!(on.client_errors, off.client_errors);
+        prop_assert_eq!(on.syn_drops, off.syn_drops);
+        prop_assert_eq!(format!("{:?}", on.delays_ms), format!("{:?}", off.delays_ms));
+    }
+
     /// Zero-budget *deadlines* inside an otherwise-active guard are a
     /// no-op: no request ever carries a deadline, so nothing is shed or
     /// flagged for missing one, even under overload + crash.
