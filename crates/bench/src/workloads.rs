@@ -88,7 +88,7 @@ pub fn mapreduce_wordcount() -> Result<EngineProfile, SimError> {
 }
 
 /// The mid-curve web point under a crash/restart fault plan: web node 0
-/// goes down 4 s in and returns 2 s later, with one retry budgeted.
+/// goes down 4 s in and returns 2 s later, with a retry budget of one.
 pub fn fault_sweep() -> Result<EngineProfile, SimError> {
     let mut cfg = web_cfg("bench:fault", 0, 64.0, crash_restart_web0())?;
     cfg.retry_budget = 1;

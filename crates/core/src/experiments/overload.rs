@@ -188,7 +188,7 @@ pub fn overload_sweep(
 
     let window = budget.web_measure_s as f64;
     let run_s = (budget.web_warmup_s + budget.web_measure_s) as f64;
-    let deadline_ms = reference_guard(budget).deadline.as_millis().0;
+    let deadline_ms = reference_guard(budget).deadline.get().as_millis_f64();
     let mut rows = Vec::new();
     // per (lane, rung): [off, on] stats, for the past-knee comparisons
     let mut cells: Vec<Vec<[Option<RungStats>; 2]>> =
@@ -300,7 +300,7 @@ mod tests {
         let window = budget.web_measure_s as f64;
         let run_s = (budget.web_warmup_s + budget.web_measure_s) as f64;
         let offered = ls[1].knee_cps * top * run_s * CALLS_PER_CONN;
-        let ms = reference_guard(&budget).deadline.as_millis().0;
+        let ms = reference_guard(&budget).deadline.get().as_millis_f64();
         let s_off = rung_stats(&mut off, window, ms, offered);
         let s_on = rung_stats(&mut on, window, ms, offered);
         assert!(s_on.shed_pct + s_on.degraded_pct > 0.0, "guard never engaged");

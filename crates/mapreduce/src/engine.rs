@@ -1558,9 +1558,7 @@ impl Model for MrWorld {
             Ev::Heartbeat => {
                 self.run_heartbeat(now, ctx);
                 if self.finish.is_none() && self.failed.is_none() {
-                    // idle: a heartbeat during a quiescent outage must not
-                    // burn the event budget (the engine watchdog)
-                    ctx.schedule_idle_in(
+                    ctx.schedule_in(
                         SimDuration::from_secs_f64(calib::CONTAINER_GRANT_DELAY_S),
                         Ev::Heartbeat,
                     );
@@ -1649,7 +1647,7 @@ impl Model for MrWorld {
                         );
                         return;
                     }
-                    ctx.schedule_idle_in(SimDuration::from_secs(1), Ev::Sample);
+                    ctx.schedule_in(SimDuration::from_secs(1), Ev::Sample);
                 } else {
                     ctx.stop();
                 }
@@ -1757,7 +1755,7 @@ fn run_job_inner(
     let fault_times: Vec<SimTime> = world.fplan.faults().iter().map(|f| f.at).collect();
     let mut sim = Simulation::new(world);
     sim.schedule_at(SimTime::ZERO, Ev::Heartbeat);
-    sim.schedule_idle_at(SimTime::ZERO, Ev::Sample);
+    sim.schedule_at(SimTime::ZERO, Ev::Sample);
     for (idx, at) in fault_times.into_iter().enumerate() {
         sim.schedule_at(at, Ev::Fault { idx });
     }
@@ -1765,10 +1763,9 @@ fn run_job_inner(
     if tracing {
         let mut prof = KindProfiler::new(Ev::kind);
         sim.run_profiled(&mut prof, &mut NoopProfiler);
-        let watchdog_tripped = sim.watchdog_tripped();
         engine_profile = prof.finish(&sim);
         let w = sim.world_mut();
-        record_sim_metrics(&mut w.tel, "mapreduce", &engine_profile, watchdog_tripped);
+        record_sim_metrics(&mut w.tel, "mapreduce", &engine_profile);
         if profiling {
             record_engine_profile(&mut w.tel, "mapreduce", &engine_profile, phase_of);
         }
@@ -1976,6 +1973,27 @@ mod tests {
             Err(SimError::FaultUnrecovered(msg)) => {
                 assert!(msg.contains("down") || msg.contains("unreadable"), "{msg}")
             }
+            other => panic!("expected FaultUnrecovered, got {other:?}"),
+        }
+    }
+
+    /// A ×1e9 throttle puts every CPU completion centuries ahead, past
+    /// the 2^64 ns range of `SimTime`. The completion instant saturates
+    /// instead of wrapping to `now`, so the job ends on the stall timeout.
+    #[test]
+    fn completion_beyond_the_time_range_stalls_out() {
+        let profile = jobs::logcount2(Tune::Edison);
+        let at = SimTime::from_secs(30);
+        let mut plan = FaultPlan::new();
+        for n in 0..4 {
+            plan = plan.cpu_throttle(n, at, 1e9);
+        }
+        let setup = ClusterSetup::edison(4).with_fault_plan(plan);
+        match run_job_checked(&profile, &setup) {
+            Err(SimError::FaultUnrecovered(msg)) => assert_eq!(
+                msg,
+                "job logcount2: no task progress for 3600s: 0/70 maps, 0/70 reduces"
+            ),
             other => panic!("expected FaultUnrecovered, got {other:?}"),
         }
     }

@@ -50,10 +50,6 @@ struct Scheduled<E> {
     at: SimTime,
     seq: u64,
     event: E,
-    /// Idle-advance marker: the event exists only to move the clock through a
-    /// quiescent period (health-check ticks, heartbeat timers) and is exempt
-    /// from the max-events watchdog budget. Delivery order is unaffected.
-    idle: bool,
 }
 
 impl<E> PartialEq for Scheduled<E> {
@@ -103,7 +99,7 @@ impl<E> Ctx<'_, E> {
         debug_assert!(at >= self.now, "scheduling into the past: {at} < {}", self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, event, idle: false }));
+        self.heap.push(Reverse(Scheduled { at, seq, event }));
     }
 
     /// Schedule `event` after a delay of `d`.
@@ -127,29 +123,9 @@ impl<E> Ctx<'_, E> {
         debug_assert!(at >= self.now, "scheduling into the past: {at} < {}", self.now);
         let seq = self.seq;
         self.seq += 1;
-        if self.keyed.insert(key, Scheduled { at, seq, event, idle: false }) {
+        if self.keyed.insert(key, Scheduled { at, seq, event }) {
             *self.superseded += 1;
         }
-    }
-
-    /// Schedule an **idle-advance** event at absolute time `at`.
-    ///
-    /// Idle events deliver exactly like normal ones but do not count against
-    /// the [`Simulation::set_max_events`] budget. Use them for pure timers
-    /// that keep the clock moving through quiescent periods — LB health
-    /// checks, liveness heartbeats, metric sampling — so a fault-induced
-    /// lull cannot trip the runaway-loop watchdog spuriously.
-    pub fn schedule_idle_at(&mut self, at: SimTime, event: E) {
-        debug_assert!(at >= self.now, "scheduling into the past: {at} < {}", self.now);
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, event, idle: true }));
-    }
-
-    /// Schedule an idle-advance event after a delay of `d` (see
-    /// [`schedule_idle_at`](Self::schedule_idle_at)).
-    pub fn schedule_idle_in(&mut self, d: SimDuration, event: E) {
-        self.schedule_idle_at(self.now + d, event);
     }
 
     /// Request that the run loop stop after the current event.
@@ -169,10 +145,7 @@ pub struct Simulation<M: Model> {
     now: SimTime,
     seq: u64,
     processed: u64,
-    budgeted: u64,
     stopped: bool,
-    max_events: Option<u64>,
-    watchdog_tripped: bool,
 }
 
 impl<M: Model> Simulation<M> {
@@ -186,32 +159,8 @@ impl<M: Model> Simulation<M> {
             now: SimTime::ZERO,
             seq: 0,
             processed: 0,
-            budgeted: 0,
             stopped: false,
-            max_events: None,
-            watchdog_tripped: false,
         }
-    }
-
-    /// Arm (or with `None`, disarm) the runaway-run watchdog: once the number
-    /// of **budgeted** (non-idle) events delivered reaches `limit` the loop
-    /// refuses to deliver further events, marks the run stopped, and reports
-    /// through [`Profiler::on_watchdog`].
-    ///
-    /// A tripped watchdog means the world is live-locked (e.g. an event that
-    /// reschedules itself forever without advancing the experiment) — the
-    /// budget exists so such bugs surface as a diagnostic instead of a hang.
-    /// Idle-advance events ([`Ctx::schedule_idle_at`]) are exempt: a
-    /// crash-induced quiescent period that is bridged only by periodic timer
-    /// ticks does not consume budget, so `watchdog_tripped` fires only on
-    /// genuine runaway loops.
-    pub fn set_max_events(&mut self, limit: Option<u64>) {
-        self.max_events = limit;
-    }
-
-    /// True if a run was halted by the max-events watchdog.
-    pub fn watchdog_tripped(&self) -> bool {
-        self.watchdog_tripped
     }
 
     /// Current simulated time (the timestamp of the last delivered event).
@@ -219,15 +168,9 @@ impl<M: Model> Simulation<M> {
         self.now
     }
 
-    /// Number of events delivered so far (idle-advance events included).
+    /// Number of events delivered so far.
     pub fn processed(&self) -> u64 {
         self.processed
-    }
-
-    /// Number of budgeted (non-idle) events delivered so far — the counter
-    /// the max-events watchdog compares against its limit.
-    pub fn budgeted_processed(&self) -> u64 {
-        self.budgeted
     }
 
     /// Total events ever scheduled (heap pushes), external and follow-up,
@@ -290,16 +233,13 @@ impl<M: Model> Simulation<M> {
         assert!(at >= self.now, "scheduling into the past");
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, event, idle: false }));
+        self.heap.push(Reverse(Scheduled { at, seq, event }));
     }
 
-    /// Schedule an initial idle-advance event from outside the world (see
-    /// [`Ctx::schedule_idle_at`]): exempt from the max-events budget.
+    /// The same as [`schedule_at`](Self::schedule_at). Kept only for
+    /// `perfbench/src/trace.rs`, its one caller.
     pub fn schedule_idle_at(&mut self, at: SimTime, event: M::Event) {
-        assert!(at >= self.now, "scheduling into the past");
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, event, idle: true }));
+        self.schedule_at(at, event);
     }
 
     /// Deliver the next event, if any, reporting to `first` and then `second`.
@@ -312,15 +252,6 @@ impl<M: Model> Simulation<M> {
         if self.stopped {
             return false;
         }
-        if let Some(limit) = self.max_events {
-            if self.budgeted >= limit {
-                self.stopped = true;
-                self.watchdog_tripped = true;
-                first.on_watchdog(self.now);
-                second.on_watchdog(self.now);
-                return false;
-            }
-        }
         let Some(next) = self.pop_next() else {
             self.stopped = true;
             return false;
@@ -329,9 +260,6 @@ impl<M: Model> Simulation<M> {
         let advanced = next.at - self.now;
         self.now = next.at;
         self.processed += 1;
-        if !next.idle {
-            self.budgeted += 1;
-        }
         first.on_dispatch(self.now, &next.event, advanced);
         second.on_dispatch(self.now, &next.event, advanced);
         let mut ctx = Ctx {
@@ -356,8 +284,8 @@ impl<M: Model> Simulation<M> {
         true
     }
 
-    /// Run until the heap drains, a stop is requested or the watchdog
-    /// trips. Returns the number of events delivered by this call.
+    /// Run until the heap drains or a stop is requested. Returns the number
+    /// of events delivered by this call.
     pub fn run(&mut self) -> u64 {
         self.run_profiled(&mut NoopProfiler, &mut NoopProfiler)
     }
@@ -394,7 +322,6 @@ mod tests {
     enum Ev {
         Mark(u32),
         Chain { left: u32, gap: SimDuration },
-        IdleTick { left: u32, gap: SimDuration },
         StopNow,
     }
 
@@ -407,12 +334,6 @@ mod tests {
                     self.log.push((now.0, 1000 + left));
                     if left > 0 {
                         ctx.schedule_in(gap, Ev::Chain { left: left - 1, gap });
-                    }
-                }
-                Ev::IdleTick { left, gap } => {
-                    self.log.push((now.0, 2000 + left));
-                    if left > 0 {
-                        ctx.schedule_idle_in(gap, Ev::IdleTick { left: left - 1, gap });
                     }
                 }
                 Ev::StopNow => ctx.stop(),
@@ -473,7 +394,6 @@ mod tests {
         post: u64,
         scheduled: u64,
         max_heap_depth: usize,
-        watchdog: Option<SimTime>,
     }
 
     impl<E> Profiler<E> for Counting {
@@ -487,9 +407,6 @@ mod tests {
             self.post += 1;
             self.scheduled += newly_scheduled as u64;
             self.max_heap_depth = self.max_heap_depth.max(heap_depth);
-        }
-        fn on_watchdog(&mut self, now: SimTime) {
-            self.watchdog = Some(now);
         }
     }
 
@@ -509,7 +426,6 @@ mod tests {
         assert_eq!(obs.post, 11);
         assert_eq!(obs.scheduled, 9); // each chain link but the last reschedules once
         assert!(obs.max_heap_depth >= 1);
-        assert!(obs.watchdog.is_none());
     }
 
     #[test]
@@ -530,57 +446,6 @@ mod tests {
         assert_eq!(plain.world().log, observed.world().log);
         assert_eq!(plain.now(), observed.now());
         assert_eq!(plain.processed(), observed.processed());
-    }
-
-    /// A world that reschedules itself forever — the bug class the
-    /// watchdog exists to catch.
-    struct Runaway;
-    impl Model for Runaway {
-        type Event = ();
-        fn handle(&mut self, _now: SimTime, _ev: (), ctx: &mut Ctx<()>) {
-            ctx.schedule_in(SimDuration::from_micros(1), ());
-        }
-    }
-
-    #[test]
-    fn watchdog_trips_on_self_rescheduling_world() {
-        let mut sim = Simulation::new(Runaway);
-        sim.set_max_events(Some(1_000));
-        sim.schedule_at(SimTime::ZERO, ());
-        let n = sim.run();
-        assert_eq!(n, 1_000);
-        assert!(sim.watchdog_tripped());
-        assert!(sim.is_stopped());
-    }
-
-    #[test]
-    fn watchdog_reports_through_observer() {
-        let mut sim = Simulation::new(Recorder { log: vec![] });
-        sim.set_max_events(Some(3));
-        sim.schedule_at(
-            SimTime::ZERO,
-            Ev::Chain { left: 100, gap: SimDuration::from_millis(1) },
-        );
-        let mut obs = Counting::default();
-        sim.run_profiled(&mut obs, &mut NoopProfiler);
-        assert_eq!(obs.pre, 3);
-        let at = obs.watchdog.expect("watchdog should have fired");
-        assert_eq!(sim.processed(), 3);
-        assert_eq!(at, SimTime::from_millis(2));
-        assert!(sim.watchdog_tripped());
-    }
-
-    #[test]
-    fn watchdog_disarmed_runs_to_completion() {
-        let mut sim = Simulation::new(Recorder { log: vec![] });
-        sim.set_max_events(Some(2));
-        sim.set_max_events(None);
-        sim.schedule_at(
-            SimTime::ZERO,
-            Ev::Chain { left: 5, gap: SimDuration::from_millis(1) },
-        );
-        assert_eq!(sim.run(), 6);
-        assert!(!sim.watchdog_tripped());
     }
 
     /// The hook-free loop must not regress from carrying profiler hooks:
@@ -619,61 +484,8 @@ mod tests {
         );
     }
 
-    /// A fault-quiesced world: nothing happens for a long stretch except a
-    /// periodic idle tick bridging the gap. A budget far smaller than the
-    /// tick count must not trip — idle advance is exempt.
-    #[test]
-    fn idle_ticks_do_not_trip_watchdog() {
-        let mut sim = Simulation::new(Recorder { log: vec![] });
-        sim.set_max_events(Some(5));
-        sim.schedule_at(SimTime::ZERO, Ev::Mark(0));
-        sim.schedule_idle_at(
-            SimTime::ZERO,
-            Ev::IdleTick { left: 200, gap: SimDuration::from_secs(1) },
-        );
-        sim.schedule_at(SimTime::from_secs(150), Ev::Mark(1));
-        let n = sim.run();
-        assert_eq!(n, 203, "all events deliver");
-        assert!(!sim.watchdog_tripped(), "idle ticks must not consume budget");
-        assert_eq!(sim.budgeted_processed(), 2);
-        assert_eq!(sim.processed(), 203);
-        assert_eq!(sim.now(), SimTime::from_secs(200));
-    }
-
-    /// A genuine runaway loop still trips even when idle ticks are
-    /// interleaved: only the non-idle events consume budget.
-    #[test]
-    fn runaway_trips_despite_interleaved_idle_ticks() {
-        let mut sim = Simulation::new(Recorder { log: vec![] });
-        sim.set_max_events(Some(50));
-        sim.schedule_idle_at(
-            SimTime::ZERO,
-            Ev::IdleTick { left: 1_000, gap: SimDuration::from_millis(1) },
-        );
-        sim.schedule_at(
-            SimTime::ZERO,
-            Ev::Chain { left: 1_000, gap: SimDuration::from_millis(1) },
-        );
-        sim.run();
-        assert!(sim.watchdog_tripped());
-        assert_eq!(sim.budgeted_processed(), 50);
-    }
-
-    /// Idle scheduling must not perturb delivery order relative to normal
-    /// events at the same timestamps (only the budget differs).
-    #[test]
-    fn idle_events_keep_fifo_order() {
-        let mut sim = Simulation::new(Recorder { log: vec![] });
-        sim.schedule_at(SimTime::from_secs(1), Ev::Mark(10));
-        sim.schedule_idle_at(SimTime::from_secs(1), Ev::IdleTick { left: 0, gap: SimDuration::ZERO });
-        sim.schedule_at(SimTime::from_secs(1), Ev::Mark(11));
-        sim.run();
-        let ids: Vec<u32> = sim.world().log.iter().map(|&(_, i)| i).collect();
-        assert_eq!(ids, vec![10, 2000, 11]);
-    }
-
     /// A world whose events run a fixed script: delivering id `k` logs it
-    /// and performs `script[k]`, scheduling plain, idle or keyed events
+    /// and performs `script[k]`, scheduling plain or keyed events
     /// or stopping the run.
     struct Script {
         script: Vec<Vec<Op>>,
@@ -683,7 +495,6 @@ mod tests {
     #[derive(Clone, Copy)]
     enum Op {
         Plain { ms: u64, id: u32 },
-        Idle { ms: u64, id: u32 },
         Keyed { key: usize, ms: u64, id: u32 },
         Stop,
     }
@@ -695,7 +506,6 @@ mod tests {
             for op in self.script.get(id as usize).cloned().unwrap_or_default() {
                 match op {
                     Op::Plain { ms, id } => ctx.schedule_at(SimTime::from_millis(ms), id),
-                    Op::Idle { ms, id } => ctx.schedule_idle_at(SimTime::from_millis(ms), id),
                     Op::Keyed { key, ms, id } => {
                         ctx.schedule_keyed(key, SimTime::from_millis(ms), id)
                     }
@@ -766,11 +576,11 @@ mod tests {
     /// after it returned.
     #[test]
     fn direct_push_keeps_order_hooks_and_balance() {
-        use Op::{Idle, Keyed, Plain, Stop};
+        use Op::{Keyed, Plain, Stop};
         let mut script = vec![vec![]; 12];
         script[0] = vec![
             Plain { ms: 3, id: 1 },
-            Idle { ms: 3, id: 2 },
+            Plain { ms: 3, id: 2 },
             Keyed { key: 0, ms: 3, id: 3 },
             // same key in the same handle: replaces id 3, sorts earlier
             Keyed { key: 0, ms: 2, id: 4 },
@@ -778,7 +588,7 @@ mod tests {
             Keyed { key: 1, ms: 8, id: 6 },
         ];
         // replaces id 6, queued by an earlier handle
-        script[1] = vec![Keyed { key: 1, ms: 4, id: 7 }, Idle { ms: 4, id: 8 }];
+        script[1] = vec![Keyed { key: 1, ms: 4, id: 7 }, Plain { ms: 4, id: 8 }];
         script[2] = vec![Plain { ms: 9, id: 9 }, Keyed { key: 0, ms: 6, id: 10 }];
         script[4] = vec![Plain { ms: 3, id: 11 }];
         script[7] = vec![Stop, Plain { ms: 5, id: 12 }, Keyed { key: 2, ms: 5, id: 13 }];

@@ -224,9 +224,10 @@ impl FluidResource {
         // Round the completion instant *up* (plus 1 ns of slack) so that
         // advancing to it always clears the task's remaining work; rounding
         // to nearest can land half a nanosecond early and strand residue
-        // above any epsilon.
-        #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "dt is clamped non-negative; ceil keeps the cast in range")]
-        let dt_nanos = (dt * 1e9).ceil() as u64 + 1;
+        // above any epsilon. A completion more than 2^64 ns (584 years)
+        // away saturates at `SimTime`'s end instead of wrapping to `now`.
+        #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "dt is clamped non-negative; the cast saturates above u64::MAX")]
+        let dt_nanos = ((dt * 1e9).ceil() as u64).saturating_add(1);
         Some((id, now + SimDuration(dt_nanos)))
     }
 

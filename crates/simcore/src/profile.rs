@@ -58,10 +58,6 @@ pub trait Profiler<E> {
     /// after those pushes, keyed ones included.
     #[inline]
     fn on_handled(&mut self, _now: SimTime, _newly_scheduled: usize, _heap_depth: usize) {}
-
-    /// Called once if the max-events watchdog halts the run.
-    #[inline]
-    fn on_watchdog(&mut self, _now: SimTime) {}
 }
 
 /// The do-nothing profiler; running with it is identical to running
@@ -217,10 +213,6 @@ impl<E, F: FnMut(&E) -> &'static str> Profiler<E> for KindProfiler<F> {
             self.profile.hwm_track.push((now, depth));
         }
     }
-
-    fn on_watchdog(&mut self, now: SimTime) {
-        self.profile.end = now;
-    }
 }
 
 #[cfg(test)]
@@ -294,13 +286,20 @@ mod tests {
     }
 
     /// Re-arms key 0 from every handler, so each delivery supersedes the
-    /// key's previous event until `left` runs out.
+    /// key's previous event until `left` runs out. Handle number
+    /// `stop_after`, if any, stops the run.
     struct Rearm {
         left: u32,
+        handled: u32,
+        stop_after: Option<u32>,
     }
     impl Model for Rearm {
         type Event = Ev;
         fn handle(&mut self, now: SimTime, _ev: Ev, ctx: &mut Ctx<Ev>) {
+            self.handled += 1;
+            if self.stop_after == Some(self.handled) {
+                ctx.stop();
+            }
             if self.left == 0 {
                 return;
             }
@@ -313,10 +312,9 @@ mod tests {
 
     #[test]
     fn seq_numbers_balance_pops_superseded_and_pending() {
-        let mut sim = Simulation::new(Rearm { left: 40 });
-        sim.schedule_at(SimTime::ZERO, Ev::Tick);
         // halt part-way, with events still queued
-        sim.set_max_events(Some(25));
+        let mut sim = Simulation::new(Rearm { left: 40, handled: 0, stop_after: Some(25) });
+        sim.schedule_at(SimTime::ZERO, Ev::Tick);
         let mut prof = KindProfiler::new(Ev::kind);
         sim.run_profiled(&mut prof, &mut NoopProfiler);
         let pending = sim.pending() as u64;
@@ -325,7 +323,7 @@ mod tests {
         assert!(pending > 0 && p.superseded > 0);
         assert_eq!(p.heap_pushes, p.events() + p.superseded + pending);
         // and at the end of the run, with nothing left
-        let mut sim = Simulation::new(Rearm { left: 40 });
+        let mut sim = Simulation::new(Rearm { left: 40, handled: 0, stop_after: None });
         sim.schedule_at(SimTime::ZERO, Ev::Tick);
         let mut prof = KindProfiler::new(Ev::kind);
         sim.run_profiled(&mut prof, &mut NoopProfiler);

@@ -42,11 +42,6 @@ impl FcfsQueue {
         self.busy
     }
 
-    /// Number of jobs waiting for a server.
-    pub fn queued(&self) -> usize {
-        self.waiting.len()
-    }
-
     /// Jobs fully served so far.
     pub fn completed(&self) -> u64 {
         self.completed
@@ -101,7 +96,6 @@ mod tests {
         assert_eq!(first, Some((1, t(10))));
         assert_eq!(q.submit(t(1), 2, d(5)), None);
         assert_eq!(q.submit(t(2), 3, d(1)), None);
-        assert_eq!(q.queued(), 2);
         // job 1 done at t=10; job 2 starts then.
         let nxt = q.complete(t(10));
         assert_eq!(nxt, Some((2, t(15))));

@@ -43,4 +43,4 @@ pub use admit::{GateVerdict, QueueGate};
 pub use breaker::{BreakerState, BreakerVerdict, CircuitBreaker};
 pub use brownout::{Brownout, BrownoutStep};
 pub use config::{class_of, probe_eligible, GuardConfig, Priority};
-pub use units::{Budget, Deadline, Millis, Secs};
+pub use units::{Budget, Deadline};

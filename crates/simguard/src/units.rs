@@ -1,37 +1,13 @@
 //! Unit newtypes for deadline arithmetic.
 //!
-//! Deadline math mixes two time scales: budgets are configured and
-//! reported in *milliseconds* (the paper's Table 7 / Figure 10 axis),
-//! while the simulator's native [`SimTime`]/[`SimDuration`] arithmetic
-//! is in *seconds*. [`Millis`] and [`Secs`] make the scale part of the
-//! type, and simlint's R8 dimensional pass knows both (plus [`Deadline`]
-//! and [`Budget`]), so a `deadline_ms + timeout_s` slip is a lint
-//! finding, not a 1000× bug.
+//! A [`Budget`] is a relative duration and a [`Deadline`] an absolute
+//! instant, both over the simulator's native [`SimTime`]/[`SimDuration`],
+//! so a budget cannot be compared with an instant by mistake. Budgets are
+//! configured and reported in milliseconds (the paper's Table 7 /
+//! Figure 10 axis); read one with `budget.get().as_millis_f64()`.
+//! simlint's R8 dimensional pass treats both types as seconds.
 
 use edison_simcore::time::{SimDuration, SimTime};
-
-/// A scalar duration in milliseconds (reporting/config scale).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct Millis(pub f64);
-
-/// A scalar duration in seconds (the simulator's native scale).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct Secs(pub f64);
-
-impl Millis {
-    /// Convert to seconds (the only sanctioned way across the scales).
-    pub fn to_secs(self) -> Secs {
-        Secs(self.0 / 1e3)
-    }
-}
-
-impl Secs {
-    /// Convert to milliseconds (the only sanctioned way across the
-    /// scales).
-    pub fn to_millis(self) -> Millis {
-        Millis(self.0 * 1e3)
-    }
-}
 
 /// A per-request deadline *budget*: how much wall (sim) time the request
 /// may spend end to end. `Budget::ZERO` means "no deadline" — guard
@@ -61,16 +37,6 @@ impl Budget {
     /// The underlying duration.
     pub fn get(self) -> SimDuration {
         self.0
-    }
-
-    /// The budget in milliseconds, typed.
-    pub fn as_millis(self) -> Millis {
-        Millis(self.0.as_millis_f64())
-    }
-
-    /// The budget in seconds, typed.
-    pub fn as_secs(self) -> Secs {
-        Secs(self.0.as_secs_f64())
     }
 
     /// The absolute deadline for a request sent at `start`, or `None`
@@ -136,10 +102,9 @@ mod tests {
 
     #[test]
     fn scale_conversions_round_trip() {
-        let ms = Millis(250.0);
-        let s = ms.to_secs();
-        assert!((s.0 - 0.25).abs() < 1e-12);
-        assert!((s.to_millis().0 - 250.0).abs() < 1e-9);
-        assert!((Budget::from_millis(2000).as_secs().0 - 2.0).abs() < 1e-12);
+        let b = Budget::from_millis(250);
+        assert_eq!(b.get(), SimDuration::from_millis(250));
+        assert!((b.get().as_millis_f64() - 250.0).abs() < 1e-9);
+        assert!((b.get().as_secs_f64() - 0.25).abs() < 1e-12);
     }
 }

@@ -14,7 +14,6 @@
 //! | `sim_events_scheduled_total` | counter | `world` |
 //! | `sim_heap_depth_max` | gauge | `world` |
 //! | `sim_end_seconds` | gauge | `world` |
-//! | `sim_watchdog_trips_total` | counter | `world` |
 //!
 //! [`record_engine_profile`] writes the `profile_*` breakdown (simprof) of
 //! profiled runs; the heap-depth high-water track becomes a `"C"` counter
@@ -46,15 +45,8 @@ use edison_simcore::profile::EngineProfile;
 use std::collections::BTreeMap;
 
 /// Record the `sim_*` summary of `profile` into `tel`, labelled with
-/// `world`. `watchdog_tripped` is
-/// [`Simulation::watchdog_tripped`](edison_simcore::Simulation::watchdog_tripped)
-/// for the profiled run; a trip adds one to `sim_watchdog_trips_total`.
-pub fn record_sim_metrics(
-    tel: &mut Telemetry,
-    world: &str,
-    profile: &EngineProfile,
-    watchdog_tripped: bool,
-) {
+/// `world`.
+pub fn record_sim_metrics(tel: &mut Telemetry, world: &str, profile: &EngineProfile) {
     if !tel.is_on() {
         return;
     }
@@ -62,7 +54,6 @@ pub fn record_sim_metrics(
     tel.help("sim_events_scheduled_total", "follow-up events scheduled by handlers");
     tel.help("sim_heap_depth_max", "peak event-heap depth during the run");
     tel.help("sim_end_seconds", "sim time when the run finished");
-    tel.help("sim_watchdog_trips_total", "runs halted by the max-events watchdog");
     for (kind, stats) in &profile.kinds {
         tel.counter_add(
             "sim_events_total",
@@ -78,9 +69,6 @@ pub fn record_sim_metrics(
         profile.dispatch_depth_max as f64,
     );
     tel.gauge_set("sim_end_seconds", &[("world", world)], profile.sim_seconds());
-    if watchdog_tripped {
-        tel.counter_inc("sim_watchdog_trips_total", &[("world", world)]);
-    }
 }
 
 /// Register `# HELP` texts for the `profile_*` vocabulary.

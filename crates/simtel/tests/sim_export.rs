@@ -2,12 +2,11 @@
 //!
 //! Each case runs a scripted world the way the web and MapReduce stacks
 //! run a traced simulation and compares the whole Prometheus text with a
-//! committed string. The four cases cover the readings that are easy to
+//! committed string. The three cases cover the readings that are easy to
 //! get wrong: the queue depth at the first delivery, keyed supersedes in
-//! the middle of a run, a stop that leaves events queued, and a watchdog
-//! trip.
+//! the middle of a run, and a stop that leaves events queued.
 
-use edison_simcore::{Ctx, KindProfiler, Model, NoopProfiler, SimDuration, SimTime, Simulation};
+use edison_simcore::{Ctx, KindProfiler, Model, NoopProfiler, SimTime, Simulation};
 use edison_simtel::{record_sim_metrics, Telemetry};
 
 /// A world whose events run a fixed script: delivering id `k` performs
@@ -20,8 +19,6 @@ struct Script {
 enum Op {
     /// A plain event at an absolute time.
     At { ms: u64, id: u32 },
-    /// A plain event after a delay.
-    After { ms: u64, id: u32 },
     /// The one pending event of `key`, replacing any earlier one.
     Keyed { key: usize, ms: u64, id: u32 },
     Stop,
@@ -29,11 +26,10 @@ enum Op {
 
 impl Model for Script {
     type Event = u32;
-    fn handle(&mut self, now: SimTime, id: u32, ctx: &mut Ctx<u32>) {
+    fn handle(&mut self, _now: SimTime, id: u32, ctx: &mut Ctx<u32>) {
         for op in self.script.get(id as usize).cloned().unwrap_or_default() {
             match op {
                 Op::At { ms, id } => ctx.schedule_at(SimTime::from_millis(ms), id),
-                Op::After { ms, id } => ctx.schedule_at(now + SimDuration::from_millis(ms), id),
                 Op::Keyed { key, ms, id } => ctx.schedule_keyed(key, SimTime::from_millis(ms), id),
                 Op::Stop => ctx.stop(),
             }
@@ -64,7 +60,7 @@ fn sim_prom(mut sim: Simulation<Script>) -> String {
     sim.run_profiled(&mut prof, &mut NoopProfiler);
     let profile = prof.finish(&sim);
     let mut tel = Telemetry::on();
-    record_sim_metrics(&mut tel, "toy", &profile, sim.watchdog_tripped());
+    record_sim_metrics(&mut tel, "toy", &profile);
     tel.prometheus_text()
 }
 
@@ -140,34 +136,6 @@ sim_events_total{kind=\"odd\",world=\"toy\"} 1
 # HELP sim_end_seconds sim time when the run finished
 # TYPE sim_end_seconds gauge
 sim_end_seconds{world=\"toy\"} 0.001
-# HELP sim_heap_depth_max peak event-heap depth during the run
-# TYPE sim_heap_depth_max gauge
-sim_heap_depth_max{world=\"toy\"} 2
-";
-    assert_eq!(got, want);
-}
-
-#[test]
-fn watchdog_trip_is_counted() {
-    // every delivery of id 0 schedules two more: a runaway the budget halts
-    let script = vec![vec![Op::After { ms: 1, id: 0 }, Op::After { ms: 2, id: 1 }]];
-    let mut s = sim(script, &[0]);
-    s.set_max_events(Some(6));
-    let got = sim_prom(s);
-    let want = "\
-# HELP sim_events_scheduled_total follow-up events scheduled by handlers
-# TYPE sim_events_scheduled_total counter
-sim_events_scheduled_total{world=\"toy\"} 8
-# HELP sim_events_total events delivered by the engine, by kind
-# TYPE sim_events_total counter
-sim_events_total{kind=\"even\",world=\"toy\"} 4
-sim_events_total{kind=\"odd\",world=\"toy\"} 2
-# HELP sim_watchdog_trips_total runs halted by the max-events watchdog
-# TYPE sim_watchdog_trips_total counter
-sim_watchdog_trips_total{world=\"toy\"} 1
-# HELP sim_end_seconds sim time when the run finished
-# TYPE sim_end_seconds gauge
-sim_end_seconds{world=\"toy\"} 0.003
 # HELP sim_heap_depth_max peak event-heap depth during the run
 # TYPE sim_heap_depth_max gauge
 sim_heap_depth_max{world=\"toy\"} 2

@@ -357,8 +357,8 @@ pub enum Ev {
     MeasureStart,
     /// Inject fault `idx` of the normalized plan.
     Fault { idx: usize },
-    /// HAProxy-style health-check tick over the web tier (idle-scheduled;
-    /// starts with the first injected fault).
+    /// HAProxy-style health-check tick over the web tier (starts with the
+    /// first injected fault).
     HealthCheck,
     /// A client re-dispatches a connection through the LB after a
     /// failover timeout.
@@ -903,7 +903,6 @@ impl WebWorld {
     /// (or off) this is the plain weighted stride.
     fn lb_pick(&mut self, conn_id: u64, now: SimTime) -> LbPick {
         let n_web = self.n_web();
-        let probe_ok = probe_eligible(self.cfg.seed, conn_id, self.cfg.guard.probe_ratio);
         let mut any_alive = false;
         for i in 0..n_web {
             let alive = !self.dead[i] && !self.lb_dead[i];
@@ -915,11 +914,17 @@ impl WebWorld {
             if self.brk[i].state() != before {
                 self.note_brk_transition(i);
             }
-            self.lb_verdict[i] = match verdict {
-                BreakerVerdict::Probe if !probe_ok => BreakerVerdict::Reject,
-                _ if !alive => BreakerVerdict::Reject,
-                v => v,
-            };
+            self.lb_verdict[i] = if alive { verdict } else { BreakerVerdict::Reject };
+        }
+        // the probe draw builds an RNG: make it only if a breaker offers a probe
+        if self.lb_verdict.contains(&BreakerVerdict::Probe)
+            && !probe_eligible(self.cfg.seed, conn_id, self.cfg.guard.probe_ratio)
+        {
+            for v in &mut self.lb_verdict {
+                if *v == BreakerVerdict::Probe {
+                    *v = BreakerVerdict::Reject;
+                }
+            }
         }
         let total_w: f64 = (0..n_web)
             .filter(|&i| self.lb_verdict[i] != BreakerVerdict::Reject)
@@ -1824,7 +1829,7 @@ impl WebWorld {
     fn ensure_health_checks(&mut self, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         if !self.hc_running {
             self.hc_running = true;
-            ctx.schedule_idle_at(now + HC_PERIOD, Ev::HealthCheck);
+            ctx.schedule_at(now + HC_PERIOD, Ev::HealthCheck);
         }
     }
 
@@ -2003,7 +2008,7 @@ impl WebWorld {
             }
         }
         if now < self.measure_end {
-            ctx.schedule_idle_at(now + HC_PERIOD, Ev::HealthCheck);
+            ctx.schedule_at(now + HC_PERIOD, Ev::HealthCheck);
         }
     }
 
@@ -2042,10 +2047,7 @@ impl WebWorld {
         self.metrics.last_sampled_completed = self.metrics.completed_total;
         self.metrics.throughput_ts.push(now, delta as f64);
         if now < self.measure_end {
-            // measurement tick, not model work: exempt from the
-            // watchdog budget so quiescent (crashed) periods with
-            // nothing but ticks cannot trip it
-            ctx.schedule_idle_at(now + SimDuration::from_secs(1), Ev::Sample);
+            ctx.schedule_in(SimDuration::from_secs(1), Ev::Sample);
         }
     }
 

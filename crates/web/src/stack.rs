@@ -98,7 +98,7 @@ fn run_inner(cfg: StackConfig, tel: Telemetry, profile: bool) -> (WebWorld, Engi
     let fault_times: Vec<SimTime> = world.fplan.faults().iter().map(|f| f.at).collect();
     let mut sim = Simulation::new(world);
     sim.schedule_at(SimTime::ZERO, Ev::GenConn);
-    sim.schedule_idle_at(SimTime::ZERO, Ev::Sample);
+    sim.schedule_at(SimTime::ZERO, Ev::Sample);
     let stop_at = SimTime::ZERO + warmup + measure;
     for (idx, at) in fault_times.into_iter().enumerate() {
         // a fault at/after the stop can never fire (Ev::Stop's earlier
@@ -117,10 +117,9 @@ fn run_inner(cfg: StackConfig, tel: Telemetry, profile: bool) -> (WebWorld, Engi
     }
     let mut prof = KindProfiler::new(Ev::kind);
     sim.run_profiled(&mut prof, &mut NoopProfiler);
-    let watchdog_tripped = sim.watchdog_tripped();
     let engine_profile = prof.finish(&sim);
     let mut world = sim.into_world();
-    record_sim_metrics(&mut world.tel, "web", &engine_profile, watchdog_tripped);
+    record_sim_metrics(&mut world.tel, "web", &engine_profile);
     if profile {
         record_engine_profile(&mut world.tel, "web", &engine_profile, phase_of);
     }
