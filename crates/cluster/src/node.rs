@@ -74,7 +74,12 @@ impl Node {
     // ---- CPU ----------------------------------------------------------
 
     /// Submit `mi` millions of instructions as CPU task `tid`.
+    ///
+    /// Work that overflowed to `+∞` (a huge finite throttle factor times
+    /// the task's MI) runs as `f64::MAX` MI, which finishes past the end
+    /// of simulated time. NaN and non-positive work still panic.
     pub fn add_cpu_task(&mut self, now: SimTime, tid: TaskId, mi: f64) {
+        let mi = if mi == f64::INFINITY { f64::MAX } else { mi };
         self.cpu.add(now, tid, mi);
         self.sync_power(now);
     }

@@ -242,19 +242,29 @@ struct Task {
     probe: bool,
 }
 
-/// Events of the MapReduce world.
+/// Events of the MapReduce world. Node and task indices travel as `u32`
+/// (checked when the world is built, see `ev_index`) so that every
+/// variant fits 16 bytes and a queued engine entry 32.
 #[derive(Debug)]
 pub enum Ev {
     Heartbeat,
     AmReady,
-    NodeCpu { node: usize, epoch: u64 },
-    DiskDone { node: usize, job: u64 },
-    FlowEnd { task: usize, attempt: u32 },
+    NodeCpu { node: u32, epoch: u64 },
+    DiskDone { node: u32, job: u64 },
+    FlowEnd { task: u32, attempt: u32 },
     Fault { idx: usize },
     /// A restarted nodemanager's backed-off re-registration firing: the
     /// node begins re-localising job artifacts.
-    ReRegister { node: usize },
+    ReRegister { node: u32 },
     Sample,
+}
+
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
+
+/// A node or task index as an [`Ev`] payload.
+#[expect(clippy::cast_possible_truncation, reason = "MrWorld::new asserts every node and task index fits u32")]
+fn ev_index(i: usize) -> u32 {
+    i as u32
 }
 
 impl Ev {
@@ -456,6 +466,11 @@ impl MrWorld {
         }
         let n_maps = profile.map_tasks as usize;
         let n_tasks = n_maps + profile.reduce_tasks as usize;
+        // speculation adds at most one duplicate per map
+        assert!(
+            u32::try_from(setup.workers).is_ok() && u32::try_from(n_tasks + n_maps).is_ok(),
+            "node and task indices must fit an event's u32"
+        );
         let tasks: Vec<Task> = (0..n_tasks)
             .map(|i| Task {
                 is_map: i < n_maps,
@@ -620,7 +635,7 @@ impl MrWorld {
     /// completion replaces a stale pending one.
     fn schedule_node_cpu(&mut self, node: usize, now: SimTime, ctx: &mut Ctx<Ev>) {
         if let Some((at, epoch)) = self.nodes.node_mut(NodeId(node)).arm_cpu_completion(now) {
-            ctx.schedule_keyed(node, at, Ev::NodeCpu { node, epoch });
+            ctx.schedule_keyed(node, at, Ev::NodeCpu { node: ev_index(node), epoch });
         }
     }
 
@@ -639,7 +654,7 @@ impl MrWorld {
         }
         let service = service.mul_f64(self.disk_factor[node]);
         if let Some((j, at)) = self.nodes.node_mut(NodeId(node)).disk().submit(now, job, service) {
-            ctx.schedule_at(at, Ev::DiskDone { node, job: j });
+            ctx.schedule_at(at, Ev::DiskDone { node: ev_index(node), job: j });
         }
     }
 
@@ -970,7 +985,7 @@ impl MrWorld {
                 let attempt = self.tasks[task].attempt;
                 ctx.schedule_at(
                     now + (lat + dur).mul_f64(self.net_scale(src, node)),
-                    Ev::FlowEnd { task, attempt },
+                    Ev::FlowEnd { task: ev_index(task), attempt },
                 );
             }
             None => self.fail(format!("block {block} unreadable: every replica node is down"), ctx),
@@ -1092,7 +1107,7 @@ impl MrWorld {
             // a fetch also pays a fixed RPC latency
             ctx.schedule_at(
                 now + (lat + dur + SimDuration::from_millis(1)).mul_f64(self.net_scale(src, node)),
-                Ev::FlowEnd { task, attempt },
+                Ev::FlowEnd { task: ev_index(task), attempt },
             );
             return;
         }
@@ -1150,7 +1165,7 @@ impl MrWorld {
                     let attempt = self.tasks[task].attempt;
                     ctx.schedule_at(
                         now + (lat + dur).mul_f64(self.net_scale(node, peer)),
-                        Ev::FlowEnd { task, attempt },
+                        Ev::FlowEnd { task: ev_index(task), attempt },
                     );
                 } else {
                     self.finish_reduce(task, now, ctx);
@@ -1390,7 +1405,7 @@ impl MrWorld {
                 SimRng::new(derive_seed(self.setup.seed, "mr:rereg-backoff", stream_idx));
             let delay = SimDuration::from_secs_f64(calib::CONTAINER_GRANT_DELAY_S)
                 .mul_f64(f64::from(1u32 << exp) * rng.jitter(REREG_JITTER));
-            ctx.schedule_at(now + delay, Ev::ReRegister { node });
+            ctx.schedule_at(now + delay, Ev::ReRegister { node: ev_index(node) });
         }
         true
     }
@@ -1565,6 +1580,7 @@ impl Model for MrWorld {
                 }
             }
             Ev::NodeCpu { node, epoch } => {
+                let node = node as usize;
                 if !self.nodes.node_mut(NodeId(node)).deliver_cpu_completion(epoch) {
                     return;
                 }
@@ -1582,9 +1598,10 @@ impl Model for MrWorld {
                 self.cpu_finished = done;
                 self.schedule_node_cpu(node, now, ctx);
             }
-            Ev::DiskDone { node, job } => {
+            Ev::DiskDone { node: idx, job } => {
+                let node = idx as usize;
                 if let Some((next, at)) = self.nodes.node_mut(NodeId(node)).disk().complete(now) {
-                    ctx.schedule_at(at, Ev::DiskDone { node, job: next });
+                    ctx.schedule_at(at, Ev::DiskDone { node: idx, job: next });
                 }
                 if job >= LOCALIZE_BASE {
                     #[expect(clippy::cast_possible_truncation, reason = "localisation job ids are LOCALIZE_BASE + a node index")]
@@ -1617,8 +1634,9 @@ impl Model for MrWorld {
                     self.disk_done(node, task, now, ctx);
                 }
             }
-            Ev::FlowEnd { task, attempt } => self.flow_end(task, attempt, now, ctx),
+            Ev::FlowEnd { task, attempt } => self.flow_end(task as usize, attempt, now, ctx),
             Ev::ReRegister { node } => {
+                let node = node as usize;
                 if self.node_down[node] || !self.am_ready {
                     return; // crashed again while backing off
                 }
@@ -1987,6 +2005,27 @@ mod tests {
         let mut plan = FaultPlan::new();
         for n in 0..4 {
             plan = plan.cpu_throttle(n, at, 1e9);
+        }
+        let setup = ClusterSetup::edison(4).with_fault_plan(plan);
+        match run_job_checked(&profile, &setup) {
+            Err(SimError::FaultUnrecovered(msg)) => assert_eq!(
+                msg,
+                "job logcount2: no task progress for 3600s: 0/70 maps, 0/70 reduces"
+            ),
+            other => panic!("expected FaultUnrecovered, got {other:?}"),
+        }
+    }
+
+    /// A ×1e308 throttle overflows every task's work to `+∞`; the node
+    /// runs it as `f64::MAX` MI instead of panicking, and the job ends on
+    /// the stall timeout like the ×1e9 case above.
+    #[test]
+    fn infinite_throttled_work_stalls_out() {
+        let profile = jobs::logcount2(Tune::Edison);
+        let at = SimTime::from_secs(30);
+        let mut plan = FaultPlan::new();
+        for n in 0..4 {
+            plan = plan.cpu_throttle(n, at, 1e308);
         }
         let setup = ClusterSetup::edison(4).with_fault_plan(plan);
         match run_job_checked(&profile, &setup) {

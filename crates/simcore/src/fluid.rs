@@ -46,9 +46,18 @@
 //! event can still arrive: a model that cancels tasks without re-arming
 //! (a crash) leaves its old event pending, and this check drops it.
 //!
-//! Tasks are kept in two id-sorted parallel vectors (`ids`, `rem`):
-//! every scan is contiguous, and progress and `work_done` accumulate over
-//! tasks in ascending id order on every run.
+//! ### Remaining-work order
+//!
+//! Tasks are kept in two parallel vectors (`rem`, `ids`) sorted by
+//! remaining work, descending. Every task runs at one rate, and the
+//! per-task update `x ↦ x − min(step, x)` is monotone non-decreasing in
+//! `x` under round-to-nearest, so an advance keeps a descending vector
+//! descending. Hence the next task to finish is the last element (arming
+//! is O(1)), the finished tasks of a collect form a suffix, and an advance
+//! is one branch-free pass the compiler vectorises. Advances can merge
+//! remaining work into ties; tie order reaches no output, because
+//! collected ids are sorted and [`next_completion`](FluidResource::next_completion)
+//! breaks ties by lowest id.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -70,20 +79,32 @@ pub type TaskId = u64;
 pub struct FluidResource {
     capacity: f64,
     per_task_cap: f64,
-    /// In-flight task ids, ascending: progress and `work_done`
-    /// float-accumulation visit tasks in the same order on every run.
-    ids: Vec<TaskId>,
-    /// Remaining work units of `ids[i]`, at index `i`.
+    /// Remaining work units of the in-flight tasks, descending: the next
+    /// to finish is last (see the module docs).
     rem: Vec<f64>,
+    /// Id of the task whose remaining work is `rem[i]`, at index `i`.
+    ids: Vec<TaskId>,
+    /// Per-task rate at the current task count, recomputed only when the
+    /// count changes (see [`rate_per_task`](Self::rate_per_task)).
+    rate: f64,
     last_update: SimTime,
     epoch: u64,
     /// Epoch and instant of the completion event last armed and not yet
     /// delivered (see the module docs).
     armed: Option<(u64, SimTime)>,
-    /// Total work completed over the lifetime of the resource.
-    work_done: f64,
     /// ∫ utilisation dt (seconds of full-capacity-equivalent use).
     busy_integral: f64,
+}
+
+/// `x.ceil() as u64` without the libm call: truncate, then step up when
+/// the truncation dropped a fraction. Saturates at `u64::MAX` like the
+/// cast; `x` is non-negative.
+#[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "x is non-negative; the cast saturates above u64::MAX")]
+fn ceil_u64(x: f64) -> u64 {
+    let t = x as u64;
+    let up = if (t as f64) < x { t.saturating_add(1) } else { t };
+    debug_assert_eq!(up, x.ceil() as u64, "ceil_u64({x})");
+    up
 }
 
 impl FluidResource {
@@ -97,12 +118,12 @@ impl FluidResource {
         FluidResource {
             capacity,
             per_task_cap,
-            ids: Vec::new(),
             rem: Vec::new(),
+            ids: Vec::new(),
+            rate: 0.0,
             last_update: SimTime::ZERO,
             epoch: 0,
             armed: None,
-            work_done: 0.0,
             busy_integral: 0.0,
         }
     }
@@ -129,22 +150,19 @@ impl FluidResource {
 
     /// Current per-task service rate (work-units/second); zero when idle.
     pub fn rate_per_task(&self) -> f64 {
+        self.rate
+    }
+
+    /// Recompute the cached per-task rate after the task count changed:
+    /// `min(per_task_cap, capacity / n)`, zero when idle.
+    fn task_count_changed(&mut self) {
         let n = self.ids.len();
-        if n == 0 {
-            0.0
-        } else {
-            self.per_task_cap.min(self.capacity / n as f64)
-        }
+        self.rate = if n == 0 { 0.0 } else { self.per_task_cap.min(self.capacity / n as f64) };
     }
 
     /// Instantaneous utilisation in [0, 1].
     pub fn utilization(&self) -> f64 {
-        (self.rate_per_task() * self.ids.len() as f64 / self.capacity).min(1.0)
-    }
-
-    /// Total work completed so far (work-units).
-    pub fn work_done(&self) -> f64 {
-        self.work_done
+        (self.rate * self.ids.len() as f64 / self.capacity).min(1.0)
     }
 
     /// ∫ utilisation dt in seconds, up to the last `advance`.
@@ -159,19 +177,13 @@ impl FluidResource {
     pub fn advance(&mut self, now: SimTime) {
         debug_assert!(now >= self.last_update, "fluid resource time went backwards");
         let dt = now.saturating_since(self.last_update).as_secs_f64();
-        if dt > 0.0 {
-            let rate = self.rate_per_task();
-            if rate > 0.0 {
-                let mut done = 0.0;
-                for rem in &mut self.rem {
-                    let step = rate * dt;
-                    let used = step.min(*rem);
-                    *rem -= used;
-                    done += used;
-                }
-                self.work_done += done;
-                self.busy_integral += self.utilization() * dt;
+        if dt > 0.0 && self.rate > 0.0 {
+            // one step for every task; monotone, so `rem` stays descending
+            let step = self.rate * dt;
+            for rem in &mut self.rem {
+                *rem -= step.min(*rem);
             }
+            self.busy_integral += self.utilization() * dt;
         }
         self.last_update = now;
     }
@@ -183,52 +195,52 @@ impl FluidResource {
     pub fn add(&mut self, now: SimTime, id: TaskId, work: f64) {
         assert!(work.is_finite() && work > 0.0, "invalid work amount {work}");
         self.advance(now);
-        let slot = self.ids.binary_search(&id);
-        assert!(slot.is_err(), "duplicate fluid task id {id}");
-        let i = slot.unwrap_or_else(|i| i);
-        self.ids.insert(i, id);
+        assert!(!self.ids.contains(&id), "duplicate fluid task id {id}");
+        let i = self.rem.partition_point(|&r| r > work);
         self.rem.insert(i, work);
+        self.ids.insert(i, id);
         self.epoch += 1;
+        self.task_count_changed();
     }
 
     /// Remove a task regardless of progress (e.g. a cancelled transfer).
     /// Returns its remaining work, or `None` if unknown.
     pub fn cancel(&mut self, now: SimTime, id: TaskId) -> Option<f64> {
         self.advance(now);
-        let i = self.ids.binary_search(&id).ok()?;
+        let i = self.ids.iter().position(|&x| x == id)?;
         self.ids.remove(i);
         self.epoch += 1;
-        Some(self.rem.remove(i))
+        let rem = self.rem.remove(i);
+        self.task_count_changed();
+        Some(rem)
+    }
+
+    /// The instant at which `rem` work units finish at the current rate,
+    /// from `now`.
+    ///
+    /// Rounds the completion *up* (plus 1 ns of slack) so that advancing
+    /// to it always clears the task's remaining work; rounding to nearest
+    /// can land half a nanosecond early and strand residue above any
+    /// epsilon. A completion more than 2^64 ns (584 years) away saturates
+    /// at `SimTime`'s end instead of wrapping to `now`.
+    fn finish_at(&self, now: SimTime, rem: f64) -> SimTime {
+        let dt = (rem / self.rate).max(0.0);
+        now + SimDuration(ceil_u64(dt * 1e9).saturating_add(1))
     }
 
     /// The next task to finish and its completion time, if any.
     ///
     /// All in-flight tasks share one rate, so the task with the least
-    /// remaining work finishes first; ties broken by lowest id for
-    /// determinism.
+    /// remaining work — the last — finishes first; ties broken by lowest
+    /// id for determinism.
     pub fn next_completion(&self, now: SimTime) -> Option<(TaskId, SimTime)> {
-        let rate = self.rate_per_task();
-        if rate <= 0.0 {
+        if self.rate <= 0.0 {
             return None;
         }
-        // least remaining work; ids ascend, so keeping the first of equal
-        // minima breaks ties by lowest id
-        let mut best = 0;
-        for (i, r) in self.rem.iter().enumerate().skip(1) {
-            if r.total_cmp(&self.rem[best]).is_lt() {
-                best = i;
-            }
-        }
-        let (&id, &rem) = (self.ids.get(best)?, self.rem.get(best)?);
-        let dt = (rem / rate).max(0.0);
-        // Round the completion instant *up* (plus 1 ns of slack) so that
-        // advancing to it always clears the task's remaining work; rounding
-        // to nearest can land half a nanosecond early and strand residue
-        // above any epsilon. A completion more than 2^64 ns (584 years)
-        // away saturates at `SimTime`'s end instead of wrapping to `now`.
-        #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "dt is clamped non-negative; the cast saturates above u64::MAX")]
-        let dt_nanos = ((dt * 1e9).ceil() as u64).saturating_add(1);
-        Some((id, now + SimDuration(dt_nanos)))
+        let &least = self.rem.last()?;
+        let ties = self.rem.iter().rev().take_while(|&&r| r == least).count();
+        let &id = self.ids[self.ids.len() - ties..].iter().min()?;
+        Some((id, self.finish_at(now, least)))
     }
 
     /// Pop every task whose remaining work is (numerically) zero at `now`.
@@ -246,31 +258,28 @@ impl FluidResource {
 
     /// [`take_finished`](Self::take_finished) into a caller-owned buffer:
     /// appends the finished ids, in ascending order, after whatever `out`
-    /// already holds. One in-place compacting pass over the id-sorted
-    /// vectors; no allocation once `out` has capacity.
+    /// already holds. The finished tasks are the suffix of the
+    /// remaining-work order, so this touches only them: their ids are
+    /// appended, sorted, and truncated off. No allocation once `out` has
+    /// capacity.
     pub fn take_finished_into(&mut self, now: SimTime, out: &mut Vec<TaskId>) {
         self.advance(now);
-        let mut kept = 0;
-        for i in 0..self.ids.len() {
-            let (id, rem) = (self.ids[i], self.rem[i]);
-            if rem <= WORK_EPS {
-                out.push(id);
-            } else {
-                self.ids[kept] = id;
-                self.rem[kept] = rem;
-                kept += 1;
-            }
-        }
-        if kept < self.ids.len() {
-            self.ids.truncate(kept);
-            self.rem.truncate(kept);
+        let finished = self.rem.iter().rev().take_while(|&&r| r <= WORK_EPS).count();
+        if finished > 0 {
+            let keep = self.ids.len() - finished;
+            let start = out.len();
+            out.extend_from_slice(&self.ids[keep..]);
+            out[start..].sort_unstable();
+            self.ids.truncate(keep);
+            self.rem.truncate(keep);
             self.epoch += 1;
+            self.task_count_changed();
         }
     }
 
     /// Remaining work of a task, if in flight (advances nothing).
     pub fn remaining(&self, id: TaskId) -> Option<f64> {
-        let i = self.ids.binary_search(&id).ok()?;
+        let i = self.ids.iter().position(|&x| x == id)?;
         Some(self.rem[i])
     }
 
@@ -278,7 +287,8 @@ impl FluidResource {
     /// to stamp on it, or `None` when nothing is in flight or the pending
     /// event already carries the current epoch (see the module docs). A
     /// `Some` is the caller's promise to schedule it, keyed, replacing any
-    /// pending completion of this resource.
+    /// pending completion of this resource. O(1): the instant comes from
+    /// the last task's remaining work, whatever its id.
     pub fn arm_completion(&mut self, now: SimTime) -> Option<(SimTime, u64)> {
         if let Some((epoch, at)) = self.armed {
             if epoch == self.epoch {
@@ -290,7 +300,10 @@ impl FluidResource {
                 return None;
             }
         }
-        let (_, at) = self.next_completion(now)?;
+        if self.rate <= 0.0 {
+            return None;
+        }
+        let at = self.finish_at(now, *self.rem.last()?);
         self.armed = Some((self.epoch, at));
         Some((at, self.epoch))
     }
@@ -438,22 +451,27 @@ mod tests {
         let done = r.take_finished(t(1.0));
         assert_eq!(done, vec![1]);
         assert!((r.busy_seconds() - 0.5).abs() < 1e-9);
-        assert!((r.work_done() - 5.0).abs() < 1e-9);
+        assert!((r.capacity() * r.busy_seconds() - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn work_conservation_under_mutation_storm() {
-        // total completed work must equal total submitted work.
+        // capacity × busy time must equal total submitted work when every
+        // completion is collected on time (a finished task left in the set
+        // would keep counting as busy).
         let mut r = FluidResource::new(7.0, 3.0);
         let mut now = t(0.0);
         let mut submitted = 0.0;
         for i in 0..50u64 {
+            let arrival = SimTime::ZERO + SimDuration::from_millis(137 * i);
+            while let Some((_, at)) = r.next_completion(now).filter(|&(_, at)| at <= arrival) {
+                now = at;
+                r.take_finished(now);
+            }
+            now = arrival;
             let w = 1.0 + (i % 7) as f64;
             r.add(now, i, w);
             submitted += w;
-            now = now + SimDuration::from_millis(137);
-            r.advance(now);
-            r.take_finished(now);
         }
         // drain
         while let Some((_, at)) = r.next_completion(now) {
@@ -461,11 +479,8 @@ mod tests {
             r.take_finished(now);
         }
         assert!(r.is_empty());
-        assert!(
-            (r.work_done() - submitted).abs() < 1e-3,
-            "done {} vs submitted {submitted}",
-            r.work_done()
-        );
+        let served = r.capacity() * r.busy_seconds();
+        assert!((served - submitted).abs() < 1e-6 * submitted + 1e-3, "served {served} vs submitted {submitted}");
     }
 
     #[test]
@@ -484,6 +499,20 @@ mod tests {
         r.add(t(0.0), 3, 5.0);
         let (id, _) = r.next_completion(t(0.0)).unwrap();
         assert_eq!(id, 3);
+    }
+
+    #[test]
+    fn an_advance_that_merges_remaining_work_breaks_the_tie_by_lowest_id() {
+        let mut r = FluidResource::new(10.0, f64::INFINITY);
+        r.add(t(0.0), 2, 2.0);
+        r.add(t(0.0), 5, 1.0);
+        // id 5 has less work, so it is last; both run at 5/s
+        assert_eq!(r.next_completion(t(0.0)).map(|c| c.0), Some(5));
+        // a 5-unit step clears both: equal remaining work, lowest id first
+        r.advance(t(1.0));
+        assert_eq!(r.remaining(2), r.remaining(5));
+        assert_eq!(r.next_completion(t(1.0)).map(|c| c.0), Some(2));
+        assert_eq!(r.take_finished(t(1.0)), vec![2, 5]);
     }
 
     #[test]
@@ -520,7 +549,7 @@ mod tests {
             assert_eq!(a.epoch(), b.epoch());
         }
         assert!(a.is_empty() && b.is_empty());
-        assert_eq!(a.work_done().to_bits(), b.work_done().to_bits());
+        assert_eq!(a.busy_seconds().to_bits(), b.busy_seconds().to_bits());
     }
 
     #[test]

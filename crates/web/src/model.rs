@@ -339,18 +339,20 @@ impl Default for Metrics {
     }
 }
 
-/// Events of the web world.
+/// Events of the web world. Node indices travel as `u32` (checked when
+/// the world is built, see `ev_index`) so that every variant fits 16
+/// bytes and a queued engine entry 32.
 #[derive(Debug)]
 pub enum Ev {
     GenConn,
     SynRetry { conn: u64, attempt: u8 },
-    NodeCpu { node: usize, epoch: u64 },
-    DbCpu { node: usize, epoch: u64 },
+    NodeCpu { node: u32, epoch: u64 },
+    DbCpu { node: u32, epoch: u64 },
     ReqAtWeb { req: u64 },
     ReqAtCache { req: u64 },
     CacheReplyAtWeb { req: u64, hit: bool },
     ReqAtDb { req: u64 },
-    DbDiskDone { node: usize, job: u64 },
+    DbDiskDone { node: u32, job: u64 },
     DbReplyAtWeb { req: u64 },
     ReplyAtClient { req: u64 },
     Sample,
@@ -364,6 +366,14 @@ pub enum Ev {
     /// failover timeout.
     RetryConn { conn: u64 },
     Stop,
+}
+
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
+
+/// A node index as an [`Ev`] payload.
+#[expect(clippy::cast_possible_truncation, reason = "WebWorld::new asserts every node index fits u32")]
+fn ev_index(node: usize) -> u32 {
+    node as u32
 }
 
 impl Ev {
@@ -586,6 +596,7 @@ impl WebWorld {
         let other_spec = other_platform.spec();
         let n_web = cfg.scenario.web_servers + cfg.hybrid_web;
         let n_cache = cfg.scenario.cache_servers;
+        assert!(u32::try_from(n_web + n_cache).is_ok(), "node indices must fit an event's u32");
         // web nodes: base platform first, hybrid extras after, then caches
         let web_platforms: Vec<Platform> = (0..n_web)
             .map(|i| if i < cfg.scenario.web_servers { cfg.scenario.platform } else { other_platform })
@@ -861,7 +872,7 @@ impl WebWorld {
     /// index so a newer completion replaces a stale pending one.
     fn schedule_node_cpu(&mut self, node: usize, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         if let Some((at, epoch)) = self.nodes.node_mut(NodeId(node)).arm_cpu_completion(now) {
-            ctx.schedule_keyed(node, at, Ev::NodeCpu { node, epoch });
+            ctx.schedule_keyed(node, at, Ev::NodeCpu { node: ev_index(node), epoch });
         }
     }
 
@@ -869,7 +880,7 @@ impl WebWorld {
     /// cache node.
     fn schedule_db_cpu(&mut self, node: usize, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         if let Some((at, epoch)) = self.dbc.node_mut(NodeId(node)).arm_cpu_completion(now) {
-            ctx.schedule_keyed(self.nodes.len() + node, at, Ev::DbCpu { node, epoch });
+            ctx.schedule_keyed(self.nodes.len() + node, at, Ev::DbCpu { node: ev_index(node), epoch });
         }
     }
 
@@ -1609,7 +1620,7 @@ impl WebWorld {
                 .disk_read_time(bytes, false)
                 .mul_f64(self.db_disk_factor[db_node]);
             if let Some((job, at)) = self.dbc.node_mut(NodeId(db_node)).disk().submit(now, req_id, service) {
-                ctx.schedule_at(at, Ev::DbDiskDone { node: db_node, job });
+                ctx.schedule_at(at, Ev::DbDiskDone { node: ev_index(db_node), job });
             }
         } else {
             self.db_send_reply(req_id, now, ctx);
@@ -1621,7 +1632,7 @@ impl WebWorld {
     /// caller's move, after this.
     fn db_disk_pop(&mut self, node: usize, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         if let Some((next_job, at)) = self.dbc.node_mut(NodeId(node)).disk().complete(now) {
-            ctx.schedule_at(at, Ev::DbDiskDone { node, job: next_job });
+            ctx.schedule_at(at, Ev::DbDiskDone { node: ev_index(node), job: next_job });
         }
     }
 
@@ -2129,6 +2140,7 @@ impl WebWorld {
             }
             Ev::SynRetry { conn, attempt } => self.syn_attempt(conn, attempt, now, ctx),
             Ev::NodeCpu { node, epoch } => {
+                let node = node as usize;
                 if !self.nodes.node_mut(NodeId(node)).deliver_cpu_completion(epoch) {
                     return;
                 }
@@ -2146,6 +2158,7 @@ impl WebWorld {
                 self.schedule_node_cpu(node, now, ctx);
             }
             Ev::DbCpu { node, epoch } => {
+                let node = node as usize;
                 if !self.dbc.node_mut(NodeId(node)).deliver_cpu_completion(epoch) {
                     return;
                 }
@@ -2163,7 +2176,7 @@ impl WebWorld {
             Ev::CacheReplyAtWeb { req, hit } => self.cache_reply_at_web(req, hit, now, ctx),
             Ev::ReqAtDb { req } => self.req_at_db(req, now, ctx),
             Ev::DbDiskDone { node, job } => {
-                self.db_disk_pop(node, now, ctx);
+                self.db_disk_pop(node as usize, now, ctx);
                 self.db_send_reply(job, now, ctx);
             }
             Ev::DbReplyAtWeb { req } => self.db_reply_at_web(req, now, ctx),

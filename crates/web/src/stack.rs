@@ -253,6 +253,18 @@ mod tests {
         assert!(frac > 0.9, "completed {} vs baseline {}", w.metrics.completed, b.metrics.completed);
     }
 
+    /// A ×1e308 throttle overflows web node 0's request work to `+∞`;
+    /// the node runs it as `f64::MAX` MI instead of panicking, and the
+    /// other web nodes keep serving.
+    #[test]
+    fn infinite_throttled_work_runs_to_the_end() {
+        let mut cfg = small_cfg(64.0);
+        cfg.fault_plan = FaultPlan::new().cpu_throttle(0, SimTime::from_secs(2), 1e308);
+        let w = run(cfg);
+        assert_eq!(w.metrics.faults_injected, 1);
+        assert!(w.metrics.completed > 0);
+    }
+
     #[test]
     fn zero_width_crash_restart_is_observationally_a_noop() {
         let mut cfg = small_cfg(32.0);
