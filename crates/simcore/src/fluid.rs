@@ -84,8 +84,8 @@ pub struct FluidResource {
     rem: Vec<f64>,
     /// Id of the task whose remaining work is `rem[i]`, at index `i`.
     ids: Vec<TaskId>,
-    /// Per-task rate at the current task count, recomputed only when the
-    /// count changes (see [`rate_per_task`](Self::rate_per_task)).
+    /// Per-task service rate (work-units/second) at the current task
+    /// count, zero when idle; recomputed only when the count changes.
     rate: f64,
     last_update: SimTime,
     epoch: u64,
@@ -146,11 +146,6 @@ impl FluidResource {
     /// Mutation epoch, for the completion-event invalidation protocol.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Current per-task service rate (work-units/second); zero when idle.
-    pub fn rate_per_task(&self) -> f64 {
-        self.rate
     }
 
     /// Recompute the cached per-task rate after the task count changed:

@@ -1,23 +1,14 @@
-//! Workspace symbol index: every parsed file plus cross-file lookup
-//! tables the AST analyses share.
-//!
-//! The index answers two kinds of questions that single-file passes
-//! cannot:
-//!
-//! * **Field types** — `self.gauges` is a `BTreeMap<(&'static str, Labels),
-//!   f64>` because the `Registry` struct in the same crate says so
-//!   ([`Index::field_ty`]).
-//! * **Trait roles** — which types implement `Experiment`, so the taint
-//!   analysis knows whose `run` return values are exported artefacts
-//!   ([`Index::is_experiment_impl`]).
+//! Workspace symbol index: every parsed file plus the per-crate struct
+//! field types R8 reads — `self.gauges` is a `BTreeMap<(&'static str,
+//! Labels), f64>` because the `Registry` struct in the same crate says so
+//! ([`Index::field_ty`]).
 //!
 //! Lookups are scoped per crate (`crates/<name>/…`, with the root
-//! package's `src`/`tests` as crate `"root"`): the analyses are
-//! deliberately intraprocedural *across files* but not across crates,
-//! keeping name resolution trivial.
+//! package's `src`/`tests` as crate `"root"`), keeping name resolution
+//! trivial.
 
-use crate::parse::{self, Ast, Item, ItemKind, Ty};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::parse::{self, Ast, Ty};
+use std::collections::BTreeMap;
 
 /// One parsed workspace file.
 #[derive(Debug)]
@@ -44,8 +35,6 @@ impl FileUnit {
 pub struct Index {
     /// crate → struct name → (field name → type).
     pub structs: BTreeMap<String, BTreeMap<String, BTreeMap<String, Ty>>>,
-    /// crate → type names with an `impl Experiment for …` block.
-    pub experiment_impls: BTreeMap<String, BTreeSet<String>>,
 }
 
 impl Index {
@@ -64,7 +53,6 @@ impl Index {
                     .or_default()
                     .extend(s.fields.iter().cloned());
             });
-            collect_impls(&f.ast.items, &f.krate, &mut ix);
         }
         ix
     }
@@ -72,39 +60,6 @@ impl Index {
     /// Type of `Struct.field` in `krate`, if known.
     pub fn field_ty(&self, krate: &str, struct_name: &str, field: &str) -> Option<&Ty> {
         self.structs.get(krate)?.get(struct_name)?.get(field)
-    }
-
-    /// Field type looked up across all structs of a crate — used when the
-    /// receiver's struct is unknown but the field name is unambiguous.
-    pub fn field_ty_any(&self, krate: &str, field: &str) -> Option<&Ty> {
-        let mut found: Option<&Ty> = None;
-        for fields in self.structs.get(krate)?.values() {
-            if let Some(t) = fields.get(field) {
-                match found {
-                    None => found = Some(t),
-                    Some(prev) if prev.head == t.head => {}
-                    _ => return None, // ambiguous across structs
-                }
-            }
-        }
-        found
-    }
-
-    /// Does `type_name` implement `Experiment` in `krate`?
-    pub fn is_experiment_impl(&self, krate: &str, type_name: &str) -> bool {
-        self.experiment_impls.get(krate).is_some_and(|s| s.contains(type_name))
-    }
-}
-
-fn collect_impls(items: &[Item], krate: &str, ix: &mut Index) {
-    for item in items {
-        match &item.kind {
-            ItemKind::Impl(trait_head, self_ty, _) if trait_head.as_deref() == Some("Experiment") => {
-                ix.experiment_impls.entry(krate.to_string()).or_default().insert(self_ty.clone());
-            }
-            ItemKind::Mod(_, Some(inner)) => collect_impls(inner, krate, ix),
-            _ => {}
-        }
     }
 }
 
@@ -144,7 +99,7 @@ pub fn children(kind: &crate::parse::ExprKind) -> Vec<crate::parse::ExprId> {
         }
         E::Match { scrut, arms } => {
             let mut v = vec![*scrut];
-            v.extend(arms.iter().map(|(_, e)| *e));
+            v.extend(arms.iter().flat_map(|(_, g, e)| g.iter().chain([e]).copied()));
             v
         }
         E::While { cond, .. } => vec![*cond],
@@ -180,17 +135,10 @@ mod tests {
     }
 
     #[test]
-    fn index_sees_fields_and_experiment_impls() {
-        let files = vec![
-            FileUnit::new(
-                "crates/demo/src/a.rs",
-                "struct Net { flows: BTreeMap<u64, Flow>, m: HashMap<u8, u8> }\n\
-                 impl Experiment for Net { fn run(&mut self) -> u8 { 0 } }",
-            ),
-        ];
+    fn index_sees_struct_fields() {
+        let files = vec![FileUnit::new("crates/demo/src/a.rs", "struct Net { flows: BTreeMap<u64, Flow>, m: HashMap<u8, u8> }")];
         let ix = Index::build(&files);
         assert_eq!(ix.field_ty("demo", "Net", "flows").unwrap().head, "BTreeMap");
-        assert!(ix.is_experiment_impl("demo", "Net"));
-        assert!(!ix.is_experiment_impl("demo", "Other"));
+        assert!(ix.field_ty("demo", "Other", "flows").is_none());
     }
 }

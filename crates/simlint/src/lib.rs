@@ -1,35 +1,32 @@
 //! `edison-simlint` — the workspace analyses that clippy cannot express.
 //!
-//! The repo's headline claim is that every experiment is exactly
-//! reproducible from a single `u64` seed and that energy figures come
-//! from exact piecewise-constant integration. Nothing in the type system
-//! enforces that. `cargo lint-gate` runs clippy with the token-level
-//! rules denied (wall clock, hash collections, RNG construction, lossy
-//! casts, panics, unwraps). This crate adds the three rules that need
-//! the whole workspace's AST, in a three-stage pipeline:
+//! The repo's headline numbers are energy figures from exact
+//! piecewise-constant integration over `f64` seconds, watts and joules,
+//! and nothing in the type system keeps those apart. `cargo lint-gate`
+//! runs clippy with the token-level rules denied (wall clock, current
+//! thread, hash collections, RNG construction, lossy casts, panics,
+//! unwraps). This crate adds the two unit rules that need a parsed AST,
+//! in a three-stage pipeline:
 //!
 //! 1. **parse** ([`parse`]) — a hand-rolled, span-preserving
 //!    item/expression parser (lossless: reassembling spans reproduces the
 //!    input byte-for-byte).
-//! 2. **index** ([`index`]) — workspace symbol tables (struct fields,
-//!    `Experiment` impls) scoped per crate.
-//! 3. **rules** — unit-mixing signatures R5 ([`rules`]), determinism
-//!    taint tracking R7 ([`taint`]) and dimensional analysis R8
-//!    ([`units`]).
+//! 2. **index** ([`index`]) — per-crate struct field types.
+//! 3. **rules** — unit-mixing signatures R5 ([`rules`]) and dimensional
+//!    analysis R8 ([`units`]).
 //!
 //! Every rule has a zero budget: the root-package integration test
 //! `tests/simlint_gate.rs` runs [`scan_workspace`] in tier-1 and fails on
-//! any finding.
+//! any finding. The same file checks that the parser keeps sync to the
+//! end of every scanned file, so no code escapes the rules.
 
 pub mod index;
 pub mod parse;
 pub mod rules;
-pub mod taint;
 pub mod units;
 
 use index::{FileUnit, Index};
 use rules::Finding;
-use std::collections::BTreeMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -42,9 +39,8 @@ const SCAN_ROOTS: [&str; 4] = ["crates", "src", "tests", "examples"];
 /// Directory names whose whole subtree is treated as test code.
 const TESTISH_DIRS: [&str; 3] = ["tests", "benches", "examples"];
 
-/// Walk the workspace from `root`; parse, index and analyse every `.rs`
-/// file. Findings come back in (file, line, rule) order.
-pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
+/// Every `.rs` file under the scanned trees of `root`, sorted.
+pub fn source_files(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut paths = Vec::new();
     for tree in SCAN_ROOTS {
         let dir = root.join(tree);
@@ -53,29 +49,20 @@ pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
         }
     }
     paths.sort();
+    Ok(paths)
+}
 
-    // Pass 1: read + parse every file.
-    let mut file_units: Vec<FileUnit> = Vec::with_capacity(paths.len());
-    for path in &paths {
-        file_units.push(FileUnit::new(&rel_path(root, path), &fs::read_to_string(path)?));
+/// Walk the workspace from `root`; parse, index and analyse every `.rs`
+/// file. Findings come back in (file, line, rule) order.
+pub fn scan_workspace(root: &Path) -> io::Result<Vec<Finding>> {
+    let mut file_units: Vec<FileUnit> = Vec::new();
+    for path in source_files(root)? {
+        file_units.push(FileUnit::new(&rel_path(root, &path), &fs::read_to_string(&path)?));
     }
-
-    // Pass 2: build the workspace index and per-crate taint summaries.
     let ix = Index::build(&file_units);
-    let mut by_crate: BTreeMap<&str, Vec<&FileUnit>> = BTreeMap::new();
-    for u in &file_units {
-        by_crate.entry(u.krate.as_str()).or_default().push(u);
-    }
-    let summaries: BTreeMap<&str, taint::Summaries> = by_crate
-        .iter()
-        .map(|(k, files)| (*k, taint::summarize_crate(files, &ix)))
-        .collect();
-
-    // Pass 3: the rules.
     let mut findings = Vec::new();
     for u in &file_units {
         findings.extend(rules::check_file(u));
-        findings.extend(taint::check_file(u, &ix, &summaries[u.krate.as_str()]));
         findings.extend(units::check_file(u, &ix));
     }
     findings.sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
@@ -116,7 +103,8 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-fn rel_path(root: &Path, path: &Path) -> String {
+/// `path` relative to `root`, with `/` separators.
+pub fn rel_path(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
         .to_string_lossy()

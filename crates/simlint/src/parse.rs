@@ -4,7 +4,7 @@
 //! workspace actually writes — modules, `use` trees, structs/enums,
 //! traits, impl blocks, and function signatures *with bodies parsed down
 //! to expressions* — which is exactly what the analyses
-//! ([`crate::rules`], [`crate::taint`], [`crate::units`]) need. Everything it does not
+//! ([`crate::rules`], [`crate::units`]) need. Everything it does not
 //! understand degrades to an [`ExprKind::Opaque`] / [`ItemKind::Other`]
 //! node that still records its token range, so analyses skip it instead
 //! of mis-reading it.
@@ -178,7 +178,13 @@ fn scan_string(b: &[u8], mut i: usize, line: &mut u32) -> usize {
     i += 1;
     while i < b.len() {
         match b[i] {
-            b'\\' => i += 2,
+            b'\\' => {
+                // a `\` line continuation still ends a line
+                if b.get(i + 1) == Some(&b'\n') {
+                    *line += 1;
+                }
+                i += 2;
+            }
             b'\n' => {
                 *line += 1;
                 i += 1;
@@ -526,8 +532,8 @@ pub enum ExprKind {
     Match {
         /// Scrutinee.
         scrut: ExprId,
-        /// Arms: (bound names, body).
-        arms: Vec<(Vec<String>, ExprId)>,
+        /// Arms: (bound names, guard, body).
+        arms: Vec<(Vec<String>, Option<ExprId>, ExprId)>,
     },
     /// `while [let ..] cond { .. }`.
     While {
@@ -1211,7 +1217,8 @@ impl<'s> Parser<'s> {
                     }
                 }
                 let mut args = Vec::new();
-                if self.peek() == "<" {
+                // `x as f64 <= y`: a `<` followed by `=` is a comparison
+                if self.peek() == "<" && self.text_at(1) != "=" {
                     self.bump();
                     while !self.done() {
                         match self.peek() {
@@ -1777,11 +1784,14 @@ impl<'s> Parser<'s> {
                     self.skip_balanced();
                 }
             }
-            let names = self.pattern_names(&["=>"]);
+            // the pattern stops at a guard, whose `<` would otherwise
+            // read as an opening generic
+            let names = self.pattern_names(&["=>", "if"]);
+            let guard = if self.eat("if") { Some(self.expr(true)) } else { None };
             self.eat("=>");
             let body = self.expr(true);
             self.eat(",");
-            arms.push((names, body));
+            arms.push((names, guard, body));
         }
         self.eat("}");
         self.mk(ExprKind::Match { scrut, arms }, start..self.pos, line)
@@ -1875,20 +1885,14 @@ impl<'s> Parser<'s> {
 // ---------------------------------------------------------------------------
 
 /// Visit every function definition in the item tree (including methods in
-/// impl/trait blocks and fns in nested modules), with the impl/trait
-/// context: (trait head, self type head) when inside an impl.
-pub fn visit_fns<'a>(
-    items: &'a [Item],
-    ctx: Option<(&'a Option<String>, &'a str)>,
-    f: &mut impl FnMut(&'a FnDef, Option<(&'a Option<String>, &'a str)>, bool),
-) {
+/// impl/trait blocks and fns in nested modules), with the self type head
+/// when inside an impl.
+pub fn visit_fns<'a>(items: &'a [Item], ctx: Option<&'a str>, f: &mut impl FnMut(&'a FnDef, Option<&'a str>, bool)) {
     for item in items {
         match &item.kind {
             ItemKind::Fn(def) => f(def, ctx, item.in_test),
             ItemKind::Mod(_, Some(inner)) => visit_fns(inner, ctx, f),
-            ItemKind::Impl(trait_head, self_ty, inner) => {
-                visit_fns(inner, Some((trait_head, self_ty.as_str())), f);
-            }
+            ItemKind::Impl(_, self_ty, inner) => visit_fns(inner, Some(self_ty.as_str()), f),
             ItemKind::Trait(_, inner) => visit_fns(inner, ctx, f),
             _ => {}
         }
@@ -1947,6 +1951,24 @@ mod tests {
             .collect();
         assert_eq!(kinds, ["enum", "struct", "fn"]);
         roundtrip(src);
+    }
+
+    #[test]
+    fn comparisons_after_a_guard_or_cast_do_not_open_generics() {
+        // a guard's `<` and a cast's `<=` once read as opening generics,
+        // which swallowed every later item into the first fn
+        for body in ["match c { c if u32::from(c) < 0x20 => 1, _ => 0 }", "u8::from(x as f64 <= 1.0)"] {
+            let src = format!("fn f(c: char, x: u8) -> u8 {{ {body} }}\nfn g() {{}}");
+            let (_, ast) = parse(&src);
+            assert_eq!(ast.items.len(), 2, "{src}");
+            roundtrip(&src);
+        }
+    }
+
+    #[test]
+    fn string_line_continuations_count_lines() {
+        let src = "let s = \"a \\\n b\";\nfn g() {}";
+        assert_eq!(tokenize(src).last().map(|t| t.line), Some(3));
     }
 
     #[test]

@@ -3,16 +3,17 @@
 //! simlint checks what clippy cannot express. Each rule reads the parsed
 //! AST:
 //!
-//! | id | name              | what it catches                                        |
-//! |----|-------------------|--------------------------------------------------------|
-//! | R5 | unit-mix          | `fn` taking 2+ raw `f64`s mixing time/power/energy names|
-//! | R7 | determinism-taint | nondeterminism source reaching an exported artefact     |
-//! | R8 | units             | dimensional mismatch in arithmetic or assignment        |
+//! | id | name     | what it catches                                          |
+//! |----|----------|----------------------------------------------------------|
+//! | R5 | unit-mix | `fn` taking 2+ raw `f64`s mixing time/power/energy names |
+//! | R8 | units    | dimensional mismatch in arithmetic or assignment         |
 //!
-//! R7 lives in [`crate::taint`] and R8 in [`crate::units`]. All three skip
-//! test code (`#[cfg(test)]`, `mod tests`, and whole
-//! `tests/`/`benches/`/`examples/` trees). The token rules R1–R4 and R6
-//! are clippy lints denied by `cargo lint-gate`; see `clippy.toml`.
+//! R8 lives in [`crate::units`]. Both skip test code (`#[cfg(test)]`,
+//! `mod tests`, and whole `tests/`/`benches/`/`examples/` trees). The
+//! token rules R1–R4 and R6 are clippy lints denied by `cargo lint-gate`;
+//! see `clippy.toml`. Determinism needs no AST rule: clippy denies every
+//! wall-clock, thread-identity and hash-collection source outside a
+//! handful of vetted sites, which `tests/vetted_sites.rs` pins.
 
 use crate::index::FileUnit;
 use crate::parse::{self, FnDef};
@@ -21,7 +22,7 @@ use crate::units::{unit_of_name, Unit};
 /// A single rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id: `R5`, `R7` or `R8`.
+    /// Rule id: `R5` or `R8`.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,

@@ -185,7 +185,7 @@ pub fn check_file(unit: &FileUnit, ix: &Index) -> Vec<Finding> {
     if unit.testish {
         return findings;
     }
-    parse::visit_fns(&unit.ast.items, None, &mut |f: &FnDef, ctx, in_test| {
+    parse::visit_fns(&unit.ast.items, None, &mut |f: &FnDef, self_ty, in_test| {
         if in_test {
             return;
         }
@@ -197,7 +197,6 @@ pub fn check_file(unit: &FileUnit, ix: &Index) -> Vec<Finding> {
                 env.insert(p.name.clone(), u);
             }
         }
-        let self_ty = ctx.map(|(_, st)| st);
         let mut cx = Cx { unit, ix, env, findings: &mut findings, self_ty };
         cx.block(body);
     });
@@ -389,7 +388,10 @@ impl<'a> Cx<'a> {
             }
             ExprKind::Match { scrut, arms } => {
                 self.infer(*scrut);
-                for (_, body) in arms {
+                for (_, guard, body) in arms {
+                    if let Some(g) = guard {
+                        self.infer(*g);
+                    }
                     self.infer(*body);
                 }
                 Unit::Unknown

@@ -92,6 +92,7 @@ fn r1_positive_wallclock_ambient_rng_and_hash_maps() {
             "use std::time::SystemTime;\npub fn f() -> SystemTime { SystemTime::now() }",
             "pub struct S { pub m: std::collections::HashMap<u64, f64> }",
             "pub fn f() -> usize {\n    let s: std::collections::HashSet<u8> = Default::default();\n    s.len()\n}",
+            "pub fn f() -> std::thread::ThreadId { std::thread::current().id() }",
         ],
         false,
         &[],
@@ -100,6 +101,7 @@ fn r1_positive_wallclock_ambient_rng_and_hash_maps() {
     assert_eq!(f[1], ["2: use of a disallowed method `std::time::SystemTime::now`"]);
     assert_eq!(f[2], ["1: use of a disallowed type `std::collections::HashMap`"]);
     assert_eq!(f[3], ["2: use of a disallowed type `std::collections::HashSet`"]);
+    assert_eq!(f[4], ["1: use of a disallowed method `std::thread::current`"]);
 
     // The vendored rand has no ambient generator: code that asks for one
     // does not build, so the gate fails on it.

@@ -7,13 +7,15 @@
 //! path made it a measurable share of host time. The keys here are ids the
 //! simulator hands out itself, so a single multiply suffices.
 //!
-//! Determinism: these maps serve keyed lookup only. Nothing iterates them
-//! except `WebWorld::apply_crash`, which sorts what it collects, so neither
-//! the hash function nor the map's internal order reaches any output.
-#![expect(clippy::disallowed_types, reason = "keyed lookup only; see the module docs")]
+//! Determinism: [`IdMap`] is keyed-only by type. It offers no iterator;
+//! its one bulk read, [`IdMap::sorted_ids_where`], returns ids sorted, so
+//! neither the hash function nor the map's internal order can reach any
+//! output.
+#![expect(clippy::disallowed_types, reason = "keyed-only map: no method yields hash order; see the module docs")]
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Index;
 
 /// ⌊2^64 / φ⌋, odd: multiplying by it is a bijection on `u64` whose low
 /// bits (the bucket index) stay distinct for sequential ids and whose high
@@ -44,8 +46,60 @@ impl Hasher for IdHasher {
     }
 }
 
-/// An integer-keyed map hashed by [`IdHasher`].
-pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+/// An integer-keyed map hashed by [`IdHasher`], with keyed operations
+/// only.
+pub struct IdMap<K, V>(HashMap<K, V, BuildHasherDefault<IdHasher>>);
+
+impl<K, V> Default for IdMap<K, V> {
+    fn default() -> Self {
+        IdMap(HashMap::default())
+    }
+}
+
+impl<K: Copy + Ord + Hash, V> IdMap<K, V> {
+    #[inline]
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.0.get(key)
+    }
+
+    #[inline]
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.0.get_mut(key)
+    }
+
+    #[inline]
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.0.insert(key, value)
+    }
+
+    #[inline]
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.0.remove(key)
+    }
+
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Ids of the entries whose value satisfies `pred`, ascending: the one
+    /// bulk read, and it does not depend on the map's internal order.
+    pub fn sorted_ids_where(&self, mut pred: impl FnMut(&V) -> bool) -> Vec<K> {
+        let mut ids: Vec<K> = self.0.iter().filter(|(_, v)| pred(v)).map(|(&k, _)| k).collect();
+        ids.sort_unstable();
+        ids
+    }
+}
+
+impl<K: Copy + Ord + Hash, V> Index<&K> for IdMap<K, V> {
+    type Output = V;
+
+    /// Panics when `key` is absent, like `HashMap`'s index.
+    #[inline]
+    fn index(&self, key: &K) -> &V {
+        &self.0[key]
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -77,6 +131,9 @@ mod tests {
         for i in 0..10_000u64 {
             assert_eq!(m.get(&(i * 3)).copied(), u32::try_from(i).ok());
         }
-        assert!(!m.contains_key(&1));
+        assert!(m.get(&1).is_none());
+        assert_eq!(m.len(), 10_000);
+        assert_eq!(m.remove(&3), Some(1));
+        assert_eq!(m.sorted_ids_where(|&v| v < 4), [0, 6, 9]);
     }
 }

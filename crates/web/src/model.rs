@@ -450,9 +450,7 @@ pub struct WebWorld {
     pub(crate) workers: Vec<WorkerPool>,
     pub(crate) syn_gates: Vec<SynGate>,
     pub(crate) rng: SimRng,
-    /// Keyed lookup only; event order comes from the kernel heap.
     pub(crate) conns: IdMap<u64, Conn>,
-    /// Keyed lookup only; the one scan (`WebWorld::apply_crash`) sorts.
     pub(crate) reqs: IdMap<u64, Req>,
     pub(crate) next_conn: u64,
     pub(crate) next_req: u64,
@@ -1924,16 +1922,8 @@ impl WebWorld {
         }
         self.dead[node] = true;
         self.crash_time[node] = Some(now);
-        // in-flight CPU work on the node dies with it; sorted so the
-        // retry re-dispatch order is independent of map iteration order
-        let mut doomed: Vec<u64> = self
-            .reqs
-            .iter()
-            .filter(|(_, r)| r.web == node)
-            .map(|(&id, _)| id)
-            .collect();
-        doomed.sort_unstable();
-        for id in doomed {
+        // in-flight CPU work on the node dies with it, in id order
+        for id in self.reqs.sorted_ids_where(|r| r.web == node) {
             self.nodes.node_mut(NodeId(node)).cancel_cpu_task(now, id);
             // requests with RPCs in flight are dropped when their
             // reply lands on the dead node (see the dead guards)

@@ -1,40 +1,17 @@
 //! Scalability study (§5.3 / Figures 18–19): run every job across Edison
 //! cluster sizes 4/8/17/35 and Dell 1/2, print the Table 8 matrix and the
-//! per-doubling speed-ups.
+//! per-doubling speed-ups. Each cell is `table8`'s own, per-size tuning
+//! and derived seed included.
 //!
 //! ```text
 //! cargo run --release --example scalability
 //! ```
 
-use edison_mapreduce::engine::{run_job, ClusterSetup, JobOutcome};
-use edison_mapreduce::jobs::{self, Tune};
+use edison_core::experiments::mapred::run_cell;
+use edison_mapreduce::engine::ClusterSetup;
+use edison_simrun::SimError;
 
-fn run(job: &str, setup: &ClusterSetup) -> JobOutcome {
-    // re-tune the combined jobs per cluster size, as the paper does
-    let vcores = match setup.tune {
-        Tune::Edison => 2 * setup.workers as u32,
-        Tune::Dell => 12 * setup.workers as u32,
-    };
-    let mut profile = match job {
-        "wordcount" => jobs::wordcount(setup.tune),
-        "wordcount2" => jobs::wordcount2(setup.tune),
-        "logcount" => jobs::logcount(setup.tune),
-        "logcount2" => jobs::logcount2(setup.tune),
-        "pi" => jobs::pi(setup.tune),
-        "terasort" => jobs::terasort(setup.tune),
-        _ => unreachable!(),
-    };
-    if matches!(job, "wordcount2" | "logcount2" | "pi") {
-        profile = profile.with_map_tasks(vcores);
-    }
-    let mut setup = setup.clone();
-    if job == "terasort" {
-        setup = setup.with_block(64 * 1024 * 1024);
-    }
-    run_job(&profile, &setup)
-}
-
-fn main() {
+fn main() -> Result<(), SimError> {
     let jobs_list = ["wordcount", "wordcount2", "logcount", "logcount2", "pi", "terasort"];
     let columns: Vec<(String, ClusterSetup)> = [35usize, 17, 8, 4]
         .iter()
@@ -51,20 +28,18 @@ fn main() {
         print!("{job:<12}");
         let mut edison_times = Vec::new();
         for (label, setup) in &columns {
-            let out = run(job, setup);
-            print!(" {:>9.0}s{:>6.0}J", out.finish_time_s, out.energy_j / 1000.0);
+            let out = run_cell(job, label, setup)?;
+            print!(" {:>9.0}s{:>5.0}kJ", out.finish_time_s, out.energy_j / 1000.0);
             if label.starts_with("edison") {
                 edison_times.push(out.finish_time_s);
             }
         }
         // mean speed-up per doubling across 4→8→17→35 (times are listed
         // largest-cluster first, so speed-up = t_half / t_double)
-        let mut speedups = Vec::new();
-        for w in edison_times.windows(2) {
-            speedups.push(w[1] / w[0]);
-        }
+        let speedups: Vec<f64> = edison_times.windows(2).map(|w| w[1] / w[0]).collect();
         let mean = speedups.iter().product::<f64>().powf(1.0 / speedups.len() as f64);
         println!("  (speed-up/doubling {mean:.2})");
     }
     println!("\nenergy shown in kJ; the paper's Table 8 bolds the least-energy cell per job.");
+    Ok(())
 }
