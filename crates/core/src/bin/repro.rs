@@ -151,8 +151,8 @@ fn main() {
     if list || (!run_all && ids.is_empty()) {
         println!("available experiments:");
         for e in registry::all() {
-            let note = if e.in_all() { "" } else { "  (not part of --all)" };
-            println!("  {:<14} {}{note}", e.id(), e.title());
+            let note = if e.in_all { "" } else { "  (not part of --all)" };
+            println!("  {:<14} {}{note}", e.id, e.title);
         }
         if !list {
             println!("\nrun with: repro --all  or  repro <id>...");
@@ -171,8 +171,8 @@ fn main() {
         Some(n) => Executor::new(n),
         None => Executor::from_env(),
     };
-    let experiments: Vec<&'static dyn Experiment> = if run_all {
-        registry::all().filter(|e| e.in_all()).collect()
+    let experiments: Vec<&'static Experiment> = if run_all {
+        registry::all().filter(|e| e.in_all).collect()
     } else {
         ids.iter()
             .map(|id| {
@@ -198,13 +198,13 @@ fn main() {
     // first failure's code once everything has had its chance
     let mut first_failure: Option<RunError> = None;
     for e in experiments {
-        eprintln!("running {} (jobs={}) ...", e.id(), exec.jobs());
+        eprintln!("running {} (jobs={}) ...", e.id, exec.jobs());
         #[expect(clippy::disallowed_methods, reason = "host-side progress display; never feeds sim state")]
         let t0 = std::time::Instant::now();
-        let report = match e.run(&budget, &exec, &mut tel) {
+        let report = match (e.run)(&budget, &exec, &mut tel) {
             Ok(r) => r,
             Err(err) => {
-                eprintln!("  FAILED {}: {err}", e.id());
+                eprintln!("  FAILED {}: {err}", e.id);
                 if first_failure.is_none() {
                     first_failure = Some(err);
                 }
@@ -215,7 +215,7 @@ fn main() {
         let text = format!("{report}");
         match &out_dir {
             Some(dir) => {
-                let path = dir.join(format!("{}.txt", e.id()));
+                let path = dir.join(format!("{}.txt", e.id));
                 if let Err(e) = fs::write(&path, &text) {
                     die(format!("write report {}: {e}", path.display()));
                 }

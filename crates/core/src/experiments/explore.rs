@@ -34,6 +34,7 @@ use edison_simexplore::{explore, ExploreBudget, ExploreOutcome, PerturbSpace, Sc
 use edison_simfault::{FaultPlan, RecoveryWindow};
 use edison_simrun::{derive_seed_at, Executor, RunError, SimError, ROOT_SEED};
 use edison_simtel::Telemetry;
+use edison_web::httperf::CALLS_PER_CONN;
 use edison_web::scenario::DEFAULT_RETRY_BUDGET;
 use edison_web::stack::{run, GenMode, Metrics, StackConfig};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
@@ -52,7 +53,7 @@ fn explore_cfg(budget: &RunBudget, seed: u64) -> Result<StackConfig, SimError> {
     let mut cfg = StackConfig::new(
         scenario,
         WorkloadMix::lightest(),
-        GenMode::Httperf { connections_per_sec: cps, calls_per_conn: 6.6 },
+        GenMode::Httperf { connections_per_sec: cps, calls_per_conn: CALLS_PER_CONN },
         seed,
     );
     cfg.warmup = SimDuration::from_secs(budget.web_warmup_s);

@@ -10,6 +10,7 @@ use edison_simcore::time::{SimDuration, SimTime};
 use edison_simfault::FaultPlan;
 use edison_simrun::{derive_seed, derive_seed_at, Executor, RunError, SimError, ROOT_SEED};
 use edison_simtel::Telemetry;
+use edison_web::httperf::CALLS_PER_CONN;
 use edison_web::scenario::DEFAULT_RETRY_BUDGET;
 use edison_web::stack::{run, run_traced, GenMode, Metrics, StackConfig};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
@@ -21,7 +22,7 @@ fn web_cfg(platform: Platform, conc: f64, budget: &RunBudget, seed: u64) -> Resu
     let mut cfg = StackConfig::new(
         scenario,
         WorkloadMix::lightest(),
-        GenMode::Httperf { connections_per_sec: conc, calls_per_conn: 6.6 },
+        GenMode::Httperf { connections_per_sec: conc, calls_per_conn: CALLS_PER_CONN },
         seed,
     );
     cfg.warmup = SimDuration::from_secs(budget.web_warmup_s);

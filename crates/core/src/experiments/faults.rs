@@ -24,6 +24,7 @@ use edison_simexplore::{candidates, ExploreBudget, PerturbSpace};
 use edison_simfault::FaultPlan;
 use edison_simrun::{derive_seed_at, Executor, RunError, SimError, ROOT_SEED};
 use edison_simtel::Telemetry;
+use edison_web::httperf::CALLS_PER_CONN;
 use edison_web::scenario::DEFAULT_RETRY_BUDGET;
 use edison_web::stack::{run, run_traced, GenMode, Metrics, StackConfig};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
@@ -74,7 +75,7 @@ fn sweep_cfg(
     let mut cfg = StackConfig::new(
         scenario,
         WorkloadMix::lightest(),
-        GenMode::Httperf { connections_per_sec: conc, calls_per_conn: 6.6 },
+        GenMode::Httperf { connections_per_sec: conc, calls_per_conn: CALLS_PER_CONN },
         seed,
     );
     cfg.warmup = SimDuration::from_secs(budget.web_warmup_s);

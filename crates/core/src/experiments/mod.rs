@@ -7,12 +7,13 @@
 //! * [`extensions`] — hybrid tier, failure injection, platform what-ifs.
 //! * [`smoke`] — one quick web point + one small MapReduce job, the
 //!   telemetry demo / CI smoke target.
-//! * [`faults`] — the deliberate-failure demo exercising the simrun
-//!   layer's panic isolation end-to-end.
+//! * [`faults`] — the fault sweep (availability and efficiency under
+//!   crash schedules) and the deliberate-failure demo exercising the
+//!   simrun layer's panic isolation end-to-end.
+//! * [`explore`] — worst-case fault-schedule search with shrunk
+//!   reproducers.
 //! * [`overload`] — the graceful-degradation ramp: offered load past the
 //!   knee, guards off vs on.
-//! * [`profile`] — the simprof probe: observer-equivalence check plus the
-//!   per-kind/per-phase engine breakdown.
 
 pub mod explore;
 pub mod extensions;
@@ -20,7 +21,6 @@ pub mod faults;
 pub mod individual;
 pub mod mapred;
 pub mod overload;
-pub mod profile;
 pub mod smoke;
 pub mod tco_exp;
 pub mod webservice;

@@ -26,6 +26,7 @@ use edison_simcore::time::SimDuration;
 use edison_simguard::{Budget, GuardConfig};
 use edison_simrun::{derive_seed_at, Executor, RunError, SimError, ROOT_SEED};
 use edison_simtel::Telemetry;
+use edison_web::httperf::CALLS_PER_CONN;
 use edison_web::stack::{run, run_traced, GenMode, Metrics, StackConfig};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 
@@ -33,12 +34,8 @@ use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 /// two past (where the guards-off arm falls off the cliff).
 const RUNGS: [f64; 4] = [0.5, 1.0, 1.5, 2.0];
 
-/// httperf's mean calls per connection — converts connection rates to
-/// request demand.
-const CALLS_PER_CONN: f64 = 6.6;
-
 /// One ramp lane: a platform/scale pair plus its guards-off saturation
-/// knee (connections/s at 6.6 calls/conn where availability starts
+/// knee (connections/s at [`CALLS_PER_CONN`] calls/conn where availability starts
 /// collapsing — measured once, then pinned so the rungs are stable).
 struct Lane {
     platform: Platform,
@@ -86,7 +83,7 @@ fn rung_cfg(
     let mut cfg = StackConfig::new(
         scenario,
         WorkloadMix::lightest(),
-        GenMode::Httperf { connections_per_sec: lane.knee_cps * mult, calls_per_conn: 6.6 },
+        GenMode::Httperf { connections_per_sec: lane.knee_cps * mult, calls_per_conn: CALLS_PER_CONN },
         seed,
     );
     cfg.warmup = SimDuration::from_secs(budget.web_warmup_s);

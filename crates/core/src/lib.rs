@@ -11,10 +11,10 @@
 //!
 //! let mut tel = Telemetry::off(); // or `Telemetry::on()` to record traces
 //! let exec = Executor::from_env(); // worker-pool width for sweeps
-//! for exp in registry::all().filter(|e| e.in_all()) {
-//!     match exp.run(&registry::RunBudget::quick(), &exec, &mut tel) {
+//! for exp in registry::all().filter(|e| e.in_all) {
+//!     match (exp.run)(&registry::RunBudget::quick(), &exec, &mut tel) {
 //!         Ok(report) => println!("{report}"),
-//!         Err(err) => eprintln!("{}: {err}", exp.id()),
+//!         Err(err) => eprintln!("{}: {err}", exp.id),
 //!     }
 //! }
 //! ```

@@ -1,16 +1,14 @@
 //! The experiment registry: every table/figure behind one uniform entry.
 //!
-//! Experiments implement the [`Experiment`] trait — metadata plus a
-//! fallible `run` — and live in a lazily-built static index, so lookups
-//! by id ([`find`]) are allocation-free and iteration ([`all`]) hands out
-//! `&'static dyn Experiment` borrows.
+//! Each entry is an [`Experiment`] — metadata plus a fallible `run`
+//! function — in one static slice, so lookups by id ([`find`]) and
+//! iteration ([`all`]) hand out `&'static Experiment` borrows.
 
-use crate::experiments::{explore, extensions, faults, individual, mapred, overload, profile, smoke, tco_exp, webservice};
+use crate::experiments::{explore, extensions, faults, individual, mapred, overload, smoke, tco_exp, webservice};
 use crate::report::Report;
 use edison_simfault::FaultPlan;
 use edison_simrun::{Executor, RunError};
 use edison_simtel::Telemetry;
-use std::sync::OnceLock;
 
 /// How much simulated time / how many sweep columns an experiment may
 /// spend. `quick` keeps CI fast; `full` is the paper-scale run the `repro`
@@ -76,142 +74,91 @@ impl RunBudget {
     }
 }
 
-/// A runnable paper artefact: stable metadata plus a fallible `run`.
-///
-/// `run` receives the sweep [`Executor`] (worker-pool width from
-/// `--jobs` / `EDISON_REPRO_JOBS`) and the telemetry sink
-/// (`Telemetry::off()` for plain runs); experiments with simulation
-/// content record a representative traced run into the sink when it is
-/// enabled. Failures surface as typed [`RunError`]s instead of panics.
-pub trait Experiment: Sync {
-    /// Stable id (`table8`, `fig04_07`, …).
-    fn id(&self) -> &'static str;
-    /// What it reproduces.
-    fn title(&self) -> &'static str;
-    /// Whether `repro --all` includes this experiment. Demonstration
-    /// entries (e.g. the deliberate-failure `fault_demo`) opt out.
-    fn in_all(&self) -> bool {
-        true
-    }
-    /// Execute and render.
-    fn run(
-        &self,
-        budget: &RunBudget,
-        exec: &Executor,
-        tel: &mut Telemetry,
-    ) -> Result<Report, RunError>;
-}
-
 /// The uniform run signature registry entries point at.
 type RunFn = fn(&RunBudget, &Executor, &mut Telemetry) -> Result<Report, RunError>;
 
-/// The registry's own [`Experiment`] implementation: static metadata plus
-/// a function pointer. Every current experiment fits this shape; richer
-/// experiments can implement the trait directly and be boxed in later.
-struct FnExperiment {
-    id: &'static str,
-    title: &'static str,
-    in_all: bool,
-    run: RunFn,
-}
-
-impl Experiment for FnExperiment {
-    fn id(&self) -> &'static str {
-        self.id
-    }
-    fn title(&self) -> &'static str {
-        self.title
-    }
-    fn in_all(&self) -> bool {
-        self.in_all
-    }
-    fn run(
-        &self,
-        budget: &RunBudget,
-        exec: &Executor,
-        tel: &mut Telemetry,
-    ) -> Result<Report, RunError> {
-        (self.run)(budget, exec, tel)
-    }
+/// A runnable paper artefact: stable metadata plus a fallible `run`.
+pub struct Experiment {
+    /// Stable id (`table8`, `fig04_07`, …).
+    pub id: &'static str,
+    /// What it reproduces.
+    pub title: &'static str,
+    /// Whether `repro --all` includes this experiment. Demonstration
+    /// entries (the deliberate-failure `fault_demo`) opt out.
+    pub in_all: bool,
+    /// Execute and render: `(exp.run)(&budget, &exec, &mut tel)`. It
+    /// receives the sweep [`Executor`] (worker-pool width from `--jobs` /
+    /// `EDISON_REPRO_JOBS`) and the telemetry sink (`Telemetry::off()` for
+    /// plain runs); experiments with simulation content record a
+    /// representative traced run into the sink when it is enabled.
+    /// Failures surface as typed [`RunError`]s instead of panics.
+    pub run: RunFn,
 }
 
 /// Shorthand for the common case: an always-included entry.
-fn entry(id: &'static str, title: &'static str, run: RunFn) -> FnExperiment {
-    FnExperiment { id, title, in_all: true, run }
+const fn entry(id: &'static str, title: &'static str, run: RunFn) -> Experiment {
+    Experiment { id, title, in_all: true, run }
 }
 
-/// The lazily-built static index, in paper order. Built exactly once per
-/// process; [`find`] and [`all`] borrow from it without allocating.
-fn index() -> &'static [FnExperiment] {
-    static INDEX: OnceLock<Vec<FnExperiment>> = OnceLock::new();
-    INDEX.get_or_init(|| {
-        vec![
-            entry("table1", "Related-work micro server specs", |_, _, _| Ok(individual::table1())),
-            entry("table2", "Edison vs Dell resource ratios", |_, _, _| Ok(individual::table2())),
-            entry("table3", "Idle/busy power", |_, _, _| Ok(individual::table3())),
-            entry("table4", "Software versions", |_, _, _| Ok(individual::table4())),
-            entry("sec41_dmips", "Dhrystone DMIPS", |_, _, _| Ok(individual::sec41_dmips())),
-            entry("fig02_03", "Sysbench CPU sweep", |_, _, _| Ok(individual::fig02_03())),
-            entry("sec42_membw", "Memory bandwidth sweep", |_, _, _| Ok(individual::sec42_membw())),
-            entry("table5", "Storage throughput/latency", |_, _, _| Ok(individual::table5())),
-            entry("sec44_net", "iperf/ping network tests", |_, _, _| Ok(individual::sec44_net())),
-            entry("table6", "Web cluster scale configs", |_, _, _| Ok(individual::table6())),
-            entry("fig04_07", "Web throughput/delay, lightest load", webservice::fig04_07),
-            entry("fig05_08", "Web throughput/delay, mixed loads", webservice::fig05_08),
-            entry("fig06_09", "Web throughput/delay, 20% images", webservice::fig06_09),
-            entry("fig10_11", "Delay distributions", webservice::fig10_11),
-            entry("table7", "Delay decomposition", webservice::table7),
-            entry("fig12_17", "MapReduce timelines", mapred::fig12_17),
-            entry("table8", "Time/energy matrix (+Fig 18-19)", mapred::table8),
-            entry("sec53_speedup", "Scalability speed-up", mapred::scalability_speedup),
-            entry("table9", "TCO constants", |_, _, _| Ok(individual::table9())),
-            entry("table10", "TCO comparison", |_, _, _| Ok(tco_exp::table10())),
-            entry(
-                "fault_sweep",
-                "Availability & efficiency under fault intensity × platform",
-                faults::fault_sweep,
-            ),
-            entry(
-                "explore",
-                "Worst-case fault-schedule exploration with shrunk reproducers",
-                explore::explore_experiment,
-            ),
-            entry(
-                "overload_sweep",
-                "Goodput, availability & degradation past the knee, guards off vs on",
-                overload::overload_sweep,
-            ),
-            entry("ext_hybrid", "EXT: hybrid web tier (§7 vision)", extensions::ext_hybrid),
-            entry("ext_failure", "EXT: node-failure impact", extensions::ext_failure),
-            entry("ext_platforms", "EXT: related-work platform what-if", extensions::ext_platforms),
-            entry("ext_dvfs", "EXT: DVFS vs substitution (§1)", extensions::ext_dvfs),
-            entry("smoke", "End-to-end smoke run (web + MapReduce, telemetry-ready)", smoke::smoke),
-            FnExperiment {
-                id: "profile_probe",
-                title: "PROBE: engine self-profile (per-kind/per-phase breakdown)",
-                in_all: false,
-                run: profile::profile_probe,
-            },
-            FnExperiment {
-                id: "fault_demo",
-                title: "DEMO: fault-isolation showcase (one point panics by design)",
-                in_all: false,
-                run: faults::fault_demo,
-            },
-        ]
-    })
+/// The static index, in paper order; [`find`] and [`all`] borrow from it.
+static INDEX: &[Experiment] = &[
+    entry("table1", "Related-work micro server specs", |_, _, _| Ok(individual::table1())),
+    entry("table2", "Edison vs Dell resource ratios", |_, _, _| Ok(individual::table2())),
+    entry("table3", "Idle/busy power", |_, _, _| Ok(individual::table3())),
+    entry("table4", "Software versions", |_, _, _| Ok(individual::table4())),
+    entry("sec41_dmips", "Dhrystone DMIPS", |_, _, _| Ok(individual::sec41_dmips())),
+    entry("fig02_03", "Sysbench CPU sweep", |_, _, _| Ok(individual::fig02_03())),
+    entry("sec42_membw", "Memory bandwidth sweep", |_, _, _| Ok(individual::sec42_membw())),
+    entry("table5", "Storage throughput/latency", |_, _, _| Ok(individual::table5())),
+    entry("sec44_net", "iperf/ping network tests", |_, _, _| Ok(individual::sec44_net())),
+    entry("table6", "Web cluster scale configs", |_, _, _| Ok(individual::table6())),
+    entry("fig04_07", "Web throughput/delay, lightest load", webservice::fig04_07),
+    entry("fig05_08", "Web throughput/delay, mixed loads", webservice::fig05_08),
+    entry("fig06_09", "Web throughput/delay, 20% images", webservice::fig06_09),
+    entry("fig10_11", "Delay distributions", webservice::fig10_11),
+    entry("table7", "Delay decomposition", webservice::table7),
+    entry("fig12_17", "MapReduce timelines", mapred::fig12_17),
+    entry("table8", "Time/energy matrix (+Fig 18-19)", mapred::table8),
+    entry("sec53_speedup", "Scalability speed-up", mapred::scalability_speedup),
+    entry("table9", "TCO constants", |_, _, _| Ok(individual::table9())),
+    entry("table10", "TCO comparison", |_, _, _| Ok(tco_exp::table10())),
+    entry(
+        "fault_sweep",
+        "Availability & efficiency under fault intensity × platform",
+        faults::fault_sweep,
+    ),
+    entry(
+        "explore",
+        "Worst-case fault-schedule exploration with shrunk reproducers",
+        explore::explore_experiment,
+    ),
+    entry(
+        "overload_sweep",
+        "Goodput, availability & degradation past the knee, guards off vs on",
+        overload::overload_sweep,
+    ),
+    entry("ext_hybrid", "EXT: hybrid web tier (§7 vision)", extensions::ext_hybrid),
+    entry("ext_failure", "EXT: node-failure impact", extensions::ext_failure),
+    entry("ext_platforms", "EXT: related-work platform what-if", extensions::ext_platforms),
+    entry("ext_dvfs", "EXT: DVFS vs substitution (§1)", extensions::ext_dvfs),
+    entry("smoke", "End-to-end smoke run (web + MapReduce, telemetry-ready)", smoke::smoke),
+    Experiment {
+        id: "fault_demo",
+        title: "DEMO: fault-isolation showcase (one point panics by design)",
+        in_all: false,
+        run: faults::fault_demo,
+    },
+];
+
+/// Every experiment, in paper order.
+pub fn all() -> impl Iterator<Item = &'static Experiment> {
+    INDEX.iter()
 }
 
-/// Every experiment, in paper order. Borrows from the static index — no
-/// per-call allocation.
-pub fn all() -> impl Iterator<Item = &'static dyn Experiment> {
-    index().iter().map(|e| e as &dyn Experiment)
-}
-
-/// Find an experiment by id. Allocation-free: a linear scan over the
-/// static index (27 entries — cheaper than hashing at this size).
-pub fn find(id: &str) -> Option<&'static dyn Experiment> {
-    index().iter().find(|e| e.id == id).map(|e| e as &dyn Experiment)
+/// Find an experiment by id: a linear scan over the static index, which
+/// is cheaper than hashing at this size.
+pub fn find(id: &str) -> Option<&'static Experiment> {
+    INDEX.iter().find(|e| e.id == id)
 }
 
 #[cfg(test)]
@@ -220,7 +167,7 @@ mod tests {
 
     #[test]
     fn registry_covers_every_paper_artifact() {
-        let ids: Vec<&str> = all().map(|e| e.id()).collect();
+        let ids: Vec<&str> = all().map(|e| e.id).collect();
         // tables 1-10 (7 via table7, 8 via table8...)
         for t in ["table1", "table2", "table3", "table4", "table5", "table6", "table7", "table8", "table9", "table10"] {
             assert!(ids.contains(&t), "missing {t}");
@@ -244,8 +191,8 @@ mod tests {
     #[test]
     fn demo_experiments_are_excluded_from_all_runs() {
         let demo = find("fault_demo").expect("registered");
-        assert!(!demo.in_all());
-        assert!(find("smoke").expect("registered").in_all());
+        assert!(!demo.in_all);
+        assert!(find("smoke").expect("registered").in_all);
     }
 
     #[test]
@@ -253,8 +200,7 @@ mod tests {
         let b = RunBudget::quick();
         for id in ["table1", "table2", "table3", "table4", "table5", "table6", "table9", "table10", "sec41_dmips", "sec42_membw", "sec44_net", "fig02_03"] {
             let e = find(id).expect("registered");
-            let r = e
-                .run(&b, &Executor::serial(), &mut Telemetry::off())
+            let r = (e.run)(&b, &Executor::serial(), &mut Telemetry::off())
                 .expect("cheap experiments cannot fail");
             assert_eq!(r.id, id);
             assert!(!r.body.is_empty());

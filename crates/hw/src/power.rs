@@ -34,19 +34,6 @@ impl PowerModel {
     pub fn node_busy(&self) -> f64 {
         self.power_at(1.0)
     }
-
-    /// The *dynamic range* — how energy-proportional the platform is.
-    /// The paper's Section 1 argues high-end servers have a "narrow power
-    /// spectrum": Dell idles at 48 % of peak, Edison (with adaptor) at 83 %,
-    /// but the Edison's absolute idle cost is 37× smaller.
-    pub fn dynamic_range(&self) -> f64 {
-        self.node_busy() - self.node_idle()
-    }
-
-    /// Idle-to-peak ratio (1.0 = completely non-proportional).
-    pub fn idle_fraction(&self) -> f64 {
-        self.node_idle() / self.node_busy()
-    }
 }
 
 #[cfg(test)]
@@ -95,9 +82,12 @@ mod tests {
 
     #[test]
     fn proportionality_metrics() {
+        // §1's "narrow power spectrum": Dell idles at 48 % of peak, and
+        // Edison's idle-to-busy dynamic range is far smaller in absolute
+        // watts.
         let d = presets::dell_r620().power;
-        assert!((d.idle_fraction() - 52.0 / 109.0).abs() < 1e-9);
+        assert!((d.node_idle() / d.node_busy() - 52.0 / 109.0).abs() < 1e-9);
         let e = presets::edison().power;
-        assert!(e.dynamic_range() < d.dynamic_range());
+        assert!(e.node_busy() - e.node_idle() < d.node_busy() - d.node_idle());
     }
 }

@@ -56,11 +56,6 @@ impl Namenode {
         }
     }
 
-    /// Block size, bytes.
-    pub fn block_bytes(&self) -> u64 {
-        self.block_bytes
-    }
-
     /// Store a file of `bytes`, splitting into blocks and placing replicas.
     /// Returns the file index.
     pub fn put(&mut self, name: &str, bytes: u64, rng: &mut SimRng) -> usize {
@@ -94,33 +89,9 @@ impl Namenode {
         replicas
     }
 
-    /// A file's blocks.
-    pub fn file_blocks(&self, file: usize) -> &[usize] {
-        &self.files[file].blocks
-    }
-
-    /// A block by id.
-    pub fn block(&self, id: usize) -> &Block {
-        &self.blocks[id]
-    }
-
-    /// All block ids across all files in insertion order.
-    pub fn all_blocks(&self) -> impl Iterator<Item = usize> + '_ {
-        0..self.blocks.len()
-    }
-
     /// True when `node` holds a replica of `block`.
     pub fn is_local(&self, block: usize, node: usize) -> bool {
         self.blocks[block].replicas.contains(&node)
-    }
-
-    /// A replica node for `block`, preferring `node` itself.
-    pub fn replica_for(&self, block: usize, node: usize) -> usize {
-        if self.is_local(block, node) {
-            node
-        } else {
-            self.blocks[block].replicas[0]
-        }
     }
 
     /// A replica node for `block` among nodes not down (`down[i]`, the
@@ -135,17 +106,6 @@ impl Namenode {
         }
         self.blocks[block].replicas.iter().copied().find(|&r| up(r))
     }
-
-    /// Bytes stored per node (replica-weighted) — the balance diagnostic.
-    pub fn bytes_per_node(&self) -> Vec<u64> {
-        let mut v = vec![0u64; self.datanodes];
-        for b in &self.blocks {
-            for &r in &b.replicas {
-                v[r] += b.bytes;
-            }
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -154,15 +114,26 @@ mod tests {
 
     const MB: u64 = 1024 * 1024;
 
+    /// Bytes stored per node (replica-weighted) — the balance diagnostic.
+    fn bytes_per_node(nn: &Namenode) -> Vec<u64> {
+        let mut v = vec![0u64; nn.datanodes];
+        for b in &nn.blocks {
+            for &r in &b.replicas {
+                v[r] += b.bytes;
+            }
+        }
+        v
+    }
+
     #[test]
     fn files_split_into_blocks() {
         let mut nn = Namenode::new(35, 2, 16 * MB);
         let mut rng = SimRng::new(1);
         let f = nn.put("input-0", 40 * MB, &mut rng);
-        let blocks = nn.file_blocks(f);
+        let blocks = &nn.files[f].blocks;
         assert_eq!(blocks.len(), 3);
-        assert_eq!(nn.block(blocks[0]).bytes, 16 * MB);
-        assert_eq!(nn.block(blocks[2]).bytes, 8 * MB);
+        assert_eq!(nn.blocks[blocks[0]].bytes, 16 * MB);
+        assert_eq!(nn.blocks[blocks[2]].bytes, 8 * MB);
     }
 
     #[test]
@@ -170,8 +141,7 @@ mod tests {
         let mut nn = Namenode::new(35, 2, 16 * MB);
         let mut rng = SimRng::new(2);
         nn.put("f", 160 * MB, &mut rng);
-        for b in nn.all_blocks() {
-            let block = nn.block(b);
+        for block in &nn.blocks {
             assert_eq!(block.replicas.len(), 2);
             assert_ne!(block.replicas[0], block.replicas[1]);
         }
@@ -184,7 +154,7 @@ mod tests {
         for i in 0..100 {
             nn.put(&format!("f{i}"), MB, &mut rng);
         }
-        let per = nn.bytes_per_node();
+        let per = bytes_per_node(&nn);
         assert!(per.iter().all(|&b| b == 10 * MB), "{per:?}");
     }
 
@@ -194,13 +164,10 @@ mod tests {
         let mut rng = SimRng::new(4);
         nn.put("f", MB, &mut rng);
         let block = 0;
-        let reps = nn.block(block).replicas.clone();
+        let reps = nn.blocks[block].replicas.clone();
         for n in 0..5 {
             assert_eq!(nn.is_local(block, n), reps.contains(&n));
         }
-        assert_eq!(nn.replica_for(block, reps[1]), reps[1]);
-        let other = (0..5).find(|n| !reps.contains(n)).unwrap();
-        assert_eq!(nn.replica_for(block, other), reps[0]);
     }
 
     #[test]
@@ -209,7 +176,7 @@ mod tests {
         let mut rng = SimRng::new(4);
         nn.put("f", MB, &mut rng);
         let block = 0;
-        let reps = nn.block(block).replicas.clone();
+        let reps = nn.blocks[block].replicas.clone();
         let other = (0..5).find(|n| !reps.contains(n)).unwrap();
         let mut down = vec![false; 5];
         assert_eq!(nn.live_replica(block, reps[1], &down), Some(reps[1]), "local first");

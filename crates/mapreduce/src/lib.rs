@@ -29,7 +29,6 @@ pub mod engine;
 pub mod hdfs;
 pub mod jobs;
 pub mod local;
-pub mod terasort_pipeline;
 pub mod yarn;
 
 pub use engine::{run_job, run_job_traced, ClusterSetup, JobOutcome};

@@ -75,11 +75,6 @@ impl LivenessTracker {
     pub fn is_lost(&self, node: usize) -> bool {
         self.lost[node]
     }
-
-    /// Nodes currently declared lost.
-    pub fn lost_count(&self) -> usize {
-        self.lost.iter().filter(|&&l| l).count()
-    }
 }
 
 /// Free capacity of one node, as seen by the scheduler.
@@ -310,8 +305,7 @@ mod tests {
             assert!(lv.sweep(t(s)).is_empty(), "not silent long enough at {s}s");
         }
         assert_eq!(lv.sweep(t(9)), vec![1], "silent > 5 s");
-        assert!(lv.is_lost(1));
-        assert_eq!(lv.lost_count(), 1);
+        assert_eq!(lv.lost, [false, true, false], "only node 1 is lost");
         assert!(lv.sweep(t(10)).is_empty(), "reported exactly once");
         lv.revive(1, t(11));
         assert!(!lv.is_lost(1));

@@ -92,18 +92,6 @@ impl StepIntegrator {
         debug_assert!(now >= self.last_t);
         self.integral + self.value * now.saturating_since(self.last_t).as_secs_f64()
     }
-
-    /// Mean value of the signal over `[t0, now]`.
-    ///
-    /// Returns the current value when no time has elapsed.
-    pub fn mean_over(&self, t0: SimTime, now: SimTime) -> f64 {
-        let span = now.saturating_since(t0).as_secs_f64();
-        if span <= 0.0 {
-            self.value
-        } else {
-            self.integral_at(now) / span
-        }
-    }
 }
 
 #[cfg(test)]
@@ -192,13 +180,24 @@ mod tests {
         assert!(p.trace().is_empty());
     }
 
+    /// Mean value of the signal over `[t0, now]`; the current value when
+    /// no time has elapsed.
+    fn mean_over(p: &StepIntegrator, t0: SimTime, now: SimTime) -> f64 {
+        let span = now.saturating_since(t0).as_secs_f64();
+        if span <= 0.0 {
+            p.value
+        } else {
+            p.integral_at(now) / span
+        }
+    }
+
     #[test]
     fn mean_over_window() {
         let mut p = StepIntegrator::new(t(0.0), 0.0);
         p.set(t(5.0), 10.0);
         // 5s at 0 + 5s at 10 → mean 5 over [0,10]
-        assert!((p.mean_over(t(0.0), t(10.0)) - 5.0).abs() < 1e-9);
+        assert!((mean_over(&p, t(0.0), t(10.0)) - 5.0).abs() < 1e-9);
         // zero-width window returns current value
-        assert_eq!(p.mean_over(t(10.0), t(10.0)), 10.0);
+        assert_eq!(mean_over(&p, t(10.0), t(10.0)), 10.0);
     }
 }

@@ -223,11 +223,6 @@ impl<M: Model> Simulation<M> {
         self.world
     }
 
-    /// True once [`Ctx::stop`] has been honoured or the heap has drained.
-    pub fn is_stopped(&self) -> bool {
-        self.stopped
-    }
-
     /// Schedule an initial event from outside the world.
     pub fn schedule_at(&mut self, at: SimTime, event: M::Event) {
         assert!(at >= self.now, "scheduling into the past");
@@ -382,7 +377,7 @@ mod tests {
         sim.schedule_at(SimTime::from_secs(1), Ev::StopNow);
         sim.schedule_at(SimTime::from_secs(2), Ev::Mark(2));
         sim.run();
-        assert!(sim.is_stopped());
+        assert!(sim.stopped);
         assert!(sim.world().log.is_empty());
     }
 
@@ -600,7 +595,7 @@ mod tests {
         assert_eq!(log, vec![(0, 0), (2, 4), (2, 5), (3, 1), (3, 2), (3, 11), (4, 7)]);
         assert_eq!(hooks.newly, vec![6, 1, 0, 2, 2, 0, 2]);
         assert_eq!(hooks.depth, vec![5, 5, 4, 4, 5, 4, 5]);
-        assert!(sim.is_stopped());
+        assert!(sim.stopped);
         assert_eq!(sim.superseded_total(), 2);
         assert_eq!(sim.pending(), 5, "ids 8, 9, 10, 12 and 13 never ran");
         assert_eq!(

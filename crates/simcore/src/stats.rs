@@ -52,17 +52,6 @@ impl SampleSet {
         }
     }
 
-    /// Population standard deviation; 0.0 when fewer than two samples.
-    pub fn stddev(&self) -> f64 {
-        if self.samples.len() < 2 {
-            return 0.0;
-        }
-        let m = self.mean();
-        let var = self.samples.iter().map(|v| (v - m) * (v - m)).sum::<f64>()
-            / self.samples.len() as f64;
-        var.sqrt()
-    }
-
     /// Smallest sample; 0.0 when empty.
     pub fn min(&self) -> f64 {
         if self.samples.is_empty() {
@@ -242,7 +231,6 @@ mod tests {
         assert_eq!(s.percentile(0.0), 1.0);
         assert_eq!(s.percentile(50.0), 3.0);
         assert_eq!(s.percentile(100.0), 5.0);
-        assert!((s.stddev() - (2.0f64).sqrt()).abs() < 1e-12);
     }
 
     #[test]

@@ -112,12 +112,6 @@ impl Tracer {
         &self.tracks
     }
 
-    /// Number of distinct interned name strings (diagnostic; each was
-    /// allocated exactly once).
-    pub fn interned_names(&self) -> usize {
-        self.names.len()
-    }
-
     /// All recorded spans, in recording order.
     pub fn spans(&self) -> &[Span] {
         &self.spans
@@ -158,7 +152,7 @@ mod tests {
         tr.track("mr", "node-0");
         // 4 distinct strings across 3 tracks (6 slots): "web", "mr",
         // "node-0", "node-1" — each allocated once and Arc-shared.
-        assert_eq!(tr.interned_names(), 4);
+        assert_eq!(tr.names.len(), 4);
         let tracks = tr.tracks();
         assert!(Arc::ptr_eq(&tracks[0].0, &tracks[1].0), "process name shared");
         assert!(Arc::ptr_eq(&tracks[0].1, &tracks[2].1), "thread name shared");

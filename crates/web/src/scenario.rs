@@ -63,11 +63,6 @@ impl WebScenario {
             SimError::Config(format!("Table 6 has no {platform:?} {scale:?} configuration (the paper marks it N/A)"))
         })
     }
-
-    /// Total nodes in this scenario.
-    pub fn total_nodes(&self) -> usize {
-        self.web_servers + self.cache_servers
-    }
 }
 
 /// Reply-body size of a scalar-table row (bytes): the paper's lightest
@@ -134,12 +129,6 @@ impl WorkloadMix {
     pub fn hit(cache_hit_ratio: f64) -> Self {
         WorkloadMix { image_fraction: 0.0, cache_hit_ratio }
     }
-
-    /// Mean reply size for this mix, bytes.
-    pub fn mean_reply_bytes(&self) -> f64 {
-        (1.0 - self.image_fraction) * SCALAR_REPLY_BYTES as f64
-            + self.image_fraction * IMAGE_REPLY_BYTES as f64
-    }
 }
 
 #[cfg(test)]
@@ -150,9 +139,8 @@ mod tests {
     fn table6_counts() {
         let full = WebScenario::table6(Platform::Edison, ClusterScale::Full).unwrap();
         assert_eq!((full.web_servers, full.cache_servers), (24, 11));
-        assert_eq!(full.total_nodes(), 35);
         let half = WebScenario::table6(Platform::Edison, ClusterScale::Half).unwrap();
-        assert_eq!(half.total_nodes(), 18);
+        assert_eq!(half.web_servers + half.cache_servers, 18);
         let dell = WebScenario::table6(Platform::Dell, ClusterScale::Full).unwrap();
         assert_eq!((dell.web_servers, dell.cache_servers), (2, 1));
         assert!(WebScenario::table6(Platform::Dell, ClusterScale::Quarter).is_none());
@@ -170,9 +158,12 @@ mod tests {
 
     #[test]
     fn mean_reply_sizes_match_paper() {
-        assert!((WorkloadMix::lightest().mean_reply_bytes() - 1_500.0).abs() < 1.0);
-        assert!((WorkloadMix::img6().mean_reply_bytes() / 1000.0 - 3.8).abs() < 0.3);
-        assert!((WorkloadMix::img10().mean_reply_bytes() / 1000.0 - 5.8).abs() < 0.3);
-        assert!((WorkloadMix::img20().mean_reply_bytes() / 1000.0 - 10.0).abs() < 0.4);
+        let mean_reply_bytes = |mix: WorkloadMix| {
+            (1.0 - mix.image_fraction) * SCALAR_REPLY_BYTES as f64 + mix.image_fraction * IMAGE_REPLY_BYTES as f64
+        };
+        assert!((mean_reply_bytes(WorkloadMix::lightest()) - 1_500.0).abs() < 1.0);
+        assert!((mean_reply_bytes(WorkloadMix::img6()) / 1000.0 - 3.8).abs() < 0.3);
+        assert!((mean_reply_bytes(WorkloadMix::img10()) / 1000.0 - 5.8).abs() < 0.3);
+        assert!((mean_reply_bytes(WorkloadMix::img20()) / 1000.0 - 10.0).abs() < 0.4);
     }
 }

@@ -1,54 +1,19 @@
-//! The Section-7 vision made runnable: mix Edison and Dell web servers in
-//! one tier behind a capacity-weighted load balancer and sweep the blend.
+//! The Section-7 vision made runnable: Edison and Dell web servers in one
+//! tier behind a capacity-weighted load balancer. Prints the `ext_hybrid`
+//! report (24 Edison, 2 Dell, 12 Edison + 1 Dell), the same text as
+//! `repro ext_hybrid --full`.
 //!
 //! ```text
 //! cargo run --release --example hybrid_datacenter
 //! ```
 
-use edison_simcore::time::SimDuration;
-use edison_web::stack::{run, GenMode, StackConfig};
-use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
+use edison_core::experiments::extensions::ext_hybrid;
+use edison_core::RunBudget;
+use edison_simrun::{Executor, RunError};
+use edison_simtel::Telemetry;
 
-fn main() {
-    let conc = 1024.0;
-    let window = 12.0;
-    println!(
-        "{:<28} {:>8} {:>10} {:>9} {:>8}",
-        "web tier", "req/s", "delay ms", "power W", "req/J"
-    );
-    // blends: pure Edison → pure Dell, via hybrids
-    let blends: [(usize, usize, &str); 4] = [
-        (24, 0, "24 Edison"),
-        (18, 1, "18 Edison + 1 Dell"),
-        (12, 1, "12 Edison + 1 Dell"),
-        (0, 2, "2 Dell"),
-    ];
-    for (edison_web, dell_web, label) in blends {
-        let (platform, base_web, hybrid) = if edison_web > 0 {
-            (Platform::Edison, edison_web, dell_web)
-        } else {
-            (Platform::Dell, dell_web, 0)
-        };
-        let mut cfg = StackConfig::new(
-            WebScenario::table6(platform, ClusterScale::Full).unwrap(),
-            WorkloadMix::lightest(),
-            GenMode::Httperf { connections_per_sec: conc, calls_per_conn: 6.6 },
-            7,
-        );
-        cfg.scenario.web_servers = base_web;
-        cfg.hybrid_web = hybrid;
-        cfg.warmup = SimDuration::from_secs(3);
-        cfg.measure = SimDuration::from_secs(window as u64);
-        let w = run(cfg);
-        let m = &w.metrics;
-        println!(
-            "{label:<28} {:>8.0} {:>10.2} {:>9.1} {:>8.1}",
-            m.completed as f64 / window,
-            m.delays_ms.mean(),
-            m.power_w.mean_value(),
-            m.completed as f64 / m.energy_j.max(1e-9),
-        );
-    }
-    println!("\nThe hybrid rows trade the Edison tier's energy efficiency against");
-    println!("the Dell's latency — the orchestration space §7 of the paper envisions.");
+fn main() -> Result<(), RunError> {
+    let report = ext_hybrid(&RunBudget::full(), &Executor::from_env(), &mut Telemetry::off())?;
+    println!("{report}");
+    Ok(())
 }

@@ -3,20 +3,23 @@
 //! 1. **Real execution** — generate a real corpus, run the actual
 //!    wordcount mapper/reducer through the local pipeline, verify counts,
 //!    and show how the combiner shrinks the shuffle.
-//! 2. **Cluster simulation** — run the same job's profile on simulated
-//!    35-Edison and 2-Dell clusters and compare time/energy like Table 8.
+//! 2. **Cluster simulation** — the same jobs' Table 8 cells on the
+//!    35-Edison and 2-Dell clusters (`table8`'s own tuning and seeds), with
+//!    the Dell/Edison energy ratio.
 //!
 //! ```text
 //! cargo run --release --example mapreduce_wordcount
 //! ```
 
+use edison_core::experiments::mapred::run_cell;
 use edison_mapreduce::datagen;
-use edison_mapreduce::engine::{run_job, ClusterSetup};
-use edison_mapreduce::jobs::{self, SumReducer, Tune, WordCountMapper};
+use edison_mapreduce::engine::ClusterSetup;
+use edison_mapreduce::jobs::{SumReducer, WordCountMapper};
 use edison_mapreduce::local::run_local;
 use edison_simcore::rng::SimRng;
+use edison_simrun::SimError;
 
-fn main() {
+fn main() -> Result<(), SimError> {
     // -- 1. real bytes through the real pipeline -------------------------
     let mut rng = SimRng::new(42);
     let splits: Vec<Vec<u8>> = (0..8)
@@ -42,12 +45,9 @@ fn main() {
         "{:<12} {:<12} {:>9} {:>10} {:>9} {:>7}",
         "job", "cluster", "time s", "energy J", "local %", "J-gain"
     );
-    for (job_name, edison_job, dell_job) in [
-        ("wordcount", jobs::wordcount(Tune::Edison), jobs::wordcount(Tune::Dell)),
-        ("wordcount2", jobs::wordcount2(Tune::Edison), jobs::wordcount2(Tune::Dell)),
-    ] {
-        let e = run_job(&edison_job, &ClusterSetup::edison(35));
-        let d = run_job(&dell_job, &ClusterSetup::dell(2));
+    for job_name in ["wordcount", "wordcount2"] {
+        let e = run_cell(job_name, "edison-35", &ClusterSetup::edison(35))?;
+        let d = run_cell(job_name, "dell-2", &ClusterSetup::dell(2))?;
         println!(
             "{:<12} {:<12} {:>9.0} {:>10.0} {:>9.0} {:>7.2}",
             job_name,
@@ -64,4 +64,5 @@ fn main() {
     }
     println!("\nJ-gain = Dell energy / Edison energy for the same work (the paper's");
     println!("work-done-per-joule advantage; 2.28x for wordcount in the paper).");
+    Ok(())
 }

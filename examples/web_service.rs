@@ -1,57 +1,22 @@
-//! Web-service deep dive: sweep concurrency on both full clusters under
-//! the paper's lightest and heaviest workloads, print throughput / delay /
-//! power / efficiency, and show the overload failure modes.
+//! Web-service deep dive: the concurrency sweeps on both full clusters
+//! under the paper's lightest and heaviest fair workloads (throughput,
+//! delay, errors, power, req/J), then the Figure 10/11 delay
+//! distributions. Prints the `fig04_07`, `fig06_09` and `fig10_11`
+//! reports, the same text as `repro fig04_07 fig06_09 fig10_11 --full`.
 //!
 //! ```text
 //! cargo run --release --example web_service
 //! ```
 
-use edison_web::httperf::{self, concurrency_sweep, RunOpts};
-use edison_web::pyclient;
-use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
+use edison_core::{find, RunBudget};
+use edison_simrun::{Executor, RunError};
+use edison_simtel::Telemetry;
 
-fn main() {
-    let opts = RunOpts { seed: 1, warmup_s: 3, measure_s: 10, ..RunOpts::default() };
-    for (mix, name) in [
-        (WorkloadMix::lightest(), "lightest (0% images, 93% hits)"),
-        (WorkloadMix::img20(), "heaviest fair (20% images, 93% hits)"),
-    ] {
-        println!("== workload: {name} ==");
-        for platform in [Platform::Edison, Platform::Dell] {
-            let sc = WebScenario::table6(platform, ClusterScale::Full).unwrap();
-            println!(
-                "-- {:?} full cluster: {} web + {} cache --",
-                platform, sc.web_servers, sc.cache_servers
-            );
-            println!(
-                "{:>6} {:>10} {:>10} {:>8} {:>8} {:>9} {:>8}",
-                "conc", "req/s", "delay ms", "5xx", "clerr", "power W", "req/J"
-            );
-            for conc in concurrency_sweep() {
-                let r = httperf::run_point(&sc, mix, conc, opts.clone());
-                println!(
-                    "{:>6.0} {:>10.0} {:>10.2} {:>8} {:>8} {:>9.1} {:>8.1}",
-                    conc,
-                    r.requests_per_sec,
-                    r.mean_delay_ms,
-                    r.server_errors,
-                    r.client_errors,
-                    r.mean_power_w,
-                    r.requests_per_joule
-                );
-            }
-        }
+fn main() -> Result<(), RunError> {
+    let (budget, exec) = (RunBudget::full(), Executor::from_env());
+    for id in ["fig04_07", "fig06_09", "fig10_11"] {
+        let exp = find(id).ok_or_else(|| RunError::UnknownExperiment(id.into()))?;
+        println!("{}", (exp.run)(&budget, &exec, &mut Telemetry::off())?);
     }
-
-    // delay distributions at ~6000 req/s, the Figure 10/11 experiment
-    println!("\n== python-client delay distributions at 6000 req/s, 20% images ==");
-    for platform in [Platform::Edison, Platform::Dell] {
-        let sc = WebScenario::table6(platform, ClusterScale::Full).unwrap();
-        let d = pyclient::run_distribution(&sc, WorkloadMix::img20(), 6000.0, 7, 10);
-        print!("{platform:?}: {} samples, {} SYN drops | mass ", d.samples(), d.syn_drops);
-        for bucket in [0.05, 0.55, 1.05, 3.05, 7.05] {
-            print!("@{bucket:.1}s:{} ", d.mass_at(bucket));
-        }
-        println!();
-    }
+    Ok(())
 }

@@ -11,8 +11,7 @@ fn cheap_experiments_render_with_close_comparisons() {
     let budget = RunBudget::quick();
     for id in ["table2", "table3", "table5", "sec41_dmips", "sec42_membw", "sec44_net", "table9", "table10"] {
         let exp = find(id).unwrap_or_else(|| panic!("missing {id}"));
-        let report = exp
-            .run(&budget, &Executor::serial(), &mut Telemetry::off())
+        let report = (exp.run)(&budget, &Executor::serial(), &mut Telemetry::off())
             .unwrap_or_else(|e| panic!("{id} failed: {e}"));
         assert!(!report.body.is_empty(), "{id} has empty body");
         for c in &report.comparisons {
@@ -30,7 +29,7 @@ fn cheap_experiments_render_with_close_comparisons() {
 
 #[test]
 fn registry_ids_are_unique() {
-    let mut ids: Vec<&str> = all().map(|e| e.id()).collect();
+    let mut ids: Vec<&str> = all().map(|e| e.id).collect();
     let n = ids.len();
     ids.sort();
     ids.dedup();
@@ -42,7 +41,7 @@ fn registry_ids_are_unique() {
 fn reports_display_cleanly() {
     let budget = RunBudget::quick();
     let exp = find("table5").unwrap();
-    let report = exp.run(&budget, &Executor::serial(), &mut Telemetry::off()).expect("table5 runs");
+    let report = (exp.run)(&budget, &Executor::serial(), &mut Telemetry::off()).expect("table5 runs");
     let text = format!("{report}");
     assert!(text.starts_with("==== table5"));
     assert!(text.contains("paper vs measured"));
@@ -54,7 +53,7 @@ fn reports_display_cleanly() {
 fn delay_distribution_contrast() {
     let budget = RunBudget::quick();
     let exp = find("fig10_11").unwrap();
-    let report = exp.run(&budget, &Executor::serial(), &mut Telemetry::off()).expect("fig10_11 runs");
+    let report = (exp.run)(&budget, &Executor::serial(), &mut Telemetry::off()).expect("fig10_11 runs");
     for c in &report.comparisons {
         assert!(
             (c.measured - 1.0).abs() < 1e-9,

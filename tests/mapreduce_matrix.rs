@@ -3,7 +3,6 @@
 
 use edison_mapreduce::engine::{run_job, ClusterSetup, JobOutcome};
 use edison_mapreduce::jobs::{self, Tune};
-use edison_mapreduce::terasort_pipeline;
 
 const MIB: u64 = 1024 * 1024;
 
@@ -99,16 +98,19 @@ fn timelines_are_sane_across_grid() {
     }
 }
 
-/// The terasort pipeline conserves the ordering across platforms: Dell is
-/// faster on every stage, Edison cheaper on the sort stage.
+/// The sort stage at 512 MiB with §5.2.4's 64 MiB blocks: Dell is faster,
+/// Edison uses less energy.
 #[test]
-fn terasort_pipeline_cross_platform() {
-    let bytes = 512 * MIB;
-    let e = terasort_pipeline::run_pipeline(Tune::Edison, &ClusterSetup::edison(8), bytes);
-    let d = terasort_pipeline::run_pipeline(Tune::Dell, &ClusterSetup::dell(2), bytes);
-    assert!(d.terasort.finish_time_s < e.terasort.finish_time_s);
-    assert!(d.total_time_s() < e.total_time_s());
-    assert!(e.terasort.energy_j < d.terasort.energy_j, "sort energy: edison {} dell {}", e.terasort.energy_j, d.terasort.energy_j);
+fn terasort_sort_stage_cross_platform() {
+    let sort = |tune, setup: ClusterSetup| {
+        let mut p = jobs::terasort(tune);
+        p.input_bytes = 512 * MIB;
+        run_job(&p, &setup.with_block(64 * MIB))
+    };
+    let e = sort(Tune::Edison, ClusterSetup::edison(8));
+    let d = sort(Tune::Dell, ClusterSetup::dell(2));
+    assert!(d.finish_time_s < e.finish_time_s);
+    assert!(e.energy_j < d.energy_j, "sort energy: edison {} dell {}", e.energy_j, d.energy_j);
 }
 
 /// Re-splitting preserves total work: pi with different map counts does

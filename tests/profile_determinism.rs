@@ -14,6 +14,16 @@ use edison_simtel::Telemetry;
 use edison_web::httperf::{self, RunOpts};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 
+/// Whether `prom` carries `world`'s per-kind and per-phase `profile_*`
+/// series (the untraced `sim_*` series carry a `world` label too, so the
+/// check names the metric).
+fn exports_profile(prom: &str, world: &str) -> bool {
+    let label = format!("world=\"{world}\"");
+    ["profile_events_total{", "profile_phase_advance_seconds{"]
+        .iter()
+        .all(|metric| prom.lines().any(|l| l.starts_with(metric) && l.contains(&label)))
+}
+
 /// Web stack: a profiled run's result is bit-identical to a plain run's.
 #[test]
 fn web_profiled_run_matches_plain_run() {
@@ -28,7 +38,7 @@ fn web_profiled_run_matches_plain_run() {
         "profiling perturbed the web simulation"
     );
     // and the profile actually landed in the telemetry
-    assert!(tel.prometheus_text().contains("profile_events_total"));
+    assert!(exports_profile(&tel.prometheus_text(), "web"), "web profile exported");
 }
 
 /// MapReduce: same contract for the job engine.
@@ -40,7 +50,7 @@ fn mapreduce_profiled_run_matches_plain_run() {
     p.input_bytes /= 8;
     p.map_tasks = (p.map_tasks / 8).max(4);
     let plain = run_job(&p, &setup);
-    let (profiled, _, profile) =
+    let (profiled, tel, profile) =
         run_job_profiled_checked(&p, &setup, Telemetry::profiled()).expect("job healthy");
     assert_eq!(
         format!("{plain:?}"),
@@ -48,6 +58,7 @@ fn mapreduce_profiled_run_matches_plain_run() {
         "profiling perturbed the MapReduce simulation"
     );
     assert!(profile.events() > 0, "profile collected");
+    assert!(exports_profile(&tel.prometheus_text(), "mapreduce"), "MapReduce profile exported");
 }
 
 /// Merged profiles are bit-identical whether the per-point runs fan out

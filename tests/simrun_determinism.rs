@@ -12,8 +12,7 @@ use edison_simtel::Telemetry;
 fn run_at(id: &str, jobs: usize) -> (String, String, String, String) {
     let exp = find(id).unwrap_or_else(|| panic!("missing {id}"));
     let mut tel = Telemetry::on();
-    let report = exp
-        .run(&RunBudget::quick(), &Executor::new(jobs), &mut tel)
+    let report = (exp.run)(&RunBudget::quick(), &Executor::new(jobs), &mut tel)
         .unwrap_or_else(|e| panic!("{id} failed at jobs={jobs}: {e}"));
     (
         format!("{report}"),
