@@ -78,6 +78,7 @@ impl Node {
     /// Work that overflowed to `+∞` (a huge finite throttle factor times
     /// the task's MI) runs as `f64::MAX` MI, which finishes past the end
     /// of simulated time. NaN and non-positive work still panic.
+    #[inline]
     pub fn add_cpu_task(&mut self, now: SimTime, tid: TaskId, mi: f64) {
         let mi = if mi == f64::INFINITY { f64::MAX } else { mi };
         self.cpu.add(now, tid, mi);
@@ -101,6 +102,7 @@ impl Node {
     /// `None` when no task is in flight or the pending event already
     /// carries the current epoch. Every world arms through this one rule;
     /// see [`FluidResource::arm_completion`].
+    #[inline]
     pub fn arm_cpu_completion(&mut self, now: SimTime) -> Option<(SimTime, u64)> {
         self.cpu.arm_completion(now)
     }
@@ -109,18 +111,21 @@ impl Node {
     /// pending any more. Returns whether it is current, i.e. whether to
     /// collect finished tasks (a crash that cancelled tasks without
     /// re-arming leaves a stale one behind).
+    #[inline]
     pub fn deliver_cpu_completion(&mut self, epoch: u64) -> bool {
         self.cpu.deliver_completion(epoch)
     }
 
     /// Collect finished CPU tasks at `now` into a caller-owned buffer
     /// (ids appended in ascending order), keeping power consistent.
+    #[inline]
     pub fn take_finished_cpu_into(&mut self, now: SimTime, out: &mut Vec<TaskId>) {
         self.cpu.take_finished_into(now, out);
         self.sync_power(now);
     }
 
     /// Instantaneous CPU utilisation [0, 1].
+    #[inline]
     pub fn cpu_utilization(&self) -> f64 {
         self.cpu.utilization()
     }
@@ -187,6 +192,7 @@ impl Node {
     /// Fails with [`AdmitError::AcceptOverrun`] when SYNs outpace the accept
     /// path, or [`AdmitError::TooManyConnections`] when the fd table is
     /// full — the two exhaustion modes behind the paper's 5xx onset.
+    #[inline]
     pub fn try_accept(&mut self, now: SimTime) -> Result<(), AdmitError> {
         if self.connections >= self.spec.os.max_connections {
             return Err(AdmitError::TooManyConnections);
@@ -239,6 +245,7 @@ impl Node {
         self.power.trace()
     }
 
+    #[inline]
     fn sync_power(&mut self, now: SimTime) {
         let p = self.spec.power.power_at(self.cpu.utilization());
         self.power.set(now, p);

@@ -47,6 +47,11 @@ pub const DB_DISK_MISS_P: f64 = 0.02;
 /// concurrency levels (1024 on Edison, 2048 on Dell).
 pub const TCP_ACCEPT_MI: f64 = 1.2;
 
+/// httperf calls per connection: the paper tunes ≈6.6 to match its
+/// reported concurrency. [`TCP_ACCEPT_MI`] amortises over this many
+/// requests.
+pub const CALLS_PER_CONN: f64 = 6.6;
+
 /// YARN container start-up CPU (JVM launch + class loading), in MI.
 /// Fitted to the logcount-vs-logcount2 gap at both full cluster sizes —
 /// the pair of cells that isolates pure container overhead (430/476 fewer
@@ -154,9 +159,9 @@ mod tests {
     fn edison_web_capacity_matches_peak_throughput() {
         // 24 Edison web servers at 86 % CPU should sustain ≈ 6800 req/s on
         // the light (1.5 KiB) workload. Per-request cost includes the
-        // amortised accept cost at ~6.6 calls/connection.
+        // amortised accept cost at CALLS_PER_CONN calls/connection.
         let e = presets::edison();
-        let per_req = WEB_REQ_MI_EDISON + 1.5 * WEB_REQ_MI_PER_KIB + TCP_ACCEPT_MI / 6.6;
+        let per_req = WEB_REQ_MI_EDISON + 1.5 * WEB_REQ_MI_PER_KIB + TCP_ACCEPT_MI / CALLS_PER_CONN;
         let cluster_rps = 24.0 * e.cpu.total_mips() * 0.86 / per_req;
         assert!(
             (6000.0..8000.0).contains(&cluster_rps),
@@ -167,7 +172,7 @@ mod tests {
     #[test]
     fn dell_web_capacity_matches_peak_throughput() {
         let d = presets::dell_r620();
-        let per_req = WEB_REQ_MI_DELL + 1.5 * WEB_REQ_MI_PER_KIB + TCP_ACCEPT_MI / 6.6;
+        let per_req = WEB_REQ_MI_DELL + 1.5 * WEB_REQ_MI_PER_KIB + TCP_ACCEPT_MI / CALLS_PER_CONN;
         let cluster_rps = 2.0 * d.cpu.total_mips() * 0.45 / per_req;
         assert!(
             (5500.0..8500.0).contains(&cluster_rps),

@@ -20,6 +20,7 @@ pub struct PowerModel {
 
 impl PowerModel {
     /// Instantaneous node power at CPU utilisation `u ∈ [0, 1]`.
+    #[inline]
     pub fn power_at(&self, u: f64) -> f64 {
         let u = u.clamp(0.0, 1.0);
         self.adapter_w + self.idle_w + (self.busy_w - self.idle_w) * u

@@ -461,8 +461,8 @@ impl MrWorld {
         // by the profile's split count — splits are locality-grouped).
         let mut nn = Namenode::new(setup.workers, setup.replication, setup.block_bytes);
         let split = profile.split_bytes().max(1);
-        for i in 0..profile.map_tasks {
-            nn.put(&format!("part-{i:05}"), split.min(setup.block_bytes), &mut rng);
+        for _ in 0..profile.map_tasks {
+            nn.put(split.min(setup.block_bytes), &mut rng);
         }
         let n_maps = profile.map_tasks as usize;
         let n_tasks = n_maps + profile.reduce_tasks as usize;

@@ -1,4 +1,4 @@
-//! Block-level HDFS model: namenode metadata, replica placement, locality.
+//! Block-level HDFS model: block metadata, replica placement, locality.
 //!
 //! The paper sets block size 16 MB on the Edison cluster and 64 MB on Dell
 //! (64 MB on both for terasort) and replication 2 / 1 respectively, chosen
@@ -7,15 +7,7 @@
 //! further replicas on distinct random nodes.
 
 use edison_simcore::rng::SimRng;
-
-/// A stored file: ordered blocks.
-#[derive(Debug, Clone)]
-pub struct HdfsFile {
-    /// File name (diagnostics only).
-    pub name: String,
-    /// Block ids in order.
-    pub blocks: Vec<usize>,
-}
+use std::ops::Range;
 
 /// One block and its replica locations (node indices).
 #[derive(Debug, Clone)]
@@ -26,10 +18,9 @@ pub struct Block {
     pub replicas: Vec<usize>,
 }
 
-/// The namenode: file → blocks → replicas.
+/// The namenode: blocks → replicas.
 #[derive(Debug, Clone)]
 pub struct Namenode {
-    files: Vec<HdfsFile>,
     blocks: Vec<Block>,
     datanodes: usize,
     replication: u32,
@@ -47,7 +38,6 @@ impl Namenode {
             "replication {replication} exceeds datanodes {datanodes}"
         );
         Namenode {
-            files: Vec::new(),
             blocks: Vec::new(),
             datanodes,
             replication,
@@ -57,20 +47,18 @@ impl Namenode {
     }
 
     /// Store a file of `bytes`, splitting into blocks and placing replicas.
-    /// Returns the file index.
-    pub fn put(&mut self, name: &str, bytes: u64, rng: &mut SimRng) -> usize {
+    /// Returns the ids of its blocks, in order.
+    pub fn put(&mut self, bytes: u64, rng: &mut SimRng) -> Range<usize> {
         assert!(bytes > 0, "empty HDFS file");
-        let mut blocks = Vec::new();
+        let first = self.blocks.len();
         let mut remaining = bytes;
         while remaining > 0 {
             let b = remaining.min(self.block_bytes);
             remaining -= b;
             let replicas = self.place(rng);
             self.blocks.push(Block { bytes: b, replicas });
-            blocks.push(self.blocks.len() - 1);
         }
-        self.files.push(HdfsFile { name: name.to_string(), blocks });
-        self.files.len() - 1
+        first..self.blocks.len()
     }
 
     /// HDFS default-policy-shaped placement: primary on the rotating
@@ -129,18 +117,18 @@ mod tests {
     fn files_split_into_blocks() {
         let mut nn = Namenode::new(35, 2, 16 * MB);
         let mut rng = SimRng::new(1);
-        let f = nn.put("input-0", 40 * MB, &mut rng);
-        let blocks = &nn.files[f].blocks;
-        assert_eq!(blocks.len(), 3);
-        assert_eq!(nn.blocks[blocks[0]].bytes, 16 * MB);
-        assert_eq!(nn.blocks[blocks[2]].bytes, 8 * MB);
+        assert_eq!(nn.put(MB, &mut rng), 0..1);
+        let blocks = nn.put(40 * MB, &mut rng);
+        assert_eq!(blocks, 1..4);
+        assert_eq!(nn.blocks[1].bytes, 16 * MB);
+        assert_eq!(nn.blocks[3].bytes, 8 * MB);
     }
 
     #[test]
     fn replication_factor_is_respected() {
         let mut nn = Namenode::new(35, 2, 16 * MB);
         let mut rng = SimRng::new(2);
-        nn.put("f", 160 * MB, &mut rng);
+        nn.put(160 * MB, &mut rng);
         for block in &nn.blocks {
             assert_eq!(block.replicas.len(), 2);
             assert_ne!(block.replicas[0], block.replicas[1]);
@@ -151,8 +139,8 @@ mod tests {
     fn placement_balances_primaries() {
         let mut nn = Namenode::new(10, 1, MB);
         let mut rng = SimRng::new(3);
-        for i in 0..100 {
-            nn.put(&format!("f{i}"), MB, &mut rng);
+        for _ in 0..100 {
+            nn.put(MB, &mut rng);
         }
         let per = bytes_per_node(&nn);
         assert!(per.iter().all(|&b| b == 10 * MB), "{per:?}");
@@ -162,7 +150,7 @@ mod tests {
     fn locality_queries() {
         let mut nn = Namenode::new(5, 2, MB);
         let mut rng = SimRng::new(4);
-        nn.put("f", MB, &mut rng);
+        nn.put(MB, &mut rng);
         let block = 0;
         let reps = nn.blocks[block].replicas.clone();
         for n in 0..5 {
@@ -174,7 +162,7 @@ mod tests {
     fn live_replica_skips_down_nodes() {
         let mut nn = Namenode::new(5, 2, MB);
         let mut rng = SimRng::new(4);
-        nn.put("f", MB, &mut rng);
+        nn.put(MB, &mut rng);
         let block = 0;
         let reps = nn.blocks[block].replicas.clone();
         let other = (0..5).find(|n| !reps.contains(n)).unwrap();

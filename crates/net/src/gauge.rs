@@ -56,6 +56,7 @@ impl LinkGauge {
     ///
     /// An empty path (loopback) returns `f64::INFINITY` — the caller should
     /// apply its own floor (e.g. memory bandwidth).
+    #[inline]
     pub fn begin(&mut self, path: &[LinkId]) -> f64 {
         let mut rate = f64::INFINITY;
         for l in path {
@@ -69,6 +70,7 @@ impl LinkGauge {
     /// Transfer time for `bytes` over `path` at the frozen admission rate.
     /// Combines [`begin`](Self::begin) with a byte count; the caller must
     /// still call [`end`](Self::end) when the transfer completes.
+    #[inline]
     pub fn begin_transfer(&mut self, path: &[LinkId], bytes: f64) -> SimDuration {
         let rate = self.begin(path);
         if rate.is_finite() {
@@ -79,6 +81,7 @@ impl LinkGauge {
     }
 
     /// Release a flow's link claims.
+    #[inline]
     pub fn end(&mut self, path: &[LinkId]) {
         for l in path {
             debug_assert!(self.active[l.0] > 0, "gauge underflow on {l:?}");

@@ -132,6 +132,7 @@ impl Topology {
     /// path, zero latency (the kernel's loopback never hits the NIC).
     ///
     /// Panics if the groups are not connected.
+    #[inline]
     pub fn path(&self, src: HostId, dst: HostId) -> (Path, SimDuration) {
         if src == dst {
             return (Path::LOOPBACK, SimDuration::ZERO);
@@ -147,11 +148,13 @@ impl Topology {
     }
 
     /// One-way latency between two hosts.
+    #[inline]
     pub fn latency(&self, src: HostId, dst: HostId) -> SimDuration {
         self.path(src, dst).1
     }
 
     /// Round-trip latency between two hosts (the paper reports pings).
+    #[inline]
     pub fn rtt(&self, src: HostId, dst: HostId) -> SimDuration {
         let l = self.latency(src, dst);
         l + l

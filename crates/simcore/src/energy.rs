@@ -59,6 +59,7 @@ impl StepIntegrator {
     /// since the previous change.
     ///
     /// Panics in debug builds if time runs backwards or `v` is not finite.
+    #[inline]
     pub fn set(&mut self, now: SimTime, v: f64) {
         debug_assert!(
             now >= self.last_t,

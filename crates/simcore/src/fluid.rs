@@ -150,12 +150,14 @@ impl FluidResource {
 
     /// Recompute the cached per-task rate after the task count changed:
     /// `min(per_task_cap, capacity / n)`, zero when idle.
+    #[inline]
     fn task_count_changed(&mut self) {
         let n = self.ids.len();
         self.rate = if n == 0 { 0.0 } else { self.per_task_cap.min(self.capacity / n as f64) };
     }
 
     /// Instantaneous utilisation in [0, 1].
+    #[inline]
     pub fn utilization(&self) -> f64 {
         (self.rate * self.ids.len() as f64 / self.capacity).min(1.0)
     }
@@ -169,6 +171,7 @@ impl FluidResource {
     ///
     /// Idempotent for equal `now`. Panics in debug builds if time runs
     /// backwards.
+    #[inline]
     pub fn advance(&mut self, now: SimTime) {
         debug_assert!(now >= self.last_update, "fluid resource time went backwards");
         let dt = now.saturating_since(self.last_update).as_secs_f64();
@@ -187,6 +190,7 @@ impl FluidResource {
     /// epoch.
     ///
     /// Panics if the id is already in flight or `work` is not finite/positive.
+    #[inline]
     pub fn add(&mut self, now: SimTime, id: TaskId, work: f64) {
         assert!(work.is_finite() && work > 0.0, "invalid work amount {work}");
         self.advance(now);
@@ -218,6 +222,7 @@ impl FluidResource {
     /// can land half a nanosecond early and strand residue above any
     /// epsilon. A completion more than 2^64 ns (584 years) away saturates
     /// at `SimTime`'s end instead of wrapping to `now`.
+    #[inline]
     fn finish_at(&self, now: SimTime, rem: f64) -> SimTime {
         let dt = (rem / self.rate).max(0.0);
         now + SimDuration(ceil_u64(dt * 1e9).saturating_add(1))
@@ -257,6 +262,7 @@ impl FluidResource {
     /// remaining-work order, so this touches only them: their ids are
     /// appended, sorted, and truncated off. No allocation once `out` has
     /// capacity.
+    #[inline]
     pub fn take_finished_into(&mut self, now: SimTime, out: &mut Vec<TaskId>) {
         self.advance(now);
         let finished = self.rem.iter().rev().take_while(|&&r| r <= WORK_EPS).count();
@@ -284,6 +290,7 @@ impl FluidResource {
     /// `Some` is the caller's promise to schedule it, keyed, replacing any
     /// pending completion of this resource. O(1): the instant comes from
     /// the last task's remaining work, whatever its id.
+    #[inline]
     pub fn arm_completion(&mut self, now: SimTime) -> Option<(SimTime, u64)> {
         if let Some((epoch, at)) = self.armed {
             if epoch == self.epoch {
@@ -306,6 +313,7 @@ impl FluidResource {
     /// Record the delivery of the completion event stamped `epoch`: nothing
     /// is pending any more. Returns whether the event is current, i.e.
     /// whether the handler should collect finished tasks.
+    #[inline]
     pub fn deliver_completion(&mut self, epoch: u64) -> bool {
         self.armed = None;
         epoch == self.epoch

@@ -7,9 +7,9 @@ use edison_simcore::time::SimDuration;
 use edison_simfault::FaultPlan;
 use edison_simtel::Telemetry;
 
-/// Default calls per connection (the paper tunes ≈6.6 to match reported
-/// concurrency).
-pub const CALLS_PER_CONN: f64 = 6.6;
+/// Default calls per connection, defined with the accept cost it
+/// amortises.
+pub use edison_hw::calib::CALLS_PER_CONN;
 
 /// Summary of one httperf run.
 #[derive(Debug, Clone)]

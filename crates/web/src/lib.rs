@@ -22,11 +22,11 @@
 
 pub mod db;
 pub mod httperf;
-mod idmap;
 pub mod memcached;
 pub mod model;
 pub mod pyclient;
 pub mod scenario;
+pub mod slab;
 pub mod stack;
 
 pub use httperf::HttperfResult;

@@ -9,9 +9,9 @@
 //! `tests/golden_exports.rs`.
 
 use crate::db::{self, RowQuery};
-use crate::idmap::IdMap;
 use crate::memcached::{Key, LruStore};
 use crate::scenario::{Platform, WebScenario, WorkloadMix, ROWS_PER_TABLE};
+use crate::slab::{Handle, Slab};
 use edison_cluster::node::AdmitError;
 use edison_cluster::{Cluster, NodeId};
 use edison_hw::{calib, presets};
@@ -114,7 +114,7 @@ impl StackConfig {
 pub(crate) struct WorkerPool {
     pub(crate) max: u32,
     pub(crate) busy: u32,
-    pub(crate) backlog: VecDeque<u64>,
+    pub(crate) backlog: VecDeque<Handle>,
     pub(crate) backlog_max: usize,
 }
 
@@ -165,7 +165,7 @@ pub(crate) enum ReqState {
 
 #[derive(Debug)]
 pub(crate) struct Req {
-    pub(crate) conn: u64,
+    pub(crate) conn: Handle,
     pub(crate) client: usize,
     pub(crate) web: usize,
     pub(crate) cache: usize,
@@ -345,16 +345,16 @@ impl Default for Metrics {
 #[derive(Debug)]
 pub enum Ev {
     GenConn,
-    SynRetry { conn: u64, attempt: u8 },
+    SynRetry { conn: Handle, attempt: u8 },
     NodeCpu { node: u32, epoch: u64 },
     DbCpu { node: u32, epoch: u64 },
-    ReqAtWeb { req: u64 },
-    ReqAtCache { req: u64 },
-    CacheReplyAtWeb { req: u64, hit: bool },
-    ReqAtDb { req: u64 },
-    DbDiskDone { node: u32, job: u64 },
-    DbReplyAtWeb { req: u64 },
-    ReplyAtClient { req: u64 },
+    ReqAtWeb { req: Handle },
+    ReqAtCache { req: Handle },
+    CacheReplyAtWeb { req: Handle, hit: bool },
+    ReqAtDb { req: Handle },
+    DbDiskDone { node: u32, job: Handle },
+    DbReplyAtWeb { req: Handle },
+    ReplyAtClient { req: Handle },
     Sample,
     MeasureStart,
     /// Inject fault `idx` of the normalized plan.
@@ -364,7 +364,7 @@ pub enum Ev {
     HealthCheck,
     /// A client re-dispatches a connection through the LB after a
     /// failover timeout.
-    RetryConn { conn: u64 },
+    RetryConn { conn: Handle },
     Stop,
 }
 
@@ -450,8 +450,8 @@ pub struct WebWorld {
     pub(crate) workers: Vec<WorkerPool>,
     pub(crate) syn_gates: Vec<SynGate>,
     pub(crate) rng: SimRng,
-    pub(crate) conns: IdMap<u64, Conn>,
-    pub(crate) reqs: IdMap<u64, Req>,
+    pub(crate) conns: Slab<Conn>,
+    pub(crate) reqs: Slab<Req>,
     pub(crate) next_conn: u64,
     pub(crate) next_req: u64,
     pub(crate) rr_web: usize,
@@ -751,8 +751,8 @@ impl WebWorld {
             workers,
             syn_gates,
             rng,
-            conns: IdMap::default(),
-            reqs: IdMap::default(),
+            conns: Slab::default(),
+            reqs: Slab::default(),
             next_conn: 0,
             next_req: 0,
             rr_web: 0,
@@ -904,13 +904,14 @@ impl WebWorld {
         }
     }
 
-    /// HAProxy smooth WRR over the backends that admit `conn_id`: in
+    /// HAProxy smooth WRR over the backends that admit connection
+    /// `conn_seq` (its creation counter, [`Handle::seq`]): in
     /// rotation (`dead` covers the pre-health-check kill path, `lb_dead`
     /// the health-check verdict) and passed by their breaker, where a
     /// half-open breaker admits only probe-eligible connections. A
     /// `Probe` pick claims the half-open slot. With every breaker closed
     /// (or off) this is the plain weighted stride.
-    fn lb_pick(&mut self, conn_id: u64, now: SimTime) -> LbPick {
+    fn lb_pick(&mut self, conn_seq: u64, now: SimTime) -> LbPick {
         let n_web = self.n_web();
         let mut any_alive = false;
         for i in 0..n_web {
@@ -927,7 +928,7 @@ impl WebWorld {
         }
         // the probe draw builds an RNG: make it only if a breaker offers a probe
         if self.lb_verdict.contains(&BreakerVerdict::Probe)
-            && !probe_eligible(self.cfg.seed, conn_id, self.cfg.guard.probe_ratio)
+            && !probe_eligible(self.cfg.seed, conn_seq, self.cfg.guard.probe_ratio)
         {
             for v in &mut self.lb_verdict {
                 if *v == BreakerVerdict::Probe {
@@ -1071,11 +1072,11 @@ impl WebWorld {
     /// SYN attempt: the priority class (derived seed), token bucket, CoDel
     /// queue gate, then the weighted LB pick; a picked backend gets a
     /// client, the call count and the registered connection. Returns the
-    /// new connection id, or `None` when the connection is shed (bucket,
+    /// new connection's handle, or `None` when the connection is shed (bucket,
     /// gate or breaker block) or the whole web tier is out of rotation
     /// (a client error). The first [`WebWorld::syn_attempt`] is the
     /// caller's move.
-    fn open_conn_prepare(&mut self, now: SimTime) -> Option<u64> {
+    fn open_conn_prepare(&mut self, now: SimTime) -> Option<Handle> {
         let id = self.next_conn;
         self.next_conn += 1;
         let class = class_of(self.cfg.seed, id, self.cfg.guard.shed_ratio);
@@ -1101,11 +1102,10 @@ impl WebWorld {
                 let client = self.rr_client % self.client_hosts.len();
                 self.rr_client += 1;
                 let calls = self.draw_calls();
-                self.conns.insert(
+                Some(self.conns.insert(
                     id,
                     Conn { client, web, calls_left: calls, t_first_syn: now, retries: 0, class, probe },
-                );
-                Some(id)
+                ))
             }
             LbPick::Blocked => {
                 self.guard_shed_lb("breaker");
@@ -1129,7 +1129,7 @@ impl WebWorld {
     /// retry's delay never depends on event-arrival order.
     fn conn_retry(
         &mut self,
-        conn_id: u64,
+        conn_id: Handle,
         now: SimTime,
         ctx: &mut Ctx<'_, Ev>,
         cause: RetryCause,
@@ -1137,7 +1137,7 @@ impl WebWorld {
         if self.cfg.retry_budget == 0 {
             return false;
         }
-        let Some(conn) = self.conns.get_mut(&conn_id) else { return true };
+        let Some(conn) = self.conns.get_mut(conn_id) else { return true };
         if conn.retries >= self.cfg.retry_budget {
             return false;
         }
@@ -1149,9 +1149,9 @@ impl WebWorld {
             RetryCause::Overflow => self.metrics.retry_overflow_total += 1,
         }
         self.tel.counter_inc(guard_metrics::RETRY_CAUSE, &[("cause", cause.name())]);
-        // connection ids count up from 0 and never reach 2^56, so packing
+        // connection seqs count up from 0 and stay below 2^40, so packing
         // the attempt into the top byte keeps the stream index unique
-        let stream_idx = conn_id | (u64::from(attempt) << 56);
+        let stream_idx = conn_id.seq() | (u64::from(attempt) << 56);
         let mut rng = SimRng::new(derive_seed(self.cfg.seed, "web:retry-backoff", stream_idx));
         let exp = (attempt - 1).min(RETRY_BACKOFF_CAP);
         let delay = FAILOVER_TIMEOUT.mul_f64(f64::from(1u32 << exp) * rng.jitter(RETRY_JITTER));
@@ -1161,8 +1161,8 @@ impl WebWorld {
 
     /// A request was caught on a crashed node: retry the connection
     /// through the LB if the client has budget, else it is a hard 5xx.
-    fn drop_req_on_dead_node(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let Some(r) = self.reqs.remove(&req_id) else { return };
+    fn drop_req_on_dead_node(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let Some(r) = self.reqs.remove(req_id) else { return };
         let conn_id = r.conn;
         if self.guard_on {
             // the request is terminal even when its connection retries
@@ -1172,7 +1172,7 @@ impl WebWorld {
         if self.conn_retry(conn_id, now, ctx, RetryCause::Dead) {
             return;
         }
-        if let Some(c) = self.conns.remove(&conn_id) {
+        if let Some(c) = self.conns.remove(conn_id) {
             self.guard_conn_retired(&c);
         }
         self.metrics.server_errors += 1;
@@ -1183,9 +1183,9 @@ impl WebWorld {
     /// kernel retransmit ladder): accept and send the first request, back
     /// off for a kernel retransmit, wait out a failover timeout, or give
     /// the connection up.
-    fn syn_attempt(&mut self, conn_id: u64, attempt: u8, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let Some(conn) = self.conns.get(&conn_id) else { return };
-        let web = conn.web;
+    fn syn_attempt(&mut self, conn_id: Handle, attempt: u8, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let Some(conn) = self.conns.get(conn_id) else { return };
+        let (web, client) = (conn.web, conn.client);
         if self.dead[web] && self.cfg.retry_budget > 0 {
             // a crashed host sends no RST: the connect times out and the
             // client re-resolves through the LB (or gives up)
@@ -1193,7 +1193,7 @@ impl WebWorld {
             if self.conn_retry(conn_id, now, ctx, RetryCause::Dead) {
                 return;
             }
-            if let Some(c) = self.conns.remove(&conn_id) {
+            if let Some(c) = self.conns.remove(conn_id) {
                 self.guard_conn_retired(&c);
             }
             self.metrics.client_errors += 1;
@@ -1213,7 +1213,7 @@ impl WebWorld {
         match admit {
             Ok(()) => {
                 // handshake: one RTT before the first request leaves
-                let client_host = self.client_hosts[self.conns[&conn_id].client];
+                let client_host = self.client_hosts[client];
                 let rtt =
                     self.topo.rtt(client_host, self.node_hosts[web]).mul_f64(self.nic_lat[web]);
                 self.start_request(conn_id, true, now + rtt, ctx);
@@ -1228,7 +1228,7 @@ impl WebWorld {
                 } else {
                     self.metrics.client_errors += 1;
                     self.tel_outcome("client_error");
-                    if let Some(c) = self.conns.remove(&conn_id) {
+                    if let Some(c) = self.conns.remove(conn_id) {
                         self.guard_conn_retired(&c);
                     }
                 }
@@ -1238,7 +1238,7 @@ impl WebWorld {
                 self.guard_brk_failure(web, now);
                 self.metrics.server_errors += 1;
                 self.tel_outcome("server_error");
-                if let Some(c) = self.conns.remove(&conn_id) {
+                if let Some(c) = self.conns.remove(conn_id) {
                     self.guard_conn_retired(&c);
                 }
             }
@@ -1249,15 +1249,15 @@ impl WebWorld {
     /// connection's web node.
     fn start_request(
         &mut self,
-        conn_id: u64,
+        conn_id: Handle,
         first_call: bool,
         send_at: SimTime,
         ctx: &mut Ctx<'_, Ev>,
     ) {
-        let conn = &self.conns[&conn_id];
-        let web = conn.web;
-        let client_host = self.client_hosts[conn.client];
-        let id = self.next_req;
+        let Some(conn) = self.conns.get(conn_id) else { return };
+        let (web, client) = (conn.web, conn.client);
+        let client_host = self.client_hosts[client];
+        let seq = self.next_req;
         self.next_req += 1;
         let query = db::draw_query(&self.cfg.mix, &mut self.rng);
         let cache = query.key.shard(self.caches.len());
@@ -1266,11 +1266,11 @@ impl WebWorld {
         // the deadline budget starts when the request leaves the client;
         // Budget::ZERO (deadlines off) derives no deadline at all
         let deadline = self.cfg.guard.deadline.deadline_from(send_at);
-        self.reqs.insert(
-            id,
+        let id = self.reqs.insert(
+            seq,
             Req {
                 conn: conn_id,
-                client: conn.client,
+                client,
                 web,
                 cache,
                 db_node,
@@ -1296,8 +1296,8 @@ impl WebWorld {
         ctx.schedule_at(send_at + lat, Ev::ReqAtWeb { req: id });
     }
 
-    fn begin_stage1(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let Some(req) = self.reqs.get_mut(&req_id) else { return };
+    fn begin_stage1(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let Some(req) = self.reqs.get_mut(req_id) else { return };
         let web = req.web;
         let queued_at = req.t_queued.take();
         let mut mi = self.req_mi_of[web] * STAGE1_FRAC;
@@ -1316,7 +1316,7 @@ impl WebWorld {
                 queued_at.map_or(SimDuration::ZERO, |tq| now.since(tq));
             self.guard_observe_queue(sojourn, now);
         }
-        self.nodes.node_mut(NodeId(web)).add_cpu_task(now, req_id, mi);
+        self.nodes.node_mut(NodeId(web)).add_cpu_task(now, req_id.raw(), mi);
         self.schedule_node_cpu(web, now, ctx);
     }
 
@@ -1324,8 +1324,8 @@ impl WebWorld {
     /// entirely and send a header-only rejection to the client. The
     /// request parks in `Reply` state (so a concurrent crash will not
     /// tear it down twice) and is accounted when the rejection lands.
-    fn shed_request(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let Some(r) = self.reqs.get_mut(&req_id) else { return };
+    fn shed_request(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let Some(r) = self.reqs.get_mut(req_id) else { return };
         r.shed = true;
         r.state = ReqState::Reply;
         let (web, client) = (r.web, r.client);
@@ -1340,9 +1340,9 @@ impl WebWorld {
     /// The request arrived at the web node: take a PHP worker (or queue,
     /// or 5xx on overflow — a retry with guards on; shed a request whose
     /// deadline has already passed).
-    fn admit_to_worker(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+    fn admit_to_worker(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         // the target server may have died while this request was in flight
-        let Some(req) = self.reqs.get(&req_id) else { return };
+        let Some(req) = self.reqs.get(req_id) else { return };
         let (web, deadline) = (req.web, req.deadline);
         if self.dead[web] {
             // connection reset by a dead server (retryable)
@@ -1360,7 +1360,7 @@ impl WebWorld {
             self.begin_stage1(req_id, now, ctx);
         } else if pool.backlog.len() < pool.backlog_max {
             pool.backlog.push_back(req_id);
-            if let Some(r) = self.reqs.get_mut(&req_id) {
+            if let Some(r) = self.reqs.get_mut(req_id) {
                 r.t_queued = Some(now);
             }
         } else if self.guard_on {
@@ -1369,14 +1369,14 @@ impl WebWorld {
             // instead of eating the legacy hard 5xx
             self.guard_brk_failure(web, now);
             self.guard_req_failed("overflow");
-            let Some(req) = self.reqs.remove(&req_id) else { return };
+            let Some(req) = self.reqs.remove(req_id) else { return };
             self.nodes.node_mut(NodeId(web)).close_connection();
             if self.conn_retry(req.conn, now, ctx, RetryCause::Overflow) {
                 return;
             }
             self.metrics.server_errors += 1;
             self.tel_outcome("server_error");
-            if let Some(c) = self.conns.remove(&req.conn) {
+            if let Some(c) = self.conns.remove(req.conn) {
                 self.guard_conn_retired(&c);
             }
         } else {
@@ -1384,7 +1384,7 @@ impl WebWorld {
             self.metrics.server_errors += 1;
             self.tel_outcome("server_error");
             #[expect(clippy::expect_used, reason = "the caller found req_id in reqs")]
-            let req = self.reqs.remove(&req_id).expect("req exists");
+            let req = self.reqs.remove(req_id).expect("req exists");
             self.abort_conn(req.conn);
         }
     }
@@ -1399,8 +1399,8 @@ impl WebWorld {
         }
     }
 
-    fn abort_conn(&mut self, conn_id: u64) {
-        if let Some(conn) = self.conns.remove(&conn_id) {
+    fn abort_conn(&mut self, conn_id: Handle) {
+        if let Some(conn) = self.conns.remove(conn_id) {
             self.guard_conn_retired(&conn);
             self.nodes.node_mut(NodeId(conn.web)).close_connection();
         }
@@ -1409,8 +1409,8 @@ impl WebWorld {
     // ---- CPU completion routing -------------------------------------------
 
     /// Route a web-node CPU completion on the stored request state.
-    fn web_cpu_done(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let state = match self.reqs.get(&req_id) {
+    fn web_cpu_done(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let state = match self.reqs.get(req_id) {
             Some(r) => r.state,
             None => return,
         };
@@ -1425,13 +1425,13 @@ impl WebWorld {
     /// Stage-1 CPU finished: issue the memcached get — or degrade (skip
     /// the cache/db stage) when the deadline is blown or the tier is in
     /// brownout and the connection is bulk-class.
-    fn stage1_to_cache(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let Some(r) = self.reqs.get(&req_id) else { return };
+    fn stage1_to_cache(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let Some(r) = self.reqs.get(req_id) else { return };
         let (conn_id, deadline) = (r.conn, r.deadline);
         let reason = if deadline.is_some_and(|d| d.passed(now)) {
             Some("deadline")
         } else if self.brownout.active()
-            && self.conns.get(&conn_id).is_some_and(|c| c.class == Priority::Bulk)
+            && self.conns.get(conn_id).is_some_and(|c| c.class == Priority::Bulk)
         {
             Some("brownout")
         } else {
@@ -1441,7 +1441,7 @@ impl WebWorld {
             self.degrade_request(req_id, reason, now, ctx);
             return;
         }
-        let Some(r) = self.reqs.get_mut(&req_id) else { return };
+        let Some(r) = self.reqs.get_mut(req_id) else { return };
         r.state = ReqState::CacheRpc;
         r.t_cache_sent = now;
         let (web, cache) = (r.web, r.cache);
@@ -1457,13 +1457,13 @@ impl WebWorld {
     /// assemble the cheap static fallback body on stage-2 CPU.
     fn degrade_request(
         &mut self,
-        req_id: u64,
+        req_id: Handle,
         reason: &'static str,
         now: SimTime,
         ctx: &mut Ctx<'_, Ev>,
     ) {
         self.tel.counter_inc(guard_metrics::DEGRADED_TOTAL, &[("tier", "web"), ("reason", reason)]);
-        let Some(r) = self.reqs.get_mut(&req_id) else { return };
+        let Some(r) = self.reqs.get_mut(req_id) else { return };
         r.degraded = true;
         r.query.reply_bytes = DEGRADED_REPLY_BYTES;
         self.begin_stage2(req_id, now, ctx);
@@ -1471,8 +1471,8 @@ impl WebWorld {
 
     /// Stage-2 CPU finished: put the reply on the wire to the client (or
     /// retire the request if its connection vanished).
-    fn stage2_to_reply(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let Some(r) = self.reqs.get_mut(&req_id) else { return };
+    fn stage2_to_reply(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let Some(r) = self.reqs.get_mut(req_id) else { return };
         r.state = ReqState::Reply;
         let (web, conn_id, bytes, t_cache_sent, went_to_db, db_delay, degraded) =
             (r.web, r.conn, r.query.reply_bytes, r.t_cache_sent, r.went_to_db, r.db_delay, r.degraded);
@@ -1494,8 +1494,8 @@ impl WebWorld {
             }
         }
         self.release_worker(web, now, ctx);
-        let Some(conn) = self.conns.get(&conn_id) else {
-            self.reqs.remove(&req_id);
+        let Some(conn) = self.conns.get(conn_id) else {
+            self.reqs.remove(req_id);
             if self.guard_on {
                 self.guard_req_failed("conn_lost");
             }
@@ -1509,22 +1509,22 @@ impl WebWorld {
     }
 
     /// The get arrived at the cache node: charge the lookup CPU.
-    fn req_at_cache(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let cache = match self.reqs.get(&req_id) {
+    fn req_at_cache(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let cache = match self.reqs.get(req_id) {
             Some(r) => r.cache,
             None => return,
         };
         let node = self.n_web() + cache;
         let mi = calib::CACHE_LOOKUP_MI * self.cpu_factor[node];
-        self.nodes.node_mut(NodeId(node)).add_cpu_task(now, req_id, mi);
+        self.nodes.node_mut(NodeId(node)).add_cpu_task(now, req_id.raw(), mi);
         self.schedule_node_cpu(node, now, ctx);
     }
 
     /// Cache-node CPU finished: probe the LRU store and send the reply (or
     /// the tiny miss notice) back to the web node; the hit verdict rides
     /// in [`Ev::CacheReplyAtWeb`].
-    fn cache_cpu_done(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let (web, cache, key) = match self.reqs.get(&req_id) {
+    fn cache_cpu_done(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let (web, cache, key) = match self.reqs.get(req_id) {
             Some(r) => (r.web, r.cache, r.query.key),
             None => return,
         };
@@ -1552,8 +1552,14 @@ impl WebWorld {
     /// The cache verdict landed back on the web node: a hit goes on to
     /// stage-2 CPU, a miss to MySQL (or degrades when the deadline cannot
     /// afford the MySQL leg).
-    fn cache_reply_at_web(&mut self, req_id: u64, hit: bool, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let (web, cache, deadline) = match self.reqs.get(&req_id) {
+    fn cache_reply_at_web(
+        &mut self,
+        req_id: Handle,
+        hit: bool,
+        now: SimTime,
+        ctx: &mut Ctx<'_, Ev>,
+    ) {
+        let (web, cache, deadline) = match self.reqs.get(req_id) {
             Some(r) => (r.web, r.cache, r.deadline),
             None => return,
         };
@@ -1579,7 +1585,7 @@ impl WebWorld {
             // go to the database
             let db_node = {
                 #[expect(clippy::expect_used, reason = "the cache reply was routed for a live req_id")]
-                let r = self.reqs.get_mut(&req_id).expect("req exists");
+                let r = self.reqs.get_mut(req_id).expect("req exists");
                 r.state = ReqState::DbRpc;
                 r.t_db_sent = now;
                 r.went_to_db = true;
@@ -1591,25 +1597,25 @@ impl WebWorld {
     }
 
     /// The query arrived at its MySQL node: charge the query CPU.
-    fn req_at_db(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let (db_node, mi) = match self.reqs.get(&req_id) {
+    fn req_at_db(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let (db_node, mi) = match self.reqs.get(req_id) {
             Some(r) => (r.db_node, db::query_cpu_mi(&r.query)),
             None => return,
         };
-        self.dbc.node_mut(NodeId(db_node)).add_cpu_task(now, req_id, mi);
+        self.dbc.node_mut(NodeId(db_node)).add_cpu_task(now, req_id.raw(), mi);
         self.schedule_db_cpu(db_node, now, ctx);
     }
 
     /// MySQL CPU finished: 2 % of queries miss the buffer pool and read
     /// disk, the rest reply immediately.
-    fn db_cpu_done(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let db_node = match self.reqs.get(&req_id) {
+    fn db_cpu_done(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let db_node = match self.reqs.get(req_id) {
             Some(r) => r.db_node,
             None => return,
         };
         if db::query_hits_disk(&mut self.rng) {
             #[expect(clippy::expect_used, reason = "looked up just above")]
-            let r = self.reqs.get_mut(&req_id).expect("checked");
+            let r = self.reqs.get_mut(req_id).expect("checked");
             r.state = ReqState::DbDisk;
             let bytes = r.query.reply_bytes;
             let service = self
@@ -1617,7 +1623,9 @@ impl WebWorld {
                 .node(NodeId(db_node))
                 .disk_read_time(bytes, false)
                 .mul_f64(self.db_disk_factor[db_node]);
-            if let Some((job, at)) = self.dbc.node_mut(NodeId(db_node)).disk().submit(now, req_id, service) {
+            let disk = self.dbc.node_mut(NodeId(db_node)).disk();
+            if let Some((job, at)) = disk.submit(now, req_id.raw(), service) {
+                let job = Handle::from_raw(job);
                 ctx.schedule_at(at, Ev::DbDiskDone { node: ev_index(db_node), job });
             }
         } else {
@@ -1630,13 +1638,14 @@ impl WebWorld {
     /// caller's move, after this.
     fn db_disk_pop(&mut self, node: usize, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         if let Some((next_job, at)) = self.dbc.node_mut(NodeId(node)).disk().complete(now) {
-            ctx.schedule_at(at, Ev::DbDiskDone { node: ev_index(node), job: next_job });
+            let job = Handle::from_raw(next_job);
+            ctx.schedule_at(at, Ev::DbDiskDone { node: ev_index(node), job });
         }
     }
 
     /// Put the MySQL reply on the wire to the web node.
-    fn db_send_reply(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let (web, db_node, bytes) = match self.reqs.get(&req_id) {
+    fn db_send_reply(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let (web, db_node, bytes) = match self.reqs.get(req_id) {
             Some(r) => (r.web, r.db_node, r.query.reply_bytes),
             None => return,
         };
@@ -1648,8 +1657,8 @@ impl WebWorld {
 
     /// The MySQL reply landed back on the web node: close the db leg and
     /// go on to stage-2 CPU.
-    fn db_reply_at_web(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let (web, db_node, t_db_sent) = match self.reqs.get(&req_id) {
+    fn db_reply_at_web(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let (web, db_node, t_db_sent) = match self.reqs.get(req_id) {
             Some(r) => (r.web, r.db_node, r.t_db_sent),
             None => return,
         };
@@ -1664,7 +1673,7 @@ impl WebWorld {
             // back to memcached after the db read
             let (key, cache) = {
                 #[expect(clippy::expect_used, reason = "looked up at the top of this handler")]
-                let r = self.reqs.get(&req_id).expect("req exists");
+                let r = self.reqs.get(req_id).expect("req exists");
                 (r.query.key, r.cache)
             };
             let node = self.n_web() + cache;
@@ -1682,29 +1691,29 @@ impl WebWorld {
         let track = self.web_track(web);
         self.tel.span_on(track, "rpc", "mysql_query", t_db_sent, now, &[("db_node", &db_node)]);
         #[expect(clippy::expect_used, reason = "looked up at the top of this handler")]
-        let r = self.reqs.get_mut(&req_id).expect("req exists");
+        let r = self.reqs.get_mut(req_id).expect("req exists");
         r.db_delay = Some(now.since(t_db_sent).as_millis_f64());
         self.begin_stage2(req_id, now, ctx);
     }
 
-    fn begin_stage2(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+    fn begin_stage2(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let (web, bytes) = {
             #[expect(clippy::expect_used, reason = "callers pass a live req_id")]
-            let r = self.reqs.get_mut(&req_id).expect("req exists");
+            let r = self.reqs.get_mut(req_id).expect("req exists");
             r.state = ReqState::Stage2;
             (r.web, r.query.reply_bytes)
         };
         let mi = (self.req_mi_of[web] * (1.0 - STAGE1_FRAC)
             + bytes as f64 / 1024.0 * calib::WEB_REQ_MI_PER_KIB)
             * self.cpu_factor[web];
-        self.nodes.node_mut(NodeId(web)).add_cpu_task(now, req_id, mi);
+        self.nodes.node_mut(NodeId(web)).add_cpu_task(now, req_id.raw(), mi);
         self.schedule_node_cpu(web, now, ctx);
     }
 
     /// The reply reached the client: account the completion and either
     /// start the connection's next call or close it.
-    fn finish_reply(&mut self, req_id: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let Some(r) = self.reqs.remove(&req_id) else { return };
+    fn finish_reply(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
+        let Some(r) = self.reqs.remove(req_id) else { return };
         if r.shed {
             // header-only rejection: no transfer was begun, no worker
             // taken — just retire the connection
@@ -1713,7 +1722,7 @@ impl WebWorld {
         let client_host = self.client_hosts[r.client];
         let (path, _) = self.topo.path(self.node_hosts[r.web], client_host);
         self.topo.gauge_mut().end(&path);
-        let (t_first_syn, calls_left, web, probe) = match self.conns.get_mut(&r.conn) {
+        let (t_first_syn, calls_left, web, probe) = match self.conns.get_mut(r.conn) {
             Some(conn) => {
                 conn.calls_left -= 1;
                 // the probe request reached its verdict: release the slot
@@ -1763,7 +1772,7 @@ impl WebWorld {
         if calls_left > 0 {
             self.start_request(r.conn, false, now, ctx);
         } else {
-            if let Some(c) = self.conns.remove(&r.conn) {
+            if let Some(c) = self.conns.remove(r.conn) {
                 self.guard_conn_retired(&c);
             }
             self.nodes.node_mut(NodeId(web)).close_connection();
@@ -1774,7 +1783,7 @@ impl WebWorld {
     /// the request (terminal `shed` bucket) and close its connection.
     fn finish_shed_reply(&mut self, r: &Req, now: SimTime) {
         self.metrics.guard.shed += 1;
-        let conn = self.conns.remove(&r.conn);
+        let conn = self.conns.remove(r.conn);
         if let Some(c) = &conn {
             let start = if r.first_call { c.t_first_syn } else { r.t_sent };
             let track = self.web_track(r.web);
@@ -1790,15 +1799,15 @@ impl WebWorld {
     /// A failover timeout elapsed: pick a fresh backend for `conn` (the
     /// follow-up SYN attempt is the caller's move) or retire it when the
     /// whole tier is out. True when a backend was picked.
-    fn redispatch(&mut self, conn_id: u64, now: SimTime) -> bool {
-        let Some(c) = self.conns.get_mut(&conn_id) else { return false };
+    fn redispatch(&mut self, conn_id: Handle, now: SimTime) -> bool {
+        let Some(c) = self.conns.get_mut(conn_id) else { return false };
         // a retried probe is no longer probing the backend it left
         if std::mem::take(&mut c.probe) {
             self.brk[c.web].end_probe();
         }
-        match self.lb_pick(conn_id, now) {
+        match self.lb_pick(conn_id.seq(), now) {
             LbPick::Backend { web, probe } => {
-                if let Some(c) = self.conns.get_mut(&conn_id) {
+                if let Some(c) = self.conns.get_mut(conn_id) {
                     c.web = web;
                     c.probe = probe;
                 }
@@ -1807,7 +1816,7 @@ impl WebWorld {
             LbPick::Blocked => {
                 // backends alive but every breaker is open: shed rather
                 // than hammer a recovering tier
-                if let Some(c) = self.conns.remove(&conn_id) {
+                if let Some(c) = self.conns.remove(conn_id) {
                     self.guard_conn_retired(&c);
                 }
                 self.guard_shed_lb("breaker");
@@ -1815,7 +1824,7 @@ impl WebWorld {
             }
             LbPick::AllDead => {
                 // nothing left to fail over to
-                if let Some(c) = self.conns.remove(&conn_id) {
+                if let Some(c) = self.conns.remove(conn_id) {
                     self.guard_conn_retired(&c);
                 }
                 self.metrics.client_errors += 1;
@@ -1924,10 +1933,11 @@ impl WebWorld {
         self.crash_time[node] = Some(now);
         // in-flight CPU work on the node dies with it, in id order
         for id in self.reqs.sorted_ids_where(|r| r.web == node) {
-            self.nodes.node_mut(NodeId(node)).cancel_cpu_task(now, id);
+            self.nodes.node_mut(NodeId(node)).cancel_cpu_task(now, id.raw());
             // requests with RPCs in flight are dropped when their
             // reply lands on the dead node (see the dead guards)
-            if matches!(self.reqs[&id].state, ReqState::Stage1 | ReqState::Stage2) {
+            let on_cpu = |r: &Req| matches!(r.state, ReqState::Stage1 | ReqState::Stage2);
+            if self.reqs.get(id).is_some_and(on_cpu) {
                 self.drop_req_on_dead_node(id, now, ctx);
             }
         }
@@ -2138,9 +2148,9 @@ impl WebWorld {
                 self.nodes.node_mut(NodeId(node)).take_finished_cpu_into(now, &mut done);
                 for &tid in &done {
                     if node < self.n_web() {
-                        self.web_cpu_done(tid, now, ctx);
+                        self.web_cpu_done(Handle::from_raw(tid), now, ctx);
                     } else {
-                        self.cache_cpu_done(tid, now, ctx);
+                        self.cache_cpu_done(Handle::from_raw(tid), now, ctx);
                     }
                 }
                 done.clear();
@@ -2155,7 +2165,7 @@ impl WebWorld {
                 let mut done = std::mem::take(&mut self.cpu_done);
                 self.dbc.node_mut(NodeId(node)).take_finished_cpu_into(now, &mut done);
                 for &tid in &done {
-                    self.db_cpu_done(tid, now, ctx);
+                    self.db_cpu_done(Handle::from_raw(tid), now, ctx);
                 }
                 done.clear();
                 self.cpu_done = done;

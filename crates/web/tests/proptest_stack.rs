@@ -1,12 +1,15 @@
 //! Property tests over the web stack: conservation and sanity across
-//! random load points, plus LRU-store laws under arbitrary operation
-//! sequences and exact agreement with a reference LRU.
+//! random load points, LRU-store laws under arbitrary operation
+//! sequences and exact agreement with a reference LRU, and the slab of
+//! in-flight records against a `BTreeMap`.
 
 use edison_web::memcached::{Key, LruStore};
+use edison_web::slab::{Handle, Slab};
 use edison_web::stack::{run, GenMode, StackConfig};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 use edison_simcore::time::SimDuration;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// The obvious LRU: `(key, bytes)` in recency order, most recent first.
 #[derive(Default)]
@@ -178,6 +181,49 @@ proptest! {
             prop_assert_eq!(store.hits(), reference.hits);
             prop_assert_eq!(store.misses(), reference.misses);
             prop_assert_eq!(store.evictions(), reference.evictions);
+        }
+    }
+
+    /// The slab agrees with a `BTreeMap` keyed by creation counter after
+    /// every step of a random insert/get/remove script, stale handles
+    /// included, and its bulk read lists the live handles in creation
+    /// order.
+    #[test]
+    fn slab_matches_reference_map(
+        ops in proptest::collection::vec((0u8..3, 0usize..64), 1..300),
+    ) {
+        let mut slab = Slab::default();
+        let mut reference: BTreeMap<u64, (Handle, u64)> = BTreeMap::new();
+        let mut issued: Vec<Handle> = Vec::new();
+        for (seq, &(op, pick)) in (0u64..).zip(&ops) {
+            let live = |h: Handle, r: &BTreeMap<u64, (Handle, u64)>| {
+                r.get(&h.seq()).filter(|e| e.0 == h).map(|e| e.1)
+            };
+            match op {
+                0 => {
+                    let h = slab.insert(seq, seq * 3);
+                    prop_assert_eq!(h.seq(), seq);
+                    prop_assert!(issued.last().is_none_or(|&last| last < h));
+                    reference.insert(seq, (h, seq * 3));
+                    issued.push(h);
+                }
+                1 if !issued.is_empty() => {
+                    let h = issued[pick % issued.len()];
+                    prop_assert_eq!(slab.get(h).copied(), live(h, &reference));
+                }
+                2 if !issued.is_empty() => {
+                    let h = issued[pick % issued.len()];
+                    let want = live(h, &reference);
+                    if want.is_some() {
+                        reference.remove(&h.seq());
+                    }
+                    prop_assert_eq!(slab.remove(h), want);
+                }
+                _ => {}
+            }
+            prop_assert_eq!(slab.len(), reference.len());
+            let want: Vec<Handle> = reference.values().map(|e| e.0).collect();
+            prop_assert_eq!(slab.sorted_ids_where(|_| true), want);
         }
     }
 }

@@ -2,8 +2,8 @@
 //! clock, the current thread, hash collections and RNG construction. Code
 //! opts out only under `#[expect(clippy::disallowed_types)]` or
 //! `#[expect(clippy::disallowed_methods)]`, so a new opt-out is reviewed
-//! here. The one hash map among them, `web::idmap::IdMap`, is keyed-only
-//! by type: no method of it yields entries in hash order.
+//! here. No hash collection is left among them: simulation code keys its
+//! records by slab handles and dense indices.
 
 use edison_simlint::{rel_path, source_files};
 use std::fs;
@@ -29,7 +29,6 @@ fn disallowed_item_expectations_are_the_vetted_sites() {
         [
             "crates/core/src/bin/repro.rs",  // the progress display's `Instant::now`
             "crates/simcore/src/rng.rs",     // the RNG's home
-            "crates/web/src/idmap.rs",       // the keyed-only map
         ]
     );
 }
