@@ -8,7 +8,7 @@
 use crate::paper;
 use crate::registry::RunBudget;
 use crate::report::{table, Comparison, Report};
-use edison_mapreduce::engine::{run_job, run_job_traced, ClusterSetup, JobOutcome};
+use edison_mapreduce::engine::{run_job_checked, run_job_traced_checked, ClusterSetup, JobOutcome};
 use edison_mapreduce::jobs::{self, JobProfile, Tune};
 use edison_simrun::{derive_seed, Executor, RunError, SimError, ROOT_SEED};
 use edison_simtel::Telemetry;
@@ -72,7 +72,7 @@ pub fn run_cell(job: &str, label: &str, base: &ClusterSetup) -> Result<JobOutcom
     let mut setup = setup_for(job, base);
     setup.seed = derive_seed(ROOT_SEED, &format!("mr:{job}:{label}"), 0);
     let profile = profile_for(job, &setup)?;
-    Ok(run_job(&profile, &setup))
+    run_job_checked(&profile, &setup)
 }
 
 /// When the sink is enabled, re-run one representative cell with tracing
@@ -85,7 +85,7 @@ fn trace_representative(tel: &mut Telemetry, job: &str, base: &ClusterSetup) -> 
     let mut setup = setup_for(job, base);
     setup.seed = derive_seed(ROOT_SEED, &format!("trace:mr:{job}"), 0);
     let profile = profile_for(job, &setup)?;
-    let (_, t) = run_job_traced(&profile, &setup, tel.child());
+    let (_, t) = run_job_traced_checked(&profile, &setup, tel.child())?;
     tel.merge(t);
     Ok(())
 }
@@ -277,6 +277,17 @@ mod tests {
         let err = profile_for("sorthash", &ClusterSetup::edison(8)).expect_err("unknown job");
         assert!(matches!(err, SimError::UnknownJob(ref n) if n == "sorthash"), "{err:?}");
         assert!(run_cell("sorthash", "edison-8", &ClusterSetup::edison(8)).is_err());
+    }
+
+    /// An unrecovered fault in a cell is a typed error (`repro` exit 5),
+    /// not a crashed sweep point (exit 3).
+    #[test]
+    fn unrecovered_fault_is_a_typed_error() {
+        let at = edison_simcore::time::SimTime::from_secs(5);
+        let plan = (0..4).fold(edison_simfault::FaultPlan::new(), |p, n| p.crash(n, at));
+        let base = ClusterSetup::edison(4).with_fault_plan(plan);
+        let err = run_cell("logcount2", "edison-4", &base).expect_err("every worker is down");
+        assert!(matches!(err, SimError::FaultUnrecovered(_)), "{err:?}");
     }
 
     #[test]

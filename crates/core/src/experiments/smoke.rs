@@ -7,7 +7,7 @@
 use super::mapred;
 use crate::registry::RunBudget;
 use crate::report::{table, Comparison, Report};
-use edison_mapreduce::engine::{run_job_traced, ClusterSetup};
+use edison_mapreduce::engine::{run_job_traced_checked, ClusterSetup};
 use edison_simrun::{derive_seed, Executor, RunError, ROOT_SEED};
 use edison_simtel::Telemetry;
 use edison_web::httperf::{self, RunOpts};
@@ -40,7 +40,7 @@ pub fn smoke(budget: &RunBudget, _exec: &Executor, tel: &mut Telemetry) -> Resul
     let mut setup = mapred::setup_for("logcount2", &base);
     setup.seed = derive_seed(ROOT_SEED, "smoke:mr:logcount2", 0);
     let profile = mapred::profile_for("logcount2", &setup)?;
-    let (job, jtel) = run_job_traced(&profile, &setup, sink());
+    let (job, jtel) = run_job_traced_checked(&profile, &setup, sink())?;
     tel.merge(jtel);
 
     let rows = vec![

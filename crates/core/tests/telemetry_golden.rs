@@ -3,7 +3,7 @@
 //! that makes traces diffable across commits — any map-order or float-format
 //! nondeterminism in the registry, tracer or exporters breaks it.
 
-use edison_mapreduce::engine::{run_job_traced, ClusterSetup};
+use edison_mapreduce::engine::{run_job_traced_checked, ClusterSetup};
 use edison_mapreduce::jobs;
 use edison_simtel::export::{validate_json, validate_prometheus};
 use edison_simtel::Telemetry;
@@ -23,7 +23,7 @@ fn traced_pair() -> Telemetry {
 
     let setup = ClusterSetup::edison(4);
     let profile = jobs::logcount2(setup.tune).with_map_tasks(8);
-    let (_, jtel) = run_job_traced(&profile, &setup, Telemetry::on());
+    let (_, jtel) = run_job_traced_checked(&profile, &setup, Telemetry::on()).expect("job finishes");
     tel.merge(jtel);
 
     tel

@@ -171,20 +171,27 @@ impl ClusterSetup {
     }
 }
 
+/// Where a task stands. The three network phases carry the far end of
+/// their flow, so the flow's end (or a crash of either end) releases
+/// exactly the path it claimed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Pending,
     Launching,
-    Reading,
+    /// Reading the input split from replica node `src`; `src` is the
+    /// task's own node for a local disk read, which starts no flow.
+    Reading { src: usize },
     MapCpu,
     SpillCpu,
     SpillDisk,
     ShuffleWait,
-    Fetching,
+    /// Pulling map `origin`'s partition from node `src`.
+    Fetching { src: usize, origin: usize },
     MergeDisk,
     ReduceCpu,
     OutputDisk,
-    OutputRepl,
+    /// Replicating the output to node `peer`.
+    OutputRepl { peer: usize },
     Done,
 }
 
@@ -193,16 +200,16 @@ fn phase_name(p: Phase) -> &'static str {
     match p {
         Phase::Pending => "pending",
         Phase::Launching => "container_launch",
-        Phase::Reading => "input_read",
+        Phase::Reading { .. } => "input_read",
         Phase::MapCpu => "map_cpu",
         Phase::SpillCpu => "sort_spill_cpu",
         Phase::SpillDisk => "spill_write",
         Phase::ShuffleWait => "shuffle_wait",
-        Phase::Fetching => "shuffle_fetch",
+        Phase::Fetching { .. } => "shuffle_fetch",
         Phase::MergeDisk => "external_merge",
         Phase::ReduceCpu => "reduce_cpu",
         Phase::OutputDisk => "output_write",
-        Phase::OutputRepl => "output_replication",
+        Phase::OutputRepl { .. } => "output_replication",
         Phase::Done => "done",
     }
 }
@@ -218,7 +225,6 @@ struct Task {
     /// Reduce shuffle bookkeeping.
     fetch_pending: VecDeque<usize>,
     fetched: u32,
-    current_fetch_src: Option<usize>,
     /// Speculative copy of another map task.
     dup_of: Option<usize>,
     /// The logical map this task implements has been counted as complete.
@@ -232,8 +238,6 @@ struct Task {
     /// Re-execution attempt. Bumped whenever the incarnation dies (node
     /// crash, lost transfer) so events it scheduled are recognisably stale.
     attempt: u32,
-    /// Origin map whose partition is currently being fetched (reduces).
-    fetching_origin: Option<usize>,
     /// Per-origin shuffle progress (reduces; `len == n_maps`): partitions
     /// already pulled stay pulled when the map's output node later dies.
     fetched_from: Vec<bool>,
@@ -415,7 +419,7 @@ struct MrWorld {
     /// Last task-phase transition (stall detection).
     last_progress: SimTime,
     /// Telemetry sink; [`Telemetry::off`] unless the run came through
-    /// [`run_job_traced`].
+    /// [`run_job_traced_checked`].
     tel: Telemetry,
     /// Interned span track id per slave (`("mapreduce", "slave-{i}")`),
     /// filled once at trace setup — per-event span recording is then
@@ -480,14 +484,12 @@ impl MrWorld {
                 local: false,
                 fetch_pending: VecDeque::new(),
                 fetched: 0,
-                current_fetch_src: None,
                 dup_of: None,
                 logical_done: false,
                 speculated: false,
                 started: SimTime::ZERO,
                 phase_since: SimTime::ZERO,
                 attempt: 0,
-                fetching_origin: None,
                 fetched_from: if i < n_maps { Vec::new() } else { vec![false; n_maps] },
                 probe: false,
             })
@@ -566,9 +568,12 @@ impl MrWorld {
     }
 
     /// Transition `task` to `phase`, closing the telemetry span of the
-    /// phase it leaves (one span per phase on the task's node track).
+    /// phase it leaves (one span per phase on the task's node track). A
+    /// phase is its variant: new data in the same variant (a re-read from
+    /// another replica) replaces the old without a span.
     fn set_phase(&mut self, task: usize, phase: Phase, now: SimTime) {
-        if self.tasks[task].phase == phase {
+        if std::mem::discriminant(&self.tasks[task].phase) == std::mem::discriminant(&phase) {
+            self.tasks[task].phase = phase;
             return;
         }
         let t = &self.tasks[task];
@@ -775,8 +780,8 @@ impl MrWorld {
             } else {
                 self.profile.reduce_container
             };
-            #[expect(clippy::expect_used, reason = "the heartbeat granted only containers that fit")]
-            self.nodes.node_mut(NodeId(node)).alloc_mem(mem).expect("scheduler checked fit");
+            let fits = self.nodes.node_mut(NodeId(node)).alloc_mem(mem).is_ok();
+            debug_assert!(fits, "the heartbeat granted task {task} a container node {node} cannot hold");
             self.running_containers[node] += 1;
             if !self.tasks[task].is_map {
                 self.running_reduce_mem += self.profile.reduce_container;
@@ -867,14 +872,12 @@ impl MrWorld {
                     local: false,
                     fetch_pending: VecDeque::new(),
                     fetched: 0,
-                    current_fetch_src: None,
                     dup_of: Some(i),
                     logical_done: false,
                     speculated: true,
                     started: now,
                     phase_since: now,
                     attempt: 0,
-                    fetching_origin: None,
                     fetched_from: Vec::new(),
                     probe: false,
                 });
@@ -970,8 +973,9 @@ impl MrWorld {
         let node = self.tasks[task].node;
         let block = self.tasks[task].block;
         let bytes = self.map_input_bytes();
-        self.set_phase(task, Phase::Reading, now);
-        match self.nn.live_replica(block, node, &self.node_down) {
+        let replica = self.nn.live_replica(block, node, &self.node_down);
+        self.set_phase(task, Phase::Reading { src: replica.unwrap_or(node) }, now);
+        match replica {
             Some(src) if src == node => {
                 let service = self.nodes.node(NodeId(node)).disk_read_time(bytes, false);
                 let id = self.job_id(task);
@@ -981,7 +985,6 @@ impl MrWorld {
                 // remote read: stream from a surviving replica over the fabric
                 let (path, lat) = self.topo.path(self.hosts[src], self.hosts[node]);
                 let dur = self.topo.gauge_mut().begin_transfer(&path, bytes as f64);
-                self.tasks[task].current_fetch_src = Some(src);
                 let attempt = self.tasks[task].attempt;
                 ctx.schedule_at(
                     now + (lat + dur).mul_f64(self.net_scale(src, node)),
@@ -1058,7 +1061,7 @@ impl MrWorld {
                     self.tasks[i].fetch_pending.push_back(task);
                     self.next_fetch(i, now, ctx);
                 }
-                Phase::Fetching => self.tasks[i].fetch_pending.push_back(task),
+                Phase::Fetching { .. } => self.tasks[i].fetch_pending.push_back(task),
                 _ => {}
             }
         }
@@ -1077,7 +1080,7 @@ impl MrWorld {
     }
 
     fn next_fetch(&mut self, task: usize, now: SimTime, ctx: &mut Ctx<Ev>) {
-        if self.tasks[task].phase == Phase::Fetching {
+        if matches!(self.tasks[task].phase, Phase::Fetching { .. }) {
             return; // already busy with a fetch
         }
         loop {
@@ -1097,9 +1100,7 @@ impl MrWorld {
                 continue;
             }
             let node = self.tasks[task].node;
-            self.set_phase(task, Phase::Fetching, now);
-            self.tasks[task].current_fetch_src = Some(src);
-            self.tasks[task].fetching_origin = Some(origin);
+            self.set_phase(task, Phase::Fetching { src, origin }, now);
             let bytes = self.fetch_bytes();
             let (path, lat) = self.topo.path(self.hosts[src], self.hosts[node]);
             let dur = self.topo.gauge_mut().begin_transfer(&path, bytes as f64);
@@ -1134,7 +1135,7 @@ impl MrWorld {
     fn disk_done(&mut self, node: usize, task: usize, now: SimTime, ctx: &mut Ctx<Ev>) {
         let phase = self.tasks[task].phase;
         match phase {
-            Phase::Reading => self.start_map_cpu(task, now, ctx),
+            Phase::Reading { .. } => self.start_map_cpu(task, now, ctx),
             Phase::SpillDisk => self.finish_map(task, now, ctx),
             Phase::MergeDisk => {
                 self.set_phase(task, Phase::ReduceCpu, now);
@@ -1157,11 +1158,10 @@ impl MrWorld {
                         self.finish_reduce(task, now, ctx);
                         return;
                     }
-                    self.set_phase(task, Phase::OutputRepl, now);
+                    self.set_phase(task, Phase::OutputRepl { peer }, now);
                     let (path, lat) = self.topo.path(self.hosts[node], self.hosts[peer]);
                     let bytes = self.output_per_reduce();
                     let dur = self.topo.gauge_mut().begin_transfer(&path, bytes as f64);
-                    self.tasks[task].current_fetch_src = Some(peer);
                     let attempt = self.tasks[task].attempt;
                     ctx.schedule_at(
                         now + (lat + dur).mul_f64(self.net_scale(node, peer)),
@@ -1176,38 +1176,29 @@ impl MrWorld {
     }
 
     fn flow_end(&mut self, task: usize, attempt: u32, now: SimTime, ctx: &mut Ctx<Ev>) {
-        if self.tasks[task].attempt != attempt {
+        let t = &self.tasks[task];
+        if t.attempt != attempt {
             return; // a dead incarnation's flow: its gauge was released when it was invalidated
         }
-        let phase = self.tasks[task].phase;
-        match phase {
-            Phase::Reading => {
-                #[expect(clippy::expect_used, reason = "every read flow is started with its source recorded")]
-                let src = self.tasks[task].current_fetch_src.take().expect("flow had a source");
-                let node = self.tasks[task].node;
+        let node = t.node;
+        match t.phase {
+            Phase::Reading { src } => {
                 let (path, _) = self.topo.path(self.hosts[src], self.hosts[node]);
                 self.topo.gauge_mut().end(&path);
                 self.start_map_cpu(task, now, ctx);
             }
-            Phase::Fetching => {
-                #[expect(clippy::expect_used, reason = "every fetch flow is started with its source recorded")]
-                let src = self.tasks[task].current_fetch_src.take().expect("fetch had a source");
-                let node = self.tasks[task].node;
+            Phase::Fetching { src, origin } => {
                 let (path, _) = self.topo.path(self.hosts[src], self.hosts[node]);
                 self.topo.gauge_mut().end(&path);
-                if let Some(origin) = self.tasks[task].fetching_origin.take() {
-                    if !self.tasks[task].fetched_from[origin] {
-                        self.tasks[task].fetched_from[origin] = true;
-                        self.tasks[task].fetched += 1;
-                    }
+                let t = &mut self.tasks[task];
+                if !t.fetched_from[origin] {
+                    t.fetched_from[origin] = true;
+                    t.fetched += 1;
                 }
                 self.set_phase(task, Phase::ShuffleWait, now);
                 self.next_fetch(task, now, ctx);
             }
-            Phase::OutputRepl => {
-                #[expect(clippy::expect_used, reason = "every replication flow is started with its peer recorded")]
-                let peer = self.tasks[task].current_fetch_src.take().expect("repl had a peer");
-                let node = self.tasks[task].node;
+            Phase::OutputRepl { peer } => {
                 let (path, _) = self.topo.path(self.hosts[node], self.hosts[peer]);
                 self.topo.gauge_mut().end(&path);
                 self.finish_reduce(task, now, ctx);
@@ -1335,27 +1326,32 @@ impl MrWorld {
                 // event this incarnation scheduled — the reap re-queues it
                 let id = self.job_id(t);
                 self.nodes.node_mut(NodeId(node)).cancel_cpu_task(now, id);
-                if let Some(other) = self.tasks[t].current_fetch_src.take() {
-                    let (a, b) = if phase == Phase::OutputRepl { (node, other) } else { (other, node) };
+                // the phase keeps its variant until the reap; its far end
+                // becomes the dead node itself (a loopback, whose release
+                // is a no-op), so a later crash elsewhere finds no flow of
+                // this incarnation to cut
+                let flow = match &mut self.tasks[t].phase {
+                    Phase::Reading { src } | Phase::Fetching { src, .. } => {
+                        Some((std::mem::replace(src, node), node))
+                    }
+                    Phase::OutputRepl { peer } => Some((node, std::mem::replace(peer, node))),
+                    _ => None,
+                };
+                if let Some((a, b)) = flow {
                     let (path, _) = self.topo.path(self.hosts[a], self.hosts[b]);
                     self.topo.gauge_mut().end(&path);
                 }
-                self.tasks[t].fetching_origin = None;
                 self.tasks[t].attempt += 1;
                 continue;
             }
             // alive tasks with a transfer touching the crashed node: the
             // stream dies now and the survivor recovers immediately
             match phase {
-                Phase::Reading | Phase::Fetching
-                    if self.tasks[t].current_fetch_src == Some(node) =>
-                {
+                Phase::Reading { src } | Phase::Fetching { src, .. } if src == node => {
                     let (path, _) = self.topo.path(self.hosts[node], self.hosts[tnode]);
                     self.topo.gauge_mut().end(&path);
-                    self.tasks[t].current_fetch_src = None;
-                    self.tasks[t].fetching_origin = None;
                     self.tasks[t].attempt += 1;
-                    if phase == Phase::Reading {
+                    if matches!(phase, Phase::Reading { .. }) {
                         // HDFS re-read from a surviving replica
                         self.start_map_read(t, now, ctx);
                     } else {
@@ -1365,10 +1361,9 @@ impl MrWorld {
                         self.next_fetch(t, now, ctx);
                     }
                 }
-                Phase::OutputRepl if self.tasks[t].current_fetch_src == Some(node) => {
+                Phase::OutputRepl { peer } if peer == node => {
                     let (path, _) = self.topo.path(self.hosts[tnode], self.hosts[node]);
                     self.topo.gauge_mut().end(&path);
-                    self.tasks[t].current_fetch_src = None;
                     self.tasks[t].attempt += 1;
                     // the primary replica is safe; abandon the pipeline
                     self.finish_reduce(t, now, ctx);
@@ -1451,8 +1446,6 @@ impl MrWorld {
                 continue;
             }
             let tt = &mut self.tasks[t];
-            tt.current_fetch_src = None;
-            tt.fetching_origin = None;
             tt.fetch_pending.clear();
             tt.fetched = 0;
             tt.fetched_from.iter_mut().for_each(|b| *b = false);
@@ -1674,34 +1667,11 @@ impl Model for MrWorld {
     }
 }
 
-/// Run one job on one cluster setup to completion.
-///
-/// Panics when the job cannot finish — with a fault plan attached, prefer
-/// [`run_job_checked`], which surfaces unrecoverable faults as a typed
-/// error instead.
-pub fn run_job(profile: &JobProfile, setup: &ClusterSetup) -> JobOutcome {
-    run_job_traced(profile, setup, Telemetry::off()).0
-}
-
-/// [`run_job`] with a typed error channel: an unrecoverable fault (every
-/// replica of a block lost, all workers down, or a stalled job) returns
-/// [`SimError::FaultUnrecovered`] instead of panicking.
+/// Run one job on one cluster setup to completion. An unrecoverable fault
+/// (every replica of a block lost, all workers down, or a stalled job)
+/// returns [`SimError::FaultUnrecovered`].
 pub fn run_job_checked(profile: &JobProfile, setup: &ClusterSetup) -> Result<JobOutcome, SimError> {
     run_job_traced_checked(profile, setup, Telemetry::off()).map(|(o, _)| o)
-}
-
-/// Like [`run_job`], but records into `tel` when it is enabled: engine
-/// event counts, per-phase task spans (container launch → input read →
-/// map/sort/spill, shuffle → merge → reduce → output), container/task
-/// counters, progress timeseries and per-node power timelines. With
-/// `Telemetry::off()` this is exactly [`run_job`].
-pub fn run_job_traced(
-    profile: &JobProfile,
-    setup: &ClusterSetup,
-    tel: Telemetry,
-) -> (JobOutcome, Telemetry) {
-    #[expect(clippy::panic, reason = "the unchecked form; run_job_traced_checked returns the error")]
-    run_job_traced_checked(profile, setup, tel).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Coarse phase bucket for each [`Ev::kind`] name — the per-phase rollup
@@ -1714,9 +1684,13 @@ pub fn phase_of(kind: &'static str) -> &'static str {
     }
 }
 
-/// The full-fidelity entry point: tracing like [`run_job_traced`], typed
-/// fault errors like [`run_job_checked`]. A sink carrying the profiling
-/// flag ([`Telemetry::profiled`]) additionally self-profiles the engine.
+/// [`run_job_checked`] that also records into `tel` when it is enabled:
+/// engine event counts, per-phase task spans (container launch → input
+/// read → map/sort/spill, shuffle → merge → reduce → output),
+/// container/task counters, progress timeseries and per-node power
+/// timelines. With `Telemetry::off()` this is exactly [`run_job_checked`].
+/// A sink carrying the profiling flag ([`Telemetry::profiled`])
+/// additionally self-profiles the engine.
 pub fn run_job_traced_checked(
     profile: &JobProfile,
     setup: &ClusterSetup,
@@ -1837,8 +1811,8 @@ mod tests {
 
     #[test]
     fn wordcount_completes_on_both_platforms() {
-        let e = run_job(&jobs::wordcount(Tune::Edison), &ClusterSetup::edison(35));
-        let d = run_job(&jobs::wordcount(Tune::Dell), &ClusterSetup::dell(2));
+        let e = run_job_checked(&jobs::wordcount(Tune::Edison), &ClusterSetup::edison(35)).expect("job finishes");
+        let d = run_job_checked(&jobs::wordcount(Tune::Dell), &ClusterSetup::dell(2)).expect("job finishes");
         assert!(e.finish_time_s > 0.0 && d.finish_time_s > 0.0);
         // §5.2.1: Edison slower in time but more work-done-per-joule
         assert!(e.finish_time_s > d.finish_time_s, "edison {} dell {}", e.finish_time_s, d.finish_time_s);
@@ -1848,22 +1822,22 @@ mod tests {
     #[test]
     fn pi_favors_dell_energy() {
         // §5.2.3: the compute-bound job is the one Edison loses on energy.
-        let e = run_job(&jobs::pi(Tune::Edison), &ClusterSetup::edison(35));
-        let d = run_job(&jobs::pi(Tune::Dell), &ClusterSetup::dell(2));
+        let e = run_job_checked(&jobs::pi(Tune::Edison), &ClusterSetup::edison(35)).expect("job finishes");
+        let d = run_job_checked(&jobs::pi(Tune::Dell), &ClusterSetup::dell(2)).expect("job finishes");
         assert!(e.finish_time_s > d.finish_time_s);
         assert!(e.energy_j > d.energy_j, "edison {}J dell {}J", e.energy_j, d.energy_j);
     }
 
     #[test]
     fn data_locality_is_high() {
-        let e = run_job(&jobs::wordcount(Tune::Edison), &ClusterSetup::edison(35));
+        let e = run_job_checked(&jobs::wordcount(Tune::Edison), &ClusterSetup::edison(35)).expect("job finishes");
         assert!(e.data_local_fraction > 0.85, "locality {}", e.data_local_fraction);
     }
 
     #[test]
     fn optimized_wordcount_is_faster() {
-        let wc = run_job(&jobs::wordcount(Tune::Edison), &ClusterSetup::edison(35));
-        let wc2 = run_job(&jobs::wordcount2(Tune::Edison), &ClusterSetup::edison(35));
+        let wc = run_job_checked(&jobs::wordcount(Tune::Edison), &ClusterSetup::edison(35)).expect("job finishes");
+        let wc2 = run_job_checked(&jobs::wordcount2(Tune::Edison), &ClusterSetup::edison(35)).expect("job finishes");
         assert!(
             wc2.finish_time_s < wc.finish_time_s * 0.8,
             "wc {} wc2 {}",
@@ -1874,7 +1848,7 @@ mod tests {
 
     #[test]
     fn timeline_is_recorded() {
-        let e = run_job(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(8));
+        let e = run_job_checked(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(8)).expect("job finishes");
         assert!(!e.timeline.cpu_pct.is_empty());
         assert!(e.timeline.map_pct.points().last().unwrap().1 >= 99.9);
         assert!(e.timeline.power_w.max_value() > 8.0 * 1.40);
@@ -1882,9 +1856,9 @@ mod tests {
 
     #[test]
     fn traced_run_matches_untraced_and_records() {
-        let plain = run_job(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(4));
+        let plain = run_job_checked(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(4)).expect("job finishes");
         let (traced, tel) =
-            run_job_traced(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(4), Telemetry::on());
+            run_job_traced_checked(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(4), Telemetry::on()).expect("job finishes");
         // tracing must not perturb the simulation
         assert_eq!(plain.finish_time_s, traced.finish_time_s);
         assert_eq!(plain.energy_j, traced.energy_j);
@@ -1906,8 +1880,8 @@ mod tests {
 
     #[test]
     fn determinism_per_seed() {
-        let a = run_job(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(4));
-        let b = run_job(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(4));
+        let a = run_job_checked(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(4)).expect("job finishes");
+        let b = run_job_checked(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(4)).expect("job finishes");
         assert_eq!(a.finish_time_s, b.finish_time_s);
         assert_eq!(a.energy_j, b.energy_j);
     }
@@ -1915,7 +1889,7 @@ mod tests {
     #[test]
     fn node_crash_recovers_with_reexecution() {
         let profile = jobs::logcount2(Tune::Edison);
-        let base = run_job(&profile, &ClusterSetup::edison(4));
+        let base = run_job_checked(&profile, &ClusterSetup::edison(4)).expect("job finishes");
         // crash a worker a third of the way through; bring it back 20 s
         // later (past the 5 s liveness timeout, so the RM declares it lost)
         let at = SimTime::from_secs_f64(base.finish_time_s / 3.0);
@@ -1931,7 +1905,7 @@ mod tests {
     #[test]
     fn crash_during_job_populates_fault_telemetry() {
         let profile = jobs::logcount2(Tune::Edison);
-        let base = run_job(&profile, &ClusterSetup::edison(4));
+        let base = run_job_checked(&profile, &ClusterSetup::edison(4)).expect("job finishes");
         let at = SimTime::from_secs_f64(base.finish_time_s / 3.0);
         let plan = FaultPlan::new().crash_restart(2, at, SimDuration::from_secs(20));
         let setup = ClusterSetup::edison(4).with_fault_plan(plan);
@@ -1953,10 +1927,35 @@ mod tests {
         assert!(recovered, "recovery histogram must be populated");
     }
 
+    /// A crash of the far end of a surviving task's flow: the survivor
+    /// releases the flow's path and recovers at once (re-reads from
+    /// another replica, fetches the other partitions meanwhile, or keeps
+    /// its primary output). Each instant falls inside one such flow of the
+    /// fault-free run, and the link gauge's underflow assertion checks
+    /// every release.
+    #[test]
+    fn crash_of_a_flows_far_end_is_survived() {
+        for (phase, profile, workers, node, at_s) in [
+            // map 67 on node 5 reads its split from node 3 over [696.76910, 696.76983] s
+            ("input_read", jobs::pi(Tune::Edison), 8, 3, 696.7695),
+            // reduce 71 on node 1 fetches from node 0 over [129.76910, 129.77077] s
+            ("shuffle_fetch", jobs::logcount2(Tune::Edison), 4, 0, 129.7699),
+            // reduce 70 on node 0 replicates to node 1 over [1218.06142, 1218.06208] s
+            ("output_replication", jobs::logcount2(Tune::Edison), 4, 1, 1218.0617),
+        ] {
+            let at = SimTime::from_secs_f64(at_s);
+            let plan = FaultPlan::new().crash_restart(node, at, SimDuration::from_secs(20));
+            let setup = ClusterSetup::edison(workers).with_fault_plan(plan);
+            let out = run_job_checked(&profile, &setup)
+                .unwrap_or_else(|e| panic!("{phase}: a crash of node {node} must be survived: {e}"));
+            assert!(out.finish_time_s > at_s, "{phase}: the job finished before the crash");
+        }
+    }
+
     #[test]
     fn zero_width_crash_is_noop() {
         let profile = jobs::logcount2(Tune::Edison);
-        let base = run_job(&profile, &ClusterSetup::edison(4));
+        let base = run_job_checked(&profile, &ClusterSetup::edison(4)).expect("job finishes");
         let at = SimTime::from_secs(5);
         let plan = FaultPlan::new().crash_restart(1, at, SimDuration::ZERO);
         let setup = ClusterSetup::edison(4).with_fault_plan(plan);
@@ -1969,7 +1968,7 @@ mod tests {
     #[test]
     fn post_finish_fault_changes_nothing() {
         let profile = jobs::logcount2(Tune::Edison);
-        let base = run_job(&profile, &ClusterSetup::edison(4));
+        let base = run_job_checked(&profile, &ClusterSetup::edison(4)).expect("job finishes");
         let at = SimTime::from_secs_f64(base.finish_time_s + 100.0);
         let plan = FaultPlan::new().crash(0, at);
         let setup = ClusterSetup::edison(4).with_fault_plan(plan);
@@ -2040,16 +2039,16 @@ mod tests {
     #[test]
     fn guard_off_is_byte_identical_and_guarded_crash_trips_the_breaker() {
         let profile = jobs::logcount2(Tune::Edison);
-        let base = run_job(&profile, &ClusterSetup::edison(4));
+        let base = run_job_checked(&profile, &ClusterSetup::edison(4)).expect("job finishes");
         // guard config attached but inert features off ⇒ same bytes
-        let off = run_job(&profile, &ClusterSetup::edison(4).with_guard(GuardConfig::off()));
+        let off = run_job_checked(&profile, &ClusterSetup::edison(4).with_guard(GuardConfig::off())).expect("job finishes");
         assert_eq!(base.finish_time_s.to_bits(), off.finish_time_s.to_bits());
         assert_eq!(base.energy_j.to_bits(), off.energy_j.to_bits());
         assert_eq!(off.guard_breaker_trips, 0);
         assert_eq!(off.guard_deadline_miss, 0);
         // guarded healthy run: breaker never trips, job completes
         let healthy =
-            run_job(&profile, &ClusterSetup::edison(4).with_guard(GuardConfig::mr_defaults()));
+            run_job_checked(&profile, &ClusterSetup::edison(4).with_guard(GuardConfig::mr_defaults())).expect("job finishes");
         assert_eq!(healthy.guard_breaker_trips, 0);
         // guarded crash: the RM's node-lost verdict trips the worker's
         // breaker; the job still completes and the breaker recovers
@@ -2067,7 +2066,7 @@ mod tests {
     #[test]
     fn nic_degrade_slows_but_recovers() {
         let profile = jobs::terasort(Tune::Edison);
-        let base = run_job(&profile, &ClusterSetup::edison(4));
+        let base = run_job_checked(&profile, &ClusterSetup::edison(4)).expect("job finishes");
         let at = SimTime::from_secs(10);
         let plan = FaultPlan::new().nic_degrade(0, at, 0.05, 4.0);
         let setup = ClusterSetup::edison(4).with_fault_plan(plan);

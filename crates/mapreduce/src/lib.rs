@@ -21,8 +21,9 @@
 //! * [`datagen`] — synthetic corpus / YARN-log / teragen generators with
 //!   the paper's file counts and sizes.
 //!
-//! The experiment entry point is [`engine::run_job`], which returns wall
-//! time, energy and the Figure 12–17 utilisation timelines.
+//! The experiment entry point is [`engine::run_job_checked`], which returns
+//! wall time, energy and the Figure 12–17 utilisation timelines, or a
+//! typed error when a fault leaves the job unable to finish.
 
 pub mod datagen;
 pub mod engine;
@@ -31,5 +32,5 @@ pub mod jobs;
 pub mod local;
 pub mod yarn;
 
-pub use engine::{run_job, run_job_traced, ClusterSetup, JobOutcome};
+pub use engine::{run_job_checked, run_job_traced_checked, ClusterSetup, JobOutcome};
 pub use jobs::JobProfile;

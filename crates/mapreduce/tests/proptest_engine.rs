@@ -2,7 +2,7 @@
 //! work for arbitrary cluster sizes and job shapes; the local executor
 //! agrees with oracles under random data.
 
-use edison_mapreduce::engine::{run_job, ClusterSetup};
+use edison_mapreduce::engine::{run_job_checked, ClusterSetup};
 use edison_mapreduce::jobs::{JobProfile, SumReducer, Tune, WordCountMapper};
 use edison_mapreduce::local::run_local;
 use proptest::prelude::*;
@@ -54,7 +54,7 @@ proptest! {
         combiner in any::<bool>(),
     ) {
         let profile = arb_profile(input_mib, maps, reduces, shuffle_ratio, combiner);
-        let out = run_job(&profile, &ClusterSetup::edison(workers));
+        let out = run_job_checked(&profile, &ClusterSetup::edison(workers)).expect("job finishes");
         prop_assert!(out.finish_time_s > 0.0);
         prop_assert!(out.energy_j > 0.0);
         prop_assert!((0.0..=1.0).contains(&out.data_local_fraction));
@@ -77,8 +77,8 @@ proptest! {
         input_mib in 32u64..128,
     ) {
         let profile = arb_profile(input_mib, maps, 4, 0.2, false);
-        let small = run_job(&profile, &ClusterSetup::edison(4));
-        let large = run_job(&profile, &ClusterSetup::edison(8));
+        let small = run_job_checked(&profile, &ClusterSetup::edison(4)).expect("job finishes");
+        let large = run_job_checked(&profile, &ClusterSetup::edison(8)).expect("job finishes");
         prop_assert!(
             large.finish_time_s <= small.finish_time_s * 1.05,
             "4 nodes: {}s, 8 nodes: {}s",
@@ -132,7 +132,7 @@ fn table8_grid_terminates() {
             if tune == Tune::Edison {
                 p.map_tasks = p.map_tasks.min(24);
             }
-            let out = run_job(&p, &setup);
+            let out = run_job_checked(&p, &setup).expect("job finishes");
             assert!(out.finish_time_s > 0.0, "{} did not run", p.name);
         }
     }

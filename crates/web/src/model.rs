@@ -153,14 +153,54 @@ impl SynGate {
     }
 }
 
+/// Where a request stands on the paper's PHP → memcached → MySQL → PHP
+/// path (§5.1). Each stage carries the timestamps the later stages read,
+/// so Table 7's cache and db delays come straight off the state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) enum ReqState {
+    /// On the wire to its web node, or on stage-1 CPU (parse + routing).
     Stage1,
-    CacheRpc,
-    DbRpc,
-    DbDisk,
-    Stage2,
-    Reply,
+    /// Waiting in the PHP backlog for a free worker since `since`.
+    Queued { since: SimTime },
+    /// The memcached get left the web node at `sent`.
+    CacheRpc { sent: SimTime },
+    /// On a cache miss, the MySQL query left the web node at `sent`.
+    DbRpc { sent: SimTime },
+    /// The query missed the buffer pool and reads disk; `sent` as above.
+    DbDisk { sent: SimTime },
+    /// On stage-2 CPU (reply assembly), reached `via`.
+    Stage2 { via: Via },
+    /// The reply is on the wire to the client.
+    Reply { via: Via },
+    /// Shed at the worker pool: a header-only rejection is on its way to
+    /// the client, and the connection closes when it lands.
+    Shed,
+}
+
+/// How a request reached stage 2: the service path its span is labelled
+/// with and the Table 7 sample it yields.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Via {
+    /// A memcached hit; the cache delay runs from `cache_sent` to the end
+    /// of stage 2 (it includes the PHP unserialize slice).
+    Hit { cache_sent: SimTime },
+    /// A miss served by MySQL; the db delay (query send → reply arrival)
+    /// was closed when the reply landed.
+    Db { delay_ms: f64 },
+    /// Served degraded: the memcached/MySQL stage was skipped and a cheap
+    /// brownout response assembled instead. Yields no Table 7 sample.
+    Degraded,
+}
+
+impl Via {
+    /// Span label for a completed request's service path.
+    fn span_path(self) -> &'static str {
+        match self {
+            Via::Hit { .. } => "php/memcached-hit",
+            Via::Db { .. } => "php/memcached-miss/mysql",
+            Via::Degraded => "php/degraded",
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -174,22 +214,21 @@ pub(crate) struct Req {
     pub(crate) state: ReqState,
     pub(crate) first_call: bool,
     pub(crate) t_sent: SimTime,
-    pub(crate) t_cache_sent: SimTime,
-    pub(crate) t_db_sent: SimTime,
-    /// Set when the db reply lands back on the web server.
-    pub(crate) db_delay: Option<f64>,
-    pub(crate) went_to_db: bool,
-    /// Set while the request waits in the PHP backlog (telemetry span).
-    pub(crate) t_queued: Option<SimTime>,
     /// Absolute deadline derived from [`GuardConfig::deadline`] at send
     /// time; `None` when deadlines are off.
     pub(crate) deadline: Option<Deadline>,
-    /// Served degraded: the memcached/MySQL stage was skipped and a
-    /// cheap brownout response assembled instead.
-    pub(crate) degraded: bool,
-    /// Shed by the guard layer: a header-only rejection is on its way to
-    /// the client and the connection closes when it lands.
-    pub(crate) shed: bool,
+}
+
+impl Req {
+    /// Move on to stage-2 CPU, reached `via`, and return the reply body
+    /// size that CPU slice assembles (the cheap fallback when degraded).
+    fn enter_stage2(&mut self, via: Via) -> u64 {
+        if via == Via::Degraded {
+            self.query.reply_bytes = DEGRADED_REPLY_BYTES;
+        }
+        self.state = ReqState::Stage2 { via };
+        self.query.reply_bytes
+    }
 }
 
 #[derive(Debug)]
@@ -369,6 +408,9 @@ pub enum Ev {
 }
 
 const _: () = assert!(std::mem::size_of::<Ev>() == 16);
+// `Req` is the bulk of the in-flight heap (`peak_heap_mb`): the stage data
+// in `ReqState` must keep it within 144 bytes.
+const _: () = assert!(std::mem::size_of::<Req>() <= 144);
 
 /// A node index as an [`Ev`] payload.
 #[expect(clippy::cast_possible_truncation, reason = "WebWorld::new asserts every node index fits u32")]
@@ -570,17 +612,6 @@ const RETRY_JITTER: f64 = 0.25;
 /// Body size of a degraded (brownout) response: the cheap static
 /// fallback PHP serves when the memcached/MySQL stage is skipped.
 const DEGRADED_REPLY_BYTES: u64 = 512;
-
-/// Span label for a completed request's service path.
-fn span_path(r: &Req) -> &'static str {
-    if r.degraded {
-        "php/degraded"
-    } else if r.went_to_db {
-        "php/memcached-miss/mysql"
-    } else {
-        "php/memcached-hit"
-    }
-}
 
 impl WebWorld {
     /// Assemble the world: cluster, fabric, pre-warmed caches.
@@ -1017,12 +1048,14 @@ impl WebWorld {
         }
     }
 
-    /// A connection left the world for good: release its probe slot.
-    /// Called at every `conns.remove` site.
-    fn guard_conn_retired(&mut self, conn: &Conn) {
+    /// A connection leaves the world for good: remove it and release its
+    /// probe slot. Every connection leaves through here.
+    fn retire_conn(&mut self, conn_id: Handle) -> Option<Conn> {
+        let conn = self.conns.remove(conn_id)?;
         if conn.probe {
             self.brk[conn.web].end_probe();
         }
+        Some(conn)
     }
 
     /// One connection refused at the LB before any request existed
@@ -1172,9 +1205,7 @@ impl WebWorld {
         if self.conn_retry(conn_id, now, ctx, RetryCause::Dead) {
             return;
         }
-        if let Some(c) = self.conns.remove(conn_id) {
-            self.guard_conn_retired(&c);
-        }
+        self.retire_conn(conn_id);
         self.metrics.server_errors += 1;
         self.tel_outcome("server_error");
     }
@@ -1193,9 +1224,7 @@ impl WebWorld {
             if self.conn_retry(conn_id, now, ctx, RetryCause::Dead) {
                 return;
             }
-            if let Some(c) = self.conns.remove(conn_id) {
-                self.guard_conn_retired(&c);
-            }
+            self.retire_conn(conn_id);
             self.metrics.client_errors += 1;
             self.tel_outcome("client_error");
             return;
@@ -1228,9 +1257,7 @@ impl WebWorld {
                 } else {
                     self.metrics.client_errors += 1;
                     self.tel_outcome("client_error");
-                    if let Some(c) = self.conns.remove(conn_id) {
-                        self.guard_conn_retired(&c);
-                    }
+                    self.retire_conn(conn_id);
                 }
             }
             Err(_) => {
@@ -1238,9 +1265,7 @@ impl WebWorld {
                 self.guard_brk_failure(web, now);
                 self.metrics.server_errors += 1;
                 self.tel_outcome("server_error");
-                if let Some(c) = self.conns.remove(conn_id) {
-                    self.guard_conn_retired(&c);
-                }
+                self.retire_conn(conn_id);
             }
         }
     }
@@ -1278,14 +1303,7 @@ impl WebWorld {
                 state: ReqState::Stage1,
                 first_call,
                 t_sent: send_at,
-                t_cache_sent: SimTime::ZERO,
-                t_db_sent: SimTime::ZERO,
-                db_delay: None,
-                went_to_db: false,
-                t_queued: None,
                 deadline,
-                degraded: false,
-                shed: false,
             },
         );
         if self.guard_on {
@@ -1296,10 +1314,15 @@ impl WebWorld {
         ctx.schedule_at(send_at + lat, Ev::ReqAtWeb { req: id });
     }
 
+    /// A PHP worker takes the request: charge its stage-1 CPU, closing the
+    /// backlog span if it queued.
     fn begin_stage1(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let Some(req) = self.reqs.get_mut(req_id) else { return };
+        let queued_at = match std::mem::replace(&mut req.state, ReqState::Stage1) {
+            ReqState::Queued { since } => Some(since),
+            _ => None,
+        };
         let web = req.web;
-        let queued_at = req.t_queued.take();
         let mut mi = self.req_mi_of[web] * STAGE1_FRAC;
         if req.first_call {
             mi += calib::TCP_ACCEPT_MI;
@@ -1320,39 +1343,30 @@ impl WebWorld {
         self.schedule_node_cpu(web, now, ctx);
     }
 
-    /// The deadline is already blown at the worker pool: skip the worker
-    /// entirely and send a header-only rejection to the client. The
-    /// request parks in `Reply` state (so a concurrent crash will not
-    /// tear it down twice) and is accounted when the rejection lands.
-    fn shed_request(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let Some(r) = self.reqs.get_mut(req_id) else { return };
-        r.shed = true;
-        r.state = ReqState::Reply;
-        let (web, client) = (r.web, r.client);
-        self.tel.counter_inc(guard_metrics::SHED_TOTAL, &[("tier", "web"), ("reason", "deadline")]);
-        let lat = self
-            .topo
-            .latency(self.node_hosts[web], self.client_hosts[client])
-            .mul_f64(self.nic_lat[web]);
-        ctx.schedule_at(now + lat, Ev::ReplyAtClient { req: req_id });
-    }
-
     /// The request arrived at the web node: take a PHP worker (or queue,
     /// or 5xx on overflow — a retry with guards on; shed a request whose
     /// deadline has already passed).
     fn admit_to_worker(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         // the target server may have died while this request was in flight
-        let Some(req) = self.reqs.get(req_id) else { return };
-        let (web, deadline) = (req.web, req.deadline);
+        let Some(req) = self.reqs.get_mut(req_id) else { return };
+        let (web, conn_id) = (req.web, req.conn);
         if self.dead[web] {
             // connection reset by a dead server (retryable)
-            self.drop_req_on_dead_node(req_id, now, ctx);
-            return;
+            return self.drop_req_on_dead_node(req_id, now, ctx);
         }
-        if deadline.is_some_and(|d| d.passed(now)) {
+        if req.deadline.is_some_and(|d| d.passed(now)) {
             // already late at the front of the worker pool: shedding now
-            // is strictly cheaper than timing out at full cost later
-            return self.shed_request(req_id, now, ctx);
+            // is strictly cheaper than timing out at full cost later. The
+            // worker is skipped and a header-only rejection goes back; a
+            // shed request is off the CPU, so a crash will not tear it
+            // down twice, and it is accounted when the rejection lands.
+            req.state = ReqState::Shed;
+            self.tel.counter_inc(guard_metrics::SHED_TOTAL, &[("tier", "web"), ("reason", "deadline")]);
+            let lat = self
+                .topo
+                .latency(self.node_hosts[web], self.client_hosts[req.client])
+                .mul_f64(self.nic_lat[web]);
+            return ctx.schedule_at(now + lat, Ev::ReplyAtClient { req: req_id });
         }
         let pool = &mut self.workers[web];
         if pool.busy < pool.max {
@@ -1360,32 +1374,27 @@ impl WebWorld {
             self.begin_stage1(req_id, now, ctx);
         } else if pool.backlog.len() < pool.backlog_max {
             pool.backlog.push_back(req_id);
-            if let Some(r) = self.reqs.get_mut(req_id) {
-                r.t_queued = Some(now);
-            }
+            req.state = ReqState::Queued { since: now };
         } else if self.guard_on {
             // overflow with guards on: a backend-overload signal for the
             // breaker, and the client may re-dispatch through the LB
             // instead of eating the legacy hard 5xx
+            self.reqs.remove(req_id);
             self.guard_brk_failure(web, now);
             self.guard_req_failed("overflow");
-            let Some(req) = self.reqs.remove(req_id) else { return };
             self.nodes.node_mut(NodeId(web)).close_connection();
-            if self.conn_retry(req.conn, now, ctx, RetryCause::Overflow) {
+            if self.conn_retry(conn_id, now, ctx, RetryCause::Overflow) {
                 return;
             }
             self.metrics.server_errors += 1;
             self.tel_outcome("server_error");
-            if let Some(c) = self.conns.remove(req.conn) {
-                self.guard_conn_retired(&c);
-            }
+            self.retire_conn(conn_id);
         } else {
             // 5xx: backlog overflow
+            self.reqs.remove(req_id);
             self.metrics.server_errors += 1;
             self.tel_outcome("server_error");
-            #[expect(clippy::expect_used, reason = "the caller found req_id in reqs")]
-            let req = self.reqs.remove(req_id).expect("req exists");
-            self.abort_conn(req.conn);
+            self.abort_conn(conn_id);
         }
     }
 
@@ -1400,121 +1409,87 @@ impl WebWorld {
     }
 
     fn abort_conn(&mut self, conn_id: Handle) {
-        if let Some(conn) = self.conns.remove(conn_id) {
-            self.guard_conn_retired(&conn);
+        if let Some(conn) = self.retire_conn(conn_id) {
             self.nodes.node_mut(NodeId(conn.web)).close_connection();
         }
     }
 
     // ---- CPU completion routing -------------------------------------------
 
-    /// Route a web-node CPU completion on the stored request state.
+    /// A web-node CPU slice finished. After stage 1, issue the memcached
+    /// get — or degrade (skip the cache/db stage) when the deadline is
+    /// blown or the tier is in brownout and the connection is bulk-class.
+    /// After stage 2, put the reply on the wire to the client (or retire
+    /// the request if its connection vanished).
     fn web_cpu_done(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let state = match self.reqs.get(req_id) {
-            Some(r) => r.state,
-            None => return,
-        };
-        match state {
-            ReqState::Stage1 => self.stage1_to_cache(req_id, now, ctx),
-            ReqState::Stage2 => self.stage2_to_reply(req_id, now, ctx),
-            #[expect(clippy::unreachable, reason = "web CPU tasks exist only in Stage1 and Stage2")]
-            other => unreachable!("web cpu done in state {other:?}"),
-        }
-    }
-
-    /// Stage-1 CPU finished: issue the memcached get — or degrade (skip
-    /// the cache/db stage) when the deadline is blown or the tier is in
-    /// brownout and the connection is bulk-class.
-    fn stage1_to_cache(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let Some(r) = self.reqs.get(req_id) else { return };
-        let (conn_id, deadline) = (r.conn, r.deadline);
-        let reason = if deadline.is_some_and(|d| d.passed(now)) {
-            Some("deadline")
-        } else if self.brownout.active()
-            && self.conns.get(conn_id).is_some_and(|c| c.class == Priority::Bulk)
-        {
-            Some("brownout")
-        } else {
-            None
-        };
-        if let Some(reason) = reason {
-            self.degrade_request(req_id, reason, now, ctx);
-            return;
-        }
+        let n_web = self.n_web();
         let Some(r) = self.reqs.get_mut(req_id) else { return };
-        r.state = ReqState::CacheRpc;
-        r.t_cache_sent = now;
-        let (web, cache) = (r.web, r.cache);
-        let cache_node = self.n_web() + cache;
-        let lat = self
-            .topo
-            .latency(self.node_hosts[web], self.node_hosts[cache_node])
-            .mul_f64(self.nic_lat[web] * self.nic_lat[cache_node]);
-        ctx.schedule_at(now + lat, Ev::ReqAtCache { req: req_id });
-    }
-
-    /// Serve `req_id` degraded: skip the memcached/MySQL stage and
-    /// assemble the cheap static fallback body on stage-2 CPU.
-    fn degrade_request(
-        &mut self,
-        req_id: Handle,
-        reason: &'static str,
-        now: SimTime,
-        ctx: &mut Ctx<'_, Ev>,
-    ) {
-        self.tel.counter_inc(guard_metrics::DEGRADED_TOTAL, &[("tier", "web"), ("reason", reason)]);
-        let Some(r) = self.reqs.get_mut(req_id) else { return };
-        r.degraded = true;
-        r.query.reply_bytes = DEGRADED_REPLY_BYTES;
-        self.begin_stage2(req_id, now, ctx);
-    }
-
-    /// Stage-2 CPU finished: put the reply on the wire to the client (or
-    /// retire the request if its connection vanished).
-    fn stage2_to_reply(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let Some(r) = self.reqs.get_mut(req_id) else { return };
-        r.state = ReqState::Reply;
-        let (web, conn_id, bytes, t_cache_sent, went_to_db, db_delay, degraded) =
-            (r.web, r.conn, r.query.reply_bytes, r.t_cache_sent, r.went_to_db, r.db_delay, r.degraded);
-        // Table 7 bookkeeping: cache delay includes this CPU slice
-        // (PHP unserialize); db delay was closed at reply arrival.
-        // Degraded requests skipped (or abandoned) the cache stage, so
-        // they contribute no cache/db samples or rpc spans.
-        if !went_to_db && !degraded {
-            self.tel.span_on(self.web_track(web), "rpc", "memcached_get", t_cache_sent, now, &[]);
-        }
-        if self.in_window(now) {
-            if went_to_db {
-                if let Some(d) = db_delay {
-                    self.metrics.db_delays_ms.push(d);
+        let web = r.web;
+        match r.state {
+            ReqState::Stage1 => {
+                let reason = if r.deadline.is_some_and(|d| d.passed(now)) {
+                    Some("deadline")
+                } else if self.brownout.active()
+                    && self.conns.get(r.conn).is_some_and(|c| c.class == Priority::Bulk)
+                {
+                    Some("brownout")
+                } else {
+                    None
+                };
+                if let Some(reason) = reason {
+                    self.tel.counter_inc(guard_metrics::DEGRADED_TOTAL, &[("tier", "web"), ("reason", reason)]);
+                    let bytes = r.enter_stage2(Via::Degraded);
+                    return self.begin_stage2(req_id, web, bytes, now, ctx);
                 }
-            } else if !degraded {
-                let d = now.since(t_cache_sent).as_millis_f64();
-                self.metrics.cache_delays_ms.push(d);
+                r.state = ReqState::CacheRpc { sent: now };
+                let cache_node = n_web + r.cache;
+                let lat = self
+                    .topo
+                    .latency(self.node_hosts[web], self.node_hosts[cache_node])
+                    .mul_f64(self.nic_lat[web] * self.nic_lat[cache_node]);
+                ctx.schedule_at(now + lat, Ev::ReqAtCache { req: req_id });
             }
+            ReqState::Stage2 { via } => {
+                r.state = ReqState::Reply { via };
+                let (conn_id, bytes) = (r.conn, r.query.reply_bytes);
+                // Table 7 bookkeeping: cache delay includes this CPU slice
+                // (PHP unserialize); db delay was closed at reply arrival.
+                // Degraded requests skipped (or abandoned) the cache stage,
+                // so they contribute no cache/db samples or rpc spans.
+                if let Via::Hit { cache_sent } = via {
+                    self.tel.span_on(self.web_track(web), "rpc", "memcached_get", cache_sent, now, &[]);
+                }
+                if self.in_window(now) {
+                    match via {
+                        Via::Hit { cache_sent } => {
+                            self.metrics.cache_delays_ms.push(now.since(cache_sent).as_millis_f64());
+                        }
+                        Via::Db { delay_ms } => self.metrics.db_delays_ms.push(delay_ms),
+                        Via::Degraded => {}
+                    }
+                }
+                self.release_worker(web, now, ctx);
+                let Some(conn) = self.conns.get(conn_id) else {
+                    self.reqs.remove(req_id);
+                    if self.guard_on {
+                        self.guard_req_failed("conn_lost");
+                    }
+                    return;
+                };
+                let client_host = self.client_hosts[conn.client];
+                let (path, lat) = self.topo.path(self.node_hosts[web], client_host);
+                let dur = self.topo.gauge_mut().begin_transfer(&path, (bytes + HEADER_BYTES) as f64);
+                let m = self.nic_lat[web];
+                ctx.schedule_at(now + lat.mul_f64(m) + dur.mul_f64(m), Ev::ReplyAtClient { req: req_id });
+            }
+            other => debug_assert!(false, "web cpu done in state {other:?}"),
         }
-        self.release_worker(web, now, ctx);
-        let Some(conn) = self.conns.get(conn_id) else {
-            self.reqs.remove(req_id);
-            if self.guard_on {
-                self.guard_req_failed("conn_lost");
-            }
-            return;
-        };
-        let client_host = self.client_hosts[conn.client];
-        let (path, lat) = self.topo.path(self.node_hosts[web], client_host);
-        let dur = self.topo.gauge_mut().begin_transfer(&path, (bytes + HEADER_BYTES) as f64);
-        let m = self.nic_lat[web];
-        ctx.schedule_at(now + lat.mul_f64(m) + dur.mul_f64(m), Ev::ReplyAtClient { req: req_id });
     }
 
     /// The get arrived at the cache node: charge the lookup CPU.
     fn req_at_cache(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let cache = match self.reqs.get(req_id) {
-            Some(r) => r.cache,
-            None => return,
-        };
-        let node = self.n_web() + cache;
+        let Some(r) = self.reqs.get(req_id) else { return };
+        let node = self.n_web() + r.cache;
         let mi = calib::CACHE_LOOKUP_MI * self.cpu_factor[node];
         self.nodes.node_mut(NodeId(node)).add_cpu_task(now, req_id.raw(), mi);
         self.schedule_node_cpu(node, now, ctx);
@@ -1524,10 +1499,8 @@ impl WebWorld {
     /// the tiny miss notice) back to the web node; the hit verdict rides
     /// in [`Ev::CacheReplyAtWeb`].
     fn cache_cpu_done(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let (web, cache, key) = match self.reqs.get(req_id) {
-            Some(r) => (r.web, r.cache, r.query.key),
-            None => return,
-        };
+        let Some(r) = self.reqs.get(req_id) else { return };
+        let (web, cache, key) = (r.web, r.cache, r.query.key);
         let hit = self.caches[cache].get(key).is_some();
         let result = if hit { "hit" } else { "miss" };
         self.tel.counter_inc("web_cache_lookups_total", &[("result", result)]);
@@ -1559,49 +1532,41 @@ impl WebWorld {
         now: SimTime,
         ctx: &mut Ctx<'_, Ev>,
     ) {
-        let (web, cache, deadline) = match self.reqs.get(req_id) {
-            Some(r) => (r.web, r.cache, r.deadline),
-            None => return,
+        let n_web = self.n_web();
+        let Some(r) = self.reqs.get_mut(req_id) else { return };
+        let ReqState::CacheRpc { sent } = r.state else {
+            debug_assert!(false, "cache reply in state {:?}", r.state);
+            return;
         };
+        let web = r.web;
         if hit {
-            let (path, _) = self
-                .topo
-                .path(self.node_hosts[self.n_web() + cache], self.node_hosts[web]);
+            let (path, _) = self.topo.path(self.node_hosts[n_web + r.cache], self.node_hosts[web]);
             self.topo.gauge_mut().end(&path);
             if self.dead[web] {
-                self.drop_req_on_dead_node(req_id, now, ctx);
-                return;
+                return self.drop_req_on_dead_node(req_id, now, ctx);
             }
-            self.begin_stage2(req_id, now, ctx);
-        } else {
+            let bytes = r.enter_stage2(Via::Hit { cache_sent: sent });
+            self.begin_stage2(req_id, web, bytes, now, ctx);
+        } else if r.deadline.is_some_and(|d| {
+            d.passed(now) || d.cannot_afford(now, self.cfg.guard.db_reserve)
+        }) {
             // a miss means a MySQL round trip: degrade when the deadline
             // is blown or cannot afford the reserved db leg
-            if deadline.is_some_and(|d| {
-                d.passed(now) || d.cannot_afford(now, self.cfg.guard.db_reserve)
-            }) {
-                self.degrade_request(req_id, "deadline", now, ctx);
-                return;
-            }
+            self.tel.counter_inc(guard_metrics::DEGRADED_TOTAL, &[("tier", "web"), ("reason", "deadline")]);
+            let bytes = r.enter_stage2(Via::Degraded);
+            self.begin_stage2(req_id, web, bytes, now, ctx);
+        } else {
             // go to the database
-            let db_node = {
-                #[expect(clippy::expect_used, reason = "the cache reply was routed for a live req_id")]
-                let r = self.reqs.get_mut(req_id).expect("req exists");
-                r.state = ReqState::DbRpc;
-                r.t_db_sent = now;
-                r.went_to_db = true;
-                r.db_node
-            };
-            let lat = self.topo.latency(self.node_hosts[web], self.db_hosts[db_node]);
+            r.state = ReqState::DbRpc { sent: now };
+            let lat = self.topo.latency(self.node_hosts[web], self.db_hosts[r.db_node]);
             ctx.schedule_at(now + lat, Ev::ReqAtDb { req: req_id });
         }
     }
 
     /// The query arrived at its MySQL node: charge the query CPU.
     fn req_at_db(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let (db_node, mi) = match self.reqs.get(req_id) {
-            Some(r) => (r.db_node, db::query_cpu_mi(&r.query)),
-            None => return,
-        };
+        let Some(r) = self.reqs.get(req_id) else { return };
+        let (db_node, mi) = (r.db_node, db::query_cpu_mi(&r.query));
         self.dbc.node_mut(NodeId(db_node)).add_cpu_task(now, req_id.raw(), mi);
         self.schedule_db_cpu(db_node, now, ctx);
     }
@@ -1609,27 +1574,23 @@ impl WebWorld {
     /// MySQL CPU finished: 2 % of queries miss the buffer pool and read
     /// disk, the rest reply immediately.
     fn db_cpu_done(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let db_node = match self.reqs.get(req_id) {
-            Some(r) => r.db_node,
-            None => return,
-        };
-        if db::query_hits_disk(&mut self.rng) {
-            #[expect(clippy::expect_used, reason = "looked up just above")]
-            let r = self.reqs.get_mut(req_id).expect("checked");
-            r.state = ReqState::DbDisk;
-            let bytes = r.query.reply_bytes;
-            let service = self
-                .dbc
-                .node(NodeId(db_node))
-                .disk_read_time(bytes, false)
-                .mul_f64(self.db_disk_factor[db_node]);
-            let disk = self.dbc.node_mut(NodeId(db_node)).disk();
-            if let Some((job, at)) = disk.submit(now, req_id.raw(), service) {
-                let job = Handle::from_raw(job);
-                ctx.schedule_at(at, Ev::DbDiskDone { node: ev_index(db_node), job });
-            }
-        } else {
-            self.db_send_reply(req_id, now, ctx);
+        let Some(r) = self.reqs.get_mut(req_id) else { return };
+        if !db::query_hits_disk(&mut self.rng) {
+            return self.db_send_reply(req_id, now, ctx);
+        }
+        if let ReqState::DbRpc { sent } = r.state {
+            r.state = ReqState::DbDisk { sent };
+        }
+        let (db_node, bytes) = (r.db_node, r.query.reply_bytes);
+        let service = self
+            .dbc
+            .node(NodeId(db_node))
+            .disk_read_time(bytes, false)
+            .mul_f64(self.db_disk_factor[db_node]);
+        let disk = self.dbc.node_mut(NodeId(db_node)).disk();
+        if let Some((job, at)) = disk.submit(now, req_id.raw(), service) {
+            let job = Handle::from_raw(job);
+            ctx.schedule_at(at, Ev::DbDiskDone { node: ev_index(db_node), job });
         }
     }
 
@@ -1645,10 +1606,8 @@ impl WebWorld {
 
     /// Put the MySQL reply on the wire to the web node.
     fn db_send_reply(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let (web, db_node, bytes) = match self.reqs.get(req_id) {
-            Some(r) => (r.web, r.db_node, r.query.reply_bytes),
-            None => return,
-        };
+        let Some(r) = self.reqs.get(req_id) else { return };
+        let (web, db_node, bytes) = (r.web, r.db_node, r.query.reply_bytes);
         let (path, lat) = self.topo.path(self.db_hosts[db_node], self.node_hosts[web]);
         let dur = self.topo.gauge_mut().begin_transfer(&path, (bytes + HEADER_BYTES) as f64);
         let m = self.nic_lat[web];
@@ -1658,25 +1617,23 @@ impl WebWorld {
     /// The MySQL reply landed back on the web node: close the db leg and
     /// go on to stage-2 CPU.
     fn db_reply_at_web(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let (web, db_node, t_db_sent) = match self.reqs.get(req_id) {
-            Some(r) => (r.web, r.db_node, r.t_db_sent),
-            None => return,
+        let n_web = self.n_web();
+        let Some(r) = self.reqs.get_mut(req_id) else { return };
+        let (ReqState::DbRpc { sent } | ReqState::DbDisk { sent }) = r.state else {
+            debug_assert!(false, "db reply in state {:?}", r.state);
+            return;
         };
+        let (web, db_node) = (r.web, r.db_node);
         let (path, _) = self.topo.path(self.db_hosts[db_node], self.node_hosts[web]);
         self.topo.gauge_mut().end(&path);
         if self.dead[web] {
-            self.drop_req_on_dead_node(req_id, now, ctx);
-            return;
+            return self.drop_req_on_dead_node(req_id, now, ctx);
         }
         if self.cache_writeback {
             // re-warm a cold-restarted store: PHP writes the row
             // back to memcached after the db read
-            let (key, cache) = {
-                #[expect(clippy::expect_used, reason = "looked up at the top of this handler")]
-                let r = self.reqs.get(req_id).expect("req exists");
-                (r.query.key, r.cache)
-            };
-            let node = self.n_web() + cache;
+            let (key, cache) = (r.query.key, r.cache);
+            let node = n_web + cache;
             let before = self.caches[cache].used_bytes();
             let bytes = u32::try_from(db::reply_bytes_for(key)).unwrap_or(u32::MAX);
             self.caches[cache].set(key, bytes);
@@ -1688,21 +1645,15 @@ impl WebWorld {
                 self.nodes.node_mut(NodeId(node)).free_mem(before - after);
             }
         }
+        let bytes = r.enter_stage2(Via::Db { delay_ms: now.since(sent).as_millis_f64() });
         let track = self.web_track(web);
-        self.tel.span_on(track, "rpc", "mysql_query", t_db_sent, now, &[("db_node", &db_node)]);
-        #[expect(clippy::expect_used, reason = "looked up at the top of this handler")]
-        let r = self.reqs.get_mut(req_id).expect("req exists");
-        r.db_delay = Some(now.since(t_db_sent).as_millis_f64());
-        self.begin_stage2(req_id, now, ctx);
+        self.tel.span_on(track, "rpc", "mysql_query", sent, now, &[("db_node", &db_node)]);
+        self.begin_stage2(req_id, web, bytes, now, ctx);
     }
 
-    fn begin_stage2(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
-        let (web, bytes) = {
-            #[expect(clippy::expect_used, reason = "callers pass a live req_id")]
-            let r = self.reqs.get_mut(req_id).expect("req exists");
-            r.state = ReqState::Stage2;
-            (r.web, r.query.reply_bytes)
-        };
+    /// Charge stage-2 CPU (reply assembly of `bytes`) on web node `web`;
+    /// the caller has moved the request to [`ReqState::Stage2`].
+    fn begin_stage2(&mut self, req_id: Handle, web: usize, bytes: u64, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let mi = (self.req_mi_of[web] * (1.0 - STAGE1_FRAC)
             + bytes as f64 / 1024.0 * calib::WEB_REQ_MI_PER_KIB)
             * self.cpu_factor[web];
@@ -1714,11 +1665,13 @@ impl WebWorld {
     /// start the connection's next call or close it.
     fn finish_reply(&mut self, req_id: Handle, now: SimTime, ctx: &mut Ctx<'_, Ev>) {
         let Some(r) = self.reqs.remove(req_id) else { return };
-        if r.shed {
+        let ReqState::Reply { via } = r.state else {
             // header-only rejection: no transfer was begun, no worker
             // taken — just retire the connection
+            debug_assert_eq!(r.state, ReqState::Shed);
             return self.finish_shed_reply(&r, now);
-        }
+        };
+        let degraded = via == Via::Degraded;
         let client_host = self.client_hosts[r.client];
         let (path, _) = self.topo.path(self.node_hosts[r.web], client_host);
         self.topo.gauge_mut().end(&path);
@@ -1748,21 +1701,21 @@ impl WebWorld {
             self.tel.counter_inc(guard_metrics::DEADLINE_MISS_TOTAL, &[("tier", "web")]);
         }
         if self.guard_on {
-            if r.degraded {
+            if degraded {
                 self.metrics.guard.degraded += 1;
             } else {
                 self.metrics.guard.completed += 1;
             }
         }
         let track = self.web_track(web);
-        self.tel.span_on(track, "request", "http_request", start, now, &[("path", &span_path(&r))]);
-        self.tel_outcome(if r.degraded { "degraded" } else { "ok" });
+        self.tel.span_on(track, "request", "http_request", start, now, &[("path", &via.span_path())]);
+        self.tel_outcome(if degraded { "degraded" } else { "ok" });
         let delay_s = now.since(start).as_secs_f64();
         self.tel.observe("web_request_delay_seconds", &[], DELAY_BOUNDS_S, delay_s);
         // degraded responses never count as full successes: the window
         // goodput/latency samples stay full-fidelity-only (availability
         // math in the sweep depends on this)
-        if self.in_window(now) && r.t_sent >= self.measure_start && !r.degraded {
+        if self.in_window(now) && r.t_sent >= self.measure_start && !degraded {
             self.metrics.completed += 1;
             self.metrics.delays_ms.push(now.since(start).as_millis_f64());
         }
@@ -1772,9 +1725,7 @@ impl WebWorld {
         if calls_left > 0 {
             self.start_request(r.conn, false, now, ctx);
         } else {
-            if let Some(c) = self.conns.remove(r.conn) {
-                self.guard_conn_retired(&c);
-            }
+            self.retire_conn(r.conn);
             self.nodes.node_mut(NodeId(web)).close_connection();
         }
     }
@@ -1783,17 +1734,13 @@ impl WebWorld {
     /// the request (terminal `shed` bucket) and close its connection.
     fn finish_shed_reply(&mut self, r: &Req, now: SimTime) {
         self.metrics.guard.shed += 1;
-        let conn = self.conns.remove(r.conn);
-        if let Some(c) = &conn {
+        if let Some(c) = self.retire_conn(r.conn) {
             let start = if r.first_call { c.t_first_syn } else { r.t_sent };
             let track = self.web_track(r.web);
             self.tel.span_on(track, "request", "http_request", start, now, &[("path", &"shed")]);
-        }
-        self.tel_outcome("shed");
-        if let Some(c) = conn {
-            self.guard_conn_retired(&c);
             self.nodes.node_mut(NodeId(c.web)).close_connection();
         }
+        self.tel_outcome("shed");
     }
 
     /// A failover timeout elapsed: pick a fresh backend for `conn` (the
@@ -1816,17 +1763,13 @@ impl WebWorld {
             LbPick::Blocked => {
                 // backends alive but every breaker is open: shed rather
                 // than hammer a recovering tier
-                if let Some(c) = self.conns.remove(conn_id) {
-                    self.guard_conn_retired(&c);
-                }
+                self.retire_conn(conn_id);
                 self.guard_shed_lb("breaker");
                 false
             }
             LbPick::AllDead => {
                 // nothing left to fail over to
-                if let Some(c) = self.conns.remove(conn_id) {
-                    self.guard_conn_retired(&c);
-                }
+                self.retire_conn(conn_id);
                 self.metrics.client_errors += 1;
                 self.tel_outcome("client_error");
                 false
@@ -1936,7 +1879,9 @@ impl WebWorld {
             self.nodes.node_mut(NodeId(node)).cancel_cpu_task(now, id.raw());
             // requests with RPCs in flight are dropped when their
             // reply lands on the dead node (see the dead guards)
-            let on_cpu = |r: &Req| matches!(r.state, ReqState::Stage1 | ReqState::Stage2);
+            let on_cpu = |r: &Req| {
+                matches!(r.state, ReqState::Stage1 | ReqState::Queued { .. } | ReqState::Stage2 { .. })
+            };
             if self.reqs.get(id).is_some_and(on_cpu) {
                 self.drop_req_on_dead_node(id, now, ctx);
             }

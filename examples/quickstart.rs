@@ -6,7 +6,7 @@
 //! ```
 
 use edison_hw::presets;
-use edison_mapreduce::engine::{run_job, ClusterSetup};
+use edison_mapreduce::engine::{run_job_checked, ClusterSetup};
 use edison_mapreduce::jobs::{self, Tune};
 use edison_microbench::dhrystone;
 use edison_web::httperf::{self, RunOpts};
@@ -57,7 +57,7 @@ fn main() {
     );
 
     // 4. One MapReduce job: the optimised wordcount on 8 Edison nodes.
-    let outcome = run_job(&jobs::wordcount2(Tune::Edison), &ClusterSetup::edison(8));
+    let outcome = run_job_checked(&jobs::wordcount2(Tune::Edison), &ClusterSetup::edison(8)).expect("job finishes");
     println!(
         "\nwordcount2 on 8 Edison nodes: {:.0} s, {:.0} J, {:.0}% data-local maps",
         outcome.finish_time_s,

@@ -7,7 +7,7 @@
 //! f64 exactly — and compare the strings, so any hasher-ordered map or
 //! ambient-state read in the hot path shows up as a diff.
 
-use edison_mapreduce::engine::{run_job, ClusterSetup};
+use edison_mapreduce::engine::{run_job_checked, ClusterSetup};
 use edison_mapreduce::jobs;
 use edison_web::httperf::{self, RunOpts};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
@@ -29,7 +29,7 @@ fn mapreduce_run(seed: u64) -> String {
     let mut p = jobs::wordcount(setup.tune);
     p.input_bytes /= 8;
     p.map_tasks = (p.map_tasks / 8).max(4);
-    let out = run_job(&p, &setup);
+    let out = run_job_checked(&p, &setup).expect("job finishes");
     format!("{out:?}")
 }
 

@@ -2,7 +2,7 @@
 //! who wins, where, and by roughly what factor. These are the claims the
 //! reproduction must preserve even where absolute numbers drift.
 
-use edison_mapreduce::engine::{run_job, ClusterSetup};
+use edison_mapreduce::engine::{run_job_checked, ClusterSetup};
 use edison_mapreduce::jobs::{self, Tune};
 use edison_web::httperf::{self, RunOpts};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
@@ -76,8 +76,8 @@ fn web_error_onset_is_earlier_on_edison() {
 /// compute-bound pi job favours Dell.
 #[test]
 fn mapreduce_energy_winners_match_paper() {
-    let wc_e = run_job(&jobs::wordcount(Tune::Edison), &ClusterSetup::edison(35));
-    let wc_d = run_job(&jobs::wordcount(Tune::Dell), &ClusterSetup::dell(2));
+    let wc_e = run_job_checked(&jobs::wordcount(Tune::Edison), &ClusterSetup::edison(35)).expect("job finishes");
+    let wc_d = run_job_checked(&jobs::wordcount(Tune::Dell), &ClusterSetup::dell(2)).expect("job finishes");
     let gain = wc_d.energy_j / wc_e.energy_j;
     assert!(
         (1.4..3.5).contains(&gain),
@@ -86,8 +86,8 @@ fn mapreduce_energy_winners_match_paper() {
         wc_d.energy_j
     );
 
-    let pi_e = run_job(&jobs::pi(Tune::Edison), &ClusterSetup::edison(35));
-    let pi_d = run_job(&jobs::pi(Tune::Dell), &ClusterSetup::dell(2));
+    let pi_e = run_job_checked(&jobs::pi(Tune::Edison), &ClusterSetup::edison(35)).expect("job finishes");
+    let pi_d = run_job_checked(&jobs::pi(Tune::Dell), &ClusterSetup::dell(2)).expect("job finishes");
     assert!(
         pi_e.energy_j > pi_d.energy_j,
         "pi must favour Dell: edison {:.0}J dell {:.0}J",
@@ -101,10 +101,10 @@ fn mapreduce_energy_winners_match_paper() {
 /// files), shrinking Edison's efficiency lead.
 #[test]
 fn combining_inputs_helps_dell_more() {
-    let wc_e = run_job(&jobs::wordcount(Tune::Edison), &ClusterSetup::edison(35));
-    let wc2_e = run_job(&jobs::wordcount2(Tune::Edison), &ClusterSetup::edison(35));
-    let wc_d = run_job(&jobs::wordcount(Tune::Dell), &ClusterSetup::dell(2));
-    let wc2_d = run_job(&jobs::wordcount2(Tune::Dell), &ClusterSetup::dell(2));
+    let wc_e = run_job_checked(&jobs::wordcount(Tune::Edison), &ClusterSetup::edison(35)).expect("job finishes");
+    let wc2_e = run_job_checked(&jobs::wordcount2(Tune::Edison), &ClusterSetup::edison(35)).expect("job finishes");
+    let wc_d = run_job_checked(&jobs::wordcount(Tune::Dell), &ClusterSetup::dell(2)).expect("job finishes");
+    let wc2_d = run_job_checked(&jobs::wordcount2(Tune::Dell), &ClusterSetup::dell(2)).expect("job finishes");
     let dell_speedup = wc_d.finish_time_s / wc2_d.finish_time_s;
     let edison_speedup = wc_e.finish_time_s / wc2_e.finish_time_s;
     assert!(dell_speedup > edison_speedup, "dell {dell_speedup:.2} vs edison {edison_speedup:.2}");
@@ -119,16 +119,16 @@ fn combining_inputs_helps_dell_more() {
 /// nodes.
 #[test]
 fn scalability_speedup_shapes() {
-    let t35 = run_job(&jobs::wordcount(Tune::Edison), &ClusterSetup::edison(35)).finish_time_s;
-    let t8 = run_job(&jobs::wordcount(Tune::Edison), &ClusterSetup::edison(8)).finish_time_s;
+    let t35 = run_job_checked(&jobs::wordcount(Tune::Edison), &ClusterSetup::edison(35)).expect("job finishes").finish_time_s;
+    let t8 = run_job_checked(&jobs::wordcount(Tune::Edison), &ClusterSetup::edison(8)).expect("job finishes").finish_time_s;
     assert!(t8 / t35 > 2.0, "wordcount 8→35 nodes speedup {:.2}", t8 / t35);
 
     let mut lc2_35 = jobs::logcount2(Tune::Edison);
     lc2_35.map_tasks = 70;
     let mut lc2_8 = jobs::logcount2(Tune::Edison);
     lc2_8.map_tasks = 16;
-    let l35 = run_job(&lc2_35, &ClusterSetup::edison(35)).finish_time_s;
-    let l8 = run_job(&lc2_8, &ClusterSetup::edison(8).with_block(64 * 1024 * 1024)).finish_time_s;
+    let l35 = run_job_checked(&lc2_35, &ClusterSetup::edison(35)).expect("job finishes").finish_time_s;
+    let l8 = run_job_checked(&lc2_8, &ClusterSetup::edison(8).with_block(64 * 1024 * 1024)).expect("job finishes").finish_time_s;
     assert!(
         l8 / l35 < t8 / t35,
         "light job should scale worse: logcount2 {:.2} vs wordcount {:.2}",
@@ -145,7 +145,7 @@ fn end_to_end_determinism() {
     let b = httperf::run_point(&s, WorkloadMix::img10(), 64.0, quick());
     assert_eq!(a.requests_per_sec, b.requests_per_sec);
     assert_eq!(a.energy_j, b.energy_j);
-    let ja = run_job(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(4));
-    let jb = run_job(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(4));
+    let ja = run_job_checked(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(4)).expect("job finishes");
+    let jb = run_job_checked(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(4)).expect("job finishes");
     assert_eq!(ja.finish_time_s, jb.finish_time_s);
 }

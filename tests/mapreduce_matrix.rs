@@ -1,7 +1,7 @@
 //! Table 8 matrix properties at reduced scale: monotone scaling, energy
 //! winners, locality, and timeline sanity across the grid.
 
-use edison_mapreduce::engine::{run_job, ClusterSetup, JobOutcome};
+use edison_mapreduce::engine::{run_job_checked, ClusterSetup, JobOutcome};
 use edison_mapreduce::jobs::{self, Tune};
 
 const MIB: u64 = 1024 * 1024;
@@ -18,7 +18,7 @@ fn quarter(job: &str, setup: &ClusterSetup) -> JobOutcome {
     };
     p.input_bytes /= 4;
     p.map_tasks = (p.map_tasks / 4).max(4);
-    run_job(&p, setup)
+    run_job_checked(&p, setup).expect("job finishes")
 }
 
 /// Finish time is monotone non-increasing in Edison cluster size for every
@@ -105,7 +105,7 @@ fn terasort_sort_stage_cross_platform() {
     let sort = |tune, setup: ClusterSetup| {
         let mut p = jobs::terasort(tune);
         p.input_bytes = 512 * MIB;
-        run_job(&p, &setup.with_block(64 * MIB))
+        run_job_checked(&p, &setup.with_block(64 * MIB)).expect("job finishes")
     };
     let e = sort(Tune::Edison, ClusterSetup::edison(8));
     let d = sort(Tune::Dell, ClusterSetup::dell(2));
@@ -122,8 +122,8 @@ fn pi_resplit_preserves_work() {
     let total_base = base.map_compute_mi * base.map_tasks as f64;
     let total_fine = fine.map_compute_mi * fine.map_tasks as f64;
     assert!((total_base - total_fine).abs() < 1e-6 * total_base);
-    let a = run_job(&base, &ClusterSetup::edison(35));
-    let b = run_job(&fine, &ClusterSetup::edison(35));
+    let a = run_job_checked(&base, &ClusterSetup::edison(35)).expect("job finishes");
+    let b = run_job_checked(&fine, &ClusterSetup::edison(35)).expect("job finishes");
     // more, smaller tasks add container overhead but the same compute
     assert!(b.finish_time_s > a.finish_time_s * 0.9);
     assert!(b.finish_time_s < a.finish_time_s * 2.5);

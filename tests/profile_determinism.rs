@@ -6,7 +6,7 @@
 //! sweep worker count. Serialized `{:?}` comparison pins every f64 bit.
 
 use edison_bench::workloads;
-use edison_mapreduce::engine::{run_job, run_job_profiled_checked, ClusterSetup};
+use edison_mapreduce::engine::{run_job_checked, run_job_profiled_checked, ClusterSetup};
 use edison_mapreduce::jobs;
 use edison_simcore::EngineProfile;
 use edison_simrun::Executor;
@@ -49,7 +49,7 @@ fn mapreduce_profiled_run_matches_plain_run() {
     let mut p = jobs::wordcount(setup.tune);
     p.input_bytes /= 8;
     p.map_tasks = (p.map_tasks / 8).max(4);
-    let plain = run_job(&p, &setup);
+    let plain = run_job_checked(&p, &setup).expect("job finishes");
     let (profiled, tel, profile) =
         run_job_profiled_checked(&p, &setup, Telemetry::profiled()).expect("job healthy");
     assert_eq!(
