@@ -16,9 +16,13 @@
 //! construction: a key's slot never moves, so an evicted key's entry is
 //! marked absent and reused when the key returns.
 //!
+//! The warm-up needs no keyed operation at all: [`LruStore::warmed`]
+//! builds the store that inserting rows `0..warm_rows` of every table
+//! leaves behind directly, one run of consecutive slots per table.
+//!
 //! A dense index would silently alias a key outside the row space, or one
 //! of another shard, onto some other key's slot, so every keyed operation
-//! panics on such a key instead.
+//! panics on such a key instead, and so does a warm-up past the last row.
 
 use crate::db::TOTAL_TABLES;
 use crate::scenario::ROWS_PER_TABLE;
@@ -59,7 +63,7 @@ impl Hash for Key {
 const KEY_SPACE: u64 = TOTAL_TABLES as u64 * ROWS_PER_TABLE as u64;
 
 /// One key's slot: its value size and its LRU links.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Entry {
     /// Value size, or [`ABSENT`] when the key is not stored.
     bytes: u32,
@@ -80,7 +84,7 @@ fn ix(slot: u32) -> usize {
 
 /// Byte-capacity-bounded LRU store for one shard of the key space. See
 /// module docs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LruStore {
     /// One entry per key of the shard, at slot `dense_id / shards`; LRU
     /// order lives in the links.
@@ -120,6 +124,84 @@ impl LruStore {
             misses: 0,
             evictions: 0,
         }
+    }
+
+    /// The store that [`new`](Self::new) followed by the warm-up leaves:
+    /// for each table in order, rows `0..warm_rows` [`set`](Self::set)
+    /// with `bytes_of_table(table)` bytes each, keeping this shard's keys.
+    ///
+    /// Built without a keyed operation. Within a shard the warm-up inserts
+    /// in ascending slot order, and each table's rows fill one run of
+    /// consecutive slots, so the LRU list is those runs joined, newest
+    /// (highest slot) at the head. The keys are distinct, so eviction is
+    /// FIFO and keeps the newest suffix that fits the capacity; value
+    /// sizes are fixed per table, so the cut is arithmetic. Oversize
+    /// values are skipped, as `set` skips them. Panics when `warm_rows`
+    /// exceeds `ROWS_PER_TABLE`, which would alias the next table's rows.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "TOTAL_TABLES fits a u8, and every slot is below the shard's key count, well below 2^32"
+    )]
+    pub fn warmed(
+        capacity_bytes: u64,
+        shards: usize,
+        residue: usize,
+        warm_rows: u32,
+        bytes_of_table: impl Fn(u8) -> u32,
+    ) -> Self {
+        assert!(
+            warm_rows <= ROWS_PER_TABLE,
+            "a warm-up of {warm_rows} rows per table is outside the {TOTAL_TABLES}-table × {ROWS_PER_TABLE}-row key space"
+        );
+        let mut store = LruStore::new(capacity_bytes, shards, residue);
+        let (shards, residue) = (store.shards, store.residue);
+        // slot of this shard's first key at dense id `id` or above
+        let first_slot = |id: u64| ((id + shards - 1 - residue) / shards) as u32;
+        // Walk the tables newest first: each run keeps what the newer runs
+        // leave of the budget, and joins the list behind them.
+        let mut budget = capacity_bytes;
+        let mut whole = true; // every newer run was kept whole
+        let mut inserted = 0u64;
+        for table in (0..TOTAL_TABLES).rev() {
+            let bytes = bytes_of_table(table as u8);
+            if bytes == ABSENT || u64::from(bytes) > capacity_bytes {
+                continue;
+            }
+            let base = table as u64 * u64::from(ROWS_PER_TABLE);
+            let end = first_slot(base + u64::from(warm_rows));
+            let n = end - first_slot(base);
+            inserted += u64::from(n);
+            let fit = match (whole, bytes) {
+                (false, _) => 0,
+                (true, 0) => n,
+                (true, b) => n.min(u32::try_from(budget / u64::from(b)).unwrap_or(u32::MAX)),
+            };
+            whole &= fit == n;
+            if fit == 0 {
+                continue;
+            }
+            budget -= u64::from(fit) * u64::from(bytes);
+            let first = end - fit;
+            // inside a run `prev` is the next slot and `next` the one before
+            for (slot, e) in (first..).zip(&mut store.slab[ix(first)..ix(end)]) {
+                *e = Entry { bytes, prev: slot + 1, next: slot.wrapping_sub(1) };
+            }
+            // the run's newest slot follows the newer run's oldest, the tail
+            store.slab[ix(end - 1)].prev = store.tail;
+            if store.tail == NIL {
+                store.head = end - 1;
+            } else {
+                store.slab[ix(store.tail)].next = end - 1;
+            }
+            store.tail = first;
+            store.len += ix(fit);
+            store.used_bytes += u64::from(fit) * u64::from(bytes);
+        }
+        if store.tail != NIL {
+            store.slab[ix(store.tail)].next = NIL;
+        }
+        store.evictions = inserted - store.len as u64;
+        store
     }
 
     /// The slot of `key`. Panics on a key outside the row space or outside
@@ -171,7 +253,7 @@ impl LruStore {
         self.evictions
     }
 
-    /// Reset hit/miss counters (end of warm-up).
+    /// Reset hit/miss counters.
     pub fn reset_stats(&mut self) {
         self.hits = 0;
         self.misses = 0;
@@ -394,6 +476,20 @@ mod tests {
         let ratio = hits as f64 / 10_000.0;
         assert!((ratio - 0.93).abs() < 0.01, "ratio {ratio}");
         assert_eq!(s.hits(), hits, "the store counts the hits since reset_stats");
+    }
+
+    #[test]
+    fn warming_no_rows_is_the_empty_store() {
+        for (shards, residue) in [(1, 0), (3, 2), (11, 5)] {
+            let warmed = LruStore::warmed(10_000, shards, residue, 0, |_| 1_500);
+            assert_eq!(warmed, LruStore::new(10_000, shards, residue), "shard {residue} of {shards}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the")]
+    fn warming_past_the_last_row_panics() {
+        LruStore::warmed(10_000, 1, 0, ROWS_PER_TABLE + 1, |_| 1_500);
     }
 
     #[test]

@@ -717,32 +717,21 @@ impl WebWorld {
         }
 
         // caches: real LRU stores pre-warmed to the target hit ratio
-        let mut caches = Vec::new();
-        let mut cache_cap_of = Vec::new();
-        for i in 0..n_cache {
-            let free = nodes.node(NodeId(n_web)).mem_free();
-            #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "85% of a u64 byte count stays in range")]
-            let cap = (free as f64 * 0.85) as u64;
-            cache_cap_of.push(cap);
-            caches.push(LruStore::new(cap, n_cache, i));
-        }
-        #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "a hit ratio in [0, 1] keeps the row count within ROWS_PER_TABLE")]
+        #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "a non-negative hit ratio keeps the row count in u32; `warmed` rejects one past ROWS_PER_TABLE")]
         let warm_rows = (cfg.mix.cache_hit_ratio * ROWS_PER_TABLE as f64) as u32;
-        #[expect(clippy::cast_possible_truncation, reason = "TOTAL_TABLES fits Key::table's u8")]
-        for table in 0..db::TOTAL_TABLES as u8 {
-            for row in 0..warm_rows {
-                let key = Key { table, row };
-                caches[key.shard(n_cache)].set(key, u32::try_from(db::reply_bytes_for(key)).unwrap_or(u32::MAX));
-            }
-        }
-        for (i, c) in caches.iter_mut().enumerate() {
-            c.reset_stats();
-            let used = c.used_bytes();
+        // every row of a table has one reply size
+        let bytes_of_table = |table| u32::try_from(db::reply_bytes_for(Key { table, row: 0 })).unwrap_or(u32::MAX);
+        let mut caches = Vec::with_capacity(n_cache);
+        let mut cache_cap_of = Vec::with_capacity(n_cache);
+        for i in 0..n_cache {
+            let node = nodes.node_mut(NodeId(n_web + i));
+            #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "85% of a u64 byte count stays in range")]
+            let cap = (node.mem_free() as f64 * 0.85) as u64;
+            let cache = LruStore::warmed(cap, n_cache, i, warm_rows, bytes_of_table);
             #[expect(clippy::expect_used, reason = "set-up invariant: cache capacity is 85% of the node's free memory")]
-            nodes
-                .node_mut(NodeId(n_web + i))
-                .alloc_mem(used)
-                .expect("cache fits after warm-up");
+            node.alloc_mem(cache.used_bytes()).expect("cache fits after warm-up");
+            cache_cap_of.push(cap);
+            caches.push(cache);
         }
 
         let measure_start = SimTime::ZERO + cfg.warmup;
@@ -2137,5 +2126,68 @@ impl WebWorld {
             Ev::MeasureStart => self.measure_start_tick(now),
             Ev::Stop => self.stop_tick(now, ctx),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::ClusterScale;
+
+    fn cfg(scenario: WebScenario, hit: f64, img: f64) -> StackConfig {
+        let mix = WorkloadMix { image_fraction: img, cache_hit_ratio: hit };
+        StackConfig::new(scenario, mix, GenMode::Httperf { connections_per_sec: 16.0, calls_per_conn: 6.6 }, 7)
+    }
+
+    /// The stores the warm-up leaves when replayed key by key: one `set`
+    /// per cached row, tables in order, rows ascending, on stores sized
+    /// from a fresh cache node.
+    fn replayed_caches(cfg: &StackConfig) -> Vec<LruStore> {
+        let n_cache = cfg.scenario.cache_servers;
+        let spec = cfg.scenario.platform.spec();
+        let cap = ((spec.mem.total_bytes - spec.os.base_memory) as f64 * 0.85) as u64;
+        let mut caches: Vec<LruStore> = (0..n_cache).map(|i| LruStore::new(cap, n_cache, i)).collect();
+        let warm_rows = (cfg.mix.cache_hit_ratio * ROWS_PER_TABLE as f64) as u32;
+        for table in 0..db::TOTAL_TABLES as u8 {
+            for row in 0..warm_rows {
+                let key = Key { table, row };
+                caches[key.shard(n_cache)].set(key, u32::try_from(db::reply_bytes_for(key)).unwrap());
+            }
+        }
+        caches
+    }
+
+    #[test]
+    fn warmed_caches_equal_the_per_key_warm_up() {
+        let rows = [Platform::Edison, Platform::Dell].into_iter().flat_map(|p| {
+            [ClusterScale::Full, ClusterScale::Half, ClusterScale::Quarter, ClusterScale::Eighth]
+                .into_iter()
+                .filter_map(move |s| WebScenario::table6(p, s))
+        });
+        let mut worlds = 0;
+        for scenario in rows {
+            for hit in [0.0, 0.60, 0.77, 0.93, 1.0] {
+                for img in [0.0, 0.20] {
+                    let cfg = cfg(scenario.clone(), hit, img);
+                    let want = replayed_caches(&cfg);
+                    let world = WebWorld::new(cfg);
+                    assert!(world.caches == want, "{scenario:?} at hit {hit}, images {img}");
+                    let base = scenario.platform.spec().os.base_memory;
+                    let n_web = scenario.web_servers;
+                    for (i, c) in want.iter().enumerate() {
+                        assert_eq!(world.nodes.node(NodeId(n_web + i)).mem_used(), base + c.used_bytes());
+                    }
+                    worlds += 1;
+                }
+            }
+        }
+        assert_eq!(worlds, 6 * 5 * 2, "every Table 6 row");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the")]
+    fn a_hit_ratio_above_one_is_rejected() {
+        let scenario = WebScenario::table6(Platform::Edison, ClusterScale::Eighth).unwrap();
+        let _ = WebWorld::new(cfg(scenario, 1.2, 0.0));
     }
 }

@@ -1,7 +1,8 @@
 //! Property tests over the web stack: conservation and sanity across
 //! random load points, LRU-store laws under arbitrary operation
-//! sequences and exact agreement with a reference LRU, and the slab of
-//! in-flight records against a `BTreeMap`.
+//! sequences and exact agreement with a reference LRU, the bulk-warmed
+//! store against the per-key warm-up, and the slab of in-flight records
+//! against a `BTreeMap`.
 
 use edison_web::memcached::{Key, LruStore};
 use edison_web::slab::{Handle, Slab};
@@ -9,12 +10,15 @@ use edison_web::stack::{run, GenMode, StackConfig};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 use edison_simcore::time::SimDuration;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
-/// The obvious LRU: `(key, bytes)` in recency order, most recent first.
+/// The obvious LRU: `(key, bytes)` in recency order, most recent first,
+/// plus the set of stored keys, so that a miss or a first insert costs no
+/// scan and a warm-up of 90,000 distinct keys stays linear.
 #[derive(Default)]
 struct RefLru {
-    entries: Vec<(Key, u32)>,
+    entries: VecDeque<(Key, u32)>,
+    stored: HashSet<Key>,
     used: u64,
     hits: u64,
     misses: u64,
@@ -23,10 +27,19 @@ struct RefLru {
 
 impl RefLru {
     fn take(&mut self, key: Key) -> Option<u32> {
-        let i = self.entries.iter().position(|e| e.0 == key)?;
-        let (_, bytes) = self.entries.remove(i);
+        if !self.stored.remove(&key) {
+            return None;
+        }
+        let i = self.entries.iter().position(|e| e.0 == key).expect("a stored key is listed");
+        let (_, bytes) = self.entries.remove(i).expect("the position is in range");
         self.used -= u64::from(bytes);
         Some(bytes)
+    }
+
+    fn put_front(&mut self, key: Key, bytes: u32) {
+        self.stored.insert(key);
+        self.entries.push_front((key, bytes));
+        self.used += u64::from(bytes);
     }
 
     fn get(&mut self, key: Key) -> Option<u32> {
@@ -34,8 +47,7 @@ impl RefLru {
         match got {
             Some(bytes) => {
                 self.hits += 1;
-                self.entries.insert(0, (key, bytes));
-                self.used += u64::from(bytes);
+                self.put_front(key, bytes);
             }
             None => self.misses += 1,
         }
@@ -47,14 +59,46 @@ impl RefLru {
             return false;
         }
         self.take(key);
-        self.entries.insert(0, (key, bytes));
-        self.used += u64::from(bytes);
+        self.put_front(key, bytes);
         while self.used > cap {
-            let (_, evicted) = self.entries.pop().expect("over capacity means non-empty");
-            self.used -= u64::from(evicted);
+            let (evicted, bytes) = self.entries.pop_back().expect("over capacity means non-empty");
+            self.stored.remove(&evicted);
+            self.used -= u64::from(bytes);
             self.evictions += 1;
         }
         true
+    }
+}
+
+/// Run a random script of `(op, pick, bytes)` steps against `store` and
+/// `reference`, checking after every step that their answers and counters
+/// agree. `pick` names one of 40 keys of shard `residue` of `shards`,
+/// spread over every table.
+fn drive_against_reference(
+    store: &mut LruStore,
+    reference: &mut RefLru,
+    (shards, residue, cap): (usize, usize, u64),
+    ops: &[(u8, u32, u32)],
+) {
+    for &(op, pick, bytes) in ops {
+        let id = u64::from(pick) * 197 * shards as u64 + residue as u64;
+        let key = Key { table: (id / 6_000) as u8, row: (id % 6_000) as u32 };
+        prop_assert_eq!(key.shard(shards), residue);
+        match op {
+            0 => prop_assert_eq!(store.set(key, bytes), reference.set(key, bytes, cap)),
+            1 => prop_assert_eq!(store.get(key), reference.get(key)),
+            2 => prop_assert_eq!(store.contains(key), reference.entries.iter().any(|e| e.0 == key)),
+            _ => {
+                store.reset_stats();
+                reference.hits = 0;
+                reference.misses = 0;
+            }
+        }
+        prop_assert_eq!(store.len(), reference.entries.len());
+        prop_assert_eq!(store.used_bytes(), reference.used);
+        prop_assert_eq!(store.hits(), reference.hits);
+        prop_assert_eq!(store.misses(), reference.misses);
+        prop_assert_eq!(store.evictions(), reference.evictions);
     }
 }
 
@@ -157,31 +201,7 @@ proptest! {
         let residue = residue_seed % shards;
         let cap = cap_kb * 1024;
         let mut store = LruStore::new(cap, shards, residue);
-        let mut reference = RefLru::default();
-        for &(op, pick, bytes) in &ops {
-            // 40 in-shard keys spread over every table
-            let id = u64::from(pick) * 197 * shards as u64 + residue as u64;
-            let key = Key { table: (id / 6_000) as u8, row: (id % 6_000) as u32 };
-            prop_assert_eq!(key.shard(shards), residue);
-            match op {
-                0 => prop_assert_eq!(store.set(key, bytes), reference.set(key, bytes, cap)),
-                1 => prop_assert_eq!(store.get(key), reference.get(key)),
-                2 => prop_assert_eq!(
-                    store.contains(key),
-                    reference.entries.iter().any(|e| e.0 == key)
-                ),
-                _ => {
-                    store.reset_stats();
-                    reference.hits = 0;
-                    reference.misses = 0;
-                }
-            }
-            prop_assert_eq!(store.len(), reference.entries.len());
-            prop_assert_eq!(store.used_bytes(), reference.used);
-            prop_assert_eq!(store.hits(), reference.hits);
-            prop_assert_eq!(store.misses(), reference.misses);
-            prop_assert_eq!(store.evictions(), reference.evictions);
-        }
+        drive_against_reference(&mut store, &mut RefLru::default(), (shards, residue, cap), &ops);
     }
 
     /// The slab agrees with a `BTreeMap` keyed by creation counter after
@@ -224,6 +244,71 @@ proptest! {
             prop_assert_eq!(slab.len(), reference.len());
             let want: Vec<Handle> = reference.values().map(|e| e.0).collect();
             prop_assert_eq!(slab.sorted_ids_where(|_| true), want);
+        }
+    }
+}
+
+proptest! {
+    // each case replays 270,000 inserts: every residue of 1, 3 and 11 shards
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `LruStore::warmed` is the store the per-key warm-up leaves: equal,
+    /// entry for entry and counter for counter, to `LruStore::new` after
+    /// one `set` per warmed row (tables in order, rows ascending), and to
+    /// the reference list after the same inserts, and it stays equal to
+    /// the reference under a random script. Every residue of 1, 3 and 11
+    /// shards is checked. The capacity either holds the warm set, cuts it
+    /// inside some run of slots, or cuts it exactly where the newest whole
+    /// runs start; one table may be oversize. Table sizes are scalar-like,
+    /// image-sized or zero.
+    #[test]
+    fn warmed_store_equals_the_replayed_warm_up(
+        warm in (0u8..4, 0u32..6_001),
+        sizes in proptest::collection::vec((0u8..4, 0u32..3_000), 15..16),
+        oversize in 0usize..20,
+        cut in (0u8..3, 0usize..15, any::<u64>()),
+        ops in proptest::collection::vec((0u8..4, 0u32..40, 1u32..3_000), 0..200),
+    ) {
+        let warm_rows = match warm { (0, _) => 0, (1, _) => 6_000, (_, rows) => rows };
+        let mut sizes: Vec<u32> = sizes
+            .iter()
+            .map(|&s| match s { (0, _) => 0, (1, _) => 1_500, (2, _) => 43_000, (_, bytes) => bytes })
+            .collect();
+        let (cut_mode, join_at, pick) = cut;
+        for (shards, residue) in [1usize, 3, 11].into_iter().flat_map(|n| (0..n).map(move |r| (n, r))) {
+            let warm_keys = |table: usize| {
+                (0..warm_rows)
+                    .map(move |row| Key { table: table as u8, row })
+                    .filter(move |k| k.shard(shards) == residue)
+            };
+            // bytes of table `t`'s warmed rows in this shard, 0 for the oversize table
+            let run_bytes = |t: usize| if t == oversize { 0 } else { warm_keys(t).count() as u64 * u64::from(sizes[t]) };
+            let total: u64 = (0..15).map(run_bytes).sum();
+            let cap = match cut_mode {
+                0 => total + pick % 10_000,
+                1 => pick % total.max(1),
+                _ => (join_at..15).map(run_bytes).sum(),
+            }
+            .max(1);
+            if oversize < 15 {
+                sizes[oversize] = u32::try_from(cap + 1).unwrap();
+            }
+
+            let warmed = LruStore::warmed(cap, shards, residue, warm_rows, |t| sizes[usize::from(t)]);
+            let mut replayed = LruStore::new(cap, shards, residue);
+            let mut reference = RefLru::default();
+            for (table, &bytes) in sizes.iter().enumerate() {
+                for key in warm_keys(table) {
+                    prop_assert_eq!(replayed.set(key, bytes), reference.set(key, bytes, cap));
+                }
+            }
+            prop_assert!(warmed == replayed, "shard {residue} of {shards}: warmed store differs from the replayed one (cap {cap})");
+            prop_assert_eq!(warmed.len(), reference.entries.len());
+            prop_assert_eq!(warmed.used_bytes(), reference.used);
+            prop_assert_eq!(warmed.evictions(), reference.evictions);
+            prop_assert_eq!(warmed.hits() + warmed.misses(), 0);
+            let mut store = warmed;
+            drive_against_reference(&mut store, &mut reference, (shards, residue, cap), &ops);
         }
     }
 }
