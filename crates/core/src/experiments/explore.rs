@@ -26,41 +26,16 @@
 //! root seed — `repro explore` prints byte-identical reports at any
 //! `--jobs` width (pinned by `tests/explore_gate.rs`).
 
-use crate::experiments::faults::availability;
 use crate::registry::RunBudget;
 use crate::report::{table, Comparison, Report};
 use edison_simcore::time::{SimDuration, SimTime};
 use edison_simexplore::{explore, ExploreBudget, ExploreOutcome, PerturbSpace, ScheduleScore};
 use edison_simfault::{FaultPlan, RecoveryWindow};
-use edison_simrun::{derive_seed_at, Executor, RunError, SimError, ROOT_SEED};
+use edison_simrun::{derive_seed_at, Executor, RunError, ROOT_SEED};
 use edison_simtel::Telemetry;
-use edison_web::httperf::CALLS_PER_CONN;
 use edison_web::scenario::DEFAULT_RETRY_BUDGET;
-use edison_web::stack::{run, GenMode, Metrics, StackConfig};
+use edison_web::stack::{run, Metrics};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
-
-/// The explored platform: the Dell pair at the paper's 1024-connection
-/// load. One crashed node halves the tier, so availability is sharply
-/// sensitive to *when* the second fault lands — the cliff the explorer
-/// is built to find. (Edison's 24-way tier shrugs off the same probe.)
-fn explore_cfg(budget: &RunBudget, seed: u64) -> Result<StackConfig, SimError> {
-    let scenario = WebScenario::table6_or_err(Platform::Dell, ClusterScale::Full)?;
-    // Guarded exploration runs hotter — near the pair's saturation knee —
-    // so the crash strands enough in-flight requests on the dead node to
-    // trip the reference breaker. The observed half-open windows then
-    // become probe targets for the explorer's "halfopen" phase.
-    let cps = if budget.guard { 1400.0 } else { 1024.0 };
-    let mut cfg = StackConfig::new(
-        scenario,
-        WorkloadMix::lightest(),
-        GenMode::Httperf { connections_per_sec: cps, calls_per_conn: CALLS_PER_CONN },
-        seed,
-    );
-    cfg.warmup = SimDuration::from_secs(budget.web_warmup_s);
-    cfg.measure = SimDuration::from_secs(budget.web_measure_s);
-    cfg.retry_budget = DEFAULT_RETRY_BUDGET;
-    Ok(cfg)
-}
 
 /// The base schedule explored when no `--fault-plan` override is given:
 /// one polite crash/restart of node 0 early in the window — the kind of
@@ -77,7 +52,7 @@ fn base_plan(budget: &RunBudget) -> FaultPlan {
 /// recovery observed.
 fn score(m: &Metrics) -> ScheduleScore {
     ScheduleScore {
-        availability: availability(m),
+        availability: m.availability(),
         worst_recovery_s: if m.recovery_s.is_empty() { 0.0 } else { m.recovery_s.max() },
     }
 }
@@ -91,11 +66,20 @@ pub fn run_explore(
     exec: &Executor,
     tel: &mut Telemetry,
 ) -> Result<(ExploreOutcome, Vec<RecoveryWindow>, Vec<RecoveryWindow>), RunError> {
+    // The explored platform: the Dell pair at the paper's 1024-connection
+    // load. One crashed node halves the tier, so availability is sharply
+    // sensitive to *when* the second fault lands — the cliff the explorer
+    // is built to find. (Edison's 24-way tier shrugs off the same probe.)
+    let scenario = WebScenario::table6_or_err(Platform::Dell, ClusterScale::Full)?;
+    // Guarded exploration runs hotter — near the pair's saturation knee —
+    // so the crash strands enough in-flight requests on the dead node to
+    // trip the reference breaker; the observed half-open windows then
+    // become probe targets for the explorer's "halfopen" phase below.
+    let cps = if budget.guard { 1400.0 } else { 1024.0 };
     let seed = derive_seed_at(ROOT_SEED, "explore", 0);
-    let mut cfg = explore_cfg(budget, seed)?;
+    let mut cfg = budget.web_point(scenario, WorkloadMix::lightest(), cps, seed);
+    cfg.retry_budget = DEFAULT_RETRY_BUDGET;
     if budget.guard {
-        // guarded exploration: breakers trip on the crashed backend, and
-        // the observed half-open windows become probe targets below
         cfg.guard = crate::experiments::overload::reference_guard(budget);
     }
     let plan = match &budget.fault_plan {

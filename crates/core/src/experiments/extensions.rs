@@ -10,25 +10,9 @@ use edison_simcore::time::{SimDuration, SimTime};
 use edison_simfault::FaultPlan;
 use edison_simrun::{derive_seed, derive_seed_at, Executor, RunError, SimError, ROOT_SEED};
 use edison_simtel::Telemetry;
-use edison_web::httperf::CALLS_PER_CONN;
 use edison_web::scenario::DEFAULT_RETRY_BUDGET;
-use edison_web::stack::{run, run_traced, GenMode, Metrics, StackConfig};
+use edison_web::stack::{run, run_traced, Metrics};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
-
-/// Full-scale web-tier config for one platform, seeded explicitly. The
-/// missing Table 6 rows surface as [`SimError::Config`].
-fn web_cfg(platform: Platform, conc: f64, budget: &RunBudget, seed: u64) -> Result<StackConfig, SimError> {
-    let scenario = WebScenario::table6_or_err(platform, ClusterScale::Full)?;
-    let mut cfg = StackConfig::new(
-        scenario,
-        WorkloadMix::lightest(),
-        GenMode::Httperf { connections_per_sec: conc, calls_per_conn: CALLS_PER_CONN },
-        seed,
-    );
-    cfg.warmup = SimDuration::from_secs(budget.web_warmup_s);
-    cfg.measure = SimDuration::from_secs(budget.web_measure_s);
-    Ok(cfg)
-}
 
 /// §7's "hybrid future datacenter": a half-scale Edison web tier plus one
 /// Dell web server, compared against the pure tiers at equal offered load.
@@ -43,8 +27,10 @@ pub fn ext_hybrid(budget: &RunBudget, exec: &Executor, tel: &mut Telemetry) -> R
         &pure_platforms,
         tel,
         |_, p| format!("{p:?}"),
-        |i, &p| {
-            web_cfg(p, conc, budget, derive_seed_at(ROOT_SEED, "ext:hybrid", i)).map(|cfg| run(cfg).metrics)
+        |i, &p| -> Result<Metrics, SimError> {
+            let scenario = WebScenario::table6_or_err(p, ClusterScale::Full)?;
+            let seed = derive_seed_at(ROOT_SEED, "ext:hybrid", i);
+            Ok(run(budget.web_point(scenario, WorkloadMix::lightest(), conc, seed)).metrics)
         },
     )?;
     let mut pures = pures.into_iter();
@@ -53,12 +39,12 @@ pub fn ext_hybrid(budget: &RunBudget, exec: &Executor, tel: &mut Telemetry) -> R
 
     // hybrid: 12 Edison web + 1 Dell web (≈ same aggregate capacity as
     // 24 Edison under the 12:1 LB weighting), Edison caches
-    let mut hybrid_cfg = web_cfg(
-        Platform::Edison,
+    let mut hybrid_cfg = budget.web_point(
+        WebScenario::table6_or_err(Platform::Edison, ClusterScale::Full)?,
+        WorkloadMix::lightest(),
         conc,
-        budget,
         derive_seed(ROOT_SEED, "ext:hybrid:mixed", 0),
-    )?;
+    );
     hybrid_cfg.scenario.web_servers = 12;
     hybrid_cfg.hybrid_web = 1;
     let hybrid = if tel.is_on() {
@@ -79,7 +65,7 @@ pub fn ext_hybrid(budget: &RunBudget, exec: &Executor, tel: &mut Telemetry) -> R
             format!("{rps:.0}"),
             format!("{:.2}", m.delays_ms.mean()),
             format!("{watts:.1}"),
-            format!("{:.1}", m.completed as f64 / m.energy_j.max(1e-9)),
+            format!("{:.1}", m.requests_per_joule()),
             format!("{}", m.server_errors),
         ]
     };
@@ -92,9 +78,9 @@ pub fn ext_hybrid(budget: &RunBudget, exec: &Executor, tel: &mut Telemetry) -> R
         &["web tier", "req/s", "delay ms", "power W", "req/J", "5xx"],
         &rows,
     );
-    let hybrid_rpj = hybrid.completed as f64 / hybrid.energy_j.max(1e-9);
-    let dell_rpj = dell.completed as f64 / dell.energy_j.max(1e-9);
-    let edison_rpj = edison.completed as f64 / edison.energy_j.max(1e-9);
+    let hybrid_rpj = hybrid.requests_per_joule();
+    let dell_rpj = dell.requests_per_joule();
+    let edison_rpj = edison.requests_per_joule();
     Ok(Report {
         id: "ext_hybrid".into(),
         title: "Hybrid web tier (extension of the Section 7 vision)".into(),
@@ -126,8 +112,9 @@ pub fn ext_failure(budget: &RunBudget, exec: &Executor, tel: &mut Telemetry) -> 
         |_, p| format!("{p:?}"),
         |i, &p| -> Result<(Metrics, Metrics), SimError> {
             let seed = derive_seed_at(ROOT_SEED, "ext:failure", i);
-            let healthy = run(web_cfg(p, conc, budget, seed)?).metrics;
-            let mut cfg = web_cfg(p, conc, budget, seed)?;
+            let scenario = WebScenario::table6_or_err(p, ClusterScale::Full)?;
+            let mut cfg = budget.web_point(scenario, WorkloadMix::lightest(), conc, seed);
+            let healthy = run(cfg.clone()).metrics;
             cfg.fault_plan = FaultPlan::new().crash(0, crash_at);
             cfg.retry_budget = DEFAULT_RETRY_BUDGET;
             let crashed = run(cfg).metrics;

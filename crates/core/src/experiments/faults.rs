@@ -24,9 +24,8 @@ use edison_simexplore::{candidates, ExploreBudget, PerturbSpace};
 use edison_simfault::FaultPlan;
 use edison_simrun::{derive_seed_at, Executor, RunError, SimError, ROOT_SEED};
 use edison_simtel::Telemetry;
-use edison_web::httperf::CALLS_PER_CONN;
 use edison_web::scenario::DEFAULT_RETRY_BUDGET;
-use edison_web::stack::{run, run_traced, GenMode, Metrics, StackConfig};
+use edison_web::stack::{run, run_traced, Metrics, StackConfig};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 
 /// One sweep point: a platform at a fault intensity (web servers crashed
@@ -72,14 +71,7 @@ fn sweep_cfg(
         }
     };
     let scenario = WebScenario::table6_or_err(platform, scale)?;
-    let mut cfg = StackConfig::new(
-        scenario,
-        WorkloadMix::lightest(),
-        GenMode::Httperf { connections_per_sec: conc, calls_per_conn: CALLS_PER_CONN },
-        seed,
-    );
-    cfg.warmup = SimDuration::from_secs(budget.web_warmup_s);
-    cfg.measure = SimDuration::from_secs(budget.web_measure_s);
+    let mut cfg = budget.web_point(scenario, WorkloadMix::lightest(), conc, seed);
     cfg.retry_budget = DEFAULT_RETRY_BUDGET;
     if budget.guard {
         // `repro fault_sweep --guard`: crash schedules against a guarded
@@ -101,16 +93,6 @@ fn point_plan(k: u32, budget: &RunBudget) -> FaultPlan {
         Some(custom) => custom.clone(),
         None => ladder_plan(k, budget),
     }
-}
-
-/// Availability: completed requests over every request the window asked
-/// for (completions + server-side 5xx + client-side abandons).
-pub(crate) fn availability(m: &Metrics) -> f64 {
-    let asked = m.completed + m.server_errors + m.client_errors;
-    if asked == 0 {
-        return 1.0;
-    }
-    m.completed as f64 / asked as f64
 }
 
 /// Sweep fault intensity × platform over the web tier and report
@@ -203,7 +185,7 @@ pub fn fault_sweep(
         // lowest availability, longest single recovery
         let wc_avail = cand_metrics
             .iter()
-            .map(availability)
+            .map(Metrics::availability)
             .fold(f64::INFINITY, |a, b| if b.total_cmp(&a).is_lt() { b } else { a });
         let wc_recovery = cand_metrics
             .iter()
@@ -227,14 +209,14 @@ pub fn fault_sweep(
             format!("{platform:?}"),
             label,
             format!("{rps:.0}"),
-            format!("{:.2}%", availability(m) * 100.0),
+            format!("{:.2}%", m.availability() * 100.0),
             format!("{:.2}%", wc_avail * 100.0),
             format!("{:.1}", m.delays_ms.percentile(99.0)),
             format!("{}", m.failovers),
             format!("{}/{}", m.retry_dead_total, m.retry_overflow_total),
             if m.recovery_s.is_empty() { "-".into() } else { format!("{:.2}", m.recovery_s.mean()) },
             if wc_recovery.is_finite() { format!("{wc_recovery:.2}") } else { "-".into() },
-            format!("{:.1}", m.completed as f64 / m.energy_j.max(1e-9)),
+            format!("{:.1}", m.requests_per_joule()),
         ]);
     }
     let body = table(

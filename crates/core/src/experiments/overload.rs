@@ -22,12 +22,11 @@
 
 use crate::registry::RunBudget;
 use crate::report::{table, Comparison, Report};
-use edison_simcore::time::SimDuration;
 use edison_simguard::{Budget, GuardConfig};
 use edison_simrun::{derive_seed_at, Executor, RunError, SimError, ROOT_SEED};
 use edison_simtel::Telemetry;
 use edison_web::httperf::CALLS_PER_CONN;
-use edison_web::stack::{run, run_traced, GenMode, Metrics, StackConfig};
+use edison_web::stack::{run, run_traced, Metrics, StackConfig};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 
 /// Offered-load rungs as multiples of a lane's knee: two at-or-below,
@@ -80,14 +79,7 @@ fn rung_cfg(
     seed: u64,
 ) -> Result<StackConfig, SimError> {
     let scenario = WebScenario::table6_or_err(lane.platform, lane.scale)?;
-    let mut cfg = StackConfig::new(
-        scenario,
-        WorkloadMix::lightest(),
-        GenMode::Httperf { connections_per_sec: lane.knee_cps * mult, calls_per_conn: CALLS_PER_CONN },
-        seed,
-    );
-    cfg.warmup = SimDuration::from_secs(budget.web_warmup_s);
-    cfg.measure = SimDuration::from_secs(budget.web_measure_s);
+    let mut cfg = budget.web_point(scenario, WorkloadMix::lightest(), lane.knee_cps * mult, seed);
     if guarded {
         let mut g = reference_guard(budget);
         g.admit_rate = lane.knee_cps;
@@ -136,7 +128,7 @@ fn rung_stats(m: &mut Metrics, window: f64, deadline_ms: f64, offered_req: f64) 
         errors: m.server_errors + m.client_errors,
         p99_ms: m.delays_ms.percentile(99.0),
         miss_pct: miss * 100.0,
-        rpj: m.completed as f64 / m.energy_j.max(1e-9),
+        rpj: m.requests_per_joule(),
     }
 }
 

@@ -10,7 +10,7 @@ use crate::report::{table, Comparison, Report};
 use edison_mapreduce::engine::{run_job_traced_checked, ClusterSetup};
 use edison_simrun::{derive_seed, Executor, RunError, ROOT_SEED};
 use edison_simtel::Telemetry;
-use edison_web::httperf::{self, RunOpts};
+use edison_web::httperf;
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 
 /// Run the smoke pair. Unlike the figure experiments (which trace one
@@ -26,13 +26,8 @@ pub fn smoke(budget: &RunBudget, _exec: &Executor, tel: &mut Telemetry) -> Resul
 
     // web: eighth-scale Edison tier at a mid-curve load
     let scenario = WebScenario::table6_or_err(Platform::Edison, ClusterScale::Eighth)?;
-    let opts = RunOpts {
-        seed: derive_seed(ROOT_SEED, "smoke:web", 0),
-        warmup_s: budget.web_warmup_s,
-        measure_s: budget.web_measure_s,
-        ..RunOpts::default()
-    };
-    let (web, wtel) = httperf::run_point_traced(&scenario, WorkloadMix::lightest(), 64.0, opts, sink());
+    let cfg = budget.web_point(scenario, WorkloadMix::lightest(), 64.0, derive_seed(ROOT_SEED, "smoke:web", 0));
+    let (web, wtel) = httperf::run_point_traced(cfg, sink());
     tel.merge(wtel);
 
     // mapreduce: logcount2 on a 4-node Edison cluster (seconds, not minutes)

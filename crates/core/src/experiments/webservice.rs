@@ -12,7 +12,7 @@ use crate::registry::RunBudget;
 use crate::report::{series_table, table, Comparison, Report, Series};
 use edison_simrun::{derive_seed_at, Executor, RunError, SimError, ROOT_SEED};
 use edison_simtel::Telemetry;
-use edison_web::httperf::{self, concurrency_sweep, HttperfResult, RunOpts};
+use edison_web::httperf::{self, concurrency_sweep, HttperfResult};
 use edison_web::pyclient;
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 
@@ -31,7 +31,7 @@ fn trace_representative(
         return;
     }
     let seed = derive_seed_at(ROOT_SEED, &format!("trace:{}", stream_id(scenario, mix)), 0);
-    let (_, t) = httperf::run_point_traced(scenario, mix, concurrency, opts(budget, seed), tel.child());
+    let (_, t) = httperf::run_point_traced(budget.web_point(scenario.clone(), mix, concurrency, seed), tel.child());
     tel.merge(t);
 }
 
@@ -76,10 +76,6 @@ fn all_scenarios() -> Vec<WebScenario> {
     v
 }
 
-fn opts(budget: &RunBudget, seed: u64) -> RunOpts {
-    RunOpts { seed, warmup_s: budget.web_warmup_s, measure_s: budget.web_measure_s, ..RunOpts::default() }
-}
-
 /// Run a full concurrency sweep for one scenario/mix over the executor.
 /// Point `i` runs with seed `derive_seed(ROOT_SEED, stream_id, i)`.
 pub fn sweep(
@@ -96,7 +92,7 @@ pub fn sweep(
         &concs,
         tel,
         |_, &c| format!("conc={c}"),
-        |i, &c| httperf::run_point(scenario, mix, c, opts(budget, derive_seed_at(ROOT_SEED, &stream, i))),
+        |i, &c| httperf::run_point(budget.web_point(scenario.clone(), mix, c, derive_seed_at(ROOT_SEED, &stream, i))),
     )
 }
 
@@ -346,18 +342,10 @@ pub fn table7(budget: &RunBudget, exec: &Executor, tel: &mut Telemetry) -> Resul
         |_, &rps| format!("rate={rps:.0}"),
         |i, &rps| {
             let conc = rps / httperf::CALLS_PER_CONN;
-            let e = httperf::run_point(
-                &full_e,
-                WorkloadMix::img20(),
-                conc,
-                opts(budget, derive_seed_at(ROOT_SEED, "web:table7:edison", i)),
-            );
-            let d = httperf::run_point(
-                &full_d,
-                WorkloadMix::img20(),
-                conc,
-                opts(budget, derive_seed_at(ROOT_SEED, "web:table7:dell", i)),
-            );
+            let e_seed = derive_seed_at(ROOT_SEED, "web:table7:edison", i);
+            let d_seed = derive_seed_at(ROOT_SEED, "web:table7:dell", i);
+            let e = httperf::run_point(budget.web_point(full_e.clone(), WorkloadMix::img20(), conc, e_seed));
+            let d = httperf::run_point(budget.web_point(full_d.clone(), WorkloadMix::img20(), conc, d_seed));
             (e, d)
         },
     )?;

@@ -6,9 +6,13 @@
 
 use crate::experiments::{explore, extensions, faults, individual, mapred, overload, smoke, tco_exp, webservice};
 use crate::report::Report;
+use edison_simcore::time::SimDuration;
 use edison_simfault::FaultPlan;
 use edison_simrun::{Executor, RunError};
 use edison_simtel::Telemetry;
+use edison_web::httperf::CALLS_PER_CONN;
+use edison_web::stack::{GenMode, StackConfig};
+use edison_web::{WebScenario, WorkloadMix};
 
 /// How much simulated time / how many sweep columns an experiment may
 /// spend. `quick` keeps CI fast; `full` is the paper-scale run the `repro`
@@ -71,6 +75,23 @@ impl RunBudget {
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
+    }
+
+    /// The web point every httperf experiment runs: `connections_per_sec`
+    /// new connections per second at [`CALLS_PER_CONN`] calls each,
+    /// over this budget's warm-up and measurement window.
+    pub fn web_point(
+        &self,
+        scenario: WebScenario,
+        mix: WorkloadMix,
+        connections_per_sec: f64,
+        seed: u64,
+    ) -> StackConfig {
+        let gen = GenMode::Httperf { connections_per_sec, calls_per_conn: CALLS_PER_CONN };
+        let mut cfg = StackConfig::new(scenario, mix, gen, seed);
+        cfg.warmup = SimDuration::from_secs(self.web_warmup_s);
+        cfg.measure = SimDuration::from_secs(self.web_measure_s);
+        cfg
     }
 }
 

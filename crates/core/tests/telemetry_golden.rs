@@ -7,7 +7,8 @@ use edison_mapreduce::engine::{run_job_traced_checked, ClusterSetup};
 use edison_mapreduce::jobs;
 use edison_simtel::export::{validate_json, validate_prometheus};
 use edison_simtel::Telemetry;
-use edison_web::httperf::{self, RunOpts};
+use edison_core::registry::RunBudget;
+use edison_web::httperf;
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 
 /// One traced web point + one traced MapReduce job, merged — the same pair
@@ -16,9 +17,8 @@ fn traced_pair() -> Telemetry {
     let mut tel = Telemetry::on();
 
     let scenario = WebScenario::table6(Platform::Edison, ClusterScale::Eighth).unwrap();
-    let opts = RunOpts { seed: 20160509, warmup_s: 2, measure_s: 6, ..RunOpts::default() };
-    let (_, wtel) =
-        httperf::run_point_traced(&scenario, WorkloadMix::lightest(), 64.0, opts, Telemetry::on());
+    let cfg = RunBudget::quick().web_point(scenario, WorkloadMix::lightest(), 64.0, 20160509);
+    let (_, wtel) = httperf::run_point_traced(cfg, Telemetry::on());
     tel.merge(wtel);
 
     let setup = ClusterSetup::edison(4);

@@ -10,9 +10,8 @@ use crate::time::SimTime;
 
 /// Integrates a piecewise-constant signal v(t).
 ///
-/// Typical use: `v` is power in watts, the integral is energy in joules.
-/// Also used for CPU-utilisation integrals (average utilisation = integral /
-/// elapsed) in the Figure 12–17 timelines.
+/// Its one use is power: `v` is a node's draw in watts and the integral
+/// is its energy in joules (`cluster::node`).
 #[derive(Debug, Clone)]
 pub struct StepIntegrator {
     last_t: SimTime,

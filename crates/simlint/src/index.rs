@@ -90,7 +90,7 @@ pub fn children(kind: &crate::parse::ExprKind) -> Vec<crate::parse::ExprId> {
         }
         E::Field { recv, .. } => vec![*recv],
         E::Index { recv, index } => vec![*recv, *index],
-        E::Cast { expr, .. } => vec![*expr],
+        E::Cast(expr) => vec![*expr],
         E::Tuple(xs) | E::Array(xs) => xs.clone(),
         E::If { cond, else_, .. } => {
             let mut v = vec![*cond];
@@ -104,9 +104,9 @@ pub fn children(kind: &crate::parse::ExprKind) -> Vec<crate::parse::ExprId> {
         }
         E::While { cond, .. } => vec![*cond],
         E::For { iter, .. } => vec![*iter],
-        E::Closure { body, .. } => vec![*body],
+        E::Closure(body) => vec![*body],
         E::Jump(Some(e)) => vec![*e],
-        E::StructLit { fields, .. } => fields.iter().map(|(_, e)| *e).collect(),
+        E::StructLit(fields) => fields.iter().map(|(_, e)| *e).collect(),
         E::RangeLit(a, b) => a.iter().chain(b.iter()).copied().collect(),
         _ => Vec::new(),
     }

@@ -53,7 +53,7 @@ fn unit_mix(f: &FnDef, file: &str) -> Option<Finding> {
     let raw_f64: Vec<&str> = f
         .params
         .iter()
-        .filter(|p| p.ty.head == "f64" && p.ty.args.is_empty() && !p.ty.refd)
+        .filter(|p| p.ty.head == "f64" && !p.ty.refd)
         .map(|p| p.name.as_str())
         .collect();
     let mut classes: Vec<(Unit, &str)> = Vec::new();

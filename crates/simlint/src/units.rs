@@ -244,7 +244,7 @@ impl<'a> Cx<'a> {
                         }
                     }
                 }
-                Stmt::Expr { expr, .. } => {
+                Stmt::Expr(expr) => {
                     self.infer(*expr);
                 }
                 Stmt::Item(_) => {}
@@ -279,7 +279,7 @@ impl<'a> Cx<'a> {
             }
             ExprKind::Unary(inner) | ExprKind::Try(inner) => self.infer(*inner),
             ExprKind::Tuple(parts) if parts.len() == 1 => self.infer(parts[0]),
-            ExprKind::Cast { expr: inner, .. } => self.infer(*inner),
+            ExprKind::Cast(inner) => self.infer(*inner),
             ExprKind::Binary { op, op_text, lhs, rhs } => {
                 let l = self.infer(*lhs);
                 let r = self.infer(*rhs);

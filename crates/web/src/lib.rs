@@ -15,9 +15,9 @@
 //! | 2 Dell MySQL servers (20 GB wiki + images) | db-role nodes with per-query CPU + buffer-pool-miss disk reads ([`db`]) |
 //! | python/urllib2 delay loggers | [`pyclient`] open-loop single-call connections with kernel SYN retry backoff (1 s, 3 s, 7 s) |
 //!
-//! [`httperf::run`] executes one (concurrency, workload) point and returns
-//! throughput / delay / error / power — one point of Figures 4–9;
-//! [`pyclient::run`] returns the Figure 10/11 delay histograms;
+//! [`httperf::run_point`] executes one (concurrency, workload) point and
+//! returns throughput / delay / error / power — one point of Figures 4–9;
+//! [`pyclient::run_distribution`] returns the Figure 10/11 delay histograms;
 //! the Table 7 delay decomposition falls out of the same run's traces.
 
 pub mod db;

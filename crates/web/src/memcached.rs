@@ -253,12 +253,6 @@ impl LruStore {
         self.evictions
     }
 
-    /// Reset hit/miss counters.
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-    }
-
     /// Look up `key`, promoting it to most-recently-used on hit. Returns
     /// the stored value size.
     pub fn get(&mut self, key: Key) -> Option<u32> {
@@ -465,7 +459,6 @@ mod tests {
         for row in 0..930 {
             s.set(k(0, row), 1500);
         }
-        s.reset_stats();
         let mut hits = 0;
         for i in 0..10_000u32 {
             let row = (i * 7919) % 1000; // co-prime stride = uniform coverage
@@ -475,7 +468,7 @@ mod tests {
         }
         let ratio = hits as f64 / 10_000.0;
         assert!((ratio - 0.93).abs() < 0.01, "ratio {ratio}");
-        assert_eq!(s.hits(), hits, "the store counts the hits since reset_stats");
+        assert_eq!(s.hits(), hits, "the warm-up sets count no hits");
     }
 
     #[test]

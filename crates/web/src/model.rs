@@ -378,6 +378,26 @@ impl Default for Metrics {
     }
 }
 
+impl Metrics {
+    /// Requests completed per joule of window energy — the paper's
+    /// work-done-per-joule metric. A window that drew no energy divides
+    /// by 1e-9 J instead of zero.
+    pub fn requests_per_joule(&self) -> f64 {
+        self.completed as f64 / self.energy_j.max(1e-9)
+    }
+
+    /// Completed requests over every request the window asked for
+    /// (completions + server-side 5xx + client-side abandons); 1.0 when
+    /// nothing was asked for.
+    pub fn availability(&self) -> f64 {
+        let asked = self.completed + self.server_errors + self.client_errors;
+        if asked == 0 {
+            return 1.0;
+        }
+        self.completed as f64 / asked as f64
+    }
+}
+
 /// Events of the web world. Node indices travel as `u32` (checked when
 /// the world is built, see `ev_index`) so that every variant fits 16
 /// bytes and a queued engine entry 32.
@@ -2189,5 +2209,27 @@ mod tests {
     fn a_hit_ratio_above_one_is_rejected() {
         let scenario = WebScenario::table6(Platform::Edison, ClusterScale::Eighth).unwrap();
         let _ = WebWorld::new(cfg(scenario, 1.2, 0.0));
+    }
+
+    #[test]
+    fn a_window_that_asked_for_nothing_is_fully_available() {
+        let mut m = Metrics::default();
+        assert_eq!(m.availability(), 1.0);
+        m.completed = 3;
+        m.server_errors = 1;
+        assert_eq!(m.availability(), 0.75);
+        m.completed = 0;
+        m.server_errors = 0;
+        m.client_errors = 2;
+        assert_eq!(m.availability(), 0.0);
+    }
+
+    #[test]
+    fn requests_per_joule_divides_a_zero_energy_window_by_a_nanojoule() {
+        let mut m = Metrics { completed: 5, ..Metrics::default() };
+        assert_eq!(m.energy_j, 0.0);
+        assert_eq!(m.requests_per_joule(), 5.0 / 1e-9);
+        m.energy_j = 2.0;
+        assert_eq!(m.requests_per_joule(), 2.5);
     }
 }

@@ -93,7 +93,7 @@ pub const ROWS_PER_TABLE: u32 = 6_000;
 /// httperf client re-dispatches a connection through the load balancer
 /// after a connect/read timeout on a crashed backend. Two retries ride
 /// out a failover (detect + re-dispatch) without letting a hard outage
-/// spin forever; `0` (the [`crate::httperf::RunOpts`] default) keeps
+/// spin forever; `0` (the [`crate::stack::StackConfig::new`] default) keeps
 /// fault-free sweeps byte-identical to the pre-fault behaviour.
 pub const DEFAULT_RETRY_BUDGET: u32 = 2;
 

@@ -9,7 +9,8 @@ use edison_hw::presets;
 use edison_mapreduce::engine::{run_job_checked, ClusterSetup};
 use edison_mapreduce::jobs::{self, Tune};
 use edison_microbench::dhrystone;
-use edison_web::httperf::{self, RunOpts};
+use edison_core::registry::RunBudget;
+use edison_web::httperf;
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 
 fn main() {
@@ -43,9 +44,10 @@ fn main() {
         e.dmips, d.dmips, d.dmips / e.dmips);
 
     // 3. One web-service figure point: quarter-scale Edison cluster at
-    //    concurrency 128.
+    //    concurrency 128, over the paper-scale 5 s warm-up and 20 s window.
     let scenario = WebScenario::table6(Platform::Edison, ClusterScale::Quarter).unwrap();
-    let r = httperf::run_point(&scenario, WorkloadMix::lightest(), 128.0, RunOpts::default());
+    let cfg = RunBudget::full().web_point(scenario.clone(), WorkloadMix::lightest(), 128.0, 20160509);
+    let r = httperf::run_point(cfg);
     println!(
         "\nweb ({} web + {} cache servers): {:.0} req/s at {:.1} ms mean delay, {:.1} W, {:.1} req/J",
         scenario.web_servers,

@@ -9,17 +9,13 @@
 
 use edison_mapreduce::engine::{run_job_checked, ClusterSetup};
 use edison_mapreduce::jobs;
-use edison_web::httperf::{self, RunOpts};
+use edison_core::registry::RunBudget;
+use edison_web::httperf;
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 
 fn web_run(seed: u64) -> String {
     let sc = WebScenario::table6(Platform::Edison, ClusterScale::Quarter).unwrap();
-    let r = httperf::run_point(
-        &sc,
-        WorkloadMix::img20(),
-        96.0,
-        RunOpts { seed, warmup_s: 2, measure_s: 6, ..RunOpts::default() },
-    );
+    let r = httperf::run_point(RunBudget::quick().web_point(sc, WorkloadMix::img20(), 96.0, seed));
     format!("{r:?}")
 }
 

@@ -4,11 +4,14 @@
 
 use edison_mapreduce::engine::{run_job_checked, ClusterSetup};
 use edison_mapreduce::jobs::{self, Tune};
-use edison_web::httperf::{self, RunOpts};
+use edison_core::registry::RunBudget;
+use edison_web::httperf::{self, HttperfResult};
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 
-fn quick() -> RunOpts {
-    RunOpts { seed: 99, warmup_s: 2, measure_s: 8, ..RunOpts::default() }
+/// One httperf point at seed 99 over a 2 s warm-up and an 8 s window.
+fn quick(sc: &WebScenario, mix: WorkloadMix, conc: f64) -> HttperfResult {
+    let budget = RunBudget { web_measure_s: 8, ..RunBudget::quick() };
+    httperf::run_point(budget.web_point(sc.clone(), mix, conc, 99))
 }
 
 /// Abstract: "up to 3.5× improvement on work-done-per-joule for web
@@ -18,8 +21,8 @@ fn quick() -> RunOpts {
 fn web_peak_energy_efficiency_gain_is_about_3_5x() {
     let e = WebScenario::table6(Platform::Edison, ClusterScale::Full).unwrap();
     let d = WebScenario::table6(Platform::Dell, ClusterScale::Full).unwrap();
-    let re = httperf::run_point(&e, WorkloadMix::lightest(), 1024.0, quick());
-    let rd = httperf::run_point(&d, WorkloadMix::lightest(), 1024.0, quick());
+    let re = quick(&e, WorkloadMix::lightest(), 1024.0);
+    let rd = quick(&d, WorkloadMix::lightest(), 1024.0);
     let gain = re.requests_per_joule / rd.requests_per_joule;
     assert!(
         (2.5..5.0).contains(&gain),
@@ -36,13 +39,13 @@ fn web_throughput_scales_linearly_and_matches_dell() {
     let full = WebScenario::table6(Platform::Edison, ClusterScale::Full).unwrap();
     let quarter = WebScenario::table6(Platform::Edison, ClusterScale::Quarter).unwrap();
     // drive each at its proportional peak concurrency
-    let rf = httperf::run_point(&full, WorkloadMix::lightest(), 1024.0, quick());
-    let rq = httperf::run_point(&quarter, WorkloadMix::lightest(), 256.0, quick());
+    let rf = quick(&full, WorkloadMix::lightest(), 1024.0);
+    let rq = quick(&quarter, WorkloadMix::lightest(), 256.0);
     let ratio = rf.requests_per_sec / rq.requests_per_sec;
     assert!((3.2..4.8).contains(&ratio), "scale ratio {ratio:.2}");
 
     let dell = WebScenario::table6(Platform::Dell, ClusterScale::Full).unwrap();
-    let rd = httperf::run_point(&dell, WorkloadMix::lightest(), 1024.0, quick());
+    let rd = quick(&dell, WorkloadMix::lightest(), 1024.0);
     let parity = rf.requests_per_sec / rd.requests_per_sec;
     assert!((0.8..1.3).contains(&parity), "edison/dell peak parity {parity:.2}");
 }
@@ -53,8 +56,8 @@ fn web_throughput_scales_linearly_and_matches_dell() {
 fn web_low_load_delay_gap() {
     let e = WebScenario::table6(Platform::Edison, ClusterScale::Full).unwrap();
     let d = WebScenario::table6(Platform::Dell, ClusterScale::Full).unwrap();
-    let re = httperf::run_point(&e, WorkloadMix::lightest(), 16.0, quick());
-    let rd = httperf::run_point(&d, WorkloadMix::lightest(), 16.0, quick());
+    let re = quick(&e, WorkloadMix::lightest(), 16.0);
+    let rd = quick(&d, WorkloadMix::lightest(), 16.0);
     let gap = re.mean_delay_ms / rd.mean_delay_ms;
     assert!((3.0..8.0).contains(&gap), "delay gap {gap:.2} ({} vs {})", re.mean_delay_ms, rd.mean_delay_ms);
     assert!(re.mean_delay_ms < 20.0);
@@ -66,8 +69,8 @@ fn web_low_load_delay_gap() {
 fn web_error_onset_is_earlier_on_edison() {
     let e = WebScenario::table6(Platform::Edison, ClusterScale::Full).unwrap();
     let d = WebScenario::table6(Platform::Dell, ClusterScale::Full).unwrap();
-    let re = httperf::run_point(&e, WorkloadMix::lightest(), 2048.0, quick());
-    let rd = httperf::run_point(&d, WorkloadMix::lightest(), 2048.0, quick());
+    let re = quick(&e, WorkloadMix::lightest(), 2048.0);
+    let rd = quick(&d, WorkloadMix::lightest(), 2048.0);
     assert!(re.error_rate > 0.02, "edison at 2048 should error (rate {})", re.error_rate);
     assert!(rd.error_rate < re.error_rate, "dell should error less at 2048");
 }
@@ -141,8 +144,8 @@ fn scalability_speedup_shapes() {
 #[test]
 fn end_to_end_determinism() {
     let s = WebScenario::table6(Platform::Edison, ClusterScale::Eighth).unwrap();
-    let a = httperf::run_point(&s, WorkloadMix::img10(), 64.0, quick());
-    let b = httperf::run_point(&s, WorkloadMix::img10(), 64.0, quick());
+    let a = quick(&s, WorkloadMix::img10(), 64.0);
+    let b = quick(&s, WorkloadMix::img10(), 64.0);
     assert_eq!(a.requests_per_sec, b.requests_per_sec);
     assert_eq!(a.energy_j, b.energy_j);
     let ja = run_job_checked(&jobs::logcount2(Tune::Edison), &ClusterSetup::edison(4)).expect("job finishes");

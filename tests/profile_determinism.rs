@@ -11,7 +11,8 @@ use edison_mapreduce::jobs;
 use edison_simcore::EngineProfile;
 use edison_simrun::Executor;
 use edison_simtel::Telemetry;
-use edison_web::httperf::{self, RunOpts};
+use edison_core::registry::RunBudget;
+use edison_web::httperf;
 use edison_web::{ClusterScale, Platform, WebScenario, WorkloadMix};
 
 /// Whether `prom` carries `world`'s per-kind and per-phase `profile_*`
@@ -28,10 +29,9 @@ fn exports_profile(prom: &str, world: &str) -> bool {
 #[test]
 fn web_profiled_run_matches_plain_run() {
     let sc = WebScenario::table6(Platform::Edison, ClusterScale::Eighth).unwrap();
-    let opts = RunOpts { seed: 20160509, warmup_s: 2, measure_s: 6, ..RunOpts::default() };
-    let plain = httperf::run_point(&sc, WorkloadMix::lightest(), 64.0, opts.clone());
-    let (profiled, tel) =
-        httperf::run_point_traced(&sc, WorkloadMix::lightest(), 64.0, opts, Telemetry::profiled());
+    let cfg = RunBudget::quick().web_point(sc, WorkloadMix::lightest(), 64.0, 20160509);
+    let plain = httperf::run_point(cfg.clone());
+    let (profiled, tel) = httperf::run_point_traced(cfg, Telemetry::profiled());
     assert_eq!(
         format!("{plain:?}"),
         format!("{profiled:?}"),
