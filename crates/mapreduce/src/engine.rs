@@ -246,6 +246,64 @@ struct Task {
     probe: bool,
 }
 
+/// The indices of the tasks in [`Phase::Pending`], one bit per task, so
+/// a heartbeat reads its pending tasks in ascending index order without
+/// walking the task table.
+#[derive(Debug)]
+struct PendingSet {
+    words: Vec<u64>,
+}
+
+impl PendingSet {
+    /// Every index in `0..n`.
+    fn full(n: usize) -> Self {
+        let mut words = vec![u64::MAX; n.div_ceil(64)];
+        if let Some(last) = words.last_mut() {
+            *last >>= (64 - n % 64) % 64;
+        }
+        PendingSet { words }
+    }
+
+    fn insert(&mut self, i: usize) {
+        if i / 64 >= self.words.len() {
+            self.words.resize(i / 64 + 1, 0);
+        }
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    fn remove(&mut self, i: usize) {
+        if let Some(w) = self.words.get_mut(i / 64) {
+            *w &= !(1 << (i % 64));
+        }
+    }
+
+    /// How many indices are in the set.
+    fn len(&self) -> usize {
+        self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// The indices in ascending order.
+    fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(wi, &word)| {
+            let mut w = word;
+            std::iter::from_fn(move || {
+                (w != 0).then(|| {
+                    let bit = w.trailing_zeros() as usize;
+                    w &= w - 1;
+                    wi * 64 + bit
+                })
+            })
+        })
+    }
+
+    /// Whether some index is below `end`.
+    fn any_below(&self, end: usize) -> bool {
+        let (full, rest) = (end / 64, end % 64);
+        self.words.iter().take(full).any(|&w| w != 0)
+            || (rest > 0 && self.words.get(full).is_some_and(|&w| w & ((1 << rest) - 1) != 0))
+    }
+}
+
 /// Events of the MapReduce world. Node and task indices travel as `u32`
 /// (checked when the world is built, see `ev_index`) so that every
 /// variant fits 16 bytes and a queued engine entry 32.
@@ -348,6 +406,14 @@ struct MrWorld {
     hosts: Vec<HostId>,
     nn: Namenode,
     tasks: Vec<Task>,
+    /// The tasks in [`Phase::Pending`], kept by [`MrWorld::set_phase`].
+    pending: PendingSet,
+    /// `(started, map)` of every grant of an original map while
+    /// speculation is on. Grants come in time order, so the queue is in
+    /// start order; [`MrWorld::maybe_speculate`] reads only its prefix
+    /// older than the threshold and drops entries from the front once
+    /// they can never be speculated again.
+    spec_queue: VecDeque<(SimTime, usize)>,
     n_maps: usize,
     completed_maps: usize,
     completed_reduces: usize,
@@ -373,6 +439,11 @@ struct MrWorld {
     fplan: FaultPlan,
     /// Physical truth: node has crashed and not yet restarted.
     node_down: Vec<bool>,
+    /// How many entries of `node_down` are set.
+    nodes_down: usize,
+    /// Instant of the last heartbeat. The RM's liveness rounds run only
+    /// while some node is down; a crash dates the node's silence from here.
+    last_heartbeat: SimTime,
     /// Crashed since the last reap — containers there await re-queueing
     /// (by the liveness sweep, or instantly by a restarting nodemanager).
     needs_reap: Vec<bool>,
@@ -414,6 +485,11 @@ struct MrWorld {
     /// Per-worker breaker verdict of the heartbeat in progress, reused
     /// across heartbeats; read by [`MrWorld::node_capacity`].
     brk_verdict: Vec<BreakerVerdict>,
+    /// The last capacity gate found no node fitting the smallest
+    /// container, and nothing the gate reads has been written since
+    /// (cleared by [`MrWorld::capacity_changed`]). Never set while
+    /// breakers are on: their verdicts change with time alone.
+    gate_closed: bool,
     guard_breaker_trips: u32,
     guard_deadline_miss: u32,
     /// Last task-phase transition (stall detection).
@@ -516,6 +592,8 @@ impl MrWorld {
             topo,
             hosts,
             nn,
+            pending: PendingSet::full(n_tasks),
+            spec_queue: VecDeque::new(),
             tasks,
             n_maps,
             completed_maps: 0,
@@ -535,6 +613,8 @@ impl MrWorld {
             finish: None,
             fplan,
             node_down: vec![false; workers],
+            nodes_down: 0,
+            last_heartbeat: SimTime::ZERO,
             needs_reap: vec![false; workers],
             crash_time: vec![None; workers],
             restart_time: vec![None; workers],
@@ -552,6 +632,7 @@ impl MrWorld {
             guard_on,
             brk,
             brk_verdict: vec![BreakerVerdict::Pass; workers],
+            gate_closed: false,
             guard_breaker_trips: 0,
             guard_deadline_miss: 0,
             last_progress: SimTime::ZERO,
@@ -583,10 +664,22 @@ impl MrWorld {
             let track = self.slave_track(node);
             self.tel.span_on(track, cat, phase_name(from), since, now, &[("task", &task)]);
         }
+        if self.tasks[task].phase == Phase::Pending {
+            self.pending.remove(task);
+        } else if phase == Phase::Pending {
+            self.pending.insert(task);
+        }
         let t = &mut self.tasks[task];
         t.phase = phase;
         t.phase_since = now;
         self.last_progress = now;
+    }
+
+    /// Something the capacity gate reads was written (container memory or
+    /// count, localisation, liveness, the reduce request, a fault): the
+    /// gate must look again.
+    fn capacity_changed(&mut self) {
+        self.gate_closed = false;
     }
 
     // ---- derived sizes --------------------------------------------------
@@ -667,22 +760,29 @@ impl MrWorld {
 
     fn run_heartbeat(&mut self, now: SimTime, ctx: &mut Ctx<Ev>) {
         // RM liveness: every alive worker reports; nodes silent past the
-        // timeout are declared lost and their containers re-queued
-        for i in 0..self.setup.workers {
-            if !self.node_down[i] {
-                self.liveness.beat(i, now);
+        // timeout are declared lost and their containers re-queued. With
+        // every node up nobody can be silent, so the round is skipped
+        // (`apply_crash` dates a crashed node's silence from
+        // `last_heartbeat`).
+        if self.nodes_down > 0 {
+            for i in 0..self.setup.workers {
+                if !self.node_down[i] {
+                    self.liveness.beat(i, now);
+                }
+            }
+            for lost in self.liveness.sweep(now) {
+                self.nodes_lost += 1;
+                self.capacity_changed();
+                self.tel.counter_inc(fault_metrics::NODE_LOST_TOTAL, &[("tier", "mapreduce")]);
+                if self.brk[lost].record_failure(now) {
+                    self.guard_breaker_trips += 1;
+                    self.note_brk_transition(lost);
+                }
+                self.reap_node(lost, now, ctx);
             }
         }
-        for lost in self.liveness.sweep(now) {
-            self.nodes_lost += 1;
-            self.tel.counter_inc(fault_metrics::NODE_LOST_TOTAL, &[("tier", "mapreduce")]);
-            if self.brk[lost].record_failure(now) {
-                self.guard_breaker_trips += 1;
-                self.note_brk_transition(lost);
-            }
-            self.reap_node(lost, now, ctx);
-        }
-        if self.node_down.iter().all(|&d| d) {
+        self.last_heartbeat = now;
+        if self.nodes_down == self.setup.workers {
             self.fail("every worker node is down".to_string(), ctx);
             return;
         }
@@ -705,60 +805,61 @@ impl MrWorld {
             && self.completed_maps as f64 >= REDUCE_SLOWSTART * self.n_maps as f64
         {
             self.reduces_requested = true;
+            self.capacity_changed();
         }
         if self.setup.speculation {
             // before building the pending list so fresh copies join this
             // heartbeat's grants
             self.maybe_speculate(now);
         }
-        // nothing to place: the breakers are not consulted (a check
-        // advances their state and records telemetry)
-        if !self.tasks.iter().any(|t| self.schedulable(t)) {
+        #[cfg(debug_assertions)]
+        self.check_pending_index();
+        // the gate below found the cluster full and nothing it reads has
+        // changed since: this heartbeat grants nothing either
+        if self.gate_closed {
             return;
         }
-        // breaker verdicts per worker (lazily advances open → half-open):
-        // an open breaker offers the scheduler no capacity, a half-open
-        // one at most a single probe container
-        for i in 0..self.setup.workers {
-            let before = self.brk[i].state();
-            self.brk_verdict[i] = self.brk[i].check(now);
-            if self.brk[i].state() != before {
-                self.note_brk_transition(i);
+        // nothing to place: the breakers are not consulted (a check
+        // advances their state and records telemetry)
+        if !self.pending.iter().any(|i| self.schedulable(&self.tasks[i])) {
+            return;
+        }
+        let breakers_on = self.setup.guard.breaker_threshold > 0;
+        if breakers_on {
+            // breaker verdicts per worker (lazily advances open →
+            // half-open): an open breaker offers the scheduler no
+            // capacity, a half-open one at most a single probe container.
+            // With threshold 0 every check passes and changes nothing.
+            for i in 0..self.setup.workers {
+                let before = self.brk[i].state();
+                self.brk_verdict[i] = self.brk[i].check(now);
+                if self.brk[i].state() != before {
+                    self.note_brk_transition(i);
+                }
             }
         }
         // capacity gate: every grant needs `fits(mem)`, which is monotone
         // in `mem`, so when no node fits the smallest container a pending
         // task could ask for, nothing is granted and the pending × nodes
         // placement scan is skipped (most heartbeats: the cluster is full)
-        let smallest = if self.reduces_requested {
-            self.profile.map_container.min(self.profile.reduce_container)
-        } else {
-            self.profile.map_container
-        };
-        if !(0..self.setup.workers)
-            .any(|i| self.node_capacity(i).fits(smallest))
-        {
+        if !self.gate_open() {
+            self.gate_closed = !breakers_on;
             return;
         }
         // the pending list, in deterministic order: maps then reduces, by
-        // index
-        let pending: Vec<PendingTask> = self
-            .tasks
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| self.schedulable(t))
-            .map(|(i, t)| {
-                let mem =
-                    if t.is_map { self.profile.map_container } else { self.profile.reduce_container };
-                PendingTask { task: i, mem, is_map: t.is_map }
-            })
-            .collect();
+        // index (sized up front: growing it by doubling cost more than
+        // the rest of the list's build)
+        let mut pending: Vec<PendingTask> = Vec::with_capacity(self.pending.len());
+        pending.extend(self.pending.iter().filter(|&i| self.schedulable(&self.tasks[i])).map(|i| {
+            let is_map = self.tasks[i].is_map;
+            PendingTask { task: i, mem: self.container_mem(is_map), is_map }
+        }));
         let mut capacity: Vec<NodeCapacity> = (0..self.setup.workers)
             .map(|i| self.node_capacity(i))
             .collect();
         // Hadoop's reduce ramp-up: while maps are pending, running reduce
         // containers may hold at most half the cluster's memory.
-        let maps_pending = self.tasks[..self.n_maps].iter().any(|t| t.phase == Phase::Pending);
+        let maps_pending = self.pending.any_below(self.n_maps);
         let allowance = if maps_pending {
             #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "a fraction of the cluster's u64 schedulable memory")]
             let cap = (calib::REDUCE_RAMPUP_LIMIT
@@ -775,11 +876,7 @@ impl MrWorld {
         });
         let _ = tasks;
         for Grant { task, node, local } in grants {
-            let mem = if self.tasks[task].is_map {
-                self.profile.map_container
-            } else {
-                self.profile.reduce_container
-            };
+            let mem = self.container_mem(self.tasks[task].is_map);
             let fits = self.nodes.node_mut(NodeId(node)).alloc_mem(mem).is_ok();
             debug_assert!(fits, "the heartbeat granted task {task} a container node {node} cannot hold");
             self.running_containers[node] += 1;
@@ -799,11 +896,52 @@ impl MrWorld {
             t.started = now;
             t.probe = probe;
             self.set_phase(task, Phase::Launching, now);
+            if self.setup.speculation && task < self.n_maps {
+                self.spec_queue.push_back((now, task));
+            }
             let kind = if self.tasks[task].is_map { "map" } else { "reduce" };
             self.tel.counter_inc("mr_containers_granted_total", &[("kind", kind)]);
             let id = self.job_id(task);
             self.add_cpu(node, id, self.profile.container_startup_mi, now, ctx);
         }
+    }
+
+    /// Container size of a map or a reduce.
+    fn container_mem(&self, is_map: bool) -> u64 {
+        if is_map {
+            self.profile.map_container
+        } else {
+            self.profile.reduce_container
+        }
+    }
+
+    /// Whether some node fits the smallest container a pending task could
+    /// ask for: `map_container`, or the smaller of the two once reduces
+    /// are requested.
+    fn gate_open(&self) -> bool {
+        let smallest = if self.reduces_requested {
+            self.profile.map_container.min(self.profile.reduce_container)
+        } else {
+            self.profile.map_container
+        };
+        (0..self.setup.workers).any(|i| self.node_capacity(i).fits(smallest))
+    }
+
+    /// Debug builds: the pending index, the pending list, `maps_pending`
+    /// and the gate memo agree with full scans on every heartbeat.
+    #[cfg(debug_assertions)]
+    fn check_pending_index(&self) {
+        let in_phase = (0..self.tasks.len()).filter(|&i| self.tasks[i].phase == Phase::Pending);
+        debug_assert!(self.pending.iter().eq(in_phase), "pending index");
+        let indexed = self.pending.iter().filter(|&i| self.schedulable(&self.tasks[i]));
+        let scanned = (0..self.tasks.len()).filter(|&i| self.schedulable(&self.tasks[i]));
+        debug_assert!(indexed.eq(scanned), "pending list");
+        debug_assert_eq!(
+            self.pending.any_below(self.n_maps),
+            self.tasks[..self.n_maps].iter().any(|t| t.phase == Phase::Pending),
+            "maps_pending"
+        );
+        debug_assert!(!(self.gate_closed && self.gate_open()), "a closed-gate memo on an open gate");
     }
 
     /// Whether the RM may place `t` this heartbeat: pending, not a
@@ -845,46 +983,77 @@ impl MrWorld {
     /// older than 1.5× the median completed-map duration gets a duplicate,
     /// which competes through the normal pending/grant path. The first
     /// finisher wins; the loser runs out without being counted.
+    ///
+    /// The candidates come from `spec_queue`: it is in start order, so the
+    /// maps older than the threshold are a prefix of it. Copies are still
+    /// made in ascending map index.
     fn maybe_speculate(&mut self, now: SimTime) {
+        // an entry whose map was re-granted, sent back to Pending, finished
+        // or speculated can never be a candidate again: only a re-grant
+        // (with a later start, pushed as a new entry) makes the map one.
+        // `logical_done` is no reason to drop an entry: a reap clears it
+        // on a running map whose copy, made before the map was re-queued,
+        // won on the node that died.
+        while let Some(&(started, m)) = self.spec_queue.front() {
+            let t = &self.tasks[m];
+            if t.started == started && !t.speculated && !matches!(t.phase, Phase::Pending | Phase::Done) {
+                break;
+            }
+            self.spec_queue.pop_front();
+        }
         if self.completed_maps * 4 < self.n_maps * 3 || self.map_durations.is_empty() {
             return;
         }
         let median = self.map_durations[self.map_durations.len() / 2];
         let threshold = 1.5 * median;
-        for i in 0..self.n_maps {
-            let t = &self.tasks[i];
-            if t.speculated
-                || t.logical_done
-                || t.dup_of.is_some()
-                || matches!(t.phase, Phase::Pending | Phase::Done)
-            {
-                continue;
-            }
-            let age = now.saturating_since(t.started).as_secs_f64();
-            if age > threshold {
-                let block = t.block;
-                self.tasks[i].speculated = true;
-                self.tasks.push(Task {
-                    is_map: true,
-                    phase: Phase::Pending,
-                    node: usize::MAX,
-                    block,
-                    local: false,
-                    fetch_pending: VecDeque::new(),
-                    fetched: 0,
-                    dup_of: Some(i),
-                    logical_done: false,
-                    speculated: true,
-                    started: now,
-                    phase_since: now,
-                    attempt: 0,
-                    fetched_from: Vec::new(),
-                    probe: false,
-                });
-                self.speculative_copies += 1;
-                self.tel.counter_inc("mr_speculative_copies_total", &[]);
-            }
+        let mut picks: Vec<usize> = self
+            .spec_queue
+            .iter()
+            .take_while(|&&(started, _)| now.saturating_since(started).as_secs_f64() > threshold)
+            .filter(|&&(started, m)| self.tasks[m].started == started && self.speculable(m))
+            .map(|&(_, m)| m)
+            .collect();
+        picks.sort_unstable();
+        debug_assert!(
+            picks.iter().copied().eq((0..self.n_maps).filter(|&i| {
+                self.speculable(i) && now.saturating_since(self.tasks[i].started).as_secs_f64() > threshold
+            })),
+            "speculation picks"
+        );
+        for i in picks {
+            let block = self.tasks[i].block;
+            self.tasks[i].speculated = true;
+            self.pending.insert(self.tasks.len());
+            self.tasks.push(Task {
+                is_map: true,
+                phase: Phase::Pending,
+                node: usize::MAX,
+                block,
+                local: false,
+                fetch_pending: VecDeque::new(),
+                fetched: 0,
+                dup_of: Some(i),
+                logical_done: false,
+                speculated: true,
+                started: now,
+                phase_since: now,
+                attempt: 0,
+                fetched_from: Vec::new(),
+                probe: false,
+            });
+            self.speculative_copies += 1;
+            self.tel.counter_inc("mr_speculative_copies_total", &[]);
         }
+    }
+
+    /// Whether map `i` may get a speculative copy, age aside: a running
+    /// original map with no copy whose logical map is not complete.
+    fn speculable(&self, i: usize) -> bool {
+        let t = &self.tasks[i];
+        !(t.speculated
+            || t.logical_done
+            || t.dup_of.is_some()
+            || matches!(t.phase, Phase::Pending | Phase::Done))
     }
 
     // ---- guard layer ----------------------------------------------------
@@ -1021,6 +1190,7 @@ impl MrWorld {
         );
         self.nodes.node_mut(NodeId(node)).free_mem(self.profile.map_container);
         self.running_containers[node] -= 1;
+        self.capacity_changed();
         self.guard_task_done(task, node);
         // speculative resolution: the logical map is `origin`; only the
         // first finisher counts. The loser (if still running) drains
@@ -1214,6 +1384,7 @@ impl MrWorld {
         self.tel.span_on(track, "container", "reduce_task", started, now, &[("task", &task)]);
         self.nodes.node_mut(NodeId(node)).free_mem(self.profile.reduce_container);
         self.running_containers[node] -= 1;
+        self.capacity_changed();
         self.guard_task_done(task, node);
         self.guard_deadline_check(task, now);
         self.running_reduce_mem = self.running_reduce_mem.saturating_sub(self.profile.reduce_container);
@@ -1238,6 +1409,7 @@ impl MrWorld {
     fn apply_fault(&mut self, idx: usize, now: SimTime, ctx: &mut Ctx<Ev>) {
         let Fault { node, kind, .. } = self.fplan.faults()[idx];
         let workers = self.setup.workers;
+        self.capacity_changed();
         let applied = match kind {
             FaultKind::NodeCrash => self.apply_crash(node, now, ctx),
             FaultKind::NodeRestart => self.apply_restart(node, now, ctx),
@@ -1310,6 +1482,8 @@ impl MrWorld {
             return false;
         }
         self.node_down[node] = true;
+        self.nodes_down += 1;
+        self.liveness.went_silent(node, self.last_heartbeat);
         self.needs_reap[node] = true;
         self.restart_time[node] = None;
         self.node_ready[node] = false; // job artifacts die with the node
@@ -1382,6 +1556,7 @@ impl MrWorld {
             return false;
         }
         self.node_down[node] = false;
+        self.nodes_down -= 1;
         self.restart_time[node] = Some(now);
         self.restart_count[node] += 1;
         // a restarting nodemanager reports lost containers itself, even
@@ -1422,10 +1597,10 @@ impl MrWorld {
                 continue;
             }
             let is_map = self.tasks[t].is_map;
-            let mem =
-                if is_map { self.profile.map_container } else { self.profile.reduce_container };
+            let mem = self.container_mem(is_map);
             self.nodes.node_mut(NodeId(node)).free_mem(mem);
             self.running_containers[node] = self.running_containers[node].saturating_sub(1);
+            self.capacity_changed();
             if self.tasks[t].probe {
                 // the probe died with the node; free its slot (the
                 // breaker reopens via the node-lost failure)
@@ -1601,6 +1776,7 @@ impl Model for MrWorld {
                     let n = (job - LOCALIZE_BASE) as usize;
                     if !self.node_down[n] {
                         self.node_ready[n] = true;
+                        self.capacity_changed();
                         if let Some(crashed) = self.crash_time[n].take() {
                             // re-localisation done: the node serves again
                             let rec = now.saturating_since(crashed).as_secs_f64();
@@ -1950,6 +2126,25 @@ mod tests {
                 .unwrap_or_else(|e| panic!("{phase}: a crash of node {node} must be survived: {e}"));
             assert!(out.finish_time_s > at_s, "{phase}: the job finished before the crash");
         }
+    }
+
+    /// Speculation meets a crash once 75 % of the maps are done (at
+    /// 1,007 s). Node 1 runs at half speed, so some of its maps get a
+    /// copy, and two of them (maps 53 and 57) still finish first. The
+    /// crash at 1,300 s kills their output, so `reap_node` clears their
+    /// `logical_done` and `speculated` and re-queues them, and their
+    /// re-grants put them back among the speculation candidates.
+    /// The `JobOutcome` values were captured at the commit before the
+    /// pending-task bitset and the start-ordered speculation queue, so
+    /// both must re-run this path exactly.
+    #[test]
+    fn speculated_map_outputs_lost_to_a_crash_are_requeued() {
+        let plan = FaultPlan::new().crash(1, SimTime::from_secs(1300));
+        let setup = ClusterSetup::edison(4).with_straggler(1, 2.0).with_fault_plan(plan);
+        let out = run_job_checked(&jobs::logcount2(Tune::Edison), &setup).expect("3 of 4 nodes finish the job");
+        assert_eq!(out.finish_time_s.to_bits(), 0x409f_c63a_6871_fbbd, "{}", out.finish_time_s);
+        assert_eq!(out.energy_j.to_bits(), 0x40c8_5f81_3d23_0142, "{}", out.energy_j);
+        assert_eq!((out.speculative_copies, out.task_reexecs, out.nodes_lost), (2, 12, 1));
     }
 
     #[test]

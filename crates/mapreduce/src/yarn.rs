@@ -11,13 +11,21 @@
 //! start times of Figures 12–17.
 //!
 //! Every grant [`heartbeat`] makes needs [`NodeCapacity::fits`] for the
-//! task's container, and `fits` is monotone in the container size. So the
-//! engine calls `heartbeat` only when some node fits the smallest
-//! container a pending task could ask for; on the other heartbeats (a
-//! full cluster, most of a job's life) it builds neither the pending list
-//! nor the capacity vector. That gate is exact: grants, and everything
-//! the heartbeat does before them (liveness, speculation, breakers), happen
-//! at the same instants and in the same order as without it.
+//! task's container, and `fits` is monotone in the container size. Two
+//! gates follow from that, and both are exact:
+//!
+//! * The engine calls `heartbeat` only when some node fits the smallest
+//!   container a pending task could ask for. On the other heartbeats (a
+//!   full cluster, most of a job's life) it builds neither the pending
+//!   list nor the capacity vector, and it remembers the closed gate until
+//!   a write the gate reads (a container freed, a node localised, a fault)
+//!   could open it.
+//! * Inside `heartbeat`, both passes stop as soon as no node fits the
+//!   smallest pending container, since no later grant is then possible.
+//!
+//! Grants, and everything the heartbeat does before them (liveness,
+//! speculation, breakers), happen at the same instants and in the same
+//! order as without either gate.
 
 use edison_simcore::time::{SimDuration, SimTime};
 
@@ -32,8 +40,15 @@ use edison_simcore::time::{SimDuration, SimTime};
 /// YARN's behaviour — and only the reap that follows the sweep (or a
 /// restarted nodemanager reporting in early) re-queues them.
 ///
+/// A node that is up would only report "now" on every round, so a caller
+/// may skip [`beat`] and [`sweep`] on rounds where every node is up (no
+/// node can be silent then) if it calls [`went_silent`] when a node goes
+/// down: the node's last report is then the last round it was up for.
+///
 /// [`sweep`]: LivenessTracker::sweep
 /// [`revive`]: LivenessTracker::revive
+/// [`beat`]: LivenessTracker::beat
+/// [`went_silent`]: LivenessTracker::went_silent
 #[derive(Debug, Clone)]
 pub struct LivenessTracker {
     last_seen: Vec<SimTime>,
@@ -63,6 +78,12 @@ impl LivenessTracker {
             }
         }
         newly
+    }
+
+    /// `node` went down after the round at `last_round`: its last report
+    /// is that round, or its re-registration if that came later.
+    pub fn went_silent(&mut self, node: usize, last_round: SimTime) {
+        self.last_seen[node] = self.last_seen[node].max(last_round);
     }
 
     /// Re-register a node (restart): it is alive and schedulable again.
@@ -142,6 +163,16 @@ pub fn heartbeat(
     is_local: impl Fn(usize, usize) -> bool,
 ) -> Vec<Grant> {
     let mut grants = Vec::new();
+    // every grant needs `fits(p.mem)` with `p.mem >= smallest`, and `fits`
+    // is monotone in `mem`: once no node fits `smallest`, neither pass can
+    // grant again
+    let Some(smallest) = pending.iter().map(|p| p.mem).min() else {
+        return grants;
+    };
+    let open = |capacity: &[NodeCapacity]| capacity.iter().any(|c| c.fits(smallest));
+    if !open(capacity) {
+        return grants;
+    }
     let mut taken = vec![false; pending.len()];
     let mut reduce_budget = reduce_mem_allowance;
 
@@ -149,16 +180,20 @@ pub fn heartbeat(
     for want_map in [false, true] {
         // pass 1: data-local placements (maps only — reduces have no data
         // affinity)
-        for (pi, p) in pending.iter().enumerate() {
-            if taken[pi] || p.is_map != want_map || !want_map {
-                continue;
-            }
-            for (ni, cap) in capacity.iter_mut().enumerate() {
-                if cap.fits(p.mem) && is_local(p.task, ni) {
-                    cap.claim(p.mem);
+        if want_map {
+            for (pi, p) in pending.iter().enumerate() {
+                if taken[pi] || !p.is_map {
+                    continue;
+                }
+                let local = (0..capacity.len())
+                    .find(|&ni| capacity[ni].fits(p.mem) && is_local(p.task, ni));
+                if let Some(ni) = local {
+                    capacity[ni].claim(p.mem);
                     grants.push(Grant { task: p.task, node: ni, local: true });
                     taken[pi] = true;
-                    break;
+                    if !open(capacity) {
+                        return grants;
+                    }
                 }
             }
         }
@@ -184,6 +219,9 @@ pub fn heartbeat(
                 taken[pi] = true;
                 if !p.is_map {
                     reduce_budget = reduce_budget.saturating_sub(p.mem);
+                }
+                if !open(capacity) {
+                    return grants;
                 }
             }
         }
@@ -310,6 +348,46 @@ mod tests {
         lv.revive(1, t(11));
         assert!(!lv.is_lost(1));
         assert!(lv.sweep(t(12)).is_empty());
+    }
+
+    #[test]
+    fn rounds_skipped_while_all_nodes_are_up_lose_nothing() {
+        use edison_simcore::time::{SimDuration, SimTime};
+        let t = |s| SimTime::from_secs(s);
+        let timeout = SimDuration::from_secs(3);
+        let (mut eager, mut lazy) = (LivenessTracker::new(3, timeout), LivenessTracker::new(3, timeout));
+        let mut down = [false; 3];
+        for s in 0..20 {
+            // node 1 crashes after the round at 4 s, re-registers at 10 s
+            // (after that round) and crashes again after the round at 11 s
+            if s == 5 || s == 12 {
+                down[1] = true;
+                lazy.went_silent(1, t(s - 1));
+            }
+            for n in 0..3 {
+                if !down[n] {
+                    eager.beat(n, t(s));
+                }
+            }
+            let swept = eager.sweep(t(s));
+            if down.contains(&true) {
+                for n in 0..3 {
+                    if !down[n] {
+                        lazy.beat(n, t(s));
+                    }
+                }
+                assert_eq!(lazy.sweep(t(s)), swept, "round at {s} s");
+            } else {
+                assert!(swept.is_empty());
+            }
+            if s == 10 {
+                down[1] = false;
+                eager.revive(1, t(s));
+                lazy.revive(1, t(s));
+            }
+        }
+        assert_eq!(lazy.lost, eager.lost);
+        assert_eq!((eager.lost[1], eager.last_seen[1]), (true, t(11)));
     }
 
     #[test]

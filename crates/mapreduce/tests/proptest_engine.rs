@@ -1,13 +1,68 @@
 //! Property tests over the MapReduce substrate: jobs terminate and conserve
-//! work for arbitrary cluster sizes and job shapes; the local executor
-//! agrees with oracles under random data.
+//! work for arbitrary cluster sizes and job shapes; the YARN heartbeat's
+//! early exit grants what the full two-pass placement grants; the local
+//! executor agrees with oracles under random data.
 
 use edison_mapreduce::engine::{run_job_checked, ClusterSetup};
 use edison_mapreduce::jobs::{JobProfile, SumReducer, Tune, WordCountMapper};
 use edison_mapreduce::local::run_local;
+use edison_mapreduce::yarn::{heartbeat, Grant, NodeCapacity, PendingTask};
 use proptest::prelude::*;
 
 const MIB: u64 = 1024 * 1024;
+
+/// The two-pass placement without the early exit: both passes walk every
+/// pending task and every node. `yarn::heartbeat` must grant exactly
+/// what this grants and leave the same capacities.
+fn full_scan_heartbeat(
+    pending: &[PendingTask],
+    capacity: &mut [NodeCapacity],
+    reduce_mem_allowance: u64,
+    is_local: impl Fn(usize, usize) -> bool,
+) -> Vec<Grant> {
+    let mut grants = Vec::new();
+    let mut taken = vec![false; pending.len()];
+    let mut reduce_budget = reduce_mem_allowance;
+    for want_map in [false, true] {
+        for (pi, p) in pending.iter().enumerate() {
+            if taken[pi] || p.is_map != want_map || !want_map {
+                continue;
+            }
+            for (ni, cap) in capacity.iter_mut().enumerate() {
+                if cap.fits(p.mem) && is_local(p.task, ni) {
+                    cap.claim(p.mem);
+                    grants.push(Grant { task: p.task, node: ni, local: true });
+                    taken[pi] = true;
+                    break;
+                }
+            }
+        }
+        for (pi, p) in pending.iter().enumerate() {
+            if taken[pi] || p.is_map != want_map {
+                continue;
+            }
+            if !p.is_map && p.mem > reduce_budget {
+                continue;
+            }
+            let best = capacity
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.fits(p.mem))
+                .min_by_key(|(ni, c)| (c.running, *ni))
+                .map(|(ni, _)| ni);
+            if let Some(ni) = best {
+                capacity[ni].claim(p.mem);
+                let local = want_map && is_local(p.task, ni);
+                grants.push(Grant { task: p.task, node: ni, local });
+                taken[pi] = true;
+                if !p.is_map {
+                    reduce_budget = reduce_budget.saturating_sub(p.mem);
+                }
+            }
+        }
+    }
+    grants
+}
 
 fn arb_profile(
     input_mib: u64,
@@ -116,6 +171,46 @@ proptest! {
             .sum();
         prop_assert_eq!(total, tokens);
         prop_assert_eq!(stats.map_output_records, tokens);
+    }
+}
+
+proptest! {
+    // a pure function of its inputs: cheap enough for many cases
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// On random pending lists (sizes in units of 100 MiB, maps and
+    /// reduces mixed), node capacities (free memory, running and maximum
+    /// containers), reduce allowances and locality, the heartbeat that
+    /// stops once no node fits the smallest pending container returns the
+    /// full scan's grants and capacities.
+    #[test]
+    fn heartbeat_early_exit_matches_the_full_scan(
+        tasks in proptest::collection::vec((1u64..5, any::<bool>()), 0..40),
+        nodes in proptest::collection::vec((0u64..13, 0u32..4, 1u32..5), 1..9),
+        allowance in (0u64..16, any::<bool>()),
+        locality in (1u64..5, any::<u64>()),
+    ) {
+        let unit = 100 * MIB;
+        let pending: Vec<PendingTask> = tasks
+            .iter()
+            .enumerate()
+            .map(|(i, &(units, is_map))| PendingTask { task: i, mem: units * unit, is_map })
+            .collect();
+        let capacity: Vec<NodeCapacity> = nodes
+            .iter()
+            .map(|&(free, running, max)| NodeCapacity { free_mem: free * unit, running, max_containers: max })
+            .collect();
+        let allowance = if allowance.1 { u64::MAX } else { allowance.0 * unit };
+        let (modulus, salt) = locality;
+        let is_local = |task: usize, node: usize| {
+            (task as u64 * 7 + node as u64 * 13).wrapping_add(salt) % modulus == 0
+        };
+        let (mut early, mut full) = (capacity.clone(), capacity);
+        let got = heartbeat(&pending, &mut early, allowance, is_local);
+        let want = full_scan_heartbeat(&pending, &mut full, allowance, is_local);
+        prop_assert_eq!(got, want);
+        let state = |c: &[NodeCapacity]| c.iter().map(|n| (n.free_mem, n.running)).collect::<Vec<_>>();
+        prop_assert_eq!(state(&early), state(&full));
     }
 }
 

@@ -1,11 +1,14 @@
 //! Allocation budget of the telemetry-off MapReduce engine.
 //!
-//! A job's events must not touch the heap: the YARN heartbeat builds its
-//! pending list and capacity vector only when some node can take a
-//! container, HDFS replica choice reads the crash flags in place, and
-//! telemetry labels are built only while a sink is enabled. What is left
-//! is world set-up (HDFS metadata, the task table) and amortised growth
-//! (the event heap, the timelines). This test pins that at under
+//! A job's events must not touch the heap: the YARN heartbeat reads its
+//! pending tasks from a bitset and its speculation candidates from a
+//! start-ordered queue, and builds its pending list (sized once) and
+//! capacity vector only when some node can take a container; HDFS replica
+//! choice reads the crash flags in place, and telemetry labels are built
+//! only while a sink is enabled. What is left is world set-up (HDFS
+//! metadata, the task table), amortised growth (the event heap, the
+//! timelines, the speculation queue) and the granting heartbeats' fresh
+//! Vecs. This test pins that at under
 //! 0.25 allocations per event on one Table 8 cell, so a per-event
 //! allocation creeping back in fails tier-1.
 //!
