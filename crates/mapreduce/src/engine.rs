@@ -434,7 +434,10 @@ struct MrWorld {
     timeline: Timeline,
     first_reduce: Option<SimTime>,
     cpu_rise: Option<SimTime>,
-    finish: Option<SimTime>,
+    /// The instant the last reduce finished, and the cluster's energy
+    /// then. The run goes on to the next `Sample`, so the energy is read
+    /// here rather than after the run.
+    finish: Option<(SimTime, f64)>,
     /// The normalised fault schedule (time-sorted, zero-width pairs gone).
     fplan: FaultPlan,
     /// Physical truth: node has crashed and not yet restarted.
@@ -1391,7 +1394,7 @@ impl MrWorld {
         self.completed_reduces += 1;
         self.tel.counter_inc("mr_reduces_completed_total", &[]);
         if self.completed_reduces == self.profile.reduce_tasks as usize {
-            self.finish = Some(now);
+            self.finish = Some((now, self.nodes.energy_joules(now)));
         }
     }
 
@@ -1945,7 +1948,7 @@ fn run_job_inner(
     if let Some(msg) = w.failed.take() {
         return Err(SimError::FaultUnrecovered(format!("job {}: {msg}", w.profile.name)));
     }
-    let Some(finish) = w.finish else {
+    let Some((finish, energy_j)) = w.finish else {
         let detail = format!(
             "job {} did not finish: {}/{} maps, {}/{} reduces",
             w.profile.name, w.completed_maps, w.n_maps, w.completed_reduces, w.profile.reduce_tasks
@@ -1963,7 +1966,7 @@ fn run_job_inner(
     };
     let outcome = JobOutcome {
         finish_time_s: finish.as_secs_f64(),
-        energy_j: w.nodes.energy_joules(finish),
+        energy_j,
         data_local_fraction: w.local_maps as f64 / w.n_maps as f64,
         timeline: w.timeline.clone(),
         first_reduce_s: w.first_reduce.map(|t| t.as_secs_f64()).unwrap_or(0.0),
@@ -2145,6 +2148,23 @@ mod tests {
         assert_eq!(out.finish_time_s.to_bits(), 0x409f_c63a_6871_fbbd, "{}", out.finish_time_s);
         assert_eq!(out.energy_j.to_bits(), 0x40c8_5f81_3d23_0142, "{}", out.energy_j);
         assert_eq!((out.speculative_copies, out.task_reexecs, out.nodes_lost), (2, 12, 1));
+    }
+
+    /// The last reduce finishes at 2,441.08 s, and a node's power
+    /// changes after that instant but before the next `Sample` ends the
+    /// run. The energy is the one read at the finish instant; read after
+    /// the run, it tripped the integrator's backwards-time assertion in
+    /// debug builds and counted 1.1 J drawn after the finish in release
+    /// builds.
+    #[test]
+    fn energy_is_read_at_the_finish_instant() {
+        let plan = FaultPlan::new()
+            .crash_restart(3, SimTime::from_secs(1450), SimDuration::from_secs(3))
+            .crash_restart(2, SimTime::from_secs(1990), SimDuration::from_secs(3));
+        let setup = ClusterSetup::edison(4).with_straggler(1, 2.0).with_fault_plan(plan);
+        let out = run_job_checked(&jobs::logcount2(Tune::Edison), &setup).expect("the job recovers");
+        assert!((out.finish_time_s - 2441.08).abs() < 0.005, "{}", out.finish_time_s);
+        assert!((out.energy_j - 15_185.9).abs() < 0.05, "{}", out.energy_j);
     }
 
     #[test]

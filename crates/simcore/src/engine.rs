@@ -18,7 +18,7 @@
 //!    event per resource (a fluid-resource completion that a new arrival
 //!    may make stale) schedules it with [`Ctx::schedule_keyed`]. The
 //!    engine holds at most one pending event per key, in a small indexed
-//!    min-heap beside the main [`BinaryHeap`]; a new keyed schedule
+//!    min-heap beside the plain-event heap; a new keyed schedule
 //!    *supersedes* (drops) the key's pending event, and the loop pops
 //!    whichever head is earlier by `(time, sequence number)`. The model
 //!    supersedes only events it would have discarded on delivery, so the
@@ -26,13 +26,14 @@
 //!    dead events, in the same order. Events the model leaves pending
 //!    after invalidating them (a crash cancelling tasks without re-arming)
 //!    still arrive, and the model's own epoch check drops them. Plain
-//!    events are never removed, so their path stays a binary-heap push/pop.
+//!    events are never removed, so their path stays a binary-heap push/pop
+//!    on the crate's own `MinHeap` (see `keyed.rs`): `(time, sequence
+//!    number)` is a strict total order, so any correct min-heap delivers
+//!    the same stream.
 
-use crate::keyed::KeyedQueue;
+use crate::keyed::{KeyedQueue, MinHeap};
 use crate::profile::{NoopProfiler, Profiler};
 use crate::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// A world that can be simulated.
 ///
@@ -79,7 +80,7 @@ pub struct Ctx<'a, E> {
     now: SimTime,
     /// The next sequence number; written back when the handle returns.
     seq: u64,
-    heap: &'a mut BinaryHeap<Reverse<Scheduled<E>>>,
+    heap: &'a mut MinHeap<Scheduled<E>>,
     keyed: &'a mut KeyedQueue<Scheduled<E>>,
     superseded: &'a mut u64,
     stop: bool,
@@ -99,7 +100,7 @@ impl<E> Ctx<'_, E> {
         debug_assert!(at >= self.now, "scheduling into the past: {at} < {}", self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, event }));
+        self.heap.push(Scheduled { at, seq, event });
     }
 
     /// Schedule `event` after a delay of `d`.
@@ -137,7 +138,7 @@ impl<E> Ctx<'_, E> {
 /// A running simulation: world + event heap + clock.
 pub struct Simulation<M: Model> {
     world: M,
-    heap: BinaryHeap<Reverse<Scheduled<M::Event>>>,
+    heap: MinHeap<Scheduled<M::Event>>,
     /// Pending keyed events, at most one per key (see [`Ctx::schedule_keyed`]).
     keyed: KeyedQueue<Scheduled<M::Event>>,
     /// Keyed events dropped undelivered because their key was re-scheduled.
@@ -153,7 +154,7 @@ impl<M: Model> Simulation<M> {
     pub fn new(world: M) -> Self {
         Simulation {
             world,
-            heap: BinaryHeap::new(),
+            heap: MinHeap::new(),
             keyed: KeyedQueue::new(),
             superseded: 0,
             now: SimTime::ZERO,
@@ -196,14 +197,14 @@ impl<M: Model> Simulation<M> {
     /// holds it.
     fn pop_next(&mut self) -> Option<Scheduled<M::Event>> {
         let keyed_first = match (self.heap.peek(), self.keyed.peek()) {
-            (Some(Reverse(a)), Some(b)) => b < a,
+            (Some(a), Some(b)) => b < a,
             (None, Some(_)) => true,
             (_, None) => false,
         };
         if keyed_first {
             self.keyed.pop()
         } else {
-            self.heap.pop().map(|Reverse(s)| s)
+            self.heap.pop()
         }
     }
 
@@ -228,7 +229,7 @@ impl<M: Model> Simulation<M> {
         assert!(at >= self.now, "scheduling into the past");
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, event }));
+        self.heap.push(Scheduled { at, seq, event });
     }
 
     /// The same as [`schedule_at`](Self::schedule_at). Kept only for

@@ -1,10 +1,75 @@
-//! The engine's side queue of keyed events.
+//! The engine's two event queues, both binary min-heaps over a `Vec`.
 //!
-//! [`Ctx::schedule_keyed`](crate::Ctx::schedule_keyed) keeps at most one
-//! pending event per small integer key. Those events live here, outside
-//! the main heap, in an indexed binary min-heap: `pos[key]` locates a key's
-//! entry, so replacing it is a sift from its slot rather than a tombstone
-//! left for the main heap to pop and discard.
+//! * [`MinHeap`] holds plain events. Nothing is ever removed from it but
+//!   its minimum, so it is the bare layout: push appends and sifts up, pop
+//!   moves the last entry to the root and sifts down.
+//! * [`KeyedQueue`] holds the events of
+//!   [`Ctx::schedule_keyed`](crate::Ctx::schedule_keyed), at most one
+//!   pending per small integer key, in an indexed min-heap: `pos[key]`
+//!   locates a key's entry, so replacing it is a sift from its slot rather
+//!   than a tombstone left for the plain heap to pop and discard.
+
+/// A binary min-heap: the smallest entry is at index 0.
+#[derive(Debug)]
+pub(crate) struct MinHeap<T> {
+    heap: Vec<T>,
+}
+
+impl<T: Ord> MinHeap<T> {
+    pub(crate) fn new() -> Self {
+        MinHeap { heap: Vec::new() }
+    }
+
+    /// Number of queued entries.
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// The smallest queued entry.
+    pub(crate) fn peek(&self) -> Option<&T> {
+        self.heap.first()
+    }
+
+    /// Queue `entry`.
+    #[inline]
+    pub(crate) fn push(&mut self, entry: T) {
+        self.heap.push(entry);
+        let mut i = self.heap.len() - 1;
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if self.heap[i] >= self.heap[parent] {
+                break;
+            }
+            self.heap.swap(i, parent);
+            i = parent;
+        }
+    }
+
+    /// Remove and return the smallest queued entry.
+    #[inline]
+    pub(crate) fn pop(&mut self) -> Option<T> {
+        if self.heap.is_empty() {
+            return None;
+        }
+        let top = self.heap.swap_remove(0);
+        let len = self.heap.len();
+        let mut i = 0;
+        loop {
+            let left = 2 * i + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.heap[right] < self.heap[left] { right } else { left };
+            if self.heap[child] >= self.heap[i] {
+                break;
+            }
+            self.heap.swap(i, child);
+            i = child;
+        }
+        Some(top)
+    }
+}
 
 /// `pos` value of a key with nothing pending.
 const ABSENT: usize = usize::MAX;
@@ -114,6 +179,32 @@ impl<T: Ord> KeyedQueue<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn min_heap_pops_ascending_over_interleaved_push_and_pop() {
+        let mut h = MinHeap::new();
+        // the model: a sorted Vec, popped from the front
+        let mut model: Vec<u32> = Vec::new();
+        let mut x: u32 = 1;
+        for step in 0..2_000u32 {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            // about two pushes per pop, with many duplicate values
+            if x % 3 == 0 {
+                let expect = (!model.is_empty()).then(|| model.remove(0));
+                assert_eq!(h.pop(), expect, "step {step}");
+            } else {
+                let v = (x >> 16) % 97;
+                let at = model.partition_point(|&m| m <= v);
+                model.insert(at, v);
+                h.push(v);
+            }
+            assert_eq!(h.len(), model.len());
+            assert_eq!(h.peek(), model.first());
+        }
+        let rest: Vec<u32> = std::iter::from_fn(|| h.pop()).collect();
+        assert_eq!(rest, model);
+        assert_eq!(h.pop(), None);
+    }
 
     fn drain(q: &mut KeyedQueue<u32>) -> Vec<u32> {
         std::iter::from_fn(|| q.pop()).collect()
