@@ -13,12 +13,12 @@
 //!   ([`render_trajectory`]: events, heap pushes and simulated seconds
 //!   per workload, sorted keys) and the line diff the gate reports.
 //! * [`alloc`] — a counting global allocator that test binaries opt into
-//!   to pin allocations per engine event.
+//!   to pin allocations per engine event and a run's peak live heap.
 
 pub mod alloc;
 pub mod schema;
 pub mod workloads;
 
-pub use alloc::{alloc_counts, AllocCounts, CountingAlloc};
+pub use alloc::{alloc_counts, peak_live_bytes, reset_peak, AllocCounts, CountingAlloc};
 pub use schema::{differing_lines, render_trajectory, TRAJECTORY_FILE};
 pub use workloads::{run_tracked, TRACKED};

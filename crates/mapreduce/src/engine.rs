@@ -401,6 +401,15 @@ pub struct JobOutcome {
 struct MrWorld {
     profile: JobProfile,
     setup: ClusterSetup,
+    /// The job's fixed transfer sizes, bytes, from the profile at build
+    /// (each at least 1): one map's input split and its spilled output,
+    /// one reducer's fetch of one map's partition, one reducer's whole
+    /// shuffle, and one reducer's output.
+    map_in_bytes: u64,
+    map_out_bytes: u64,
+    fetch_bytes: u64,
+    reduce_in_bytes: u64,
+    reduce_out_bytes: u64,
     nodes: Cluster,
     topo: Topology,
     hosts: Vec<HostId>,
@@ -543,10 +552,17 @@ impl MrWorld {
         // HDFS: one file per map split (CombineFileInputFormat is modelled
         // by the profile's split count — splits are locality-grouped).
         let mut nn = Namenode::new(setup.workers, setup.replication, setup.block_bytes);
-        let split = profile.split_bytes().max(1);
+        let map_in_bytes = profile.split_bytes().max(1);
         for _ in 0..profile.map_tasks {
-            nn.put(split.min(setup.block_bytes), &mut rng);
+            nn.put(map_in_bytes.min(setup.block_bytes), &mut rng);
         }
+        // a map-only job never reads the per-reduce sizes
+        let (maps, reduces) = (u64::from(profile.map_tasks), u64::from(profile.reduce_tasks).max(1));
+        let shuffle = profile.shuffle_bytes();
+        let map_out_bytes = (shuffle / maps).max(1);
+        let fetch_bytes = (shuffle / (maps * reduces)).max(1);
+        let reduce_in_bytes = (shuffle / reduces).max(1);
+        let reduce_out_bytes = (profile.output_bytes() / reduces).max(1);
         let n_maps = profile.map_tasks as usize;
         let n_tasks = n_maps + profile.reduce_tasks as usize;
         // speculation adds at most one duplicate per map
@@ -591,6 +607,11 @@ impl MrWorld {
         MrWorld {
             profile,
             setup,
+            map_in_bytes,
+            map_out_bytes,
+            fetch_bytes,
+            reduce_in_bytes,
+            reduce_out_bytes,
             nodes,
             topo,
             hosts,
@@ -683,30 +704,6 @@ impl MrWorld {
     /// gate must look again.
     fn capacity_changed(&mut self) {
         self.gate_closed = false;
-    }
-
-    // ---- derived sizes --------------------------------------------------
-
-    fn map_input_bytes(&self) -> u64 {
-        self.profile.split_bytes().max(1)
-    }
-
-    fn map_output_bytes(&self) -> u64 {
-        (self.profile.shuffle_bytes() / self.profile.map_tasks as u64).max(1)
-    }
-
-    fn fetch_bytes(&self) -> u64 {
-        (self.profile.shuffle_bytes()
-            / (self.profile.map_tasks as u64 * self.profile.reduce_tasks as u64))
-            .max(1)
-    }
-
-    fn shuffle_per_reduce(&self) -> u64 {
-        (self.profile.shuffle_bytes() / self.profile.reduce_tasks as u64).max(1)
-    }
-
-    fn output_per_reduce(&self) -> u64 {
-        (self.profile.output_bytes() / self.profile.reduce_tasks as u64).max(1)
     }
 
     fn gc_factor(&self) -> f64 {
@@ -1115,21 +1112,21 @@ impl MrWorld {
             Phase::MapCpu => {
                 // sort/spill CPU on the pre-combine output
                 self.set_phase(task, Phase::SpillCpu, now);
-                let emit_mib = self.map_input_bytes() as f64 / MIB as f64 * 1.1;
+                let emit_mib = self.map_in_bytes as f64 / MIB as f64 * 1.1;
                 let mi = self.profile.spill_mi_per_mib * emit_mib;
                 let id = self.job_id(task);
                 self.add_cpu(node, id, mi, now, ctx);
             }
             Phase::SpillCpu => {
                 self.set_phase(task, Phase::SpillDisk, now);
-                let bytes = self.map_output_bytes();
+                let bytes = self.map_out_bytes;
                 let service = self.nodes.node(NodeId(node)).disk_write_time(bytes, false);
                 let id = self.job_id(task);
                 self.submit_disk(node, id, service, now, ctx);
             }
             Phase::ReduceCpu => {
                 self.set_phase(task, Phase::OutputDisk, now);
-                let bytes = self.output_per_reduce();
+                let bytes = self.reduce_out_bytes;
                 let service = self.nodes.node(NodeId(node)).disk_write_time(bytes, false);
                 let id = self.job_id(task);
                 self.submit_disk(node, id, service, now, ctx);
@@ -1144,7 +1141,7 @@ impl MrWorld {
     fn start_map_read(&mut self, task: usize, now: SimTime, ctx: &mut Ctx<Ev>) {
         let node = self.tasks[task].node;
         let block = self.tasks[task].block;
-        let bytes = self.map_input_bytes();
+        let bytes = self.map_in_bytes;
         let replica = self.nn.live_replica(block, node, &self.node_down);
         self.set_phase(task, Phase::Reading { src: replica.unwrap_or(node) }, now);
         match replica {
@@ -1170,7 +1167,7 @@ impl MrWorld {
     fn start_map_cpu(&mut self, task: usize, now: SimTime, ctx: &mut Ctx<Ev>) {
         let node = self.tasks[task].node;
         self.set_phase(task, Phase::MapCpu, now);
-        let mib = self.map_input_bytes() as f64 / MIB as f64;
+        let mib = self.map_in_bytes as f64 / MIB as f64;
         let mi = self.profile.map_mi_per_mib * mib
             + self.profile.map_compute_mi
             + self.profile.task_setup_mi;
@@ -1274,7 +1271,7 @@ impl MrWorld {
             }
             let node = self.tasks[task].node;
             self.set_phase(task, Phase::Fetching { src, origin }, now);
-            let bytes = self.fetch_bytes();
+            let bytes = self.fetch_bytes;
             let (path, lat) = self.topo.path(self.hosts[src], self.hosts[node]);
             let dur = self.topo.gauge_mut().begin_transfer(&path, bytes as f64);
             let attempt = self.tasks[task].attempt;
@@ -1290,7 +1287,7 @@ impl MrWorld {
     fn start_merge(&mut self, task: usize, now: SimTime, ctx: &mut Ctx<Ev>) {
         let node = self.tasks[task].node;
         self.set_phase(task, Phase::MergeDisk, now);
-        let bytes = self.shuffle_per_reduce();
+        let bytes = self.reduce_in_bytes;
         // external merge: (passes - 1) read+write rounds over the shuffled
         // runs, plus the initial materialisation
         let passes = self.profile.merge_passes.max(1) as u64;
@@ -1312,7 +1309,7 @@ impl MrWorld {
             Phase::SpillDisk => self.finish_map(task, now, ctx),
             Phase::MergeDisk => {
                 self.set_phase(task, Phase::ReduceCpu, now);
-                let mib = self.shuffle_per_reduce() as f64 / MIB as f64;
+                let mib = self.reduce_in_bytes as f64 / MIB as f64;
                 let mi = self.profile.reduce_mi_per_mib * mib * self.gc_factor()
                     + self.profile.task_setup_mi
                     + calib::TASK_CLEANUP_MI;
@@ -1333,7 +1330,7 @@ impl MrWorld {
                     }
                     self.set_phase(task, Phase::OutputRepl { peer }, now);
                     let (path, lat) = self.topo.path(self.hosts[node], self.hosts[peer]);
-                    let bytes = self.output_per_reduce();
+                    let bytes = self.reduce_out_bytes;
                     let dur = self.topo.gauge_mut().begin_transfer(&path, bytes as f64);
                     let attempt = self.tasks[task].attempt;
                     ctx.schedule_at(
@@ -1968,14 +1965,14 @@ fn run_job_inner(
         finish_time_s: finish.as_secs_f64(),
         energy_j,
         data_local_fraction: w.local_maps as f64 / w.n_maps as f64,
-        timeline: w.timeline.clone(),
+        timeline: std::mem::take(&mut w.timeline),
         first_reduce_s: w.first_reduce.map(|t| t.as_secs_f64()).unwrap_or(0.0),
         cpu_rise_s: w.cpu_rise.map(|t| t.as_secs_f64()).unwrap_or(0.0),
         speculative_copies: w.speculative_copies,
         task_reexecs: w.task_reexecs,
         nodes_lost: w.nodes_lost,
         mean_recovery_s,
-        recovery_windows: w.recovery_windows.clone(),
+        recovery_windows: std::mem::take(&mut w.recovery_windows),
         guard_breaker_trips: w.guard_breaker_trips,
         guard_deadline_miss: w.guard_deadline_miss,
     };
