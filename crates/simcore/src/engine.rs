@@ -53,9 +53,23 @@ struct Scheduled<E> {
     event: E,
 }
 
+impl<E> Scheduled<E> {
+    /// `(at, seq)` packed into one integer whose order is the tuple's, so
+    /// each heap comparison is a single 128-bit compare. Do not go back to
+    /// comparing the tuple: that goes through `partial_cmp` and branches
+    /// on the first field, and the branch-free sifts in `keyed.rs` lose
+    /// part of their gain with it (DESIGN §7, "Branch-free sift").
+    /// Computed on demand, not stored, so `Scheduled` keeps its size and
+    /// alignment.
+    #[inline]
+    fn key(&self) -> u128 {
+        (u128::from(self.at.0) << 64) | u128::from(self.seq)
+    }
+}
+
 impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<E> Eq for Scheduled<E> {}
@@ -63,10 +77,20 @@ impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
+    // The sifts use only `<` and `>=`: one key compare each, not the
+    // default `partial_cmp` round trip.
+    #[inline]
+    fn lt(&self, other: &Self) -> bool {
+        self.key() < other.key()
+    }
+    #[inline]
+    fn ge(&self, other: &Self) -> bool {
+        self.key() >= other.key()
+    }
 }
 impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -688,5 +712,40 @@ mod tests {
         }
         sim.run();
         assert_eq!(sim.processed(), 7);
+    }
+
+    #[test]
+    fn scheduled_key_orders_as_the_at_seq_tuple() {
+        fn check(a: (u64, u64), b: (u64, u64)) {
+            let x = Scheduled { at: SimTime(a.0), seq: a.1, event: () };
+            let y = Scheduled { at: SimTime(b.0), seq: b.1, event: () };
+            let want = a.cmp(&b);
+            assert_eq!(x.key().cmp(&y.key()), want, "{a:?} vs {b:?}");
+            assert_eq!(x.cmp(&y), want, "{a:?} vs {b:?}");
+            assert_eq!(x < y, want.is_lt(), "{a:?} < {b:?}");
+            assert_eq!(x >= y, want.is_ge(), "{a:?} >= {b:?}");
+            assert_eq!(x == y, want.is_eq(), "{a:?} == {b:?}");
+        }
+        // every pair of edge values, so `at` ties often
+        let edges = [0, 1, u64::MAX - 1, u64::MAX];
+        let pairs: Vec<(u64, u64)> =
+            edges.iter().flat_map(|&at| edges.iter().map(move |&seq| (at, seq))).collect();
+        for &a in &pairs {
+            for &b in &pairs {
+                check(a, b);
+            }
+        }
+        // random pairs: full-range values, then a shared `at`
+        let mut x: u64 = 20_160_509;
+        let mut next = || {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+            x
+        };
+        for i in 0..400 {
+            let a = (next(), next());
+            let b = if i % 2 == 0 { (next(), next()) } else { (a.0, next()) };
+            check(a, b);
+            check(b, a);
+        }
     }
 }

@@ -59,8 +59,15 @@ impl<T: Ord> MinHeap<T> {
             if left >= len {
                 break;
             }
-            let right = left + 1;
-            let child = if right < len && self.heap[right] < self.heap[left] { right } else { left };
+            // Branch-free pick of the smaller child; ties go left. Do not
+            // bring back `if … { right } else { left }`: it is a branch on
+            // the data at every level, and dropping it is most of the gain
+            // measured in DESIGN §7, "Branch-free sift".
+            let child = if left + 1 < len {
+                left + usize::from(self.heap[left + 1] < self.heap[left])
+            } else {
+                left
+            };
             if self.heap[child] >= self.heap[i] {
                 break;
             }
@@ -161,9 +168,10 @@ impl<T: Ord> KeyedQueue<T> {
             if left >= self.heap.len() {
                 return;
             }
-            let right = left + 1;
-            let child = if right < self.heap.len() && self.heap[right].0 < self.heap[left].0 {
-                right
+            // Branch-free pick of the smaller child, ties left, as in
+            // `MinHeap::pop`; keep it branch-free for the same reason.
+            let child = if left + 1 < self.heap.len() {
+                left + usize::from(self.heap[left + 1].0 < self.heap[left].0)
             } else {
                 left
             };
@@ -242,5 +250,52 @@ mod tests {
         assert!(!q.insert(4, 2), "nothing pending after the pop");
         assert_eq!(q.pop(), Some(2));
         assert_eq!(q.pop(), None);
+    }
+
+    /// Pins the exact array layout, not only the pop order: a sift that
+    /// sent ties to the right child would pop the same values but leave
+    /// `heap` and `pos` in another shape. The vectors are those of the
+    /// branching child pick the branch-free one replaced.
+    #[test]
+    fn sifts_keep_the_tie_left_layout() {
+        let mut h = MinHeap::new();
+        let mut q = KeyedQueue::new();
+        let mut replaced = 0;
+        let mut x: u32 = 7;
+        for _ in 0..200 {
+            x = x.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            // six values over up to 43 entries: ties at every level
+            let v = (x >> 16) % 6;
+            if (x >> 24) % 5 < 2 {
+                h.pop();
+                q.pop();
+            } else {
+                h.push(v);
+                replaced += usize::from(q.insert(((x >> 8) % 40) as usize, v));
+            }
+        }
+        assert_eq!(
+            h.heap,
+            [
+                1, 1, 4, 2, 1, 4, 4, 3, 2, 2, 4, 4, 4, 4, 4, 4, 3, 4, 3, 4, 2, 5, 4, 5, 5, 4, 4, 5,
+                4, 4, 4, 4, 4, 5, 4, 5, 5, 5, 5, 5, 4, 4, 4,
+            ]
+        );
+        assert_eq!(
+            q.heap,
+            [
+                (1, 25), (2, 33), (1, 8), (2, 15), (4, 39), (2, 0), (3, 13), (2, 9), (5, 38),
+                (5, 28), (5, 23), (4, 32), (4, 29), (4, 17), (5, 18), (4, 20), (4, 24),
+            ]
+        );
+        const A: usize = ABSENT;
+        assert_eq!(
+            q.pos,
+            [
+                5, A, A, A, A, A, A, A, 2, 7, A, A, A, 6, A, 3, A, 13, 14, A, 15, A, A, 10, 16, 0,
+                A, A, 9, 12, A, A, 11, 1, A, A, A, A, 8, 4,
+            ]
+        );
+        assert_eq!(replaced, 27, "the script re-inserts pending keys");
     }
 }
