@@ -6,10 +6,15 @@
 //! repro table8               run one experiment (quick budget)
 //! repro --full table8        run one experiment at paper scale
 //! repro --all                run everything (quick)
-//! repro --all --full --out reports/   write one file per experiment
+//! repro --all --full --out reports/   write one file per experiment + EXPERIMENTS.md
 //! repro --jobs 4 table8      cap the sweep worker pool at 4
 //! repro smoke --trace t.json --metrics m.prom   record telemetry
 //! ```
+//!
+//! `--out DIR` writes each report to `DIR/<id>.txt` and the
+//! paper-vs-measured ledger over the experiments that ran to
+//! `DIR/EXPERIMENTS.md` (see `edison_core::ledger`); the committed
+//! EXPERIMENTS.md is the one `repro --all --full --out DIR` writes.
 //!
 //! `--trace FILE` writes a Chrome/Perfetto trace (open at ui.perfetto.dev),
 //! `--metrics FILE` writes Prometheus text exposition, `--telemetry-csv
@@ -55,6 +60,7 @@
 //! harness failures.
 
 use edison_core::export::telemetry_csv;
+use edison_core::ledger;
 use edison_core::registry::{self, Experiment, RunBudget};
 use edison_simfault::FaultPlan;
 use edison_simrun::{Executor, RunError};
@@ -140,7 +146,7 @@ fn main() {
             "--telemetry-csv" => csv_path = Some(PathBuf::from(flag_value(&args, &mut i, "--telemetry-csv"))),
             "--profile" => profile = true,
             "--help" | "-h" => {
-                println!("usage: repro [--list] [--all] [--full] [--jobs N] [--fault-plan FILE] [--explore-budget N] [--guard] [--guard-deadline-ms N] [--out DIR] [--trace FILE] [--metrics FILE] [--telemetry-csv FILE] [--profile] [IDS...]");
+                println!("usage: repro [--list] [--all] [--full] [--jobs N] [--fault-plan FILE] [--explore-budget N] [--guard] [--guard-deadline-ms N] [--out DIR (reports + EXPERIMENTS.md)] [--trace FILE] [--metrics FILE] [--telemetry-csv FILE] [--profile] [IDS...]");
                 return;
             }
             id => ids.push(id.to_string()),
@@ -197,6 +203,7 @@ fn main() {
     // keep running remaining experiments after a failure; exit with the
     // first failure's code once everything has had its chance
     let mut first_failure: Option<RunError> = None;
+    let mut reports = Vec::new();
     for e in experiments {
         eprintln!("running {} (jobs={}) ...", e.id, exec.jobs());
         #[expect(clippy::disallowed_methods, reason = "host-side progress display; never feeds sim state")]
@@ -223,6 +230,14 @@ fn main() {
             }
             None => println!("{text}"),
         }
+        reports.push(report);
+    }
+    if let Some(dir) = &out_dir {
+        let path = dir.join("EXPERIMENTS.md");
+        if let Err(e) = fs::write(&path, ledger::render(&reports)) {
+            die(format!("write ledger {}: {e}", path.display()));
+        }
+        println!("wrote {}", path.display());
     }
     let write_artifact = |path: &PathBuf, what: &str, text: String| {
         if let Some(parent) = path.parent() {

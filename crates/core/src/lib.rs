@@ -26,6 +26,7 @@
 pub mod chart;
 pub mod experiments;
 pub mod export;
+pub mod ledger;
 pub mod paper;
 pub mod registry;
 pub mod report;

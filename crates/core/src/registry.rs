@@ -116,6 +116,15 @@ pub struct Experiment {
     pub run: RunFn,
 }
 
+impl Experiment {
+    /// Whether the experiment's report goes into the EXPERIMENTS.md ledger
+    /// ([`crate::ledger`]): every `--all` experiment except `smoke`, a
+    /// telemetry demo whose two rows are sanity checks, not paper values.
+    pub(crate) fn in_ledger(&self) -> bool {
+        self.in_all && self.id != "smoke"
+    }
+}
+
 /// Shorthand for the common case: an always-included entry.
 const fn entry(id: &'static str, title: &'static str, run: RunFn) -> Experiment {
     Experiment { id, title, in_all: true, run }

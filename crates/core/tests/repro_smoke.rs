@@ -1,10 +1,13 @@
 //! End-to-end tests of the `repro` binary: the telemetry surface (run the
 //! smoke experiment with `--trace`/`--metrics`/`--telemetry-csv` and check
-//! the artefacts are non-empty and well-formed) and the simrun error
-//! surface (a panicking sweep point must produce a readable failure and
-//! exit code 3, not an abort).
+//! the artefacts are non-empty and well-formed), the `--out` ledger, and
+//! the simrun error surface (a panicking sweep point must produce a
+//! readable failure and exit code 3, not an abort).
 
+use edison_core::{ledger, registry};
+use edison_simrun::Executor;
 use edison_simtel::export::{validate_json, validate_prometheus};
+use edison_simtel::Telemetry;
 use std::process::Command;
 
 #[test]
@@ -117,4 +120,28 @@ fn repro_list_marks_fault_demo_as_excluded() {
     let stdout = String::from_utf8_lossy(&output.stdout);
     assert!(stdout.contains("fault_demo"), "{stdout}");
     assert!(stdout.contains("not part of --all"), "{stdout}");
+}
+
+/// `--out DIR` also writes `DIR/EXPERIMENTS.md`, the ledger of the run's
+/// reports: ledger experiments only (no `smoke`), in registry order
+/// whatever the command-line order.
+#[test]
+fn repro_out_writes_the_ledger_of_its_reports() {
+    let dir = std::env::temp_dir().join(format!("repro-ledger-{}", std::process::id()));
+    let status = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["smoke", "table2", "table1", "--out"])
+        .arg(&dir)
+        .status()
+        .expect("run repro");
+    assert!(status.success(), "repro --out exited non-zero");
+    let run = |id| {
+        let e = registry::find(id).expect("registered");
+        (e.run)(&registry::RunBudget::quick(), &Executor::serial(), &mut Telemetry::off()).expect("cheap experiment")
+    };
+    let reports = [run("table1"), run("table2")];
+    let md = std::fs::read_to_string(dir.join("EXPERIMENTS.md")).expect("ledger written");
+    assert_eq!(md, ledger::render(&reports));
+    let headings: Vec<&str> = md.lines().filter_map(|l| l.strip_prefix("### ")).collect();
+    assert_eq!(headings, ["table1", "table2"]);
+    let _ = std::fs::remove_dir_all(&dir);
 }

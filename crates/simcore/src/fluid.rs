@@ -92,8 +92,6 @@ pub struct FluidResource {
     /// Epoch and instant of the completion event last armed and not yet
     /// delivered (see the module docs).
     armed: Option<(u64, SimTime)>,
-    /// ∫ utilisation dt (seconds of full-capacity-equivalent use).
-    busy_integral: f64,
 }
 
 /// `x.ceil() as u64` without the libm call: truncate, then step up when
@@ -124,7 +122,6 @@ impl FluidResource {
             last_update: SimTime::ZERO,
             epoch: 0,
             armed: None,
-            busy_integral: 0.0,
         }
     }
 
@@ -162,11 +159,6 @@ impl FluidResource {
         (self.rate * self.ids.len() as f64 / self.capacity).min(1.0)
     }
 
-    /// ∫ utilisation dt in seconds, up to the last `advance`.
-    pub fn busy_seconds(&self) -> f64 {
-        self.busy_integral
-    }
-
     /// Apply progress between `last_update` and `now` at the current rates.
     ///
     /// Idempotent for equal `now`. Panics in debug builds if time runs
@@ -181,7 +173,6 @@ impl FluidResource {
             for rem in &mut self.rem {
                 *rem -= step.min(*rem);
             }
-            self.busy_integral += self.utilization() * dt;
         }
         self.last_update = now;
     }
@@ -450,39 +441,47 @@ mod tests {
         assert_eq!(r.utilization(), 0.0);
         r.add(t(0.0), 1, 5.0); // runs at 5/s → 50% utilisation
         assert!((r.utilization() - 0.5).abs() < 1e-12);
-        r.advance(t(1.0));
+        // ∫ utilisation dt over the task's run, [0 s, 1 s]
+        let busy = r.utilization() * 1.0;
         let done = r.take_finished(t(1.0));
         assert_eq!(done, vec![1]);
-        assert!((r.busy_seconds() - 0.5).abs() < 1e-9);
-        assert!((r.capacity() * r.busy_seconds() - 5.0).abs() < 1e-9);
+        assert!((busy - 0.5).abs() < 1e-9);
+        assert!((r.capacity() * busy - 5.0).abs() < 1e-9);
     }
 
     #[test]
     fn work_conservation_under_mutation_storm() {
         // capacity × busy time must equal total submitted work when every
         // completion is collected on time (a finished task left in the set
-        // would keep counting as busy).
+        // would keep counting as busy). Busy time is ∫ utilisation dt,
+        // integrated before each call that moves `r` to a new instant.
         let mut r = FluidResource::new(7.0, 3.0);
+        let (mut busy, mut last) = (0.0, t(0.0));
+        let mut integrate = |r: &FluidResource, now: SimTime| {
+            busy += r.utilization() * now.saturating_since(last).as_secs_f64();
+            last = now;
+            now
+        };
         let mut now = t(0.0);
         let mut submitted = 0.0;
         for i in 0..50u64 {
             let arrival = SimTime::ZERO + SimDuration::from_millis(137 * i);
             while let Some((_, at)) = r.next_completion(now).filter(|&(_, at)| at <= arrival) {
                 now = at;
-                r.take_finished(now);
+                r.take_finished(integrate(&r, now));
             }
             now = arrival;
             let w = 1.0 + (i % 7) as f64;
-            r.add(now, i, w);
+            r.add(integrate(&r, now), i, w);
             submitted += w;
         }
         // drain
         while let Some((_, at)) = r.next_completion(now) {
             now = at;
-            r.take_finished(now);
+            r.take_finished(integrate(&r, now));
         }
         assert!(r.is_empty());
-        let served = r.capacity() * r.busy_seconds();
+        let served = r.capacity() * busy;
         assert!((served - submitted).abs() < 1e-6 * submitted + 1e-3, "served {served} vs submitted {submitted}");
     }
 
@@ -552,7 +551,6 @@ mod tests {
             assert_eq!(a.epoch(), b.epoch());
         }
         assert!(a.is_empty() && b.is_empty());
-        assert_eq!(a.busy_seconds().to_bits(), b.busy_seconds().to_bits());
     }
 
     #[test]

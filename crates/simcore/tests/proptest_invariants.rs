@@ -46,7 +46,9 @@ proptest! {
 
     /// Fluid resources conserve work: with every completion collected on
     /// time, capacity × busy time equals the work submitted. A finished
-    /// task left in the set would keep counting as busy.
+    /// task left in the set would keep counting as busy. Busy time is
+    /// ∫ utilisation dt, integrated here before each call that moves the
+    /// resource to a new instant.
     #[test]
     fn fluid_conserves_work(
         capacity in 1.0f64..1000.0,
@@ -55,6 +57,12 @@ proptest! {
     ) {
         let per_task = (capacity * cap_frac).max(0.001);
         let mut r = FluidResource::new(capacity, per_task);
+        let (mut busy, mut last) = (0.0, SimTime::ZERO);
+        let mut integrate = |r: &FluidResource, now: SimTime| {
+            busy += r.utilization() * now.saturating_since(last).as_secs_f64();
+            last = now;
+            now
+        };
         let mut submitted = 0.0;
         let mut now = SimTime::ZERO;
         let mut arrival = SimTime::ZERO;
@@ -63,22 +71,22 @@ proptest! {
             arrival = arrival + SimDuration::from_micros(gap_us);
             while let Some((_, at)) = r.next_completion(now).filter(|&(_, at)| at <= arrival) {
                 now = at;
-                r.take_finished(now);
+                r.take_finished(integrate(&r, now));
                 guard += 1;
                 prop_assert!(guard < 10_000, "collection did not terminate");
             }
             now = arrival;
-            r.add(now, i as u64, work);
+            r.add(integrate(&r, now), i as u64, work);
             submitted += work;
         }
         while let Some((_, at)) = r.next_completion(now) {
             now = at;
-            r.take_finished(now);
+            r.take_finished(integrate(&r, now));
             guard += 1;
             prop_assert!(guard < 10_000, "drain did not terminate");
         }
         prop_assert!(r.is_empty());
-        let served = capacity * r.busy_seconds();
+        let served = capacity * busy;
         prop_assert!((served - submitted).abs() < 1e-6 * submitted + 1e-3,
             "served {} vs submitted {}", served, submitted);
     }

@@ -138,7 +138,6 @@ struct RefFluid {
     tasks: BTreeMap<TaskId, f64>,
     last_update: SimTime,
     epoch: u64,
-    busy_integral: f64,
 }
 
 impl RefFluid {
@@ -149,7 +148,6 @@ impl RefFluid {
             tasks: BTreeMap::new(),
             last_update: SimTime::ZERO,
             epoch: 0,
-            busy_integral: 0.0,
         }
     }
 
@@ -162,10 +160,6 @@ impl RefFluid {
         }
     }
 
-    fn utilization(&self) -> f64 {
-        (self.rate_per_task() * self.tasks.len() as f64 / self.capacity).min(1.0)
-    }
-
     fn advance(&mut self, now: SimTime) {
         let dt = now.saturating_since(self.last_update).as_secs_f64();
         if dt > 0.0 {
@@ -176,7 +170,6 @@ impl RefFluid {
                     let used = step.min(*rem);
                     *rem -= used;
                 }
-                self.busy_integral += self.utilization() * dt;
             }
         }
         self.last_update = now;
@@ -233,7 +226,6 @@ fn assert_same(r: &FluidResource, m: &RefFluid, now: SimTime) {
     assert_eq!(r.clone().arm_completion(now).map(|(at, _)| at), m.next_completion(now).map(|(_, at)| at));
     assert_eq!(r.epoch(), m.epoch);
     assert_eq!(r.len(), m.tasks.len());
-    assert_eq!(r.busy_seconds().to_bits(), m.busy_integral.to_bits());
     for id in 0..48 {
         assert_eq!(r.remaining(id).map(f64::to_bits), m.tasks.get(&id).map(|w| w.to_bits()));
     }
@@ -254,7 +246,6 @@ proptest! {
         let keyed = run_toy(true, cap_frac, &script);
         let (p, k) = (plain.world(), keyed.world());
         prop_assert_eq!(&k.acted, &p.acted);
-        prop_assert_eq!(k.cpu.busy_seconds().to_bits(), p.cpu.busy_seconds().to_bits());
         prop_assert_eq!(k.cpu.len(), p.cpu.len());
         prop_assert!(keyed.processed() <= plain.processed());
         prop_assert_eq!(keyed.scheduled_total(), keyed.processed() + keyed.superseded_total());
