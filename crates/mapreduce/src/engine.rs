@@ -29,8 +29,6 @@ use edison_simcore::time::{SimDuration, SimTime};
 use edison_simcore::{Ctx, EngineProfile, KindProfiler, Model, NoopProfiler, Simulation};
 use edison_simfault::metrics as fault_metrics;
 use edison_simfault::{Fault, FaultKind, FaultPlan, RecoveryWindow};
-use edison_simguard::metrics as guard_metrics;
-use edison_simguard::{BreakerState, BreakerVerdict, CircuitBreaker, GuardConfig};
 use edison_simrun::{derive_seed, SimError};
 use edison_simtel::{record_engine_profile, record_sim_metrics, Telemetry};
 use std::collections::VecDeque;
@@ -49,6 +47,9 @@ const REDUCE_SLOWSTART: f64 = 0.05;
 /// A run with no task-phase transition for this long is declared stuck
 /// (an unrecovered fault), not left looping on idle ticks forever.
 const STALL_TIMEOUT: SimDuration = SimDuration::from_secs(3600);
+/// RM liveness timeout: a worker silent this long is declared lost and
+/// its containers re-queued.
+const LIVENESS_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 /// Exponent cap on the re-registration backoff of a repeatedly restarting
 /// nodemanager: delays double per restart up to `base << REREG_BACKOFF_CAP`.
 const REREG_BACKOFF_CAP: u32 = 2;
@@ -75,17 +76,11 @@ pub struct ClusterSetup {
     /// HDFS block size, bytes (16 MB Edison / 64 MB Dell; 64 MB both for
     /// terasort).
     pub block_bytes: u64,
-    /// HDFS replication (2 Edison / 1 Dell — tuned for ≈95 % locality).
-    pub replication: u32,
-    /// Per-node memory schedulable for containers (≈600 MB Edison, 12 GB
-    /// Dell after OS + datanode + nodemanager).
-    pub schedulable_mem: u64,
-    /// Application-master container size (100 MB / 500 MB).
-    pub am_mem: u64,
     /// RNG seed.
     pub seed: u64,
     /// Fault injection: slow node `index` down by the given CPU factor
-    /// (> 1), modelling a degraded SD card / thermally-throttled module.
+    /// (finite and > 1), modelling a degraded SD card /
+    /// thermally-throttled module.
     pub straggler: Option<(usize, f64)>,
     /// Hadoop speculative execution: duplicate suspiciously slow maps once
     /// most of the map phase has completed. On by default (Hadoop's
@@ -96,14 +91,6 @@ pub struct ClusterSetup {
     /// worker indices). Empty — the default — leaves the run bit-exactly
     /// fault-free.
     pub fault_plan: FaultPlan,
-    /// RM liveness timeout, seconds: a worker silent this long is declared
-    /// lost and its containers re-queued.
-    pub liveness_timeout_s: f64,
-    /// Overload protection on heartbeat dispatch: per-worker circuit
-    /// breakers (an RM node-lost verdict stops new grants until the
-    /// worker proves itself again) and per-attempt task deadlines.
-    /// [`GuardConfig::off`] — the default — is a byte-identical no-op.
-    pub guard: GuardConfig,
 }
 
 impl ClusterSetup {
@@ -113,15 +100,10 @@ impl ClusterSetup {
             tune: Tune::Edison,
             workers,
             block_bytes: 16 * MIB,
-            replication: 2.min(u32::try_from(workers).unwrap_or(u32::MAX)),
-            schedulable_mem: 600 * MIB,
-            am_mem: 100 * MIB,
             seed: 20160509,
             straggler: None,
             speculation: true,
             fault_plan: FaultPlan::new(),
-            liveness_timeout_s: 5.0,
-            guard: GuardConfig::off(),
         }
     }
 
@@ -131,15 +113,10 @@ impl ClusterSetup {
             tune: Tune::Dell,
             workers,
             block_bytes: 64 * MIB,
-            replication: 1,
-            schedulable_mem: 12 * 1024 * MIB,
-            am_mem: 500 * MIB,
             seed: 20160509,
             straggler: None,
             speculation: true,
             fault_plan: FaultPlan::new(),
-            liveness_timeout_s: 5.0,
-            guard: GuardConfig::off(),
         }
     }
 
@@ -152,8 +129,9 @@ impl ClusterSetup {
     }
 
     /// Inject a straggler: node `index` runs its CPU `factor`× slower.
+    /// A run rejects an index past the last worker, or a factor that is
+    /// not finite and above 1, as a [`SimError::Config`].
     pub fn with_straggler(mut self, index: usize, factor: f64) -> Self {
-        assert!(factor > 1.0);
         self.straggler = Some((index, factor));
         self
     }
@@ -164,10 +142,29 @@ impl ClusterSetup {
         self
     }
 
-    /// Run the job with overload protection on heartbeat dispatch.
-    pub fn with_guard(mut self, guard: GuardConfig) -> Self {
-        self.guard = guard;
-        self
+    /// Reject a setup no cluster can run: no workers, a zero block size,
+    /// or a straggler that names no worker or does not slow it down.
+    fn validate(&self) -> Result<(), SimError> {
+        if self.workers == 0 {
+            return Err(SimError::Config("a MapReduce cluster needs at least one worker".into()));
+        }
+        if self.block_bytes == 0 {
+            return Err(SimError::Config("the HDFS block size must be positive".into()));
+        }
+        if let Some((index, factor)) = self.straggler {
+            if index >= self.workers {
+                return Err(SimError::Config(format!(
+                    "straggler index {index} names no worker of {}",
+                    self.workers
+                )));
+            }
+            if !(factor.is_finite() && factor > 1.0) {
+                return Err(SimError::Config(format!(
+                    "straggler factor {factor} must be finite and greater than 1"
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -241,9 +238,6 @@ struct Task {
     /// Per-origin shuffle progress (reduces; `len == n_maps`): partitions
     /// already pulled stay pulled when the map's output node later dies.
     fetched_from: Vec<bool>,
-    /// Granted as a half-open breaker probe: its completion (or death)
-    /// releases the probe slot.
-    probe: bool,
 }
 
 /// The indices of the tasks in [`Phase::Pending`], one bit per task, so
@@ -390,17 +384,24 @@ pub struct JobOutcome {
     /// completion order. The simexplore perturbation space targets
     /// follow-up faults inside these.
     pub recovery_windows: Vec<RecoveryWindow>,
-    /// Circuit-breaker trips across workers (0 with the guard off or on
-    /// healthy clusters): RM node-lost verdicts and failed probes.
+    /// Always 0: the engine has no circuit breakers (RM liveness alone
+    /// keeps grants off a lost worker). Kept for readers that print or
+    /// digest the outcome field by field.
     pub guard_breaker_trips: u32,
-    /// Task attempts that completed past the configured per-attempt
-    /// deadline budget (0 with the guard off).
+    /// Always 0: the engine sets no task deadlines. Kept for readers that
+    /// print or digest the outcome field by field.
     pub guard_deadline_miss: u32,
 }
 
 struct MrWorld {
     profile: JobProfile,
     setup: ClusterSetup,
+    /// HDFS replication (2 Edison, capped by the worker count / 1 Dell —
+    /// tuned for ≈95 % locality).
+    replication: u32,
+    /// Per-node memory schedulable for containers (600 MiB Edison,
+    /// 12 GiB Dell after OS + datanode + nodemanager).
+    schedulable_mem: u64,
     /// The job's fixed transfer sizes, bytes, from the profile at build
     /// (each at least 1): one map's input split and its spilled output,
     /// one reducer's fetch of one map's partition, one reducer's whole
@@ -487,23 +488,10 @@ struct MrWorld {
     /// Observed recovery windows: restart applied → re-localised (the
     /// interval simexplore probes with follow-up faults).
     recovery_windows: Vec<RecoveryWindow>,
-    /// Cached [`GuardConfig::is_active`]: gates only the guard help text
-    /// in telemetry. The breakers and the deadline check below decide
-    /// behaviour from their own zero values.
-    guard_on: bool,
-    /// Per-worker circuit breaker on RM dispatch (threshold 0 = always
-    /// passes).
-    brk: Vec<CircuitBreaker>,
-    /// Per-worker breaker verdict of the heartbeat in progress, reused
-    /// across heartbeats; read by [`MrWorld::node_capacity`].
-    brk_verdict: Vec<BreakerVerdict>,
     /// The last capacity gate found no node fitting the smallest
     /// container, and nothing the gate reads has been written since
-    /// (cleared by [`MrWorld::capacity_changed`]). Never set while
-    /// breakers are on: their verdicts change with time alone.
+    /// (cleared by [`MrWorld::capacity_changed`]).
     gate_closed: bool,
-    guard_breaker_trips: u32,
-    guard_deadline_miss: u32,
     /// Last task-phase transition (stall detection).
     last_progress: SimTime,
     /// Telemetry sink; [`Telemetry::off`] unless the run came through
@@ -520,9 +508,11 @@ struct MrWorld {
 
 impl MrWorld {
     fn new(profile: JobProfile, setup: ClusterSetup) -> Self {
-        let spec = match setup.tune {
-            Tune::Edison => presets::edison(),
-            Tune::Dell => presets::dell_r620(),
+        let (spec, replication, schedulable_mem) = match setup.tune {
+            Tune::Edison => {
+                (presets::edison(), 2.min(u32::try_from(setup.workers).unwrap_or(u32::MAX)), 600 * MIB)
+            }
+            Tune::Dell => (presets::dell_r620(), 1, 12 * 1024 * MIB),
         };
         let mut nodes = Cluster::new();
         for i in 0..setup.workers {
@@ -551,7 +541,7 @@ impl MrWorld {
         let mut rng = SimRng::new(setup.seed);
         // HDFS: one file per map split (CombineFileInputFormat is modelled
         // by the profile's split count — splits are locality-grouped).
-        let mut nn = Namenode::new(setup.workers, setup.replication, setup.block_bytes);
+        let mut nn = Namenode::new(setup.workers, replication, setup.block_bytes);
         let map_in_bytes = profile.split_bytes().max(1);
         for _ in 0..profile.map_tasks {
             nn.put(map_in_bytes.min(setup.block_bytes), &mut rng);
@@ -586,27 +576,18 @@ impl MrWorld {
                 phase_since: SimTime::ZERO,
                 attempt: 0,
                 fetched_from: if i < n_maps { Vec::new() } else { vec![false; n_maps] },
-                probe: false,
             })
             .collect();
         let running_containers = vec![0; setup.workers];
         let node_ready = vec![false; setup.workers];
         let fplan = setup.fault_plan.normalized();
-        let liveness =
-            LivenessTracker::new(setup.workers, SimDuration::from_secs_f64(setup.liveness_timeout_s));
+        let liveness = LivenessTracker::new(setup.workers, LIVENESS_TIMEOUT);
         let workers = setup.workers;
-        let guard_on = setup.guard.is_active();
-        let brk = vec![
-            CircuitBreaker::new(
-                setup.guard.breaker_threshold,
-                setup.guard.breaker_cooldown,
-                setup.guard.breaker_probes,
-            );
-            workers
-        ];
         MrWorld {
             profile,
             setup,
+            replication,
+            schedulable_mem,
             map_in_bytes,
             map_out_bytes,
             fetch_bytes,
@@ -653,12 +634,7 @@ impl MrWorld {
             nodes_lost: 0,
             recovery_s: Vec::new(),
             recovery_windows: Vec::new(),
-            guard_on,
-            brk,
-            brk_verdict: vec![BreakerVerdict::Pass; workers],
             gate_closed: false,
-            guard_breaker_trips: 0,
-            guard_deadline_miss: 0,
             last_progress: SimTime::ZERO,
             tel: Telemetry::off(),
             slave_tracks: Vec::new(),
@@ -774,10 +750,6 @@ impl MrWorld {
                 self.nodes_lost += 1;
                 self.capacity_changed();
                 self.tel.counter_inc(fault_metrics::NODE_LOST_TOTAL, &[("tier", "mapreduce")]);
-                if self.brk[lost].record_failure(now) {
-                    self.guard_breaker_trips += 1;
-                    self.note_brk_transition(lost);
-                }
                 self.reap_node(lost, now, ctx);
             }
         }
@@ -819,31 +791,15 @@ impl MrWorld {
         if self.gate_closed {
             return;
         }
-        // nothing to place: the breakers are not consulted (a check
-        // advances their state and records telemetry)
         if !self.pending.iter().any(|i| self.schedulable(&self.tasks[i])) {
             return;
-        }
-        let breakers_on = self.setup.guard.breaker_threshold > 0;
-        if breakers_on {
-            // breaker verdicts per worker (lazily advances open →
-            // half-open): an open breaker offers the scheduler no
-            // capacity, a half-open one at most a single probe container.
-            // With threshold 0 every check passes and changes nothing.
-            for i in 0..self.setup.workers {
-                let before = self.brk[i].state();
-                self.brk_verdict[i] = self.brk[i].check(now);
-                if self.brk[i].state() != before {
-                    self.note_brk_transition(i);
-                }
-            }
         }
         // capacity gate: every grant needs `fits(mem)`, which is monotone
         // in `mem`, so when no node fits the smallest container a pending
         // task could ask for, nothing is granted and the pending × nodes
         // placement scan is skipped (most heartbeats: the cluster is full)
         if !self.gate_open() {
-            self.gate_closed = !breakers_on;
+            self.gate_closed = true;
             return;
         }
         // the pending list, in deterministic order: maps then reduces, by
@@ -864,7 +820,7 @@ impl MrWorld {
             #[expect(clippy::cast_possible_truncation, clippy::cast_sign_loss, reason = "a fraction of the cluster's u64 schedulable memory")]
             let cap = (calib::REDUCE_RAMPUP_LIMIT
                 * self.setup.workers as f64
-                * self.setup.schedulable_mem as f64) as u64;
+                * self.schedulable_mem as f64) as u64;
             cap.saturating_sub(self.running_reduce_mem)
         } else {
             u64::MAX
@@ -886,15 +842,10 @@ impl MrWorld {
                     self.first_reduce = Some(now);
                 }
             }
-            let probe = self.brk[node].state() == BreakerState::HalfOpen;
-            if probe {
-                self.brk[node].begin_probe();
-            }
             let t = &mut self.tasks[task];
             t.node = node;
             t.local = local;
             t.started = now;
-            t.probe = probe;
             self.set_phase(task, Phase::Launching, now);
             if self.setup.speculation && task < self.n_maps {
                 self.spec_queue.push_back((now, task));
@@ -954,24 +905,15 @@ impl MrWorld {
     }
 
     /// Free capacity of worker `i` as the scheduler sees it: nothing
-    /// before job localisation or once the RM declared the node lost,
-    /// nothing behind an open breaker and at most one probe container
-    /// behind a half-open one (this heartbeat's `brk_verdict`).
+    /// before job localisation or once the RM declared the node lost.
     fn node_capacity(&self, i: usize) -> NodeCapacity {
         let node = self.nodes.node(NodeId(i));
         let used_beyond_base = node.mem_used() - node.spec().os.base_memory;
-        let mut free = if self.node_ready[i] && !self.liveness.is_lost(i) {
-            self.setup.schedulable_mem.saturating_sub(used_beyond_base)
+        let free = if self.node_ready[i] && !self.liveness.is_lost(i) {
+            self.schedulable_mem.saturating_sub(used_beyond_base)
         } else {
             0 // not localised yet, or declared lost by the RM
         };
-        match self.brk_verdict[i] {
-            BreakerVerdict::Reject => free = 0,
-            BreakerVerdict::Probe => {
-                free = free.min(self.profile.map_container.max(self.profile.reduce_container));
-            }
-            BreakerVerdict::Pass => {}
-        }
         NodeCapacity {
             free_mem: free,
             running: self.running_containers[i],
@@ -1039,7 +981,6 @@ impl MrWorld {
                 phase_since: now,
                 attempt: 0,
                 fetched_from: Vec::new(),
-                probe: false,
             });
             self.speculative_copies += 1;
             self.tel.counter_inc("mr_speculative_copies_total", &[]);
@@ -1054,47 +995,6 @@ impl MrWorld {
             || t.logical_done
             || t.dup_of.is_some()
             || matches!(t.phase, Phase::Pending | Phase::Done))
-    }
-
-    // ---- guard layer ----------------------------------------------------
-
-    /// Telemetry: the breaker of `node` just changed state.
-    fn note_brk_transition(&mut self, node: usize) {
-        let to = match self.brk[node].state() {
-            BreakerState::Closed => "closed",
-            BreakerState::Open => "open",
-            BreakerState::HalfOpen => "half_open",
-        };
-        self.tel.counter_inc(
-            guard_metrics::BREAKER_TRANSITIONS_TOTAL,
-            &[("tier", "mapreduce"), ("to", to)],
-        );
-    }
-
-    /// A container completed on `node`: release its probe slot (if it
-    /// was one) and record the success — one successful probe closes a
-    /// half-open breaker.
-    fn guard_task_done(&mut self, task: usize, node: usize) {
-        if self.tasks[task].probe {
-            self.tasks[task].probe = false;
-            self.brk[node].end_probe();
-        }
-        let before = self.brk[node].state();
-        let _ = self.brk[node].record_success();
-        if self.brk[node].state() != before {
-            self.note_brk_transition(node);
-        }
-    }
-
-    /// Per-attempt deadline accounting: the logical task just completed;
-    /// was its winning attempt inside the configured budget?
-    /// (`Budget::ZERO`, deadlines off, derives no deadline.)
-    fn guard_deadline_check(&mut self, task: usize, now: SimTime) {
-        let started = self.tasks[task].started;
-        if self.setup.guard.deadline.deadline_from(started).is_some_and(|d| d.passed(now)) {
-            self.guard_deadline_miss += 1;
-            self.tel.counter_inc(guard_metrics::DEADLINE_MISS_TOTAL, &[("tier", "mapreduce")]);
-        }
     }
 
     // ---- task phase transitions ------------------------------------------
@@ -1191,7 +1091,6 @@ impl MrWorld {
         self.nodes.node_mut(NodeId(node)).free_mem(self.profile.map_container);
         self.running_containers[node] -= 1;
         self.capacity_changed();
-        self.guard_task_done(task, node);
         // speculative resolution: the logical map is `origin`; only the
         // first finisher counts. The loser (if still running) drains
         // without effect — Hadoop kills it; letting it finish keeps the
@@ -1207,7 +1106,6 @@ impl MrWorld {
         let d = now.saturating_since(self.tasks[task].started).as_secs_f64();
         let at = self.map_durations.partition_point(|x| x.total_cmp(&d).is_le());
         self.map_durations.insert(at, d);
-        self.guard_deadline_check(task, now);
         self.completed_maps += 1;
         let local = self.tasks[task].local;
         if local {
@@ -1317,7 +1215,7 @@ impl MrWorld {
                 self.add_cpu(node, id, mi, now, ctx);
             }
             Phase::OutputDisk => {
-                if self.setup.replication > 1 {
+                if self.replication > 1 {
                     // replication pipeline to the next *alive* node
                     let mut peer = (node + 1) % self.setup.workers;
                     while peer != node && self.node_down[peer] {
@@ -1385,8 +1283,6 @@ impl MrWorld {
         self.nodes.node_mut(NodeId(node)).free_mem(self.profile.reduce_container);
         self.running_containers[node] -= 1;
         self.capacity_changed();
-        self.guard_task_done(task, node);
-        self.guard_deadline_check(task, now);
         self.running_reduce_mem = self.running_reduce_mem.saturating_sub(self.profile.reduce_container);
         self.completed_reduces += 1;
         self.tel.counter_inc("mr_reduces_completed_total", &[]);
@@ -1601,12 +1497,6 @@ impl MrWorld {
             self.nodes.node_mut(NodeId(node)).free_mem(mem);
             self.running_containers[node] = self.running_containers[node].saturating_sub(1);
             self.capacity_changed();
-            if self.tasks[t].probe {
-                // the probe died with the node; free its slot (the
-                // breaker reopens via the node-lost failure)
-                self.tasks[t].probe = false;
-                self.brk[node].end_probe();
-            }
             if !is_map {
                 self.running_reduce_mem =
                     self.running_reduce_mem.saturating_sub(self.profile.reduce_container);
@@ -1845,7 +1735,9 @@ impl Model for MrWorld {
 
 /// Run one job on one cluster setup to completion. An unrecoverable fault
 /// (every replica of a block lost, all workers down, or a stalled job)
-/// returns [`SimError::FaultUnrecovered`].
+/// returns [`SimError::FaultUnrecovered`]; a setup no cluster can run (no
+/// workers, a zero block size, a bad straggler) returns
+/// [`SimError::Config`].
 pub fn run_job_checked(profile: &JobProfile, setup: &ClusterSetup) -> Result<JobOutcome, SimError> {
     run_job_traced_checked(profile, setup, Telemetry::off()).map(|(o, _)| o)
 }
@@ -1891,13 +1783,15 @@ pub fn run_job_profiled_checked(
 /// Build, seed and run one job. With telemetry off this is the hook-free
 /// [`Simulation::run`] and the profile is empty; a traced run always
 /// counts events through [`KindProfiler`] and exports `sim_*`, plus
-/// `profile_*` when `profiling` is set.
+/// `profile_*` when `profiling` is set. A setup no cluster can run is a
+/// [`SimError::Config`].
 fn run_job_inner(
     profile: &JobProfile,
     setup: &ClusterSetup,
     tel: Telemetry,
     profiling: bool,
 ) -> Result<(JobOutcome, Telemetry, EngineProfile), SimError> {
+    setup.validate()?;
     let tracing = tel.is_on();
     let mut world = MrWorld::new(profile.clone(), setup.clone());
     world.tel = tel;
@@ -1910,10 +1804,6 @@ fn run_job_inner(
         world.tel.help("mr_map_progress_pct", "Completed maps / total, 1 s samples");
         world.tel.help("mr_reduce_progress_pct", "Completed reduces / total, 1 s samples");
         fault_metrics::register_help(&mut world.tel);
-        if world.guard_on {
-            // only on guarded runs, so guards-off exports stay identical
-            guard_metrics::register_help(&mut world.tel);
-        }
         // intern one span track per slave up front: per-event span
         // recording is then id-indexed, no string work on the hot path
         world.slave_tracks = (0..world.setup.workers)
@@ -1973,8 +1863,8 @@ fn run_job_inner(
         nodes_lost: w.nodes_lost,
         mean_recovery_s,
         recovery_windows: std::mem::take(&mut w.recovery_windows),
-        guard_breaker_trips: w.guard_breaker_trips,
-        guard_deadline_miss: w.guard_deadline_miss,
+        guard_breaker_trips: 0,
+        guard_deadline_miss: 0,
     };
     let tel = std::mem::take(&mut sim.world_mut().tel);
     Ok((outcome, tel, engine_profile))
@@ -2249,30 +2139,20 @@ mod tests {
     }
 
     #[test]
-    fn guard_off_is_byte_identical_and_guarded_crash_trips_the_breaker() {
+    fn an_impossible_setup_is_a_config_error() {
         let profile = jobs::logcount2(Tune::Edison);
-        let base = run_job_checked(&profile, &ClusterSetup::edison(4)).expect("job finishes");
-        // guard config attached but inert features off ⇒ same bytes
-        let off = run_job_checked(&profile, &ClusterSetup::edison(4).with_guard(GuardConfig::off())).expect("job finishes");
-        assert_eq!(base.finish_time_s.to_bits(), off.finish_time_s.to_bits());
-        assert_eq!(base.energy_j.to_bits(), off.energy_j.to_bits());
-        assert_eq!(off.guard_breaker_trips, 0);
-        assert_eq!(off.guard_deadline_miss, 0);
-        // guarded healthy run: breaker never trips, job completes
-        let healthy =
-            run_job_checked(&profile, &ClusterSetup::edison(4).with_guard(GuardConfig::mr_defaults())).expect("job finishes");
-        assert_eq!(healthy.guard_breaker_trips, 0);
-        // guarded crash: the RM's node-lost verdict trips the worker's
-        // breaker; the job still completes and the breaker recovers
-        // through the probe path (trips stay bounded)
-        let at = SimTime::from_secs_f64(base.finish_time_s / 3.0);
-        let plan = FaultPlan::new().crash_restart(1, at, SimDuration::from_secs(20));
-        let setup = ClusterSetup::edison(4)
-            .with_fault_plan(plan)
-            .with_guard(GuardConfig::mr_defaults());
-        let hit = run_job_checked(&profile, &setup).expect("guarded crash must recover");
-        assert!(hit.guard_breaker_trips >= 1, "node-lost must trip the breaker");
-        assert!(hit.task_reexecs > 0, "containers on the dead node must re-execute");
+        for (case, setup) in [
+            ("no workers", ClusterSetup::edison(0)),
+            ("zero block size", ClusterSetup::edison(4).with_block(0)),
+            ("straggler past the last worker", ClusterSetup::edison(4).with_straggler(4, 2.0)),
+            ("straggler that speeds a node up", ClusterSetup::dell(2).with_straggler(0, 0.5)),
+            ("straggler factor of 1", ClusterSetup::edison(4).with_straggler(0, 1.0)),
+            ("NaN straggler factor", ClusterSetup::edison(4).with_straggler(1, f64::NAN)),
+            ("infinite straggler factor", ClusterSetup::edison(4).with_straggler(0, f64::INFINITY)),
+        ] {
+            let got = run_job_checked(&profile, &setup).map(|o| o.finish_time_s);
+            assert!(matches!(got, Err(SimError::Config(_))), "{case}: {got:?}");
+        }
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!   smallest pending container, since no later grant is then possible.
 //!
 //! Grants, and everything the heartbeat does before them (liveness,
-//! speculation, breakers), happen at the same instants and in the same
-//! order as without either gate.
+//! speculation), happen at the same instants and in the same order as
+//! without either gate.
 
 use edison_simcore::time::{SimDuration, SimTime};
 

@@ -1,12 +1,12 @@
-//! Golden outcomes of the MapReduce engine: six fixtures whose
+//! Golden outcomes of the MapReduce engine: five fixtures whose
 //! [`JobOutcome`] is pinned byte for byte, so a change to the YARN
 //! heartbeat, the task phase machine or the fault layer cannot move a
 //! single result unnoticed.
 //!
 //! The fixtures cover the scheduler paths the Table 8 matrix never runs:
 //! speculation behind a straggler, a crash and restart (liveness sweep,
-//! reap, re-queue and map-output re-execution), per-worker circuit
-//! breakers, and a telemetry-on run.
+//! reap, re-queue and map-output re-execution), and that crash behind a
+//! straggler with telemetry on.
 //!
 //! * The `JobOutcome` Debug form (timelines included) is pinned as byte
 //!   length plus FNV-1a-64.
@@ -25,7 +25,6 @@ use edison_mapreduce::jobs::Tune;
 use edison_mapreduce::{jobs, ClusterSetup, JobOutcome, JobProfile};
 use edison_simcore::time::{SimDuration, SimTime};
 use edison_simfault::FaultPlan;
-use edison_simguard::GuardConfig;
 use edison_simtel::Telemetry;
 
 /// FNV-1a, 64-bit: a stable fingerprint for outcomes too large to commit.
@@ -126,34 +125,16 @@ fn crash_and_restart() {
 }
 
 #[test]
-fn crash_with_breakers() {
-    let setup = crash_setup().with_guard(GuardConfig::mr_defaults());
-    let o = check(
-        "crash_breakers",
-        Fingerprint(246_887, 0xdbba_1244_3a67_9c99),
-        &jobs::logcount2(Tune::Edison),
-        &setup,
-    );
-    assert!(
-        o.guard_breaker_trips >= 1,
-        "node-lost trips the worker's breaker"
-    );
-}
-
-#[test]
-fn telemetry_on_crash_with_breakers() {
-    // the breaker fixture behind a straggler, recording: the label sites
+fn telemetry_on_crash_with_straggler() {
+    // the crash fixture behind a straggler, recording: the label sites
     // of the engine (grants, completions, speculation, node loss,
-    // re-execution, breaker transitions, deadlines, recovery) all land in
-    // the export
-    let name = "telemetry_crash_breakers";
+    // re-execution, recovery) all land in the export
+    let name = "telemetry_crash_straggler";
     let profile = jobs::logcount2(Tune::Edison);
-    let setup = crash_setup()
-        .with_guard(GuardConfig::mr_defaults())
-        .with_straggler(3, 4.0);
+    let setup = crash_setup().with_straggler(3, 4.0);
     let untraced = check(
         name,
-        Fingerprint(388_655, 0xfde3_acc2_8738_9a26),
+        Fingerprint(390_052, 0xb0d1_9fcc_d68b_c413),
         &profile,
         &setup,
     );
@@ -164,7 +145,7 @@ fn telemetry_on_crash_with_breakers() {
         format!("{traced:?}"),
         "{name}: tracing perturbed the outcome"
     );
-    assert!(untraced.speculative_copies > 0 && untraced.guard_breaker_trips >= 1);
+    assert!(untraced.speculative_copies > 0 && untraced.nodes_lost == 1);
 
     let prom = tel.prometheus_text();
     let golden =

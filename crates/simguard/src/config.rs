@@ -104,31 +104,6 @@ impl GuardConfig {
         }
     }
 
-    /// The MapReduce tier's reference guard. Only the features that make
-    /// sense for heartbeat-driven batch dispatch are on: a 1-failure
-    /// breaker per worker (one RM node-lost verdict stops new grants
-    /// there) with a 4-heartbeat cooldown and a single probe container,
-    /// plus a 600 s per-attempt task deadline for straggler accounting.
-    /// Admission control and brownout stay off — batch jobs queue, they
-    /// don't shed.
-    pub fn mr_defaults() -> Self {
-        GuardConfig {
-            deadline: Budget::from_millis(600_000),
-            db_reserve: SimDuration::ZERO,
-            breaker_threshold: 1,
-            breaker_cooldown: SimDuration::from_secs(4),
-            breaker_probes: 1,
-            probe_ratio: 0.0,
-            admit_rate: 0.0,
-            admit_burst: 0.0,
-            queue_target: SimDuration::ZERO,
-            queue_interval: SimDuration::ZERO,
-            brownout_enter: SimDuration::ZERO,
-            brownout_exit: SimDuration::ZERO,
-            shed_ratio: 0.0,
-        }
-    }
-
     /// True when any guard feature is enabled. Behaviour needs no gate:
     /// every part is inert at its zero value, so the hosting world runs
     /// one path. Gate on this only the guard accounting and telemetry,

@@ -29,8 +29,8 @@
 //!
 //! Load shedding is priority-classed ([`Priority`], drawn per connection
 //! from a derived seed so the class never perturbs workload RNG draws).
-//! [`metrics`] names the telemetry vocabulary the web/MapReduce tiers
-//! record under.
+//! [`metrics`] names the telemetry vocabulary the web tier records
+//! under.
 
 pub mod admit;
 pub mod breaker;

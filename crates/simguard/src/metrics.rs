@@ -1,6 +1,6 @@
-//! Shared metric names for the guard layer, so the web tier, the
-//! MapReduce tier, and the experiments agree on spelling — the byte-exact
-//! export determinism tests depend on this.
+//! Shared metric names for the guard layer, so the web tier and the
+//! experiments agree on spelling — the byte-exact export determinism
+//! tests depend on this.
 
 use edison_simtel::Telemetry;
 
